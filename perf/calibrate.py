@@ -12,8 +12,8 @@ bound in ``BENCHMARK.json``:
 
 * the spread of every set stays within the bound (``setup_s`` excepted,
   it is only reported), and is flagged when above a third of it;
-* no later set's median is worse than the first set's by more than the
-  bound;
+* no later set's median differs from the first set's by more than the
+  bound, in either direction: two sets of the same code must agree;
 * every run's correctness checks passed.
 
 Exits 1 if any check fails.
@@ -22,12 +22,11 @@ Exits 1 if any check fails.
 from __future__ import annotations
 
 import argparse
-import json
 import statistics
 import sys
 
-from metrics import END_TO_END
-from run import DEFAULT_SECONDS, ROOT, SOURCE, WORKLOADS, exclusive, measure
+from metrics import BOUNDS, END_TO_END
+from run import DEFAULT_SECONDS, SOURCE, WORKLOADS, exclusive, measure
 
 
 def spread(values: list[float]) -> tuple[float, float, float]:
@@ -37,10 +36,9 @@ def spread(values: list[float]) -> tuple[float, float, float]:
     return median, q3 - q1, (q3 - q1) / median if median else float("inf")
 
 
-def worsening(first: float, later: float, better: str) -> float:
-    """How much worse ``later`` is than ``first``, as a share of ``first``."""
-    change = (later - first) / first
-    return change if better == "lower" else -change
+def drift(first: float, later: float) -> float:
+    """How far ``later`` is from ``first``, as a signed share of ``first``."""
+    return (later - first) / first
 
 
 def collect(workloads, sets: int, runs: int, seconds: float) -> tuple[list, int]:
@@ -62,9 +60,9 @@ def collect(workloads, sets: int, runs: int, seconds: float) -> tuple[list, int]
 def judge(values: list[dict], bounds: dict[str, float]) -> bool:
     ok = True
     print(f"\n{'workload':16s} {'metric':16s} {'set':>3s} {'median':>12s} "
-          f"{'IQR':>10s} {'spread':>8s} {'worse':>8s} {'bound':>6s}  verdict")
+          f"{'IQR':>10s} {'spread':>8s} {'drift':>8s} {'bound':>6s}  verdict")
     for workload in values[0]:
-        for name, (_, better) in END_TO_END.items():
+        for name in END_TO_END:
             bound = bounds[name]
             first = None
             for k, per_set in enumerate(values):
@@ -73,17 +71,17 @@ def judge(values: list[dict], bounds: dict[str, float]) -> bool:
                     continue
                 median, iqr, rel = spread(samples)
                 first = median if first is None else first
-                worse = worsening(first, median, better)
+                change = drift(first, median)
                 verdicts = []
                 if name != "setup_s" and rel > bound:
                     verdicts.append("SPREAD>BOUND")
                 elif name != "setup_s" and rel > bound / 3:
                     verdicts.append("spread>bound/3")
-                if worse > bound:
+                if abs(change) > bound:
                     verdicts.append("DRIFT>BOUND")
                 ok = ok and not any(v.isupper() for v in verdicts)
                 print(f"{workload:16s} {name:16s} {k + 1:3d} {median:12.6g} {iqr:10.4g} "
-                      f"{rel:8.2%} {worse:8.2%} {bound:6.0%}  {' '.join(verdicts) or 'ok'}")
+                      f"{rel:8.2%} {change:8.2%} {bound:6.0%}  {' '.join(verdicts) or 'ok'}")
     return ok
 
 
@@ -97,8 +95,6 @@ def main(argv: list[str] | None = None) -> int:
     if not (SOURCE / "repro").is_dir():
         print(f"calibrate: no library source at {SOURCE / 'repro'}", file=sys.stderr)
         return 2
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     with exclusive() as locked:
         if not locked:
             print("calibrate: another benchmark run holds the lock", file=sys.stderr)
@@ -106,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
         values, failures = collect(
             args.workload or WORKLOADS, args.sets, args.runs, args.seconds
         )
-    ok = judge(values, bounds)
+    ok = judge(values, BOUNDS)
     print(f"\nfailed runs: {failures}")
     return 0 if ok and failures == 0 else 1
 

@@ -31,6 +31,7 @@ from metrics import (
     END_TO_END,
     FUNCTIONAL_LAYERS,
     PER_LAYER,
+    REPORTED,
     SERVE_LAYERS,
 )
 from spans import Tracer, profiles
@@ -89,28 +90,32 @@ def untraced_pass(workload, seconds: float) -> dict:
     blocks = run_blocks(workload, seconds)
     times = blocks.times_ns
     n = len(times)
-    median_s = statistics.median(times) / 1e9
+    median_ns = statistics.median(times)
     metrics = {
         "setup_s": statistics.median(setups) / 1e9,
-        "block_ms_p50": median_s * 1e3,
+        "block_ms_p50": median_ns / 1e6,
+        # all timed ops over all timed wall time, so unlike the p50 it
+        # also moves with slow blocks.
         "throughput_gops": workload.ops_per_block * n / (sum(times) / 1e9) / 1e9,
-        "req_per_s": workload.requests_per_block / median_s,
         # ru_maxrss is in KiB on Linux.
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
-    samples = {name: n for name in END_TO_END}
+    samples = {name: n for name in list(END_TO_END) + list(REPORTED)}
     samples["setup_s"] = SETUP_REPS
     samples["peak_rss_mb"] = 1
     result = _result(workload, 0, metrics, samples, n, blocks.failed, blocks.max_rel_err)
-    result["reported"] = {"block_ms_p90": p90(times) / 1e6}
-    result["samples"]["block_ms_p90"] = n
+    result["reported"] = {
+        "block_ms_p90": p90(times) / 1e6,
+        "req_per_s": workload.requests_per_block / (median_ns / 1e9),
+    }
     return result
 
 
 def layer_metrics(workload, profs: list) -> dict[str, float]:
-    """Per-layer metrics from the traced blocks' profiles; layers the
-    workload never reaches stay zero."""
-    metrics = dict.fromkeys(PER_LAYER, 0.0)
+    """Per-layer metrics from the traced blocks' profiles; every declared
+    metric the workload does not compute (a layer it never reaches) is
+    zero."""
+    metrics: dict[str, float] = {}
     n = len(profs)
     total_root = sum(p.root_ns for p in profs)
 
@@ -143,7 +148,10 @@ def layer_metrics(workload, profs: list) -> dict[str, float]:
     metrics.update(workload.model_metrics())
     root = profs[0].root
     metrics["trace.unaccounted_share"] = sum(p.self_ns[root] for p in profs) / total_root
-    return metrics
+    undeclared = set(metrics) - set(PER_LAYER)
+    if undeclared:
+        raise RuntimeError(f"metrics not declared in BENCHMARK.json: {sorted(undeclared)}")
+    return {name: metrics.get(name, 0.0) for name in PER_LAYER}
 
 
 def traced_pass(workload, seconds: float) -> dict:

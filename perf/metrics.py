@@ -1,25 +1,34 @@
 """Every metric the benchmark emits: name -> (unit, which direction is better).
 
-``BENCHMARK.json`` at the repository root declares the same names and
-units (a test keeps the two in step) and adds the end-to-end bounds.
+The gated metrics and their bounds are declared once, in ``BENCHMARK.json``
+at the repository root; this module reads them from there and adds the
+layer groupings the measuring passes need.
 """
 
 from __future__ import annotations
 
-#: reported by an untraced pass (``--trace 0``) of every workload.
-END_TO_END = {
-    "setup_s": ("s", "lower"),
-    "block_ms_p50": ("ms", "lower"),
-    "throughput_gops": ("GOP/s", "higher"),
-    "req_per_s": ("1/s", "higher"),
-    "peak_rss_mb": ("MB", "lower"),
-}
+import json
+from pathlib import Path
 
-#: measured by the untraced pass and reported with its sample count, but
-#: not gated: on a shared host the p90 of a 20 s run follows seconds-long
-#: bursts of contention from other tenants, and its run-to-run spread (up
-#: to 32% measured) is wider than the 25% an end-to-end bound may be.
-REPORTED = {"block_ms_p90": ("ms", "lower")}
+BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+
+#: reported by an untraced pass (``--trace 0``) of every workload.
+END_TO_END = {m["name"]: (m["unit"], m["better"]) for m in BENCHMARK["end_to_end"]}
+BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
+
+#: reported by a traced pass (``--trace 1``) of every workload; a layer a
+#: workload never reaches reports zero calls and zero time.
+PER_LAYER = {m["name"]: (m["unit"], m["better"]) for m in BENCHMARK["per_layer"]}
+
+#: measured by the untraced pass and stored with their sample counts in
+#: ``perf-results.json``, but not gated and not in the result line:
+#: * ``block_ms_p90``: on a shared host the p90 of a 20 s run follows
+#:   seconds-long bursts of contention from other tenants, and its
+#:   run-to-run spread (up to 32% measured) is wider than the 25% an
+#:   end-to-end bound may be;
+#: * ``req_per_s``: requests per block over ``block_ms_p50``; the request
+#:   count of a block is fixed, so it is an exact reciprocal of the p50.
+REPORTED = {"block_ms_p90": ("ms", "lower"), "req_per_s": ("1/s", "higher")}
 
 #: layers of the functional path; ``apps`` is the root (its self time is
 #: the unaccounted remainder: adapter checks and glue).
@@ -66,50 +75,6 @@ SERVE_LAYERS = (
     "serve.autoscale",
     "serve.obs",
 )
-
-
-def _per_layer() -> dict[str, tuple[str, str]]:
-    out: dict[str, tuple[str, str]] = {}
-    for layer in FUNCTIONAL_LAYERS:
-        out[f"{layer}.ms"] = ("ms", "lower")
-        out[f"{layer}.share"] = ("ratio", "lower")
-        out[f"{layer}.calls"] = ("count", "lower")
-    for layer in BANDWIDTH_LAYERS:
-        out[f"{layer}.gbps"] = ("GB/s", "higher")
-    for layer in COMPUTE_LAYERS:
-        out[f"{layer}.gops"] = ("GOP/s", "higher")
-    for layer in MODEL_LAYERS:
-        out[f"{layer}.model_ms"] = ("ms", "lower")
-    for layer in SERVE_LAYERS:
-        out[f"{layer}.self_s"] = ("s", "lower")
-        out[f"{layer}.share"] = ("ratio", "lower")
-        out[f"{layer}.calls_per_kreq"] = ("calls/kreq", "lower")
-        out[f"{layer}.us_per_call"] = ("us", "lower")
-    out.update(
-        {
-            "serve.count.batches": ("count", "lower"),
-            "serve.count.mean_batch": ("count", "higher"),
-            "serve.ratio.cache_hit": ("ratio", "higher"),
-            "serve.ratio.padded_ops": ("ratio", "lower"),
-            "serve.count.retries": ("count", "lower"),
-            "serve.count.scale_events": ("count", "lower"),
-            "model.block_ms": ("ms", "lower"),
-            "model.p99_ms": ("ms", "lower"),
-            "model.thr_rps": ("1/s", "higher"),
-            "model.availability": ("ratio", "higher"),
-            "trace.overhead_pct": ("%", "lower"),
-            "trace.unaccounted_share": ("ratio", "lower"),
-            "trace.root_ms": ("ms", "lower"),
-            "trace.samples": ("count", "higher"),
-            "check.max_rel_err": ("ratio", "lower"),
-        }
-    )
-    return out
-
-
-#: reported by a traced pass (``--trace 1``) of every workload; a layer a
-#: workload never reaches reports zero calls and zero time.
-PER_LAYER = _per_layer()
 
 UNITS = {name: unit for name, (unit, _) in {**END_TO_END, **REPORTED, **PER_LAYER}.items()}
 

@@ -27,13 +27,13 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from metrics import UNITS, is_model
+from metrics import BENCHMARK, UNITS, is_model
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SOURCE = ROOT / "src"
-WORKLOADS = ("lofar-f16", "ultrasound-int1", "serve-batching", "serve-mixed")
-DEFAULT_SECONDS = 20
+WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
+DEFAULT_SECONDS = BENCHMARK["run_seconds"]
 #: a plain single-threaded baseline, and the lowest run-to-run spread.
 THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 

@@ -15,8 +15,10 @@ simulator's own cost. Every workload offers the same protocol:
 * ``targets`` are the attributes the traced pass wraps (see
   :mod:`spans`), the first being the root layer.
 
-Sizes are constructor arguments so the tests can run the same code on
-tiny shapes and short horizons; the defaults are the benchmark's.
+Sizes (shapes and horizons) are constructor arguments so the tests can
+run the same code on tiny shapes and short horizons; the defaults are the
+benchmark's. Offered loads are class constants: ``BENCHMARK.json`` fixes
+them.
 """
 
 from __future__ import annotations
@@ -450,10 +452,12 @@ class ServeBatching(ServeWorkload):
 
     name = "serve-batching"
     policy = BatchingPolicy(max_batch=32, max_wait_s=200e-6)
+    #: offered load, in multiples of the naive (unbatched) A100 capacity.
+    overload = 5.0
 
-    def __init__(self, seed: int, horizon_s: float = 0.01, overload: float = 5.0):
+    def __init__(self, seed: int, horizon_s: float = 0.01):
         blocks = radio_service()
-        rate_hz = overload / blocks.kernel.make_plan(_dry(), 1).predict_block_cost().time_s
+        rate_hz = self.overload / blocks.kernel.make_plan(_dry(), 1).predict_block_cost().time_s
         super().__init__(
             _first(
                 round(rate_hz * horizon_s),
@@ -478,23 +482,21 @@ class ServeMixed(ServeWorkload):
     name = "serve-mixed"
     policy = BatchingPolicy(max_batch=8, max_wait_s=100e-6)
     storm_seed = 7
+    #: offered loads, in multiples of batched capacity: the DAGs of their
+    #: beamform stage on a GH200, the beam blocks on an A100 (an overload).
+    pipeline_load = 0.05
+    block_load = 1.5
 
-    def __init__(
-        self,
-        seed: int,
-        horizon_s: float = 1.5e-3,
-        pipeline_load: float = 0.05,
-        block_load: float = 0.5,
-    ):
+    def __init__(self, seed: int, horizon_s: float = 1.5e-3):
         self.horizon_s = h = horizon_s
         survey = radio_pipeline(
             n_beams=256, n_stations=64, n_samples=256, n_channels=32, n_dms=64
         )
         imaging = ultrasound_pipeline(n_voxels=4096, k=1024, n_frames=64, n_ensemble=32)
         blocks = radio_service()
-        survey_hz = pipeline_load * self._capacity_hz(survey, "GH200")
-        imaging_hz = pipeline_load * self._capacity_hz(imaging, "GH200")
-        blocks_hz = block_load * self._capacity_hz(blocks, GPU)
+        survey_hz = self.pipeline_load * self._capacity_hz(survey, "GH200")
+        imaging_hz = self.pipeline_load * self._capacity_hz(imaging, "GH200")
+        blocks_hz = self.block_load * self._capacity_hz(blocks, GPU)
         trace = merge_arrivals(
             _first(
                 round(survey_hz * h),

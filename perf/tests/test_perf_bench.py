@@ -15,6 +15,7 @@ PERF = Path(__file__).resolve().parents[1]
 ROOT = PERF.parent
 sys.path[:0] = [str(PERF), str(ROOT / "src")]
 
+import calibrate  # noqa: E402
 import measure  # noqa: E402
 import metrics  # noqa: E402
 import run  # noqa: E402
@@ -167,24 +168,37 @@ def test_emitted_metrics_are_declared_with_their_units(make):
     for name in list(untraced["metrics"]) + list(traced["metrics"]):
         assert re.fullmatch(r"[A-Za-z0-9_.-]+", name)
         assert declared[name] == metrics.UNITS[name]
-    for name in ("block_ms_p50", "throughput_gops", "req_per_s", "setup_s"):
+    for name in ("block_ms_p50", "throughput_gops", "setup_s"):
         assert untraced["metrics"][name] > 0
+    assert set(untraced["reported"]) == set(metrics.REPORTED)
+    assert not set(metrics.REPORTED) & set(declared)
     assert untraced["reported"]["block_ms_p90"] >= untraced["metrics"]["block_ms_p50"]
 
 
 def test_benchmark_json_matches_the_harness():
-    assert {m["name"]: (m["unit"], m["better"]) for m in BENCHMARK["end_to_end"]} == (
-        metrics.END_TO_END
-    )
-    assert {m["name"]: (m["unit"], m["better"]) for m in BENCHMARK["per_layer"]} == (
-        metrics.PER_LAYER
-    )
     names = [w["name"] for w in BENCHMARK["workloads"]]
-    assert names == list(run.WORKLOADS) == list(scenarios.WORKLOADS)
-    assert BENCHMARK["run_seconds"] == run.DEFAULT_SECONDS
+    assert names == list(scenarios.WORKLOADS)
     assert all(0 < m["bound"] <= 0.25 for m in BENCHMARK["end_to_end"])
     setup = next(m for m in BENCHMARK["end_to_end"] if m["name"] == "setup_s")
     assert setup["bound"] == max(m["bound"] for m in BENCHMARK["end_to_end"])
+
+
+def _sets(**later):
+    """Two synthetic calibration sets of one workload: every metric reads
+    1.0 in both, except the ``later`` values in the second set."""
+    first = {"w": {name: [1.0] * 3 for name in metrics.END_TO_END}}
+    second = {"w": {name: [later.get(name, 1.0)] * 3 for name in metrics.END_TO_END}}
+    return [first, second]
+
+
+def test_calibration_flags_drift_in_either_direction():
+    bound = metrics.BOUNDS["block_ms_p50"]
+    assert calibrate.judge(_sets(), metrics.BOUNDS)
+    assert calibrate.judge(_sets(block_ms_p50=1.0 + bound / 2), metrics.BOUNDS)
+    # a later set that reads much better than the first is drift too.
+    assert not calibrate.judge(_sets(block_ms_p50=1.0 - 2 * bound), metrics.BOUNDS)
+    assert not calibrate.judge(_sets(block_ms_p50=1.0 + 2 * bound), metrics.BOUNDS)
+    assert not calibrate.judge(_sets(throughput_gops=1.0 + 2 * bound), metrics.BOUNDS)
 
 
 def test_runner_refuses_to_run_without_the_library(tmp_path):
