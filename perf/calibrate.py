@@ -1,6 +1,6 @@
 """Calibrate the benchmark's end-to-end bounds from repeated runs.
 
-    python3 perf/calibrate.py [--sets 2] [--runs 10] [--seconds 20] [--workload NAME ...]
+    python3 perf/calibrate.py [--sets 2] [--runs 10] [--seconds 25] [--workload NAME ...]
 
 Runs ``--sets`` sets of ``--runs`` untraced passes of every workload, each
 run of a set with its own seed (the same seeds in every set) and the

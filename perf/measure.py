@@ -1,13 +1,17 @@
 """One measured pass of one workload, in its own process.
 
-    python3 perf/measure.py --workload lofar-f16 --seed 1 --seconds 20 --trace 0
+    python3 perf/measure.py --workload lofar-f16 --seed 1 --seconds 25 --trace 0
 
 ``perf/run.py`` starts this with ``src`` on the path and the BLAS thread
 pools pinned to one thread; the last line of its output is one JSON object
 with the pass's metrics, their sample counts and the correctness verdict.
 
-* ``--trace 0`` (untraced): set up ``SETUP_REPS`` times (the median is
-  ``setup_s``), then run timed blocks until ``--seconds`` have passed.
+* ``--trace 0`` (untraced): set up, run timed blocks until ``--seconds``
+  have passed, read the peak RSS, then set up ``SETUP_REPS - 1`` more
+  times (the median of all set-ups is ``setup_s``).
+  The host's slowdown is read just before and just after each set-up
+  and block (see :mod:`hostspeed`); the gated metrics are computed from
+  wall times divided by the mean of the two readings.
 * ``--trace 1``: set up once, run untraced blocks for half the time, then
   wrap the workload's layers (see :mod:`spans`) and run traced blocks for
   the other half; per-layer metrics come from the traced blocks and
@@ -34,6 +38,7 @@ from metrics import (
     REPORTED,
     SERVE_LAYERS,
 )
+from hostspeed import HostSpeed
 from spans import Tracer, profiles
 
 SETUP_REPS = 9
@@ -47,23 +52,34 @@ class Blocks:
     failed: int
     max_rel_err: float
     end: int  # index of the next block
+    #: the mean host slowdown read around each block; empty without one.
+    slowdowns: list[float]
 
 
-def p90(values: list[int]) -> float:
+def p90(values: list[float]) -> float:
     if len(values) < 2:
         return float(values[0])
     return statistics.quantiles(values, n=10, method="inclusive")[8]
 
 
-def run_blocks(workload, seconds: float, start: int = 0, tracer: Tracer | None = None) -> Blocks:
+def run_blocks(
+    workload,
+    seconds: float,
+    start: int = 0,
+    tracer: Tracer | None = None,
+    speed: HostSpeed | None = None,
+) -> Blocks:
     """Run blocks ``start, start+1, ...`` until ``seconds`` have passed
-    (at least one), timing only the call itself."""
+    (at least one), timing only the call itself; with ``speed``, read the
+    host's slowdown just before and just after each block."""
     times: list[int] = []
+    slowdowns: list[float] = []
     failed, worst = 0, 0.0
     deadline = time.perf_counter() + seconds
     i = start
     while not times or time.perf_counter() < deadline:
         call = workload.block(i)
+        before = speed.slowdown() if speed is not None else 0.0
         if tracer is not None:
             tracer.call_id = i
             tracer.enabled = True
@@ -73,32 +89,44 @@ def run_blocks(workload, seconds: float, start: int = 0, tracer: Tracer | None =
         if tracer is not None:
             tracer.enabled = False
         times.append(t1 - t0)
+        if speed is not None:
+            slowdowns.append((before + speed.slowdown()) / 2)
         ok, err = workload.check(i, result)
         failed += not ok
         worst = max(worst, err)
         del call, result
         i += 1
-    return Blocks(times, failed, worst, i)
+    return Blocks(times, failed, worst, i, slowdowns)
 
 
 def untraced_pass(workload, seconds: float) -> dict:
-    setups = []
-    for _ in range(SETUP_REPS):
+    speed = HostSpeed(workload.host_kernel)
+
+    def set_up() -> float:
+        before = speed.slowdown()
         t0 = time.perf_counter_ns()
         workload.setup()
-        setups.append(time.perf_counter_ns() - t0)
-    blocks = run_blocks(workload, seconds)
-    times = blocks.times_ns
+        elapsed = time.perf_counter_ns() - t0
+        return elapsed / ((before + speed.slowdown()) / 2)
+
+    setups = [set_up()]
+    blocks = run_blocks(workload, seconds, speed=speed)
+    # Read before the further set-ups: repeated set-ups grow the heap (by
+    # up to 35 MB on ultrasound-int1), which one set-up never does. ru_maxrss
+    # is in KiB on Linux.
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    setups += [set_up() for _ in range(SETUP_REPS - 1)]
+    wall = blocks.times_ns
+    times = [t / s for t, s in zip(wall, blocks.slowdowns)]
     n = len(times)
     median_ns = statistics.median(times)
     metrics = {
         "setup_s": statistics.median(setups) / 1e9,
         "block_ms_p50": median_ns / 1e6,
-        # all timed ops over all timed wall time, so unlike the p50 it
+        # all timed ops over the summed block times, so unlike the p50 it
         # also moves with slow blocks.
         "throughput_gops": workload.ops_per_block * n / (sum(times) / 1e9) / 1e9,
-        # ru_maxrss is in KiB on Linux.
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_mb": peak_rss_mb,
     }
     samples = {name: n for name in list(END_TO_END) + list(REPORTED)}
     samples["setup_s"] = SETUP_REPS
@@ -107,6 +135,8 @@ def untraced_pass(workload, seconds: float) -> dict:
     result["reported"] = {
         "block_ms_p90": p90(times) / 1e6,
         "req_per_s": workload.requests_per_block / (median_ns / 1e9),
+        "wall_ms_p50": statistics.median(wall) / 1e6,
+        "host_slowdown": statistics.median(blocks.slowdowns),
     }
     return result
 

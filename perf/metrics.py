@@ -22,13 +22,19 @@ PER_LAYER = {m["name"]: (m["unit"], m["better"]) for m in BENCHMARK["per_layer"]
 
 #: measured by the untraced pass and stored with their sample counts in
 #: ``perf-results.json``, but not gated and not in the result line:
-#: * ``block_ms_p90``: on a shared host the p90 of a 20 s run follows
-#:   seconds-long bursts of contention from other tenants, and its
-#:   run-to-run spread (up to 32% measured) is wider than the 25% an
-#:   end-to-end bound may be;
+#: * ``block_ms_p90``: the p90 follows the slow blocks that a change of
+#:   host load between a slowdown reading and its block leaves, and its
+#:   run-to-run spread is wider than the p50's;
 #: * ``req_per_s``: requests per block over ``block_ms_p50``; the request
-#:   count of a block is fixed, so it is an exact reciprocal of the p50.
-REPORTED = {"block_ms_p90": ("ms", "lower"), "req_per_s": ("1/s", "higher")}
+#:   count of a block is fixed, so it is an exact reciprocal of the p50;
+#: * ``wall_ms_p50`` and ``host_slowdown``: the median wall time of a block
+#:   and the median slowdown it was divided by (see :mod:`hostspeed`).
+REPORTED = {
+    "block_ms_p90": ("ms", "lower"),
+    "req_per_s": ("1/s", "higher"),
+    "wall_ms_p50": ("ms", "lower"),
+    "host_slowdown": ("ratio", "lower"),
+}
 
 #: layers of the functional path; ``apps`` is the root (its self time is
 #: the unaccounted remainder: adapter checks and glue).

@@ -97,6 +97,8 @@ class FunctionalWorkload:
 
     kind = "functional"
     requests_per_block = 1
+    #: the :mod:`hostspeed` kernel that does this workload's kind of work.
+    host_kernel: str
 
     def __init__(self, n_blocks: int):
         self.n_blocks = n_blocks
@@ -193,6 +195,7 @@ class LofarF16(FunctionalWorkload):
 
     name = "lofar-f16"
     precision = Precision.FLOAT16
+    host_kernel = "matmul"
     targets = (
         Target(LOFARBeamformer, "form_beams", ("apps",)),
     ) + FunctionalWorkload.LAYER_TARGETS
@@ -271,6 +274,7 @@ class UltrasoundInt1(FunctionalWorkload):
 
     name = "ultrasound-int1"
     precision = Precision.INT1
+    host_kernel = "popcount"
     targets = (
         Target(UltrasoundBeamformer, "reconstruct", ("apps",)),
     ) + FunctionalWorkload.LAYER_TARGETS
@@ -376,6 +380,7 @@ class ServeWorkload:
     """Repeated replays of one seeded trace through a fresh service."""
 
     kind = "serve"
+    host_kernel = "interpreter"
     targets = (
         Target(BeamformingService, "run", ("serve.service",)),
         Target(FleetDispatcher, "submit", ("serve.dispatch",)),

@@ -20,6 +20,7 @@ import measure  # noqa: E402
 import metrics  # noqa: E402
 import run  # noqa: E402
 import scenarios  # noqa: E402
+from hostspeed import HostSpeed  # noqa: E402
 from spans import Span, Tracer, profiles, self_times  # noqa: E402
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -173,6 +174,32 @@ def test_emitted_metrics_are_declared_with_their_units(make):
     assert set(untraced["reported"]) == set(metrics.REPORTED)
     assert not set(metrics.REPORTED) & set(declared)
     assert untraced["reported"]["block_ms_p90"] >= untraced["metrics"]["block_ms_p50"]
+
+
+class _SlowingHost:
+    """A host whose readings alternate 1.5 and 2.5: every bracketing pair
+    of readings averages twice as slow as nominal."""
+
+    def __init__(self, kernel: str):
+        self.readings = iter([1.5, 2.5] * 10_000)
+
+    def slowdown(self) -> float:
+        return next(self.readings)
+
+
+def test_gated_times_are_wall_times_over_the_host_slowdown(monkeypatch):
+    monkeypatch.setattr(measure, "HostSpeed", _SlowingHost)
+    result = measure.untraced_pass(tiny_batching(), 0.2)
+    reported = result["reported"]
+    assert result["correct"] and result["attempted"] > 1
+    assert reported["host_slowdown"] == 2.0
+    assert result["metrics"]["block_ms_p50"] == pytest.approx(reported["wall_ms_p50"] / 2)
+
+
+@pytest.mark.parametrize("make", TINY)
+def test_every_workload_reads_a_host_kernel(make):
+    speed = HostSpeed(make().host_kernel)
+    assert all(0.0 < speed.slowdown() < 100.0 for _ in range(3))
 
 
 def test_benchmark_json_matches_the_harness():
