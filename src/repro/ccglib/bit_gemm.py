@@ -20,11 +20,14 @@ Operand convention: packed planar matrices ``A``: (..., 2, M, W) and
 ``B``: (..., 2, N, W) uint32 words, W = Kfull/32, K packed along the last
 axis, with identical (possibly empty) leading batch dims. Note B rows are
 indexed by N here (both operands are "K-major"): the transpose kernel
-produces this layout from a (2, K, N) host matrix. All arithmetic is exact
+produces this layout from a (2, K, N) host matrix.
+
+Each popcount sum is :func:`repro.util.bits.popcount_gemm`, the tensor
+core's k-loop on the host: it walks the packed K words, combining one word
+of every A row with one word of every B row into an (M, n_block) tile and
+adding its popcounts into an int32 accumulator. All arithmetic is exact
 integer work, so it runs unchanged — and bit-identically — on every
-:class:`~repro.backend.ArrayBackend`; the blocked accumulation builds each
-N-chunk functionally (no in-place slice writes) so immutable-array
-backends such as JAX work too.
+:class:`~repro.backend.ArrayBackend`.
 """
 
 from __future__ import annotations
@@ -35,10 +38,10 @@ from repro.backend import ArrayBackend, get_backend
 from repro.ccglib.layouts import IMAG, REAL
 from repro.errors import ShapeError
 from repro.gpusim.arch import BitOp
-from repro.util.bits import PACK_WORD_BITS, bits_to_sign, popcount, unpack_bits
+from repro.util.bits import PACK_WORD_BITS, bits_to_sign, popcount, popcount_gemm, unpack_bits
 
-#: default N-chunk size for the blocked popcount accumulation; bounds the
-#: (M, chunk, W) temporary to keep functional runs inside a laptop's RAM.
+#: default N-block of the popcount accumulation; bounds each step's
+#: (M, n_block) combine/count tile and its int32 accumulator.
 DEFAULT_N_BLOCK = 128
 
 
@@ -59,28 +62,6 @@ def _validate_packed(a_words, b_words) -> tuple[int, int, int]:
             f"B has {b_words.shape[:-3]}"
         )
     return a_words.shape[-2], b_words.shape[-2], a_words.shape[-1]
-
-
-def _popc_gemm(a, b, op: BitOp, n_block: int, be: ArrayBackend):
-    """sum_w popc(a[..., m, w] OP b[..., n, w]) for all (m, n), blocked over n.
-
-    Chunks are accumulated into a list and concatenated once — equivalent to
-    the historical preallocate-and-slice-assign formulation on NumPy, and
-    the only formulation possible on immutable-array backends.
-    """
-    xp = be.xp
-    n = b.shape[-2]
-    chunks = []
-    for n0 in range(0, n, n_block):
-        chunk = b[..., n0 : n0 + n_block, :]
-        if op is BitOp.XOR:
-            mixed = a[..., :, None, :] ^ chunk[..., None, :, :]
-        else:
-            mixed = a[..., :, None, :] & chunk[..., None, :, :]
-        chunks.append(be.popcount(mixed).sum(axis=-1))
-    if len(chunks) == 1:
-        return chunks[0]
-    return xp.concatenate(chunks, axis=-1)
 
 
 def complex_bit_gemm(
@@ -105,6 +86,9 @@ def complex_bit_gemm(
     bit_op:
         ``BitOp.XOR`` uses Eq. 5 directly; ``BitOp.AND`` uses the Hopper
         formulation of Eq. 6 (two AND-popc passes emulating each XOR-popc).
+    n_block:
+        N extent of each k-loop step's (M, n_block) tile; any value gives
+        the same result.
     backend:
         Optional :class:`~repro.backend.ArrayBackend`; default NumPy.
 
@@ -130,30 +114,26 @@ def complex_bit_gemm(
     # exactly what makes the real-part padding self-cancel).
     b_im_neg = ~b_im
 
-    if bit_op is BitOp.XOR:
-        p_rr = _popc_gemm(a_re, b_re, BitOp.XOR, n_block, be)
-        p_ii = _popc_gemm(a_im, b_im_neg, BitOp.XOR, n_block, be)
-        p_ri = _popc_gemm(a_re, b_im, BitOp.XOR, n_block, be)
-        p_ir = _popc_gemm(a_im, b_re, BitOp.XOR, n_block, be)
-    elif bit_op is BitOp.AND:
-        # Eq. 6: popc(A^B) == K - (popc(A&B) + popc(~A&~B)); substitute into
-        # the XOR-based expressions below. Issued as two AND-MMAs per term.
-        p_rr = k_full - _and_same_count(a_re, b_re, n_block, be)
-        p_ii = k_full - _and_same_count(a_im, b_im_neg, n_block, be)
-        p_ri = k_full - _and_same_count(a_re, b_im, n_block, be)
-        p_ir = k_full - _and_same_count(a_im, b_re, n_block, be)
-    else:  # pragma: no cover - enum is exhaustive
+    if bit_op not in (BitOp.XOR, BitOp.AND):  # pragma: no cover - enum is exhaustive
         raise ShapeError(f"unknown bit op {bit_op}")
+
+    def popc_xor(x, y):
+        """popc(x ^ y) summed over K; on AND hardware via Eq. 6,
+        popc(A^B) == K - (popc(A&B) + popc(~A&~B)), two AND-MMAs per term."""
+        if bit_op is BitOp.XOR:
+            return popcount_gemm(x, y, "xor", n_block, be)
+        same = popcount_gemm(x, y, "and", n_block, be) + popcount_gemm(~x, ~y, "and", n_block, be)
+        return k_full - same
+
+    p_rr = popc_xor(a_re, b_re)
+    p_ii = popc_xor(a_im, b_im_neg)
+    p_ri = popc_xor(a_re, b_im)
+    p_ir = popc_xor(a_im, b_re)
 
     # Eq. 5 of the paper (with p_ii computed against the negated Im(B)):
     real = 2 * (k_full - (p_rr + p_ii))
     imag = 2 * (k_full - k_pad - (p_ri + p_ir))
     return xp.stack([real, imag], axis=-3).astype(xp.int32)
-
-
-def _and_same_count(a, b, n_block: int, be: ArrayBackend):
-    """Count of equal bit positions via two AND-popc passes (Eq. 6)."""
-    return _popc_gemm(a, b, BitOp.AND, n_block, be) + _popc_gemm(~a, ~b, BitOp.AND, n_block, be)
 
 
 def real_bit_dot(a_words: np.ndarray, b_words: np.ndarray, k: int) -> int:

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.gpusim.arch import ArchCapabilities, BitOp, FragmentShape
-from repro.util.bits import popcount
+from repro.util.bits import popcount_gemm
 
 
 def quantize_f16(values: np.ndarray) -> np.ndarray:
@@ -90,11 +90,7 @@ def _bmma(a_words: np.ndarray, b_words: np.ndarray, op: BitOp) -> np.ndarray:
             f"binary MMA shape mismatch: {a_words.shape} vs {b_words.shape} "
             "(expected (m, w) and (n, w))"
         )
-    if op is BitOp.XOR:
-        mixed = a_words[:, None, :] ^ b_words[None, :, :]
-    else:
-        mixed = a_words[:, None, :] & b_words[None, :, :]
-    return popcount(mixed).sum(axis=-1, dtype=np.int64)
+    return popcount_gemm(a_words, b_words, op.value)
 
 
 def bmma_xor(a_words: np.ndarray, b_words: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:

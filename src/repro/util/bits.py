@@ -58,6 +58,51 @@ def popcount(words: np.ndarray) -> np.ndarray:
     return counts.sum(axis=-1, dtype=np.int64)
 
 
+def popcount_gemm(a, b, op: str, n_block: int | None = None, backend: ArrayBackend | None = None):
+    """``sum_w popc(a[..., m, w] OP b[..., n, w])`` for every (m, n).
+
+    ``a``: (..., M, W) and ``b``: (..., N, W) packed words, same leading
+    dims; ``op`` is ``"xor"`` or ``"and"`` (paper §III-D/E). Like the tensor
+    core's k-loop, each step combines one K word of every row into an
+    (..., M, n_block) tile (``n_block`` default: N) and adds its popcounts
+    into an int32 accumulator, exact for K < 2**31. NumPy reads an even W as
+    uint64 words (popcount is additive across words) and keeps the counts
+    uint8; other backends run uint32 words through ``be.popcount`` and
+    accumulate functionally, so immutable arrays work too.
+    """
+    be = get_backend(backend)
+    xp = be.xp
+    combine = {"xor": xp.bitwise_xor, "and": xp.bitwise_and}[op]
+    native = xp is np and _HAS_BITWISE_COUNT
+    if native and a.shape[-1] % 2 == 0:
+        a = np.ascontiguousarray(a).view(np.uint64)
+        b = np.ascontiguousarray(b).view(np.uint64)
+    # Word-major copies: step w reads one contiguous (..., M) and (..., N) row.
+    a_t = xp.moveaxis(a, -1, 0)
+    b_t = xp.moveaxis(b, -1, 0)
+    if xp is np:
+        a_t, b_t = np.ascontiguousarray(a_t), np.ascontiguousarray(b_t)
+    n = b.shape[-2]
+    n_block = max(n_block or n, 1)
+    blocks = []
+    for n0 in range(0, max(n, 1), n_block):
+        b_blk = b_t[..., n0 : n0 + n_block]
+        shape = a_t.shape[1:] + b_blk.shape[-1:]
+        acc = xp.zeros(shape, dtype=xp.int32)
+        if native:
+            # Tiles reused across steps: a fresh tile per step would cost
+            # page faults on every allocation at MB sizes.
+            tile, counts = np.empty(shape, a_t.dtype), np.empty(shape, np.uint8)
+            for w in range(a_t.shape[0]):
+                combine(a_t[w][..., :, None], b_blk[w][..., None, :], out=tile)
+                np.add(acc, np.bitwise_count(tile, out=counts), out=acc)
+        else:
+            for w in range(a_t.shape[0]):
+                acc = acc + be.popcount(combine(a_t[w][..., :, None], b_blk[w][..., None, :]))
+        blocks.append(acc)
+    return xp.concatenate(blocks, axis=-1)
+
+
 def sign_to_bits(values, backend: ArrayBackend | None = None):
     """Map real values to the 1-bit encoding: >= 0 -> 1 (i.e. +1), < 0 -> 0 (-1).
 
@@ -181,6 +226,7 @@ __all__ = [
     "packed_length",
     "pad_to_words",
     "popcount",
+    "popcount_gemm",
     "sign_to_bits",
     "unpack_bits",
 ]

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.backend import available_backends, get_backend, numpy_backend
 from repro.backend.conformance import require_conformant
-from repro.ccglib.bit_gemm import complex_bit_gemm
+from repro.ccglib.bit_gemm import bit_gemm_reference, complex_bit_gemm
 from repro.ccglib.complex_mma import complex_mma_f16_batched, complex_mma_tf32_batched
 from repro.ccglib.gemm import gemm_once
 from repro.ccglib.layouts import to_planar
@@ -103,6 +103,11 @@ class TestGemmParity:
         tol = parity_tolerance(Precision.INT1)
         assert tol.exact
         assert np.array_equal(got, want)
+        # ... and both equal the unpacked oracle on the sign bits.
+        a_bits = (a_planar >= 0).astype(np.uint8)
+        b_bits = (b_km >= 0).astype(np.uint8)
+        oracle = np.stack([bit_gemm_reference(x, y) for x, y in zip(a_bits, b_bits)])
+        assert np.array_equal(got, oracle)
 
     @settings(max_examples=15, deadline=None)
     @given(case=_problem())

@@ -70,6 +70,7 @@ class TestSpecs:
         assert {s.name for s in micro} == {
             "backend_micro.numpy_pack_gbps",
             "backend_micro.numpy_transpose_gbps",
+            "backend_micro.numpy_gemm_int1_gops",
         }
         assert all(s.higher_is_better and s.rel_tol >= 0.5 for s in micro)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.backend import ArrayBackend, NumpyBackend
 from repro.ccglib.bit_gemm import (
     bit_gemm_reference,
     complex_bit_gemm,
@@ -124,6 +125,76 @@ class TestComplexBitGemm:
             complex_bit_gemm(a_w, b_w, 96, n_block=2),
             complex_bit_gemm(a_w, b_w, 96, n_block=128),
         )
+
+
+class _Namespace:
+    """NumPy under another name, so kernels take their non-NumPy path."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+_NS = _Namespace()
+
+
+class _GenericNumpy(NumpyBackend):
+    """NumPy behind the protocol defaults: the uint32 word loop with the SWAR
+    popcount and functional accumulation that JAX and CuPy run."""
+
+    name = "generic-numpy"
+    xp = property(lambda self: _NS)
+    popcount = ArrayBackend.popcount
+
+
+BACKENDS = [NumpyBackend(), _GenericNumpy()]
+
+
+def _batched_reference(a_bits: np.ndarray, b_bits: np.ndarray) -> np.ndarray:
+    batch = a_bits.shape[:-3]
+    a_flat = a_bits.reshape((-1,) + a_bits.shape[-3:])
+    b_flat = b_bits.reshape((-1,) + b_bits.shape[-3:])
+    ref = np.stack([bit_gemm_reference(a, b) for a, b in zip(a_flat, b_flat)])
+    return ref.reshape(batch + ref.shape[-3:])
+
+
+class TestWordMajorEdges:
+    """The word-major k-loop against the unpacked oracle at each of its edges."""
+
+    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda be: be.name)
+    @pytest.mark.parametrize("op", [BitOp.XOR, BitOp.AND])
+    @pytest.mark.parametrize(
+        "batch, m, n, k, n_block",
+        [
+            ((), 3, 5, 96, 128),  # odd W = 3: uint32 words
+            ((), 3, 5, 128, 128),  # even W = 4: read as uint64 on NumPy
+            ((), 4, 7, 100, 3),  # even W, padded K, n_block < N not dividing it
+            ((), 4, 7, 70, 3),  # odd W, padded K, n_block < N not dividing it
+            ((2,), 3, 4, 64, 128),  # one batch dim
+            ((2, 3), 2, 5, 90, 2),  # two batch dims, padded K, blocked N
+        ],
+    )
+    def test_matches_reference(self, rng, backend, op, batch, m, n, k, n_block):
+        a_bits = rng.integers(0, 2, size=batch + (2, m, k)).astype(np.uint8)
+        b_bits = rng.integers(0, 2, size=batch + (2, n, k)).astype(np.uint8)
+        got = complex_bit_gemm(
+            _pack_planar_bits(a_bits), _pack_planar_bits(b_bits), k, op, n_block, backend
+        )
+        assert np.array_equal(got, _batched_reference(a_bits, b_bits))
+
+    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda be: be.name)
+    @pytest.mark.parametrize("op", [BitOp.XOR, BitOp.AND])
+    def test_large_k_counts_do_not_wrap(self, rng, backend, op):
+        # All-equal and all-different rows push single popcount sums to the
+        # whole padded K (> 2**16), past any 8- or 16-bit accumulator.
+        k = 70_001
+        a_bits = rng.integers(0, 2, size=(2, 3, k)).astype(np.uint8)
+        b_bits = rng.integers(0, 2, size=(2, 2, k)).astype(np.uint8)
+        a_bits[:, 0], b_bits[:, 0] = 1, 0
+        a_bits[:, 1], b_bits[:, 1] = 1, 1
+        got = complex_bit_gemm(
+            _pack_planar_bits(a_bits), _pack_planar_bits(b_bits), k, op, backend=backend
+        )
+        assert np.array_equal(got, bit_gemm_reference(a_bits, b_bits))
 
 
 class TestRealBitDot:
