@@ -7,7 +7,7 @@ of the fleet most of the time (the same provisioning-to-ingest-rate
 matching that sizes pipeline stages in GPU-powered beamforming deployments).
 This module grows and shrinks the simulated fleet *during* a trace:
 
-* the :class:`Autoscaler` is a fourth event source of the service loop —
+* the :class:`Autoscaler` is an event source of the service loop —
   every ``interval_s`` of simulated time it snapshots the fleet's
   :class:`FleetSignals` and consults its policy;
 * policies are pure deciders (:class:`AutoscalePolicy`): signals in, at
@@ -359,7 +359,7 @@ class Autoscaler:
         self.metrics = None
 
     def next_tick_s(self) -> float:
-        """The next evaluation instant (the fourth event source's clock)."""
+        """The next evaluation instant (the tick event source's clock)."""
         return self._next_tick_s
 
     def tick(self, now: float, fleet: "FleetDispatcher", signals: FleetSignals) -> list[ScaleEvent]:

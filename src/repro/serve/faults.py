@@ -23,9 +23,9 @@ makes those events first-class citizens of the discrete-event simulation:
   windows over a horizon, bit-reproducible for a fixed seed.
 
 Determinism contract: a service constructed with ``faults=None`` (or an
-empty plan) takes exactly the legacy code paths — every existing golden
-CSV, trace, and dashboard digest replays byte-identically — and a faulted
-run is itself bit-reproducible: same plan, same seed, same bytes.
+empty plan) registers no fault event source and otherwise runs the same
+code path as a faulted one, and a faulted run is itself bit-reproducible:
+same plan, same seed, same bytes.
 """
 
 from __future__ import annotations
@@ -87,8 +87,7 @@ class FaultPlan:
 
     The plan is data, not behavior: the service walks it as one more event
     source, consuming one event per loop iteration. An empty plan is
-    equivalent to no plan at all (the service falls back to the legacy
-    zero-overhead paths).
+    equivalent to no plan at all (the service registers no fault source).
     """
 
     events: tuple[FaultEvent, ...] = ()

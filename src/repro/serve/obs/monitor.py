@@ -8,7 +8,7 @@ cadence, and a :class:`ServiceMonitor` that bundles the sampler with an
 :class:`~repro.serve.obs.alerts.AlertEngine` so SLO burn-rate alerts are
 evaluated on the same ticks.
 
-The monitor is driven as an event source by
+The monitor is caught up ahead of every event of
 :meth:`~repro.serve.service.BeamformingService.run`, with the same
 discipline the trace recorder established:
 

@@ -7,10 +7,10 @@
                     |                                         plan cache
                     +-- route / merge / split / shed     (per-device segments)
 
-and replays a request trace as a discrete-event simulation over four
-event sources: request arrivals, batcher latency-trigger deadlines,
-worker-availability instants, and — on elastic fleets — autoscaler
-evaluation ticks (plus the retirement instants of draining workers).
+and replays a request trace as a discrete-event simulation over a ranked
+table of event sources (see :meth:`BeamformingService.run`): launch
+confirmations, faults, pipeline stage releases, batcher deadlines, worker
+retirements, autoscaler ticks, arrivals, and worker-availability instants.
 Every arrival first receives an explicit
 :class:`~repro.serve.placement.PlacementDecision`: requests no capable
 device can run are shed at the door; oversized requests become in-service
@@ -32,7 +32,7 @@ also broken out per priority class and per tenant via
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,13 +137,12 @@ class _PipelineRun:
 
 @dataclass
 class _PendingExecution:
-    """One dispatched-but-unconfirmed launch (fault-injected runs only).
+    """One dispatched-but-unconfirmed launch.
 
-    Under fault injection the service defers completion bookkeeping until
-    the simulation clock actually reaches the launch's completion — a
-    crash in between revokes the work. ``hedge`` is the optional duplicate
-    launch racing the primary; the effective completion is whichever
-    finishes first.
+    The service defers completion bookkeeping until the simulation clock
+    actually reaches the launch's completion — a crash in between revokes
+    the work. ``hedge`` is the optional duplicate launch racing the
+    primary; the effective completion is whichever finishes first.
     """
 
     execution: BatchExecution
@@ -251,23 +250,9 @@ class ServiceReport:
         return self.latency_percentile(99.0)
 
     @property
-    def mean_latency_s(self) -> float:
-        lat = self.latencies_s
-        return sum(lat) / len(lat) if lat else 0.0
-
-    @property
     def slo_attained(self) -> bool:
         """p99 of admitted requests within the target (and anything ran)."""
         return self.n_completed > 0 and self.p99_latency_s <= self.slo.p99_latency_s
-
-    @property
-    def deadline_miss_rate(self) -> float:
-        """Completed requests beyond the admission deadline."""
-        lat = self.latencies_s
-        if not lat:
-            return 0.0
-        deadline = self.slo.admission_deadline_s
-        return sum(1 for t in lat if t > deadline) / len(lat)
 
     # -- throughput -----------------------------------------------------------
 
@@ -631,31 +616,31 @@ class BeamformingService:
         defaults and bound to the fleet.
     autoscaler:
         Optional :class:`~repro.serve.autoscale.Autoscaler`: the fleet
-        becomes elastic, with the autoscaler's ticks merged into the event
-        loop as a fourth event source. ``devices`` is then the seed fleet
+        becomes elastic, with the autoscaler's ticks registered as an
+        event source of :meth:`run`. ``devices`` is then the seed fleet
         and the scale-down floor. ``None`` (default) keeps the fleet
-        fixed.
+        fixed and registers no tick source.
     monitor:
         Optional :class:`~repro.serve.obs.monitor.ServiceMonitor`: its
-        sampler ticks are caught up ahead of every event (a pure-read
-        fifth event source — sampling never perturbs the simulation) and
-        its alert engine is fed every shed/completion verdict. ``None``
-        (default) does no monitoring work at all, the same zero-overhead
-        discipline as the trace recorder.
+        sampler ticks are caught up ahead of every event (pure reads —
+        sampling never perturbs the simulation) and its alert engine is
+        fed every shed/completion/failure verdict. ``None`` (default)
+        does no monitoring work at all, the same zero-overhead discipline
+        as the trace recorder.
     faults:
         Optional :class:`~repro.serve.faults.FaultPlan`: a deterministic
-        schedule of worker crashes, transient slowdowns, and replacements
-        merged into the loop as one more event source. A crash is a
+        schedule of worker crashes, transient slowdowns, and replacements,
+        registered as an event source of :meth:`run`. A crash is a
         non-graceful drain — in-flight work on the worker is *lost* and
-        handed to the recovery layer. ``None`` (or an empty plan) keeps
-        the legacy code paths exactly: completion bookkeeping stays
-        eager, and every golden replays byte-identically.
+        handed to the recovery layer. ``None`` or an empty plan registers
+        no fault source; completions are confirmed on the clock either
+        way, so a fault-free run takes the same code path as a faulted one.
     resilience:
         The :class:`~repro.serve.faults.ResiliencePolicy` absorbing the
         fault plan: per-class retry budgets with deadline-aware
         re-placement, hedged dispatch past the straggler threshold, shard
         recovery, and plan-cache re-warm on replacements. Defaults to the
-        policy's defaults; only consulted when ``faults`` is active.
+        policy's defaults; only consulted when ``faults`` is non-empty.
     """
 
     def __init__(
@@ -711,8 +696,9 @@ class BeamformingService:
         self._scale_events: list[ScaleEvent] = []
         self._timeline = FleetTimeline()
         self._ran = False
-        #: min-heap of (completion_s, n_requests) for in-flight depth.
-        self._in_flight: list[tuple[float, int]] = []
+        #: not-yet-arrived outcomes of the trace being replayed, in arrival order.
+        self._arrivals: deque[RequestOutcome] = deque()
+        #: admitted requests in dispatched-but-unconfirmed launches.
         self._in_flight_requests = 0
         #: admitted-but-uncompleted outcomes, keyed by request identity
         #: (rids may collide across independently generated streams; see
@@ -725,12 +711,16 @@ class BeamformingService:
         #: release instant — the pipeline event source.
         self._stage_heap: list[tuple[float, int, Request]] = []
         self._stage_seq = 0
-        #: the fault schedule; ``None`` (also for empty plans) keeps every
-        #: legacy code path — the zero-overhead-when-disabled discipline.
-        self._faults = faults if faults is not None and len(faults.events) > 0 else None
+        #: the fault schedule; empty without a plan, and then the fault
+        #: event source is never registered.
+        self._faults: tuple[FaultEvent, ...] = faults.events if faults is not None else ()
+        #: the recovery policy; without faults there is nothing to recover
+        #: from, so it is disabled (no hedging, no re-warm bookkeeping).
+        if not self._faults:
+            resilience = ResiliencePolicy.disabled()
         self._resilience = resilience if resilience is not None else ResiliencePolicy()
         self._fault_idx = 0
-        #: dispatched-but-unconfirmed launches (fault-injected runs only).
+        #: dispatched-but-unconfirmed launches.
         self._pending: list[_PendingExecution] = []
         self._pending_seq = 0
         #: retry attempts so far, keyed by request identity.
@@ -751,11 +741,34 @@ class BeamformingService:
     def run(self, requests: list[Request]) -> ServiceReport:
         """Replay one arrival trace through the service; returns the report.
 
-        The trace is processed as a merged event stream — arrivals, batcher
-        deadlines, and worker-availability instants, in time order with
-        deterministic tie-breaking (deadline flushes before a simultaneous
-        arrival; dispatch follows every event). The returned outcomes
-        follow the offered order, so reports line up with the input trace.
+        The trace is replayed as one merged stream of events. Each event
+        source is a ``(next_s, fire)`` pair: ``next_s()`` is the source's
+        next instant (``None`` while it has nothing pending) and
+        ``fire(now)`` handles it. Each turn fires the earliest source,
+        after catching the monitor up to that instant (its sampler ticks
+        are pure reads, so a monitored run replays bit-identically), and
+        then dispatches everything placeable at that instant. Simultaneous
+        events fire in rank order, the source's position in this table:
+
+        0. **confirm** — finalize launches whose completion the clock
+           reached; before a fault, so such work survives a crash at the
+           same instant.
+        1. **fault** — the fault plan's next event (registered only for a
+           non-empty plan).
+        2. **stage release** — successor pipeline stages; before a batcher
+           flush, so a stage released at the flush instant joins it.
+        3. **batcher deadline** — latency-triggered flushes; before a
+           simultaneous arrival.
+        4. **retire** — a drained worker leaves before placement and
+           reports can observe it.
+        5. **autoscale tick** — registered only with an autoscaler.
+        6. **arrival** — placement, admission, then the batcher.
+        7. **worker accept** — no handler: the dispatch after every event
+           places whatever the freed worker can take.
+
+        Confirmations run until the last launch completes, so the monitor
+        also samples the drain tail. The returned outcomes follow the offered order, so reports line
+        up with the input trace.
 
         One service instance replays one trace: worker queues, batcher
         counters, and report state are all trace-scoped. To model a warm
@@ -779,145 +792,35 @@ class BeamformingService:
                 "execution of inter-stage buffers is not modelled yet "
                 "(single-stage pipelines run functionally like bare workloads)"
             )
-        slots = {id(r): i for i, r in enumerate(requests)}
-        outcomes: list[RequestOutcome | None] = [None] * len(requests)
-        trace = sorted(requests, key=lambda r: r.arrival_s)
-        idx = 0
+        outcomes = [RequestOutcome(request=r, admitted=False) for r in requests]
+        self._arrivals = deque(sorted(outcomes, key=lambda o: o.request.arrival_s))
+        table = (
+            (self._next_confirm_s, self._confirm),
+            (self._next_fault_s, self._handle_fault) if self._faults else None,
+            (self._next_stage_s, self._release_stages),
+            (self._batcher.next_deadline, self._flush_due),
+            (self.fleet.next_retire_s, self._reap),
+            (self._next_scale_s, self._scale_tick) if self._autoscaler else None,
+            (self._next_arrival_s, self._arrive),
+            (self._next_accept_s, None),
+        )
+        sources = [source for source in table if source is not None]
         self._record_fleet(0.0)
         while True:
-            t_arrival = trace[idx].arrival_s if idx < len(trace) else None
-            t_deadline = self._batcher.next_deadline()
-            t_worker = self.fleet.next_accept_s() if self.fleet.has_queued() else None
-            t_retire = self.fleet.next_retire_s()
-            t_scale = (
-                self._autoscaler.next_tick_s()
-                if self._autoscaler is not None and self._scaling_live(idx, trace)
-                else None
-            )
-            t_confirm = self._next_confirm_s() if self._faults is not None else None
-            t_fault = self._next_fault_s(idx, trace) if self._faults is not None else None
-            t_stage = self._stage_heap[0][0] if self._stage_heap else None
-            times = [
-                t
-                for t in (t_arrival, t_deadline, t_worker, t_retire, t_scale,
-                          t_confirm, t_fault, t_stage)
-                if t is not None
-            ]
-            if not times:
+            now = fire = None
+            for next_s, handler in sources:
+                t = next_s()
+                if t is not None and (now is None or t < now):
+                    now, fire = t, handler
+            if now is None:
                 break
-            now = min(times)
             if self._monitor is not None:
-                # Catch the monitor up *before* this event's handler: every
-                # pending sampler tick <= now fires (oldest first), each a
-                # pure read of service state — sample, evaluate alerts,
-                # emit trace/metrics. Ticks never dispatch or drain, so a
-                # monitored run replays bit-identically to an unmonitored
-                # one, and ticks only advance while real events remain, so
-                # the loop still terminates.
                 self._monitor.advance(now, self)
-            if t_confirm is not None and t_confirm <= now:
-                # Confirm completions *before* a simultaneous fault: work
-                # whose completion instant has been reached survives a
-                # crash at the same instant.
-                self._confirm(now)
-            elif t_fault is not None and t_fault <= now:
-                self._handle_fault(now)
-            elif t_stage is not None and t_stage <= now:
-                # Release successor stages *before* a simultaneous batcher
-                # flush, so a stage released at the flush instant can still
-                # join that flush's batches.
-                self._release_stages(now)
-            elif t_deadline is not None and t_deadline <= now:
-                for batch in self._batcher.due(now):
-                    self.fleet.submit(batch)
-            elif t_retire is not None and t_retire <= now:
-                # A drained worker is idle and unreferenced: retire it
-                # before anything else sees this instant, so placement and
-                # reports never observe a zombie.
-                self._reap(now)
-            elif t_scale is not None and t_scale <= now:
-                self._scale_tick(now)
-            elif t_arrival is not None and t_arrival <= now:
-                req = trace[idx]
-                idx += 1
-                self._drain_completed(now)
-                outcome = RequestOutcome(request=req, admitted=False)
-                outcomes[slots[id(req)]] = outcome
-                priority = req.workload.priority
-                if self.recorder.enabled:
-                    self.recorder.emit(
-                        RequestArrived(
-                            t_s=now,
-                            rid=req.rid,
-                            workload=req.workload.name,
-                            priority=priority,
-                            tenant=req.workload.tenant,
-                        )
-                    )
-                decision = self.fleet.placer.place(req.workload, self._batcher.policy_for(priority))
-                if self.recorder.enabled:
-                    self.recorder.emit(self._placement_event(now, req, decision))
-                projected = self._estimate_latency(
-                    now, decision, pipeline=req.pipeline if req.is_pipeline_stage else None
-                )
-                depth = self._depth()
-                admitted = self.admission.admit(projected, depth, priority=priority)
-                if self.recorder.enabled:
-                    reason = decision.reason if decision.is_shed else self.admission.last_reason
-                    self.recorder.emit(
-                        AdmissionDecided(
-                            t_s=now,
-                            rid=req.rid,
-                            admitted=admitted,
-                            projected_s=projected,
-                            queue_depth=depth,
-                            priority=priority,
-                            reason=reason,
-                        )
-                    )
-                if self._monitor is not None and not admitted:
-                    self._monitor.observe_shed(now, priority, req.workload.tenant)
-                if admitted:
-                    outcome.admitted = True
-                    self._pending_outcomes[id(req)] = outcome
-                    if req.is_pipeline_stage:
-                        run = _PipelineRun(root=req)
-                        run.released.add(req.stage)
-                        self._pipeline_runs[id(req)] = run
-                        self.metrics.inc("service.stage_released")
-                        if self.recorder.enabled:
-                            self.recorder.emit(
-                                StageStarted(
-                                    t_s=now,
-                                    rid=req.rid,
-                                    pipeline=req.pipeline.name,
-                                    stage=req.stage,
-                                    stage_index=req.pipeline.stage_index(req.stage),
-                                )
-                            )
-                    if decision.kind is PlacementKind.SPLIT:
-                        # Oversized requests never coalesce: straight to the
-                        # scheduler as their own batch, sharded at dispatch.
-                        self.fleet.submit(
-                            self._batcher.singleton(req, now, decision=decision)
-                        )
-                    else:
-                        full = self._batcher.offer(req, now, decision=decision)
-                        if full is not None:
-                            self.fleet.submit(full)
-            # A worker-availability event needs no handler of its own: the
-            # drain below dispatches everything placeable at this instant.
+            if fire is not None:
+                fire(now)
             for execution in self.fleet.drain(now):
-                if self._faults is None:
-                    self._settle(execution)
-                else:
-                    self._register(execution, now)
+                self._register(execution, now)
         makespan = max((e.completion_s for e in self.fleet.executions), default=0.0)
-        if self._monitor is not None:
-            # Sample the drain tail too: arrivals have stopped but in-flight
-            # work is still completing, and alerts raised at the last peak
-            # should get their chance to resolve on the time axis.
-            self._monitor.advance(makespan, self)
         cache_by_worker = [
             (w.index, w.device.name, *self.fleet.cache.segment_stats(w.device))
             for w in self.fleet.all_workers
@@ -954,18 +857,103 @@ class BeamformingService:
             wasted_device_seconds=self._wasted_s,
         )
 
-    # -- the fourth event source: autoscaling --------------------------------
+    # -- event sources: arrivals, stage releases, flushes, dispatch ----------
 
-    def _scaling_live(self, idx: int, trace: list[Request]) -> bool:
-        """Whether autoscale ticks should keep firing.
+    def _next_arrival_s(self) -> float | None:
+        return self._arrivals[0].request.arrival_s if self._arrivals else None
 
-        Ticks run only while arrivals remain: scale decisions exist for
-        traffic, and ticking through the end-of-trace drain would both
-        produce artificial tail actions (a cold worker for the last
-        half-formed batch) and keep the event loop from terminating.
-        Retirement of already-draining workers has its own event source.
+    def _next_stage_s(self) -> float | None:
+        return self._stage_heap[0][0] if self._stage_heap else None
+
+    def _next_accept_s(self) -> float | None:
+        return self.fleet.next_accept_s() if self.fleet.has_queued() else None
+
+    def _flush_due(self, now: float) -> None:
+        for batch in self._batcher.due(now):
+            self.fleet.submit(batch)
+
+    def _arrive(self, now: float) -> None:
+        """The next request reaches the front door: place, admit, enqueue."""
+        outcome = self._arrivals.popleft()
+        req = outcome.request
+        priority = req.workload.priority
+        if self.recorder.enabled:
+            self.recorder.emit(
+                RequestArrived(
+                    t_s=now,
+                    rid=req.rid,
+                    workload=req.workload.name,
+                    priority=priority,
+                    tenant=req.workload.tenant,
+                )
+            )
+        decision = self.fleet.placer.place(req.workload, self._batcher.policy_for(priority))
+        if self.recorder.enabled:
+            self.recorder.emit(self._placement_event(now, req, decision))
+        projected = self._estimate_latency(
+            now, decision, pipeline=req.pipeline if req.is_pipeline_stage else None
+        )
+        depth = self._depth()
+        admitted = self.admission.admit(projected, depth, priority=priority)
+        if self.recorder.enabled:
+            reason = decision.reason if decision.is_shed else self.admission.last_reason
+            self.recorder.emit(
+                AdmissionDecided(
+                    t_s=now,
+                    rid=req.rid,
+                    admitted=admitted,
+                    projected_s=projected,
+                    queue_depth=depth,
+                    priority=priority,
+                    reason=reason,
+                )
+            )
+        if not admitted:
+            if self._monitor is not None:
+                self._monitor.observe_shed(now, priority, req.workload.tenant)
+            return
+        outcome.admitted = True
+        self._pending_outcomes[id(req)] = outcome
+        if req.is_pipeline_stage:
+            run = _PipelineRun(root=req)
+            run.released.add(req.stage)
+            self._pipeline_runs[id(req)] = run
+            self.metrics.inc("service.stage_released")
+            if self.recorder.enabled:
+                self.recorder.emit(
+                    StageStarted(
+                        t_s=now,
+                        rid=req.rid,
+                        pipeline=req.pipeline.name,
+                        stage=req.stage,
+                        stage_index=req.pipeline.stage_index(req.stage),
+                    )
+                )
+        self._enqueue(req, now, decision)
+
+    def _enqueue(self, req: Request, now: float, decision: PlacementDecision) -> None:
+        """Hand one placed request to the batcher, or a split to the fleet."""
+        if decision.kind is PlacementKind.SPLIT:
+            # Oversized requests never coalesce: straight to the scheduler
+            # as their own batch, sharded at dispatch.
+            self.fleet.submit(self._batcher.singleton(req, now, decision=decision))
+            return
+        full = self._batcher.offer(req, now, decision=decision)
+        if full is not None:
+            self.fleet.submit(full)
+
+    # -- event sources: autoscaling ------------------------------------------
+
+    def _next_scale_s(self) -> float | None:
+        """The autoscaler's next tick, while arrivals remain.
+
+        Scale decisions exist for traffic, and ticking through the
+        end-of-trace drain would both produce artificial tail actions (a
+        cold worker for the last half-formed batch) and keep the event
+        loop from terminating. Retirement of already-draining workers has
+        its own event source.
         """
-        return idx < len(trace)
+        return self._autoscaler.next_tick_s() if self._arrivals else None
 
     def _scale_tick(self, now: float) -> None:
         signals = self._signals(now)
@@ -1045,21 +1033,8 @@ class BeamformingService:
 
     # -- internals -----------------------------------------------------------
 
-    def _settle(self, execution: BatchExecution) -> None:
-        """Bookkeeping for one placed batch: outcomes and in-flight depth.
-
-        The fault-free fast path: completion is *eager* (the execution's
-        future completion instant is trusted at dispatch), which is exact
-        when nothing can revoke in-flight work. Fault-injected runs go
-        through :meth:`_register`/:meth:`_confirm` instead.
-        """
-        batch = execution.batch
-        heapq.heappush(self._in_flight, (execution.completion_s, batch.n_requests))
-        self._in_flight_requests += batch.n_requests
-        self._complete(execution)
-
     def _complete(self, execution: BatchExecution) -> None:
-        """Stamp every request of one finished launch: the completion edge.
+        """Stamp every request of one confirmed launch: the completion edge.
 
         Multi-stage pipeline requests divert to :meth:`_stage_complete`:
         a finished launch completes one *stage*, releasing successors; the
@@ -1070,32 +1045,39 @@ class BeamformingService:
             if req.is_pipeline_stage:
                 self._stage_complete(req, execution)
                 continue
-            outcome = self._pending_outcomes.pop(id(req))
-            outcome.batch_id = batch.bid
-            outcome.completion_s = execution.completion_s
+            outcome = self._stamp(req, batch.bid, execution.completion_s)
             if execution.outputs is not None:
                 outcome.output = execution.outputs[i]
-            latency = execution.completion_s - req.arrival_s
-            self.metrics.inc("service.completed")
-            self.metrics.observe("service.latency_ms", latency * 1e3)
-            if self._monitor is not None:
-                self._monitor.observe_completion(
-                    execution.completion_s,
-                    req.workload.priority,
-                    req.workload.tenant,
-                    latency,
+
+    def _stamp(self, req: Request, batch_id: int, completion_s: float) -> RequestOutcome:
+        """Close one admitted request's lifecycle at ``completion_s``.
+
+        ``req`` is the request as admitted (a pipeline's root) and
+        ``batch_id`` the launch that finished it; returns its outcome.
+        """
+        outcome = self._pending_outcomes.pop(id(req))
+        outcome.batch_id = batch_id
+        outcome.completion_s = completion_s
+        latency = completion_s - req.arrival_s
+        workload = req.workload
+        self.metrics.inc("service.completed")
+        self.metrics.observe("service.latency_ms", latency * 1e3)
+        if self._monitor is not None:
+            self._monitor.observe_completion(
+                completion_s, workload.priority, workload.tenant, latency
+            )
+        if self.recorder.enabled:
+            self.recorder.emit(
+                RequestCompleted(
+                    t_s=completion_s,
+                    rid=req.rid,
+                    bid=batch_id,
+                    latency_s=latency,
+                    tenant=workload.tenant,
+                    priority=workload.priority,
                 )
-            if self.recorder.enabled:
-                self.recorder.emit(
-                    RequestCompleted(
-                        t_s=execution.completion_s,
-                        rid=req.rid,
-                        bid=batch.bid,
-                        latency_s=latency,
-                        tenant=batch.tenant,
-                        priority=batch.priority,
-                    )
-                )
+            )
+        return outcome
 
     # -- pipeline stage lifecycle --------------------------------------------
 
@@ -1105,8 +1087,8 @@ class BeamformingService:
         Records the stage's completion (and where its output buffer now
         resides), releases every successor whose dependencies are all
         complete — onto the stage heap at the gating dependency's
-        completion instant, a proper future event under eager settling —
-        and finalizes the end-to-end outcome once all stages have run.
+        completion instant, which the clock has just reached — and
+        finalizes the end-to-end outcome once all stages have run.
         """
         run = self._pipeline_runs.get(id(req.root_request))
         if run is None:
@@ -1195,12 +1177,7 @@ class BeamformingService:
                 # crashed since admission): the whole request fails.
                 self._fail(req, now, "no_capable_worker")
                 continue
-            if decision.kind is PlacementKind.SPLIT:
-                self.fleet.submit(self._batcher.singleton(req, now, decision=decision))
-            else:
-                full = self._batcher.offer(req, now, decision=decision)
-                if full is not None:
-                    self.fleet.submit(full)
+            self._enqueue(req, now, decision)
 
     def _finish_pipeline(self, run: _PipelineRun) -> None:
         """All stages of one pipeline request ran: stamp the e2e outcome.
@@ -1226,32 +1203,9 @@ class BeamformingService:
                 key=lambda link: (link.completion_s, pipeline.stage_index(link.stage)),
             )
             chain.insert(0, gating)
-        outcome = self._pending_outcomes.pop(id(root))
-        outcome.batch_id = final.batch_id
-        outcome.completion_s = final.completion_s
-        outcome.stage_chain = tuple(chain)
         del self._pipeline_runs[id(root)]
-        latency = final.completion_s - root.arrival_s
-        self.metrics.inc("service.completed")
-        self.metrics.observe("service.latency_ms", latency * 1e3)
-        if self._monitor is not None:
-            self._monitor.observe_completion(
-                final.completion_s,
-                root.workload.priority,
-                root.workload.tenant,
-                latency,
-            )
-        if self.recorder.enabled:
-            self.recorder.emit(
-                RequestCompleted(
-                    t_s=final.completion_s,
-                    rid=root.rid,
-                    bid=final.batch_id,
-                    latency_s=latency,
-                    tenant=root.workload.tenant,
-                    priority=root.workload.priority,
-                )
-            )
+        outcome = self._stamp(root, final.batch_id, final.completion_s)
+        outcome.stage_chain = tuple(chain)
 
     def _placement_event(self, now: float, req: Request, decision: PlacementDecision):
         """The :class:`PlacementDecided` span of one arrival (traced runs).
@@ -1285,19 +1239,10 @@ class BeamformingService:
             shed_reason=decision.reason,
         )
 
-    def _drain_completed(self, now: float) -> None:
-        while self._in_flight and self._in_flight[0][0] <= now:
-            _, n = heapq.heappop(self._in_flight)
-            self._in_flight_requests -= n
-
     @property
     def in_flight(self) -> list[tuple[float, int]]:
-        """Scheduled-but-uncompleted ``(completion_s, n_requests)`` pairs."""
-        if self._faults is not None:
-            return sorted(
-                (p.completion_s, p.execution.batch.n_requests) for p in self._pending
-            )
-        return self._in_flight
+        """Dispatched-but-unconfirmed ``(completion_s, n_requests)`` pairs."""
+        return [(p.completion_s, p.execution.batch.n_requests) for p in self._pending]
 
     # -- fault injection and recovery ----------------------------------------
 
@@ -1305,31 +1250,27 @@ class BeamformingService:
         """Earliest effective completion among unconfirmed launches."""
         return min((p.completion_s for p in self._pending), default=None)
 
-    def _next_fault_s(self, idx: int, trace: list[Request]) -> float | None:
+    def _next_fault_s(self) -> float | None:
         """The fault plan's next event instant, while the run is live.
 
         Faults stop firing once arrivals, queued work, and in-flight work
         are all exhausted — injecting into a finished run would only
         produce phantom replacements and keep the loop from terminating.
         """
-        if self._fault_idx >= len(self._faults.events):
+        if self._fault_idx >= len(self._faults):
             return None
-        if (
-            idx >= len(trace)
-            and not self._pending
-            and not self._stage_heap
-            and not self.fleet.has_queued()
+        if not (
+            self._arrivals or self._pending or self._stage_heap or self.fleet.has_queued()
         ):
             return None
-        return self._faults.events[self._fault_idx].t_s
+        return self._faults[self._fault_idx].t_s
 
     def _register(self, execution: BatchExecution, now: float) -> None:
         """Track one placed launch until the clock confirms its completion.
 
-        The fault-mode replacement for eager :meth:`_settle`: outcomes are
-        only stamped when the completion instant is actually reached
-        (:meth:`_confirm`), because a crash in between revokes the work.
-        Also the hedged-dispatch hook: a batch landing on a worker at or
+        Outcomes are only stamped when the completion instant is actually
+        reached (:meth:`_confirm`), because a crash in between revokes the
+        work. Also the hedged-dispatch hook: a batch landing on a worker at or
         past the straggler threshold gets a duplicate launch on the best
         healthy candidate, first completion wins.
         """
@@ -1415,7 +1356,7 @@ class BeamformingService:
 
     def _handle_fault(self, now: float) -> None:
         """Apply the fault plan's next event (exactly one per loop turn)."""
-        event = self._faults.events[self._fault_idx]
+        event = self._faults[self._fault_idx]
         self._fault_idx += 1
         if event.kind is FaultKind.CRASH:
             self._crash(event, now)

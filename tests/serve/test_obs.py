@@ -106,6 +106,21 @@ class TestRecorder:
         )
         assert all(isinstance(e, SpanEvent) for e in recorder.events)
 
+    def test_nothing_is_reported_before_the_clock_reaches_it(self):
+        # A completion is emitted when the clock reaches it, so no arrival
+        # emitted afterwards can precede it in simulated time.
+        recorder = TraceRecorder()
+        _run(recorder=recorder)
+        latest_completion = float("-inf")
+        early = 0
+        for event in recorder.of_type(RequestArrived, RequestCompleted):
+            if isinstance(event, RequestCompleted):
+                latest_completion = max(latest_completion, event.t_s)
+            elif event.t_s < latest_completion:
+                early += 1
+        assert recorder.count(RequestCompleted) > 0
+        assert early == 0
+
     def test_every_event_type_is_registered_and_documented(self):
         assert len(EVENT_TYPES) >= 12
         for name, cls in EVENT_TYPES.items():
