@@ -127,6 +127,10 @@ SPECS: tuple[MetricSpec, ...] = (
         "backend-micro", "micro", "numpy/gemm-int1", "GFLOP/s",
         "backend_micro.numpy_gemm_int1_gops", higher_is_better=True, rel_tol=0.5,
     ),
+    MetricSpec(
+        "backend-micro", "micro", "numpy/gemm-f16", "GFLOP/s",
+        "backend_micro.numpy_gemm_f16_gops", higher_is_better=True, rel_tol=0.5,
+    ),
 )
 
 

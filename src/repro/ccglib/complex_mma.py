@@ -11,23 +11,37 @@ imaginary part of B::
     4) Re(C) += Im(A) Im(B)     (now the negated copy)
     5) Im(C) += Im(A) Re(B)
 
-This module implements that exact 5-step schedule functionally (on the
-fragment model of :mod:`repro.gpusim.tensorcore`) so tests can verify it
-against a straightforward complex reference, including the float16
-quantization the hardware applies to the inputs.
+This module implements that exact 5-step schedule functionally so tests can
+verify it against a straightforward complex reference, including the
+float16 (or TF32) quantization the hardware applies to the inputs.
 
 Two tiers of entry point exist:
 
 * the single-tile functions (:func:`complex_mma_f16`,
-  :func:`complex_mma_tf32`) — NumPy-only, one (2, m, k) tile at a time,
-  mirroring one warp's fragment schedule;
+  :func:`complex_mma_tf32`) — NumPy-only, one (2, m, k) tile at a time on
+  the fragment model of :mod:`repro.gpusim.tensorcore`, mirroring one
+  warp's fragment schedule;
 * the batched functions (:func:`complex_mma_f16_batched`,
-  :func:`complex_mma_tf32_batched`) — the production hot path: one fused
-  batched ``matmul`` per schedule step over (..., 2, m, k) operands, on
-  any :class:`~repro.backend.ArrayBackend`. On NumPy a batched ``matmul``
-  is bit-identical to the per-item loop (verified; ``einsum`` is *not*,
-  which is why the schedule uses ``matmul`` exclusively), so replacing
-  the loop changes no golden output.
+  :func:`complex_mma_tf32_batched`) — the production hot path over
+  (..., 2, m, k) operands, on any :class:`~repro.backend.ArrayBackend`.
+  Like the kernel, which loads each operand fragment into registers once
+  and reuses it for all four MMAs, they round each operand through the
+  precision's quantizer to float32 exactly once, negate that quantized
+  Im(B) copy in step 3, and run each step as one batched ``matmul`` over
+  all leading dims. On NumPy the products land through ``matmul(out=)``
+  in two float32 accumulator planes and one scratch plane, and steps 4/5
+  add in place straight into the interleaved storage of a complex64
+  array, so a call allocates its output once, casts no operand twice and
+  needs no separate interleaving pass (at the ``lofar-f16`` benchmark
+  shape, functional accumulation plus that pass took ~1.3x as long).
+  float32 operands reach the float16 grid through integer ops instead of
+  NumPy's element-at-a-time float16 cast. Other backends run the same
+  schedule with functional accumulation, so immutable arrays work too.
+
+Both tiers produce bit-identical float32 results on NumPy: a batched
+``matmul`` equals the per-tile 2D ``matmul`` exactly (``einsum`` does not,
+which is why the schedule uses ``matmul`` exclusively), so batching
+changes no golden output.
 """
 
 from __future__ import annotations
@@ -55,30 +69,43 @@ def complex_mma_f16(
     exactly like the kernel does — float16 negation is exact, so steps 3+4
     equal a true subtraction of ``Im(A) Im(B)``.
     """
-    if a_planar.ndim != 3 or a_planar.shape[0] != 2:
-        raise ShapeError(f"a_planar must be (2, m, k), got {a_planar.shape}")
-    if b_planar.ndim != 3 or b_planar.shape[0] != 2:
-        raise ShapeError(f"b_planar must be (2, k, n), got {b_planar.shape}")
-    a_re = quantize_f16(a_planar[REAL])
-    a_im = quantize_f16(a_planar[IMAG])
-    b_re = quantize_f16(b_planar[REAL])
-    b_im = quantize_f16(b_planar[IMAG])
+    return _tile_schedule(a_planar, b_planar, c_planar, quantize_f16, mma_f16)
 
-    m, n = a_re.shape[0], b_re.shape[1]
+
+def complex_mma_tf32(
+    a_planar: np.ndarray,
+    b_planar: np.ndarray,
+    c_planar: np.ndarray | None = None,
+) -> np.ndarray:
+    """The 5-step schedule with TensorFloat-32 fragments (experimental §VI).
+
+    Same structure as :func:`complex_mma_f16`; the inputs keep float32
+    range with 10-bit mantissas.
+    """
+    return _tile_schedule(a_planar, b_planar, c_planar, quantize_tf32, mma_tf32)
+
+
+def _tile_schedule(a_planar, b_planar, c_planar, quantize, mma) -> np.ndarray:
+    """The single-tile schedule; ``quantize``/``mma`` pick the precision."""
+    if a_planar.ndim != 3:
+        raise ShapeError(f"a_planar must be (2, m, k), got {a_planar.shape}")
+    if b_planar.ndim != 3:
+        raise ShapeError(f"b_planar must be (2, k, n), got {b_planar.shape}")
+    _validate_batched_planar(a_planar, b_planar, c_planar)
+    a_re, a_im = quantize(a_planar[REAL]), quantize(a_planar[IMAG])
+    b_re, b_im = quantize(b_planar[REAL]), quantize(b_planar[IMAG])
     if c_planar is None:
-        c_re = np.zeros((m, n), dtype=np.float32)
-        c_im = np.zeros((m, n), dtype=np.float32)
+        c_re = np.zeros((a_re.shape[0], b_re.shape[1]), dtype=np.float32)
+        c_im = np.zeros_like(c_re)
     else:
-        if c_planar.shape != (2, m, n):
-            raise ShapeError(f"c_planar must be (2, {m}, {n}), got {c_planar.shape}")
         c_re = c_planar[REAL].astype(np.float32)
         c_im = c_planar[IMAG].astype(np.float32)
 
-    c_re = mma_f16(a_re, b_re, c_re)        # step 1
-    c_im = mma_f16(a_re, b_im, c_im)        # step 2
-    b_im_neg = -b_im                        # step 3 (registers only)
-    c_re = mma_f16(a_im, b_im_neg, c_re)    # step 4
-    c_im = mma_f16(a_im, b_re, c_im)        # step 5
+    c_re = mma(a_re, b_re, c_re)        # step 1
+    c_im = mma(a_re, b_im, c_im)        # step 2
+    b_im_neg = -b_im                    # step 3 (registers only)
+    c_re = mma(a_im, b_im_neg, c_re)    # step 4
+    c_im = mma(a_im, b_re, c_im)        # step 5
     return np.stack([c_re, c_im])
 
 
@@ -110,37 +137,7 @@ def reference_complex_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=np.complex128) @ np.asarray(b, dtype=np.complex128)
 
 
-def complex_mma_tf32(
-    a_planar: np.ndarray,
-    b_planar: np.ndarray,
-    c_planar: np.ndarray | None = None,
-) -> np.ndarray:
-    """The 5-step schedule with TensorFloat-32 fragments (experimental §VI).
-
-    Same structure as :func:`complex_mma_f16`; the inputs keep float32
-    range with 10-bit mantissas.
-    """
-    if a_planar.ndim != 3 or a_planar.shape[0] != 2:
-        raise ShapeError(f"a_planar must be (2, m, k), got {a_planar.shape}")
-    if b_planar.ndim != 3 or b_planar.shape[0] != 2:
-        raise ShapeError(f"b_planar must be (2, k, n), got {b_planar.shape}")
-    a_re, a_im = quantize_tf32(a_planar[REAL]), quantize_tf32(a_planar[IMAG])
-    b_re, b_im = quantize_tf32(b_planar[REAL]), quantize_tf32(b_planar[IMAG])
-    m, n = a_re.shape[0], b_re.shape[1]
-    if c_planar is None:
-        c_re = np.zeros((m, n), dtype=np.float32)
-        c_im = np.zeros((m, n), dtype=np.float32)
-    else:
-        c_re = c_planar[REAL].astype(np.float32)
-        c_im = c_planar[IMAG].astype(np.float32)
-    c_re = mma_tf32(a_re, b_re, c_re)
-    c_im = mma_tf32(a_re, b_im, c_im)
-    c_re = mma_tf32(a_im, -b_im, c_re)
-    c_im = mma_tf32(a_im, b_re, c_im)
-    return np.stack([c_re, c_im])
-
-
-def _validate_batched_planar(a_planar, b_planar) -> None:
+def _validate_batched_planar(a_planar, b_planar, c_planar=None) -> None:
     if a_planar.ndim < 3 or a_planar.shape[-3] != 2:
         raise ShapeError(f"a_planar must be (..., 2, m, k), got {a_planar.shape}")
     if b_planar.ndim < 3 or b_planar.shape[-3] != 2:
@@ -152,13 +149,46 @@ def _validate_batched_planar(a_planar, b_planar) -> None:
         )
     if a_planar.shape[-1] != b_planar.shape[-2]:
         raise ShapeError(f"K mismatch: A has K={a_planar.shape[-1]}, B has K={b_planar.shape[-2]}")
+    expected = a_planar.shape[:-3] + (2, a_planar.shape[-2], b_planar.shape[-1])
+    if c_planar is not None and tuple(c_planar.shape) != expected:
+        raise ShapeError(f"c_planar must be {expected}, got {c_planar.shape}")
 
 
-def _mma_step(a_quant, b_quant, c, be: ArrayBackend):
-    """One schedule step: float32 accumulate of a quantized batched product."""
-    xp = be.xp
-    prod = be.matmul(a_quant.astype(xp.float32), b_quant.astype(xp.float32))
-    return c + prod
+#: float32 encodings bounding the float16 normal range [2**-14, 65520);
+#: inside it, rounding to float16 only rounds the mantissa to 10 bits.
+_F16_NORMAL_LO, _F16_NORMAL_HI = np.uint32(0x38800000), np.uint32(0x477FF000)
+
+
+def _quantize_f16(values, be: ArrayBackend):
+    """Round through float16 to float32, as an fp16 fragment load does."""
+    if be.xp is np and values.dtype == np.float32:
+        return _round_f32_to_f16(values)
+    return be.astype(be.astype(values, be.xp.float16), be.xp.float32)
+
+
+def _round_f32_to_f16(values: np.ndarray) -> np.ndarray:
+    """``values.astype(float16).astype(float32)`` bit for bit, in integer ops.
+
+    NumPy casts float16 one element at a time; inside the float16 normal
+    range the same rounding is a round-half-to-even of the low 13 mantissa
+    bits, a few vectorized integer ops on the float32 encoding (checked
+    against the cast on every float32 in that range). Zeros, float16
+    subnormals, overflow, infinities and NaN take the cast.
+    """
+    values = np.ascontiguousarray(values)
+    bits = values.view(np.uint32)
+    out = bits >> np.uint32(13)
+    out &= np.uint32(1)  # mantissa lsb: ties round to even
+    out += bits
+    out += np.uint32(0xFFF)
+    out &= np.uint32(0xFFFFE000)
+    offset = bits & np.uint32(0x7FFFFFFF)
+    offset -= _F16_NORMAL_LO  # wraps around below the range
+    rare = np.flatnonzero(offset >= _F16_NORMAL_HI - _F16_NORMAL_LO)
+    if rare.size:
+        cast = values.reshape(-1)[rare].astype(np.float16).astype(np.float32)
+        out.reshape(-1)[rare] = cast.view(np.uint32)
+    return out.view(np.float32)
 
 
 def quantize_tf32_backend(values, backend: ArrayBackend | None = None):
@@ -177,6 +207,62 @@ def quantize_tf32_backend(values, backend: ArrayBackend | None = None):
     return be.bitcast(rounded, xp.float32)
 
 
+def _mma_step(a_q, b_q, c, be: ArrayBackend, out=None, scratch=None):
+    """One schedule step: ``c + a_q @ b_q`` on float32 operands quantized once.
+
+    ``c`` is the float32 accumulator, ``None`` for a fresh one (the step is
+    then the bare product). Without ``out`` the step is functional and runs
+    on any backend. NumPy callers pass ``out`` and ``scratch`` buffers and
+    the step allocates nothing: the product lands in ``scratch`` through
+    ``matmul(out=)`` — straight in ``out`` when there is nothing to add —
+    and the sum is written into ``out``, which may be a strided view.
+    """
+    if out is None:
+        prod = be.matmul(a_q, b_q)
+        return prod if c is None else c + prod
+    if c is None:
+        return np.matmul(a_q, b_q, out=out)
+    np.matmul(a_q, b_q, out=scratch)
+    return np.add(c, scratch, out=out)
+
+
+def _batched_schedule(a_planar, b_planar, c_planar, quantize, backend):
+    """The batched 5-step schedule; ``quantize(values, be)`` picks the
+    precision and must return a fresh float32 array."""
+    be = get_backend(backend)
+    xp = be.xp
+    a_planar = be.asarray(a_planar)
+    b_planar = be.asarray(b_planar)
+    c_planar = None if c_planar is None else be.asarray(c_planar)
+    _validate_batched_planar(a_planar, b_planar, c_planar)
+    # One fragment load per operand, reused by all four products.
+    a_q, b_q = quantize(a_planar, be), quantize(b_planar, be)
+    a_re, a_im = a_q[..., REAL, :, :], a_q[..., IMAG, :, :]
+    b_re, b_im = b_q[..., REAL, :, :], b_q[..., IMAG, :, :]
+    c_re = c_im = None
+    if c_planar is not None:
+        c_re = be.astype(c_planar[..., REAL, :, :], xp.float32)
+        c_im = be.astype(c_planar[..., IMAG, :, :], xp.float32)
+
+    in_place = xp is np
+    dst, scratch = (None,) * 4, None
+    if in_place:
+        out = np.empty(a_re.shape[:-1] + b_re.shape[-1:], dtype=np.complex64)
+        planes = out.view(np.float32).reshape(out.shape + (2,))
+        acc_re, acc_im, scratch = np.empty((3,) + out.shape, dtype=np.float32)
+        dst = (acc_re, acc_im, planes[..., REAL], planes[..., IMAG])
+
+    c_re = _mma_step(a_re, b_re, c_re, be, dst[0], scratch)    # step 1
+    c_im = _mma_step(a_re, b_im, c_im, be, dst[1], scratch)    # step 2
+    b_im = np.negative(b_im, out=b_im) if in_place else -b_im  # step 3
+    c_re = _mma_step(a_im, b_im, c_re, be, dst[2], scratch)    # step 4
+    c_im = _mma_step(a_im, b_re, c_im, be, dst[3], scratch)    # step 5
+    if in_place:
+        # Planar (..., 2, m, n) view of the complex64 storage.
+        return np.moveaxis(planes, -1, -3)
+    return xp.stack([c_re, c_im], axis=-3)
+
+
 def complex_mma_f16_batched(
     a_planar,
     b_planar,
@@ -185,41 +271,15 @@ def complex_mma_f16_batched(
 ):
     """Batched 5-step complex MMA: (..., 2, m, k) x (..., 2, k, n) -> (..., 2, m, n).
 
-    Executes the identical schedule as :func:`complex_mma_f16` — quantize to
-    float16, four float32-accumulated products with the Im(B) register
-    negation — but with each step a single batched ``matmul`` over all
-    leading dims, which is the vectorized hot path of the float16 GEMM.
+    Executes the identical schedule as :func:`complex_mma_f16` — operands
+    rounded through float16 once, four float32-accumulated products with
+    the Im(B) register negation — with each step a single batched
+    ``matmul`` over all leading dims: the vectorized hot path of the
+    float16 GEMM. ``c_planar`` is an optional (..., 2, m, n) accumulator.
+    The float32 result is a fresh array; on NumPy it is a planar view of
+    interleaved complex64 storage.
     """
-    be = get_backend(backend)
-    xp = be.xp
-    a_planar = be.asarray(a_planar)
-    b_planar = be.asarray(b_planar)
-    _validate_batched_planar(a_planar, b_planar)
-    a_re = be.astype(a_planar[..., REAL, :, :], xp.float16)
-    a_im = be.astype(a_planar[..., IMAG, :, :], xp.float16)
-    b_re = be.astype(b_planar[..., REAL, :, :], xp.float16)
-    b_im = be.astype(b_planar[..., IMAG, :, :], xp.float16)
-
-    m, n = a_re.shape[-2], b_re.shape[-1]
-    out_shape = a_re.shape[:-2] + (m, n)
-    if c_planar is None:
-        c_re = xp.zeros(out_shape, dtype=xp.float32)
-        c_im = xp.zeros(out_shape, dtype=xp.float32)
-    else:
-        c_planar = be.asarray(c_planar)
-        if c_planar.shape != a_re.shape[:-2] + (2, m, n):
-            raise ShapeError(
-                f"c_planar must be {a_re.shape[:-2] + (2, m, n)}, got {c_planar.shape}"
-            )
-        c_re = be.astype(c_planar[..., REAL, :, :], xp.float32)
-        c_im = be.astype(c_planar[..., IMAG, :, :], xp.float32)
-
-    c_re = _mma_step(a_re, b_re, c_re, be)      # step 1
-    c_im = _mma_step(a_re, b_im, c_im, be)      # step 2
-    b_im_neg = -b_im                            # step 3 (registers only)
-    c_re = _mma_step(a_im, b_im_neg, c_re, be)  # step 4
-    c_im = _mma_step(a_im, b_re, c_im, be)      # step 5
-    return xp.stack([c_re, c_im], axis=-3)
+    return _batched_schedule(a_planar, b_planar, c_planar, _quantize_f16, backend)
 
 
 def complex_mma_tf32_batched(
@@ -228,30 +288,9 @@ def complex_mma_tf32_batched(
     c_planar=None,
     backend: ArrayBackend | None = None,
 ):
-    """Batched 5-step schedule with TensorFloat-32 fragments (experimental §VI)."""
-    be = get_backend(backend)
-    xp = be.xp
-    a_planar = be.asarray(a_planar)
-    b_planar = be.asarray(b_planar)
-    _validate_batched_planar(a_planar, b_planar)
-    a_re = quantize_tf32_backend(a_planar[..., REAL, :, :], backend=be)
-    a_im = quantize_tf32_backend(a_planar[..., IMAG, :, :], backend=be)
-    b_re = quantize_tf32_backend(b_planar[..., REAL, :, :], backend=be)
-    b_im = quantize_tf32_backend(b_planar[..., IMAG, :, :], backend=be)
+    """Batched 5-step schedule with TensorFloat-32 fragments (experimental §VI).
 
-    m, n = a_re.shape[-2], b_re.shape[-1]
-    out_shape = a_re.shape[:-2] + (m, n)
-    if c_planar is None:
-        c_re = xp.zeros(out_shape, dtype=xp.float32)
-        c_im = xp.zeros(out_shape, dtype=xp.float32)
-    else:
-        c_planar = be.asarray(c_planar)
-        c_re = be.astype(c_planar[..., REAL, :, :], xp.float32)
-        c_im = be.astype(c_planar[..., IMAG, :, :], xp.float32)
-
-    # TF32 multiplicands are rounded copies; products accumulate in float32.
-    c_re = _mma_step(a_re, b_re, c_re, be)
-    c_im = _mma_step(a_re, b_im, c_im, be)
-    c_re = _mma_step(a_im, -b_im, c_re, be)
-    c_im = _mma_step(a_im, b_re, c_im, be)
-    return xp.stack([c_re, c_im], axis=-3)
+    Same schedule and result layout as :func:`complex_mma_f16_batched`;
+    only the quantizer differs.
+    """
+    return _batched_schedule(a_planar, b_planar, c_planar, quantize_tf32_backend, backend)

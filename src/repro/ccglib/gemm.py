@@ -194,13 +194,17 @@ class Gemm:
     def _run_float(self, a_planar: Any, b_planar: Any) -> Any:
         """float16 (and experimental tf32) functional path.
 
-        One batched 5-step complex MMA over all batch items; on NumPy this
-        is bit-identical to the historical per-item loop (batched ``matmul``
-        matches looped 2D ``matmul`` exactly).
+        One batched 5-step complex MMA over all batch items, each operand
+        quantized once. On NumPy the MMA accumulates steps 4/5 straight
+        into interleaved complex64 storage, so the complex64 view taken
+        here is free (another planar layout costs one interleaving pass).
         """
         be = self.backend
         mma = complex_mma_tf32_batched if self.precision is Precision.TF32 else complex_mma_f16_batched
         planar = mma(a_planar, b_planar, backend=be)
+        if be.xp is np:
+            interleaved = np.ascontiguousarray(np.moveaxis(planar, -3, -1))
+            return interleaved.view(np.complex64)[..., 0]
         out = planar[..., REAL, :, :] + 1j * planar[..., IMAG, :, :]
         return be.astype(out, be.xp.complex64)
 

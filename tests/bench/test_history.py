@@ -71,6 +71,7 @@ class TestSpecs:
             "backend_micro.numpy_pack_gbps",
             "backend_micro.numpy_transpose_gbps",
             "backend_micro.numpy_gemm_int1_gops",
+            "backend_micro.numpy_gemm_f16_gops",
         }
         assert all(s.higher_is_better and s.rel_tol >= 0.5 for s in micro)
 

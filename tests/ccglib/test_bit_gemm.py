@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.backend import ArrayBackend, NumpyBackend
+from repro.backend import NumpyBackend
 from repro.ccglib.bit_gemm import (
     bit_gemm_reference,
     complex_bit_gemm,
@@ -18,6 +18,7 @@ from repro.ccglib.bit_gemm import (
 from repro.errors import ShapeError
 from repro.gpusim.arch import BitOp
 from repro.util.bits import pack_bits, pad_to_words
+from tests.conftest import GenericNumpyBackend
 
 
 def test_table2_worked_example():
@@ -127,26 +128,7 @@ class TestComplexBitGemm:
         )
 
 
-class _Namespace:
-    """NumPy under another name, so kernels take their non-NumPy path."""
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-
-_NS = _Namespace()
-
-
-class _GenericNumpy(NumpyBackend):
-    """NumPy behind the protocol defaults: the uint32 word loop with the SWAR
-    popcount and functional accumulation that JAX and CuPy run."""
-
-    name = "generic-numpy"
-    xp = property(lambda self: _NS)
-    popcount = ArrayBackend.popcount
-
-
-BACKENDS = [NumpyBackend(), _GenericNumpy()]
+BACKENDS = [NumpyBackend(), GenericNumpyBackend()]
 
 
 def _batched_reference(a_bits: np.ndarray, b_bits: np.ndarray) -> np.ndarray:

@@ -7,12 +7,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.backend import NumpyBackend
 from repro.ccglib.complex_mma import (
     complex_mma_f16,
+    complex_mma_f16_batched,
     complex_mma_f16_naive,
+    complex_mma_tf32,
+    complex_mma_tf32_batched,
     reference_complex_gemm,
+    _round_f32_to_f16,
 )
 from repro.errors import ShapeError
+from tests.conftest import GenericNumpyBackend
 
 
 def _planar(z: np.ndarray) -> np.ndarray:
@@ -101,3 +107,102 @@ class TestFiveStepSchedule:
                     b.real.astype(np.float16)).astype(np.float32)
         # sanity: our error is small relative to the magnitude of the sum
         assert abs(got_c - ref) / max(abs(ref), 1.0) < 0.05
+
+
+BACKENDS = [NumpyBackend(), GenericNumpyBackend()]
+
+#: (batched, single-tile) entry points of one precision.
+SCHEDULES = [
+    (complex_mma_f16_batched, complex_mma_f16),
+    (complex_mma_tf32_batched, complex_mma_tf32),
+]
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x, dtype=np.float32).view(np.uint32)
+
+
+class TestBatchedEqualsTiles:
+    """The batched hot path against a loop of single-tile schedules, bit
+    for bit, on both the NumPy in-place and the functional path."""
+
+    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda be: be.name)
+    @pytest.mark.parametrize("batched, tile", SCHEDULES, ids=["f16", "tf32"])
+    @pytest.mark.parametrize("batch", [(3,), (2, 3)], ids=["1dim", "2dim"])
+    @pytest.mark.parametrize("with_c", [False, True], ids=["no-c", "c"])
+    def test_bit_identical(self, backend, batched, tile, batch, with_c):
+        m, n, k = 7, 5, 13
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=batch + (2, m, k)).astype(np.float32)
+        b = rng.normal(size=batch + (2, k, n)).astype(np.float32)
+        c = rng.normal(size=batch + (2, m, n)).astype(np.float32) if with_c else None
+        inputs = [x.copy() for x in (a, b, c) if x is not None]
+
+        got = batched(a, b, c, backend=backend)
+
+        assert got.shape == batch + (2, m, n) and got.dtype == np.float32
+        for idx in np.ndindex(*batch):
+            want = tile(a[idx], b[idx], None if c is None else c[idx])
+            assert np.array_equal(_bits(got[idx]), _bits(want)), idx
+        # Inputs are never written, not even the in-place step-3 negation.
+        for before, after in zip(inputs, (a, b, c)):
+            assert np.array_equal(_bits(before), _bits(after))
+        for operand in (a, b, c):
+            assert operand is None or not np.shares_memory(got, operand)
+
+    @pytest.mark.parametrize("batched, tile", SCHEDULES, ids=["f16", "tf32"])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float64])
+    def test_other_input_dtypes_left_untouched(self, batched, tile, dtype):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(2, 2, 3, 9)).astype(dtype)
+        b = rng.normal(size=(2, 2, 9, 4)).astype(dtype)
+        a0, b0 = a.copy(), b.copy()
+        got = batched(a, b)
+        assert np.array_equal(a, a0) and np.array_equal(b, b0)
+        assert not np.shares_memory(got, a) and not np.shares_memory(got, b)
+        for i in range(2):
+            assert np.array_equal(_bits(got[i]), _bits(tile(a[i], b[i])))
+
+
+class TestFloat16Rounding:
+    """The integer-op float16 rounding of the NumPy hot path equals the
+    float16 round trip bit for bit, at every range edge."""
+
+    EDGES = [
+        0.0, -0.0, 2.0**-25, 2.0**-24, 3 * 2.0**-25, 2.0**-14 * (1 - 2.0**-11), 2.0**-14,
+        1.0, 1 + 2.0**-11, 1 + 3 * 2.0**-11, 2049.0, 65504.0, 65519.99, 65520.0, 65536.0,
+        3.4e38, np.inf, np.nan,
+    ]
+
+    def test_edges_and_random_match_cast(self, rng):
+        edges = np.array(self.EDGES, dtype=np.float32)
+        spread = rng.normal(size=4096) * 2.0 ** rng.integers(-30, 20, size=4096)
+        values = np.concatenate([edges, -edges, spread.astype(np.float32)])
+        with np.errstate(over="ignore"):
+            want = values.astype(np.float16).astype(np.float32)
+            got = _round_f32_to_f16(values)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    def test_strided_input(self, rng):
+        values = rng.normal(size=(2, 6, 8)).astype(np.float32)[:, ::2, 1::3]
+        want = values.astype(np.float16).astype(np.float32)
+        assert np.array_equal(_bits(_round_f32_to_f16(values)), _bits(want))
+
+
+class TestAccumulatorValidation:
+    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda be: be.name)
+    @pytest.mark.parametrize("batched", [complex_mma_f16_batched, complex_mma_tf32_batched])
+    def test_batched_rejects_unbatched_accumulator(self, backend, batched):
+        # A (2, m, n) accumulator must not broadcast over a batch of 3.
+        a = np.zeros((3, 2, 4, 8), dtype=np.float32)
+        b = np.zeros((3, 2, 8, 5), dtype=np.float32)
+        with pytest.raises(ShapeError):
+            batched(a, b, np.zeros((2, 4, 5), dtype=np.float32), backend=backend)
+
+    @pytest.mark.parametrize("tile", [complex_mma_f16, complex_mma_tf32])
+    def test_tile_rejects_wrong_accumulator(self, tile):
+        a, b = np.zeros((2, 2, 4)), np.zeros((2, 4, 3))
+        with pytest.raises(ShapeError):
+            tile(a, b, np.zeros((2, 3, 3), dtype=np.float32))
+        with pytest.raises(ShapeError):
+            tile(a, b, np.zeros((1, 2, 2, 3), dtype=np.float32))

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.ccglib.complex_mma import complex_mma_f16_batched, complex_mma_tf32_batched
 from repro.ccglib.gemm import Gemm, gemm_once
+from repro.ccglib.layouts import to_interleaved, to_planar
 from repro.ccglib.precision import Precision
 from repro.ccglib.tuning import TuneParams
 from repro.errors import ShapeError, UnsupportedPrecisionError
@@ -39,6 +41,22 @@ class TestFloat16Path:
         full = gemm_once(dev, Precision.FLOAT16, a, b).output
         solo = gemm_once(dev, Precision.FLOAT16, a[1:2], b[1:2]).output
         assert np.allclose(full[1], solo[0], rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize(
+        "precision, mma",
+        [(Precision.FLOAT16, complex_mma_f16_batched), (Precision.TF32, complex_mma_tf32_batched)],
+        ids=["f16", "tf32"],
+    )
+    @pytest.mark.parametrize("shape", [(3, 7, 5, 9), (1, 16, 33, 64)])
+    def test_output_is_interleaved_planar_mma_bitwise(self, rng, precision, mma, shape):
+        batch, m, n, k = shape
+        a = random_complex(rng, (batch, m, k))
+        b = random_complex(rng, (batch, k, n), scale=3.0)
+        plan = Gemm(Device("A100"), precision, batch=batch, m=m, n=n, k=k, experimental_ok=True)
+        got = plan.run(a, b).output
+        want = to_interleaved(mma(to_planar(a), to_planar(b)))
+        assert got.dtype == np.complex64 and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
 
 class TestInt1Path:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from repro.backend import ArrayBackend, NumpyBackend
+
 # Single-core CI-style environment: keep property tests snappy but meaningful.
 settings.register_profile(
     "repro",
@@ -52,3 +54,23 @@ def random_pm1_complex(rng: np.random.Generator, shape: tuple[int, ...]):
     re = rng.choice([-1.0, 1.0], size=shape)
     im = rng.choice([-1.0, 1.0], size=shape)
     return (re + 1j * im).astype(np.complex64)
+
+
+class _Namespace:
+    """NumPy under another name, so kernels take their non-NumPy path."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+_NS = _Namespace()
+
+
+class GenericNumpyBackend(NumpyBackend):
+    """NumPy behind the protocol defaults: the paths JAX and CuPy run (the
+    uint32 popcount word loop with the SWAR popcount, functional MMA
+    accumulation) instead of the NumPy-only in-place ones."""
+
+    name = "generic-numpy"
+    xp = property(lambda self: _NS)
+    popcount = ArrayBackend.popcount

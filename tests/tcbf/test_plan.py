@@ -135,6 +135,24 @@ class TestFunctionalExecution:
         out = plan.execute(w, d).output
         assert np.allclose(out, w @ d, rtol=5e-3, atol=0.5)
 
+    @pytest.mark.parametrize("scale", [1.0, 2.5, None])
+    def test_in_place_scale_restore_matches_out_of_place(self, rng, scale):
+        w = random_complex(rng, (2, 8, 32))
+        d = random_complex(rng, (2, 32, 16), scale=3.0)
+        w0, d0 = w.copy(), d.copy()
+        kw = dict(n_beams=8, n_receivers=32, n_samples=16, batch=2, include_transpose=False)
+        restoring = BeamformerPlan(Device("A100"), restore_output_scale=True, **kw)
+        plain = BeamformerPlan(Device("A100"), **kw)
+
+        got = restoring.execute(w, d, scale=scale).output
+        raw = plain.execute(w, d, scale=scale).output
+        applied = rms(d) if scale is None else scale
+        want = raw if applied == 1.0 else raw * applied
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # The caller's operands are never written.
+        assert w.tobytes() == w0.tobytes() and d.tobytes() == d0.tobytes()
+        assert not np.shares_memory(got, w) and not np.shares_memory(got, d)
+
     def test_unbatched_operands_accepted(self, rng):
         w = random_complex(rng, (8, 32))
         d = random_complex(rng, (32, 16))
