@@ -2,13 +2,15 @@
 """CI gate: the checked-in golden files must match their generators.
 
 Every golden file under ``tests/serve/golden/`` is the rendered output of
-a documented generator — ``golden_rows`` functions for the CSVs,
-``repro.bench.serve.golden_trace`` for the Perfetto span-event trace of
-the small serve run, and ``golden_dashboard_digest`` for the sha256 of
-its monitored dashboard HTML. This script regenerates each one
-and fails on any byte difference — catching un-blessed replay drift at
-review time (the event loop, scheduler, estimates, or float formatting
-changed and nobody re-blessed the golden) instead of in a later PR.
+a documented generator, registered in :data:`repro.bench.registry.GOLDENS`
+(the bench's ``golden_rows`` for the CSVs, ``repro.bench.serve.golden_trace``
+for the Perfetto span-event trace of the small serve run, and
+``golden_dashboard_digest`` for the sha256 of its monitored dashboard
+HTML). This script regenerates each one and fails on any byte difference
+— catching un-blessed replay drift at review time (the event loop,
+scheduler, estimates, or float formatting changed and nobody re-blessed
+the golden) instead of in a later change — and on any golden file the
+registry does not know.
 
 Usage::
 
@@ -29,62 +31,26 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = REPO_ROOT / "tests" / "serve" / "golden"
 
 
-def _renderers():
-    """Golden file name -> zero-argument callable rendering its CSV."""
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.bench import (
-        serve,
-        serve_autoscale,
-        serve_pipeline,
-        serve_priority,
-        serve_resilience,
-    )
-    from repro.util.formatting import render_csv
-
-    def render(rows_fn, *args):
-        headers, rows = rows_fn(*args)
-        return render_csv(headers, rows)
-
-    return {
-        "serve_priority_small.csv": lambda: render(serve_priority.golden_rows),
-        # One diurnal day — serve_autoscale.GOLDEN_HORIZON_S, the same
-        # constant the golden test reads (golden_rows' default).
-        "serve_autoscale_small.csv": lambda: render(serve_autoscale.golden_rows),
-        # One short storm — serve_resilience.GOLDEN_HORIZON_S — pinning all
-        # three recovery arms (fault-free, no-recovery, resilient) at once.
-        "serve_resilience_small.csv": lambda: render(serve_resilience.golden_rows),
-        # One short mixed-DAG run — serve_pipeline.GOLDEN_HORIZON_S —
-        # pinning both stage-placement arms (locality-aware, stage-blind)
-        # of the end-to-end pipeline machinery at once.
-        "serve_pipeline_small.csv": lambda: render(serve_pipeline.golden_rows),
-        # Perfetto span-event trace of the small serve run — pins every
-        # lifecycle edge (arrival through completion), not just aggregates.
-        "serve_trace_small.json": serve.golden_trace,
-        # sha256 of the monitored small serve run's dashboard HTML — pins
-        # the sampler cadence, alert evaluation, and the rendering itself
-        # without checking in tens of kilobytes of markup.
-        "serve_dashboard_small.sha256": serve.golden_dashboard_digest,
-    }
-
-
 def main(argv: list[str]) -> int:
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.bench.registry import GOLDENS
+
     bless = "--bless" in argv
-    renderers = _renderers()
     problems: list[str] = []
 
     unregistered = sorted(
         p.name
         for pattern in ("*.csv", "*.json", "*.sha256")
         for p in GOLDEN_DIR.glob(pattern)
-        if p.name not in renderers
+        if p.name not in GOLDENS
     )
     if unregistered:
         problems.append(
             "golden files with no registered generator (add them to "
-            f"scripts/check_golden.py): {', '.join(unregistered)}"
+            f"repro.bench.registry.GOLDENS): {', '.join(unregistered)}"
         )
 
-    for name, render in renderers.items():
+    for name, render in GOLDENS.items():
         path = GOLDEN_DIR / name
         fresh = render()
         if bless:
@@ -116,7 +82,7 @@ def main(argv: list[str]) -> int:
         )
         return 1
     if not bless:
-        print(f"golden-drift: all {len(renderers)} golden files match")
+        print(f"golden-drift: all {len(GOLDENS)} golden files match")
     return 0
 
 

@@ -1,4 +1,5 @@
-"""Experiment registry: every paper table/figure mapped to its runner."""
+"""Experiment registry: every paper table/figure mapped to its runner,
+and every checked-in golden file mapped to the generator of its bytes."""
 
 from __future__ import annotations
 
@@ -25,7 +26,9 @@ from repro.bench import (
     table3,
 )
 from repro.bench.report import ExperimentResult
+from repro.bench.scenario import Table
 from repro.errors import ReproError
+from repro.util.formatting import render_csv
 
 #: experiment name -> runner. Order matches the paper's evaluation flow.
 EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
@@ -46,6 +49,38 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "serve-autoscale": serve_autoscale.run,
     "serve-resilience": serve_resilience.run,
     "serve-pipeline": serve_pipeline.run,
+}
+
+
+def _csv(golden_rows: Callable[[], Table]) -> Callable[[], str]:
+    return lambda: render_csv(*golden_rows())
+
+
+#: golden file name (under ``tests/serve/golden/``) -> zero-argument
+#: renderer of its exact bytes. ``scripts/check_golden.py`` and the golden
+#: test both read this one mapping; each CSV renders a bench's
+#: ``golden_rows`` at that bench's ``GOLDEN_HORIZON_S``.
+GOLDENS: dict[str, Callable[[], str]] = {
+    # Per-class and per-tenant rows of one short 5x overload run.
+    "serve_priority_small.csv": _csv(serve_priority.golden_rows),
+    # One row per arm (mixed, amd-only, exact-shape, bucketed, split).
+    "serve_hetero_small.csv": _csv(serve_hetero.golden_rows),
+    # One diurnal day through every provisioning regime (reactive,
+    # predictive, and the two budget-derived fixed fleets).
+    "serve_autoscale_small.csv": _csv(serve_autoscale.golden_rows),
+    # One short storm through all three recovery arms (fault-free,
+    # no-recovery, resilient).
+    "serve_resilience_small.csv": _csv(serve_resilience.golden_rows),
+    # One short mixed-DAG run through both stage-placement arms
+    # (locality-aware, stage-blind).
+    "serve_pipeline_small.csv": _csv(serve_pipeline.golden_rows),
+    # Perfetto span-event trace of the small serve run — pins every
+    # lifecycle edge (arrival through completion), not just aggregates.
+    "serve_trace_small.json": serve.golden_trace,
+    # sha256 of the monitored small serve run's dashboard HTML — pins the
+    # sampler cadence, alert evaluation, and the rendering itself without
+    # checking in tens of kilobytes of markup.
+    "serve_dashboard_small.sha256": serve.golden_dashboard_digest,
 }
 
 

@@ -32,11 +32,20 @@ Checked claims, all deterministic:
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 
 from repro.apps.radioastronomy.beamformer import service_workload as lofar_workload
 from repro.bench.report import ExperimentResult
-from repro.gpusim.device import Device, ExecutionMode
+from repro.bench.scenario import (
+    Arm,
+    Columns,
+    Scenario,
+    Table,
+    experiment_result,
+    fleet,
+    gemm_capacity_hz,
+    verdict,
+)
 from repro.serve import (
     SLO,
     Autoscaler,
@@ -49,9 +58,8 @@ from repro.serve import (
     diurnal_arrivals,
 )
 from repro.serve.arrivals import fit_rate_forecast
-from repro.serve.obs import ServiceMonitor, render_dashboard
+from repro.serve.obs import ServiceMonitor
 from repro.serve.obs.trace import NullRecorder
-from repro.util.formatting import render_table
 
 GPU = "A100"
 SEED = 2027
@@ -99,9 +107,39 @@ FIXED_MIN_SHED = 0.02
 #: scripts/check_golden.py read.
 GOLDEN_HORIZON_S = 8e-3
 
+COLUMNS = Columns(
+    "config",
+    ("offered", lambda r: r.n_offered),
+    ("completed", lambda r: r.n_completed),
+    ("shed (%)", lambda r: r.shed_rate * 100.0),
+    ("p99 (ms)", lambda r: r.p99_latency_s * 1e3),
+    ("device-ms", lambda r: r.device_seconds * 1e3),
+    ("mean fleet", lambda r: r.mean_fleet_size),
+    ("peak fleet", lambda r: r.peak_fleet_size),
+    ("cold-start reqs", lambda r: r.cold_start_requests),
+    ("ups", lambda r: r.n_scale_ups),
+    ("downs", lambda r: r.n_scale_downs),
+)
 
-def _device() -> Device:
-    return Device(GPU, ExecutionMode.DRY_RUN)
+EVENTS = Columns(
+    "policy",
+    ("t (ms)", lambda e: e.t_s * 1e3),
+    ("event", lambda e: e.kind),
+    ("worker", lambda e: e.worker_index),
+    ("accepting", lambda e: e.accepting),
+    ("provisioned", lambda e: e.provisioned),
+)
+
+
+def _event_rows(label: str, report: ServiceReport) -> list[list[object]]:
+    return EVENTS.table((label, e) for e in report.scale_events)[1]
+
+
+SCENARIO = Scenario(
+    "reactive",
+    MONITOR_INTERVAL_S,
+    lambda r: [COLUMNS.row("reactive", r), *_event_rows("reactive", r)],
+)
 
 
 def _workload():
@@ -110,16 +148,10 @@ def _workload():
 
 @cache
 def capacity_hz() -> float:
-    """Requests/s one device sustains on full merged batches.
-
-    GEMM-bound: with copy/compute overlap the stage-in of the next batch
-    hides behind the running GEMM, so steady-state throughput is set by
-    the GEMM alone (the same accounting as the serve-priority bench).
-    Cached: the value is a pure function of the catalog spec, and every
-    scenario (plus the replay and golden runs) consults it.
-    """
-    plan = _workload().kernel.make_plan(_device(), POLICY.max_batch)
-    return POLICY.max_batch / plan.predict_gemm_cost().time_s
+    """Requests/s one device sustains on full merged batches (GEMM-bound,
+    the same accounting as the serve-priority bench). Cached: every
+    scenario, replay, and golden run consults it."""
+    return gemm_capacity_hz(_workload().kernel, GPU, POLICY.max_batch)
 
 
 @cache
@@ -146,25 +178,32 @@ def _trace(horizon_s: float, seed: int):
     )
 
 
-def _service(
+def _serve(
+    horizon_s: float,
+    seed: int,
     n_devices: int,
-    autoscaler: Autoscaler | None = None,
+    policy=None,
     recorder: NullRecorder | None = None,
     monitor: ServiceMonitor | None = None,
-) -> BeamformingService:
+) -> ServiceReport:
+    """The trace on ``n_devices`` workers, elastic under ``policy`` if given."""
+    autoscaler = None
+    if policy is not None:
+        autoscaler = Autoscaler(
+            policy,
+            device_factory=lambda: fleet(GPU)[0],
+            interval_s=INTERVAL_S,
+            max_workers=MAX_WORKERS,
+            startup_s=STARTUP_S,
+        )
     return BeamformingService(
-        [_device() for _ in range(n_devices)],
+        fleet(*[GPU] * n_devices),
         policy=POLICY,
         slo=SLO(p99_latency_s=SLO_P99_S, deadline_s=DEADLINE_S),
         autoscaler=autoscaler,
         recorder=recorder,
         monitor=monitor,
-    )
-
-
-def _monitor() -> ServiceMonitor:
-    """The headline run's monitor: default burn-rate rules, 100 µs ticks."""
-    return ServiceMonitor(interval_s=MONITOR_INTERVAL_S)
+    ).run(_trace(horizon_s, seed))
 
 
 def reactive_scenario(
@@ -174,18 +213,10 @@ def reactive_scenario(
     monitor: ServiceMonitor | None = None,
 ) -> ServiceReport:
     """The reactive run: queue pressure up, sustained idle down."""
-    autoscaler = Autoscaler(
-        ReactiveAutoscaler(
-            up_pressure_s=UP_PRESSURE_S, up_ticks=UP_TICKS, down_ticks=DOWN_TICKS
-        ),
-        device_factory=_device,
-        interval_s=INTERVAL_S,
-        max_workers=MAX_WORKERS,
-        startup_s=STARTUP_S,
+    policy = ReactiveAutoscaler(
+        up_pressure_s=UP_PRESSURE_S, up_ticks=UP_TICKS, down_ticks=DOWN_TICKS
     )
-    return _service(SEED_WORKERS, autoscaler, recorder=recorder, monitor=monitor).run(
-        _trace(horizon_s, seed)
-    )
+    return _serve(horizon_s, seed, SEED_WORKERS, policy, recorder, monitor)
 
 
 @cache
@@ -212,71 +243,40 @@ def predictive_scenario(
     profile instead — the upper bound the regression test pins the fitted
     run against.
     """
-    autoscaler = Autoscaler(
-        PredictiveAutoscaler(
-            forecast=forecast() if oracle else fitted_forecast(horizon_s, seed),
-            capacity_hz=capacity_hz(),
-            lead_s=LEAD_S,
-            hold_s=HOLD_S,
-            headroom=HEADROOM,
-        ),
-        device_factory=_device,
-        interval_s=INTERVAL_S,
-        max_workers=MAX_WORKERS,
-        startup_s=STARTUP_S,
+    policy = PredictiveAutoscaler(
+        forecast=forecast() if oracle else fitted_forecast(horizon_s, seed),
+        capacity_hz=capacity_hz(),
+        lead_s=LEAD_S,
+        hold_s=HOLD_S,
+        headroom=HEADROOM,
     )
-    return _service(SEED_WORKERS, autoscaler).run(_trace(horizon_s, seed))
+    return _serve(horizon_s, seed, SEED_WORKERS, policy)
 
 
 def fixed_scenario(n_devices: int, horizon_s: float = HORIZON_S, seed: int = SEED) -> ServiceReport:
     """The same trace on a fixed fleet of ``n_devices``."""
-    return _service(n_devices).run(_trace(horizon_s, seed))
+    return _serve(horizon_s, seed, n_devices)
 
 
-def _report_row(label: str, report: ServiceReport) -> list[object]:
-    return [
-        label,
-        report.n_offered,
-        report.n_completed,
-        report.shed_rate * 100.0,
-        report.p99_latency_s * 1e3,
-        report.device_seconds * 1e3,
-        report.mean_fleet_size,
-        report.peak_fleet_size,
-        report.cold_start_requests,
-        report.n_scale_ups,
-        report.n_scale_downs,
-    ]
+def _arms(horizon_s: float) -> dict[str, Arm]:
+    return {
+        "reactive": partial(reactive_scenario, horizon_s),
+        "predictive": partial(predictive_scenario, horizon_s),
+    }
 
 
-_REPORT_HEADERS = [
-    "config",
-    "offered",
-    "completed",
-    "shed (%)",
-    "p99 (ms)",
-    "device-ms",
-    "mean fleet",
-    "peak fleet",
-    "cold-start reqs",
-    "ups",
-    "downs",
-]
+def _budget(reactive: ServiceReport) -> int:
+    """The reactive autoscaler's device-second budget as whole fixed devices."""
+    return max(1, int(reactive.mean_fleet_size))
 
 
-def _event_rows(label: str, report: ServiceReport) -> list[list[object]]:
-    return [
-        [label, e.t_s * 1e3, e.kind, e.worker_index, e.accepting, e.provisioned]
-        for e in report.scale_events
-    ]
+def _fixed_arms(reactive: ServiceReport, horizon_s: float) -> dict[str, Arm]:
+    """The budget's floor and its ceiling, spent as fixed fleets."""
+    n = _budget(reactive)
+    return {f"fixed-{m}": partial(fixed_scenario, m, horizon_s) for m in (n, n + 1)}
 
 
-_EVENT_HEADERS = ["policy", "t (ms)", "event", "worker", "accepting", "provisioned"]
-
-
-def golden_rows(
-    horizon_s: float = GOLDEN_HORIZON_S, seed: int = SEED
-) -> tuple[list[str], list[list[object]]]:
+def golden_rows(horizon_s: float = GOLDEN_HORIZON_S) -> Table:
     """The scenario rows pinned by the checked-in golden CSV.
 
     One row per provisioning regime of the headline trace; every value is
@@ -284,90 +284,44 @@ def golden_rows(
     the golden file byte for byte on any platform. Regenerate (and
     re-bless deliberately) via ``scripts/check_golden.py --bless``.
     """
-    reactive = reactive_scenario(horizon_s, seed=seed)
-    predictive = predictive_scenario(horizon_s, seed=seed)
-    n_budget = max(1, int(reactive.mean_fleet_size))
-    rows = [
-        _report_row("reactive", reactive),
-        _report_row("predictive", predictive),
-        _report_row(
-            f"fixed-{n_budget}", fixed_scenario(n_budget, horizon_s, seed=seed)
-        ),
-        _report_row(
-            f"fixed-{n_budget + 1}",
-            fixed_scenario(n_budget + 1, horizon_s, seed=seed),
-        ),
-    ]
-    return _REPORT_HEADERS, rows
+    reports = SCENARIO.reports(_arms(horizon_s))
+    reports |= SCENARIO.reports(_fixed_arms(reports["reactive"], horizon_s))
+    return COLUMNS.table(reports.items())
 
 
 def run(quick: bool = False, recorder: NullRecorder | None = None) -> ExperimentResult:
     # The two-day trace is the experiment: quick mode keeps the full
     # horizon (a single day would have no second peak for the reactive
     # policy to pay its cold-start bill on) — the run is already small.
-    horizon_s = HORIZON_S
-    findings: list[str] = []
-    tables: dict[str, tuple[list[str], list[list[object]]]] = {}
-    text_parts: list[str] = []
-
-    monitor = _monitor()
-    reactive = reactive_scenario(horizon_s, recorder=recorder, monitor=monitor)
-    predictive = predictive_scenario(horizon_s)
-    #: the autoscaler's device-second budget as whole fixed devices.
-    n_budget = max(1, int(reactive.mean_fleet_size))
-    fixed_floor = fixed_scenario(n_budget, horizon_s)
-    fixed_ceil = fixed_scenario(n_budget + 1, horizon_s)
-
-    rows = [
-        _report_row("reactive", reactive),
-        _report_row("predictive", predictive),
-        _report_row(f"fixed-{n_budget}", fixed_floor),
-        _report_row(f"fixed-{n_budget + 1}", fixed_ceil),
-    ]
-    tables["policies"] = (_REPORT_HEADERS, rows)
-    text_parts.append(
-        render_table(
-            _REPORT_HEADERS,
-            rows,
-            title=(
-                f"Two compressed diurnal days on {GPU}s (peak "
-                f"{BASE_LOAD * (1 + AMPLITUDE):.0f}x one device's batched "
-                f"capacity, dead troughs): elastic vs fixed provisioning"
+    served = SCENARIO.serve(_arms(HORIZON_S), recorder)
+    reactive, predictive = served.headline, served.reports["predictive"]
+    fixed = SCENARIO.reports(_fixed_arms(reactive, HORIZON_S))
+    n_budget = _budget(reactive)
+    fixed_floor, fixed_ceil = fixed.values()
+    sections = [
+        (
+            "policies",
+            f"Two compressed diurnal days on {GPU}s (peak "
+            f"{BASE_LOAD * (1 + AMPLITUDE):.0f}x one device's batched "
+            f"capacity, dead troughs): elastic vs fixed provisioning",
+            COLUMNS.table((served.reports | fixed).items()),
+        ),
+        (
+            "scale_events",
+            "Every applied scale event, in time order",
+            (
+                EVENTS.headers,
+                _event_rows("reactive", reactive) + _event_rows("predictive", predictive),
             ),
-        )
-    )
-    event_rows = _event_rows("reactive", reactive) + _event_rows("predictive", predictive)
-    tables["scale_events"] = (_EVENT_HEADERS, event_rows)
-    text_parts.append(
-        render_table(
-            _EVENT_HEADERS, event_rows, title="Every applied scale event, in time order"
-        )
-    )
-
-    # --- reactive vs the same budget spent as a fixed fleet -----------------
+        ),
+    ]
     budget_ratio = fixed_floor.device_seconds / reactive.device_seconds
     reactive_ok = (
         reactive.slo_attained
         and reactive.shed_rate <= REACTIVE_MAX_SHED
         and fixed_floor.shed_rate >= FIXED_MIN_SHED
     )
-    findings.append(
-        f"reactive autoscaling holds p99 {reactive.p99_latency_s * 1e3:.2f} ms "
-        f"<= {SLO_P99_S * 1e3:.0f} ms SLO with {reactive.shed_rate:.2%} shed; "
-        f"the same device-second budget as a fixed fleet ({n_budget} whole "
-        f"devices, {budget_ratio:.0%} of the autoscaler's device-seconds) "
-        f"sheds {fixed_floor.shed_rate:.1%} at the diurnal peaks "
-        f"({'PASS' if reactive_ok else 'FAIL'})"
-    )
-    findings.append(
-        f"buying out of the shedding with fixed capacity takes "
-        f"{n_budget + 1} devices — "
-        f"{fixed_ceil.device_seconds / reactive.device_seconds - 1:+.0%} "
-        f"device-seconds over the reactive fleet for "
-        f"{fixed_ceil.shed_rate:.1%} shed"
-    )
-
-    # --- predictive scales ahead of the peak --------------------------------
+    # Predictive scaling acts ahead of the peak and pays fewer cold builds.
     first_reactive = min(e.t_s for e in reactive.scale_events)
     first_predictive = min(e.t_s for e in predictive.scale_events)
     predictive_ok = (
@@ -375,79 +329,63 @@ def run(quick: bool = False, recorder: NullRecorder | None = None) -> Experiment
         and predictive.cold_start_requests < reactive.cold_start_requests
         and predictive.shed_rate <= reactive.shed_rate
     )
-    findings.append(
-        f"predictive scaling acts {first_predictive * 1e3:.2f} ms into the "
-        f"trace vs the reactive policy's {first_reactive * 1e3:.2f} ms and "
-        f"affects {predictive.cold_start_requests} requests with cold plan "
-        f"builds vs {reactive.cold_start_requests} reactive (forecast-window "
-        f"hold rides out short troughs warm) "
-        f"({'PASS' if predictive_ok else 'FAIL'})"
-    )
-
-    # --- non-destructive scale-down -----------------------------------------
+    # Every scale-down is a non-destructive drain that reaches retirement.
     drains_ok = all(
         r.n_scale_downs == sum(1 for e in r.scale_events if e.kind == "retire")
         for r in (reactive, predictive)
     )
-    findings.append(
-        f"every scale-down drained to retirement "
-        f"({reactive.n_scale_downs} reactive + {predictive.n_scale_downs} "
-        f"predictive drains, none revoked in flight) "
-        f"({'PASS' if drains_ok else 'FAIL'})"
-    )
-
-    # --- burn-rate alerting sees the peak -----------------------------------
+    # Burn-rate alerting sees the peak and resolves after a scale-up.
     fired = [a for a in reactive.alerts() if a.firing_s is not None]
     service_fired = [a for a in fired if a.scope == "service"]
     resolved = [a for a in service_fired if a.resolved_s is not None]
     scaled_into_resolution = any(
-        any(
-            e.kind == "up" and a.firing_s <= e.t_s <= a.resolved_s
-            for e in reactive.scale_events
-        )
+        any(e.kind == "up" and a.firing_s <= e.t_s <= a.resolved_s for e in reactive.scale_events)
         for a in resolved
     )
     alerts_ok = bool(service_fired) and bool(resolved) and scaled_into_resolution
+    alerting = "burn-rate alerting: no service-scope alert fired at the diurnal peak (FAIL)"
     if service_fired:
         first = service_fired[0]
-        findings.append(
+        alerting = (
             f"burn-rate alerting catches the diurnal peak: "
             f"{len(fired)} alert(s) fired "
             f"(service-scope [{first.aid}] at {first.firing_s * 1e3:.2f} ms, "
             f"peak burn {first.peak_burn:.0f}x the error budget) and "
             f"resolved after scale-up at "
             f"{(resolved[0].resolved_s if resolved else 0.0) * 1e3:.2f} ms "
-            f"({'PASS' if alerts_ok else 'FAIL'})"
+            f"({verdict(alerts_ok)})"
         )
-    else:
-        findings.append(
-            "burn-rate alerting: no service-scope alert fired at the "
-            "diurnal peak (FAIL)"
-        )
-
-    # --- determinism ---------------------------------------------------------
-    replay = reactive_scenario(horizon_s)
-    deterministic = (
-        replay.latencies_s == reactive.latencies_s
-        and _report_row("reactive", replay) == rows[0]
-        and _event_rows("reactive", replay) == _event_rows("reactive", reactive)
-    )
-    findings.append(
+    findings = [
+        f"reactive autoscaling holds p99 {reactive.p99_latency_s * 1e3:.2f} ms "
+        f"<= {SLO_P99_S * 1e3:.0f} ms SLO with {reactive.shed_rate:.2%} shed; "
+        f"the same device-second budget as a fixed fleet ({n_budget} whole "
+        f"devices, {budget_ratio:.0%} of the autoscaler's device-seconds) "
+        f"sheds {fixed_floor.shed_rate:.1%} at the diurnal peaks "
+        f"({verdict(reactive_ok)})",
+        f"buying out of the shedding with fixed capacity takes "
+        f"{n_budget + 1} devices — "
+        f"{fixed_ceil.device_seconds / reactive.device_seconds - 1:+.0%} "
+        f"device-seconds over the reactive fleet for "
+        f"{fixed_ceil.shed_rate:.1%} shed",
+        f"predictive scaling acts {first_predictive * 1e3:.2f} ms into the "
+        f"trace vs the reactive policy's {first_reactive * 1e3:.2f} ms and "
+        f"affects {predictive.cold_start_requests} requests with cold plan "
+        f"builds vs {reactive.cold_start_requests} reactive (forecast-window "
+        f"hold rides out short troughs warm) "
+        f"({verdict(predictive_ok)})",
+        f"every scale-down drained to retirement "
+        f"({reactive.n_scale_downs} reactive + {predictive.n_scale_downs} "
+        f"predictive drains, none revoked in flight) "
+        f"({verdict(drains_ok)})",
+        alerting,
         f"fixed-seed replay reproduces every latency, fleet size, and scale "
-        f"event bit-identically ({'PASS' if deterministic else 'FAIL'})"
-    )
-
-    return ExperimentResult(
-        name="serve-autoscale",
-        title="Elastic fleets: reactive and predictive autoscaling vs fixed provisioning",
-        text="\n".join(text_parts),
-        tables=tables,
-        findings=findings,
-        metrics=reactive.metrics.snapshot() if reactive.metrics is not None else None,
-        alerts=monitor.engine.snapshot(),
-        availability=reactive.availability,
-        dashboard_html=render_dashboard(
-            reactive,
-            title="serve-autoscale: reactive policy, two compressed diurnal days",
-        ),
+        f"event bit-identically ({verdict(served.replay_identical)})",
+    ]
+    return experiment_result(
+        "serve-autoscale",
+        "Elastic fleets: reactive and predictive autoscaling vs fixed provisioning",
+        served,
+        sections,
+        findings,
+        dashboard_title="serve-autoscale: reactive policy, two compressed diurnal days",
     )

@@ -26,10 +26,22 @@ checks the three placement decisions end to end, deterministically:
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import partial
+
 from repro.apps.radioastronomy.beamformer import service_workload as lofar_workload
 from repro.apps.ultrasound.imaging import service_workload as ultrasound_workload
 from repro.bench.report import ExperimentResult
-from repro.gpusim.device import Device, ExecutionMode
+from repro.bench.scenario import (
+    Arm,
+    Columns,
+    Scenario,
+    Table,
+    block_capacity_hz,
+    experiment_result,
+    fleet,
+    verdict,
+)
 from repro.serve import (
     SLO,
     BatchingPolicy,
@@ -39,10 +51,8 @@ from repro.serve import (
     ServiceReport,
     merge_arrivals,
     poisson_arrivals,
-    render_dashboard,
 )
 from repro.serve.obs.trace import NullRecorder
-from repro.util.formatting import render_table
 
 SEED = 2026
 SLO_P99_S = 5e-3
@@ -74,16 +84,49 @@ INTERACTIVE_POLICY = BatchingPolicy(max_batch=4, max_wait_s=50e-6)
 #: monitoring cadence of the headline run (~80 samples per quick run).
 MONITOR_INTERVAL_S = 50e-6
 
+#: horizon of the small scenario pinned by the checked-in golden CSV.
+GOLDEN_HORIZON_S = 0.004
 
-def _fleet() -> list[Device]:
-    return [Device(name, ExecutionMode.DRY_RUN) for name in FLEET]
+BUCKETED = f"buckets {BUCKET_EDGES}"
+
+COLUMNS = Columns(
+    "config",
+    ("offered", lambda r: r.n_offered),
+    ("completed", lambda r: r.n_completed),
+    ("goodput (req/s)", lambda r: round(r.goodput_rps)),
+    ("p99 (ms)", lambda r: r.p99_latency_s * 1e3),
+    ("shed (%)", lambda r: r.shed_rate * 100.0),
+    ("launches", lambda r: r.n_batches),
+    ("padded ops (%)", lambda r: r.padded_ops_fraction * 100.0),
+)
 
 
-def _batched_capacity_hz(workload, gpu: str) -> float:
-    """Requests/s one device sustains on full merged batches of this class."""
-    merged = BATCH_POLICY.max_batch
-    plan = workload.kernel.make_plan(Device(gpu, ExecutionMode.DRY_RUN), merged)
-    return merged / plan.predict_block_cost().time_s
+def _precision_by_device(report: ServiceReport) -> Counter[tuple[str, str]]:
+    """Launch counts per (device, precision), shard placements included."""
+    return Counter(
+        (part.device_name, execution.batch.workload.precision.value)
+        for execution in report.executions
+        for part in (execution.shards if execution.is_split else [execution])
+    )
+
+
+def _placement_rows(report: ServiceReport) -> list[list[object]]:
+    return [[dev, prec, n] for (dev, prec), n in sorted(_precision_by_device(report).items())]
+
+
+def _worker_rows(report: ServiceReport) -> list[list[object]]:
+    return [
+        [w["device"], w["batches"], w["requests"], w["utilization"] * 100.0]
+        for w in report.by_worker()
+    ]
+
+
+SCENARIO = Scenario("mixed", MONITOR_INTERVAL_S, lambda r: _placement_rows(r) + _worker_rows(r))
+
+
+def _capacity_hz(workload) -> float:
+    """Requests/s the GH200 sustains on full merged batches of this class."""
+    return block_capacity_hz(workload.kernel, "GH200", BATCH_POLICY.max_batch)
 
 
 def mixed_scenario(
@@ -95,55 +138,48 @@ def mixed_scenario(
     """int1 imaging + float16 LOFAR on the mixed fleet (the headline run)."""
     imaging = ultrasound_workload(n_voxels=4096, k=1024, n_frames=64)
     beams = lofar_workload(n_samples=2048)
-    rate = FLOAT16_OVERLOAD * _batched_capacity_hz(beams, "GH200")
+    rate = FLOAT16_OVERLOAD * _capacity_hz(beams)
     trace = merge_arrivals(
         poisson_arrivals(imaging, INT1_RATE_HZ, horizon_s, seed=seed),
         poisson_arrivals(beams, rate, horizon_s, seed=seed + 1),
     )
-    service = BeamformingService(
-        _fleet(),
+    return BeamformingService(
+        fleet(*FLEET),
         policy=BATCH_POLICY,
         class_policies={0: INTERACTIVE_POLICY},
         slo=SLO(p99_latency_s=SLO_P99_S),
         recorder=recorder,
         monitor=monitor,
-    )
-    return service.run(trace)
+    ).run(trace)
 
 
 def amd_only_scenario(horizon_s: float, seed: int = SEED) -> ServiceReport:
     """The same int1 traffic against an MI300X-only fleet: front-door shed."""
     imaging = ultrasound_workload(n_voxels=4096, k=1024, n_frames=64)
-    trace = poisson_arrivals(imaging, INT1_RATE_HZ, horizon_s, seed=seed)
-    service = BeamformingService(
-        [Device("MI300X", ExecutionMode.DRY_RUN)],
+    return BeamformingService(
+        fleet("MI300X"),
         policy=BATCH_POLICY,
         class_policies={0: INTERACTIVE_POLICY},
         slo=SLO(p99_latency_s=SLO_P99_S),
-    )
-    return service.run(trace)
+    ).run(poisson_arrivals(imaging, INT1_RATE_HZ, horizon_s, seed=seed))
 
 
 def bucket_scenario(horizon_s: float, bucketed: bool, seed: int = SEED) -> ServiceReport:
     """Five nearby LOFAR shapes, exact-shape vs one-bucket batching."""
-    edges = BUCKET_EDGES if bucketed else ()
     policy = BatchingPolicy(
         max_batch=BATCH_POLICY.max_batch,
         max_wait_s=BATCH_POLICY.max_wait_s,
-        sample_buckets=edges,
+        sample_buckets=BUCKET_EDGES if bucketed else (),
     )
     reference = lofar_workload(n_samples=max(NEARBY_SAMPLES))
-    per_shape_rate = (
-        BUCKET_OVERLOAD * _batched_capacity_hz(reference, "GH200") / len(NEARBY_SAMPLES)
-    )
+    per_shape_rate = BUCKET_OVERLOAD * _capacity_hz(reference) / len(NEARBY_SAMPLES)
     streams = [
-        poisson_arrivals(
-            lofar_workload(n_samples=n), per_shape_rate, horizon_s, seed=seed + i
-        )
+        poisson_arrivals(lofar_workload(n_samples=n), per_shape_rate, horizon_s, seed=seed + i)
         for i, n in enumerate(NEARBY_SAMPLES)
     ]
-    service = BeamformingService(_fleet(), policy=policy, slo=SLO(p99_latency_s=SLO_P99_S))
-    return service.run(merge_arrivals(*streams))
+    trace = merge_arrivals(*streams)
+    service = BeamformingService(fleet(*FLEET), policy=policy, slo=SLO(p99_latency_s=SLO_P99_S))
+    return service.run(trace)
 
 
 def split_scenario(horizon_s: float, seed: int = SEED) -> ServiceReport:
@@ -155,203 +191,110 @@ def split_scenario(horizon_s: float, seed: int = SEED) -> ServiceReport:
     """
     survey = lofar_workload(n_samples=256, n_channels=SURVEY_CHANNELS)
     background = lofar_workload(n_samples=256)
-    rate = 0.5 * _batched_capacity_hz(background, "GH200")
+    rate = 0.5 * _capacity_hz(background)
     trace = merge_arrivals(
         poisson_arrivals(background, rate, horizon_s, seed=seed),
         [Request(rid=0, workload=survey, arrival_s=horizon_s / 2.0)],
     )
-    service = BeamformingService(_fleet(), policy=BATCH_POLICY, slo=SLO(p99_latency_s=120.0))
+    service = BeamformingService(fleet(*FLEET), policy=BATCH_POLICY, slo=SLO(p99_latency_s=120.0))
     return service.run(trace)
 
 
-def _precision_by_device(report: ServiceReport) -> dict[tuple[str, str], int]:
-    """Launch counts per (device, precision), shard placements included."""
-    counts: dict[tuple[str, str], int] = {}
-    for execution in report.executions:
-        parts = execution.shards if execution.is_split else [execution]
-        precision = execution.batch.workload.precision.value
-        for part in parts:
-            key = (part.device_name, precision)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+def _arms(horizon_s: float) -> dict[str, Arm]:
+    return {
+        "mixed": partial(mixed_scenario, horizon_s),
+        "amd-only": partial(amd_only_scenario, horizon_s),
+        "exact-shape": partial(bucket_scenario, horizon_s, False),
+        BUCKETED: partial(bucket_scenario, horizon_s, True),
+        "split": partial(split_scenario, horizon_s),
+    }
 
 
-def _report_row(label: str, report: ServiceReport) -> list[object]:
-    return [
-        label,
-        report.n_offered,
-        report.n_completed,
-        round(report.goodput_rps),
-        report.p99_latency_s * 1e3,
-        report.shed_rate * 100.0,
-        report.n_batches,
-        report.padded_ops_fraction * 100.0,
-    ]
+def golden_rows(horizon_s: float = GOLDEN_HORIZON_S) -> Table:
+    """The scenario rows pinned by the checked-in golden CSV.
 
-
-_REPORT_HEADERS = [
-    "config",
-    "offered",
-    "completed",
-    "goodput (req/s)",
-    "p99 (ms)",
-    "shed (%)",
-    "launches",
-    "padded ops (%)",
-]
+    One row per arm over one short horizon, in the bucket table's columns;
+    every value is a deterministic function of the seed, so the rendered
+    CSV must match the golden file byte for byte on any platform.
+    """
+    return COLUMNS.table(SCENARIO.reports(_arms(horizon_s)).items())
 
 
 def run(quick: bool = False, recorder: NullRecorder | None = None) -> ExperimentResult:
     horizon_s = 0.004 if quick else 0.01
-    findings: list[str] = []
-    tables: dict[str, tuple[list[str], list[list[object]]]] = {}
-    text_parts: list[str] = []
+    served = SCENARIO.serve(_arms(horizon_s), recorder)
+    mixed, amd_only, split = served.headline, served.reports["amd-only"], served.reports["split"]
+    exact, bucketed = served.reports["exact-shape"], served.reports[BUCKETED]
 
-    # --- capability routing on the mixed fleet ------------------------------
-    monitor = ServiceMonitor(interval_s=MONITOR_INTERVAL_S)
-    mixed = mixed_scenario(horizon_s, recorder=recorder, monitor=monitor)
     by_dev = _precision_by_device(mixed)
     int1_on_amd = sum(n for (dev, prec), n in by_dev.items() if prec == "int1" and dev != "GH200")
     int1_on_gh200 = by_dev.get(("GH200", "int1"), 0)
     float16_on_amd = by_dev.get(("MI300X", "float16"), 0)
-    placement_rows = [[dev, prec, n] for (dev, prec), n in sorted(by_dev.items())]
-    tables["placement"] = (["device", "precision", "launches"], placement_rows)
-    text_parts.append(
-        render_table(
-            ["device", "precision", "launches"],
-            placement_rows,
-            title=(
-                "Launch placement on the GH200 + MI300X fleet "
-                "(int1 imaging + float16 LOFAR)"
-            ),
-        )
-    )
-    worker_rows = [
-        [w["device"], w["batches"], w["requests"], w["utilization"] * 100.0]
-        for w in mixed.by_worker()
+    goodput_gain = bucketed.goodput_rps / exact.goodput_rps if exact.goodput_rps > 0 else 0.0
+
+    split_execs = [e for e in split.executions if e.is_split]
+    shard_rows = [
+        [shard.device_name, extent, shard.gemm_s * 1e3, shard.gemm_s / e.service_s * 100.0]
+        for e in split_execs
+        for shard, extent in zip(e.shards, e.batch.decision.shard_extents)
     ]
-    tables["workers"] = (
-        ["device", "launches", "requests", "utilization (%)"],
-        worker_rows,
+    survey_outcome = next(
+        o for o in split.outcomes if o.request.workload.batch_per_request == SURVEY_CHANNELS
     )
-    text_parts.append(
-        render_table(
-            ["device", "launches", "requests", "utilization (%)"],
-            worker_rows,
-            title="Per-worker totals of the same run",
-        )
-    )
-    findings.append(
+    served_survey = survey_outcome.completion_s is not None
+    shard_devices = {s.device_name for s in split_execs[0].shards} if split_execs else set()
+
+    sections = [
+        (
+            "placement",
+            "Launch placement on the GH200 + MI300X fleet (int1 imaging + float16 LOFAR)",
+            (["device", "precision", "launches"], _placement_rows(mixed)),
+        ),
+        (
+            "workers",
+            "Per-worker totals of the same run",
+            (["device", "launches", "requests", "utilization (%)"], _worker_rows(mixed)),
+        ),
+        (
+            "buckets",
+            f"Shape-bucket pad-and-merge vs exact-shape batching "
+            f"(LOFAR dumps of {NEARBY_SAMPLES} samples, same offered load)",
+            COLUMNS.table([("exact-shape", exact), (BUCKETED, bucketed)]),
+        ),
+        (
+            "shards",
+            f"In-service sharding of a {SURVEY_CHANNELS:,}-channel survey "
+            "request (memory-proportional extents)",
+            (["device", "channels", "gemm (ms)", "shard utilization (%)"], shard_rows),
+        ),
+    ]
+    findings = [
         f"capability routing: {int1_on_gh200} int1 launches, "
         f"{int1_on_amd} of them on the MI300X "
-        f"({'PASS' if int1_on_amd == 0 and int1_on_gh200 > 0 else 'FAIL'}: "
-        "1-bit MMA is NVIDIA-only)"
-    )
-    findings.append(
+        f"({verdict(int1_on_amd == 0 and int1_on_gh200 > 0)}: "
+        "1-bit MMA is NVIDIA-only)",
         f"heterogeneous backfill: the MI300X served {float16_on_amd} float16 "
         f"launches the GH200 alone could not absorb "
-        f"({'PASS' if float16_on_amd > 0 else 'FAIL'})"
-    )
-
-    # --- int1 on an AMD-only fleet: shed at the door ------------------------
-    amd_only = amd_only_scenario(horizon_s)
-    findings.append(
+        f"({verdict(float16_on_amd > 0)})",
         f"AMD-only fleet: {amd_only.shed_rate:.1%} of int1 requests shed at "
         f"admission with {amd_only.n_batches} launches attempted "
-        f"({'PASS' if amd_only.shed_rate == 1.0 and amd_only.n_batches == 0 else 'FAIL'})"
-    )
-
-    # --- shape buckets: exact vs padded-merge at the same load --------------
-    exact = bucket_scenario(horizon_s, bucketed=False)
-    bucketed = bucket_scenario(horizon_s, bucketed=True)
-    bucket_rows = [
-        _report_row("exact-shape", exact),
-        _report_row(f"buckets {BUCKET_EDGES}", bucketed),
-    ]
-    tables["buckets"] = (_REPORT_HEADERS, bucket_rows)
-    text_parts.append(
-        render_table(
-            _REPORT_HEADERS,
-            bucket_rows,
-            title=(
-                f"Shape-bucket pad-and-merge vs exact-shape batching "
-                f"(LOFAR dumps of {NEARBY_SAMPLES} samples, same offered load)"
-            ),
-        )
-    )
-    goodput_gain = bucketed.goodput_rps / exact.goodput_rps if exact.goodput_rps > 0 else 0.0
-    findings.append(
+        f"({verdict(amd_only.shed_rate == 1.0 and amd_only.n_batches == 0)})",
         f"shape buckets raise goodput {goodput_gain:.2f}x at the same offered "
         f"load, paying {bucketed.padded_ops_fraction:.1%} padded FLOPs over "
         f"{bucketed.n_batches} launches (vs {exact.n_batches} exact-shape) "
-        f"({'PASS' if goodput_gain > 1.0 else 'FAIL'})"
-    )
-
-    # --- in-service sharding of an oversized request ------------------------
-    split = split_scenario(horizon_s)
-    split_execs = [e for e in split.executions if e.is_split]
-    survey_outcome = next(
-        o
-        for o in split.outcomes
-        if o.request.workload.batch_per_request == SURVEY_CHANNELS
-    )
-    shard_rows: list[list[object]] = []
-    for execution in split_execs:
-        for shard, extent in zip(execution.shards, execution.batch.decision.shard_extents):
-            shard_rows.append(
-                [
-                    shard.device_name,
-                    extent,
-                    shard.gemm_s * 1e3,
-                    shard.gemm_s / execution.service_s * 100.0,
-                ]
-            )
-    tables["shards"] = (
-        ["device", "channels", "gemm (ms)", "shard utilization (%)"],
-        shard_rows,
-    )
-    text_parts.append(
-        render_table(
-            ["device", "channels", "gemm (ms)", "shard utilization (%)"],
-            shard_rows,
-            title=(
-                f"In-service sharding of a {SURVEY_CHANNELS:,}-channel survey "
-                "request (memory-proportional extents)"
-            ),
-        )
-    )
-    served = survey_outcome.completion_s is not None
-    shard_devices = {s.device_name for s in split_execs[0].shards} if split_execs else set()
-    findings.append(
+        f"({verdict(goodput_gain > 1.0)})",
         f"oversized survey request ({SURVEY_CHANNELS:,} channels, ~229 GB of "
         f"operands) served via in-service sharding across "
         f"{sorted(shard_devices)} instead of being shed "
-        f"({'PASS' if served and shard_devices == set(FLEET) else 'FAIL'})"
-    )
-
-    # --- determinism ---------------------------------------------------------
-    replay = mixed_scenario(horizon_s)
-    deterministic = (
-        replay.latencies_s == mixed.latencies_s
-        and replay.n_batches == mixed.n_batches
-        and _precision_by_device(replay) == by_dev
-        and replay.placements == mixed.placements
-    )
-    findings.append(
+        f"({verdict(served_survey and shard_devices == set(FLEET))})",
         f"fixed-seed replay reproduces every latency, launch count, and "
-        f"placement decision bit-identically ({'PASS' if deterministic else 'FAIL'})"
-    )
-
-    return ExperimentResult(
-        name="serve-hetero",
-        title="Heterogeneous fleets: capability routing, shape buckets, in-service sharding",
-        text="\n".join(text_parts),
-        tables=tables,
-        findings=findings,
-        metrics=mixed.metrics.snapshot() if mixed.metrics is not None else None,
-        alerts=monitor.engine.snapshot(),
-        availability=mixed.availability,
-        dashboard_html=render_dashboard(
-            mixed, title="serve-hetero: int1 imaging + float16 LOFAR on GH200 + MI300X"
-        ),
+        f"placement decision bit-identically ({verdict(served.replay_identical)})",
+    ]
+    return experiment_result(
+        "serve-hetero",
+        "Heterogeneous fleets: capability routing, shape buckets, in-service sharding",
+        served,
+        sections,
+        findings,
+        dashboard_title="serve-hetero: int1 imaging + float16 LOFAR on GH200 + MI300X",
     )

@@ -26,10 +26,21 @@ serving tier's pipeline machinery end to end, deterministically:
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.apps.radioastronomy.beamformer import pipeline_workload as radio_pipeline
 from repro.apps.ultrasound.imaging import pipeline_workload as ultrasound_pipeline
 from repro.bench.report import ExperimentResult
-from repro.gpusim.device import Device, ExecutionMode
+from repro.bench.scenario import (
+    Arm,
+    Columns,
+    Scenario,
+    Table,
+    block_capacity_hz,
+    experiment_result,
+    fleet,
+    verdict,
+)
 from repro.serve import (
     SLO,
     BatchingPolicy,
@@ -39,10 +50,8 @@ from repro.serve import (
     ServiceReport,
     merge_arrivals,
     poisson_arrivals,
-    render_dashboard,
 )
 from repro.serve.obs.trace import NullRecorder
-from repro.util.formatting import render_table
 
 SEED = 2027
 
@@ -77,27 +86,62 @@ MONITOR_INTERVAL_S = 50e-6
 GOLDEN_HORIZON_S = 0.004
 
 
-def _fleet() -> list[Device]:
-    return [Device(name, ExecutionMode.DRY_RUN) for name in FLEET]
+def _stage_dispatch_counts(report: ServiceReport) -> tuple[int, int]:
+    """(local, remote) stage-batch dispatch counts from the run's counters."""
+    counters = report.metrics.snapshot()["counters"] if report.metrics else {}
+    return (
+        int(counters.get("dispatch.stage_local", 0)),
+        int(counters.get("dispatch.stage_remote", 0)),
+    )
+
+
+def _local_fraction(report: ServiceReport) -> float:
+    local, remote = _stage_dispatch_counts(report)
+    return local / (local + remote) if local + remote else 0.0
+
+
+COLUMNS = Columns(
+    "config",
+    ("offered", lambda r: r.n_offered),
+    ("completed", lambda r: r.n_completed),
+    ("shed (%)", lambda r: r.shed_rate * 100.0),
+    ("p50 (ms)", lambda r: r.p50_latency_s * 1e3),
+    ("p99 (ms)", lambda r: r.p99_latency_s * 1e3),
+    ("thr (req/s)", lambda r: round(r.throughput_rps)),
+    ("stage-local (%)", lambda r: _local_fraction(r) * 100.0),
+    ("remote stage launches", lambda r: _stage_dispatch_counts(r)[1]),
+)
+
+
+def _stage_placement_rows(report: ServiceReport) -> list[list[object]]:
+    """Launch counts per (stage workload, device) of one run."""
+    counts: dict[tuple[str, str], list[int]] = {}
+    for execution in report.executions:
+        for part in execution.shards if execution.is_split else [execution]:
+            key = (execution.batch.workload.name, part.device_name)
+            tally = counts.setdefault(key, [0, 0])
+            tally[0] += 1
+            tally[1] += execution.batch.n_requests
+    return [[name, device, *tally] for (name, device), tally in sorted(counts.items())]
+
+
+SCENARIO = Scenario(
+    "stage-locality",
+    MONITOR_INTERVAL_S,
+    lambda r: [COLUMNS.row("stage-locality", r), *_stage_placement_rows(r)],
+)
 
 
 def _pipelines():
     """The two DAGs of the headline run (fixed shapes, survey + imaging)."""
-    survey = radio_pipeline(
-        n_beams=256, n_stations=64, n_samples=256, n_channels=32, n_dms=64
-    )
-    imaging = ultrasound_pipeline(
-        n_voxels=4096, k=1024, n_frames=64, n_ensemble=32
-    )
+    survey = radio_pipeline(n_beams=256, n_stations=64, n_samples=256, n_channels=32, n_dms=64)
+    imaging = ultrasound_pipeline(n_voxels=4096, k=1024, n_frames=64, n_ensemble=32)
     return survey, imaging
 
 
-def _stage_capacity_hz(pipeline, stage: str, gpu: str) -> float:
-    """Requests/s one device sustains on full merged batches of one stage."""
-    merged = BATCH_POLICY.max_batch
-    kernel = pipeline.stage(stage).workload
-    plan = kernel.make_plan(Device(gpu, ExecutionMode.DRY_RUN), merged)
-    return merged / plan.predict_block_cost().time_s
+def _beamform_capacity_hz(pipeline) -> float:
+    """Requests/s the GH200 sustains on full merged batches of the beamform stage."""
+    return block_capacity_hz(pipeline.stage("beamform").workload, "GH200", BATCH_POLICY.max_batch)
 
 
 def mixed_scenario(
@@ -115,189 +159,85 @@ def mixed_scenario(
     so the comparison isolates the placement policy.
     """
     survey, imaging = _pipelines()
-    survey_rate = SURVEY_LOAD * _stage_capacity_hz(survey, "beamform", "GH200")
-    imaging_rate = IMAGING_LOAD * _stage_capacity_hz(imaging, "beamform", "GH200")
+    survey_rate = SURVEY_LOAD * _beamform_capacity_hz(survey)
+    imaging_rate = IMAGING_LOAD * _beamform_capacity_hz(imaging)
     trace = merge_arrivals(
         poisson_arrivals(survey, survey_rate, horizon_s, seed=seed),
         poisson_arrivals(imaging, imaging_rate, horizon_s, seed=seed + 1),
     )
-    service = BeamformingService(
-        _fleet(),
+    return BeamformingService(
+        fleet(*FLEET),
         policy=BATCH_POLICY,
         slo=SLO(p99_latency_s=E2E_SLO_P99_S),
         placer=Placer(stage_locality=stage_locality),
         recorder=recorder,
         monitor=monitor,
-    )
-    return service.run(trace)
+    ).run(trace)
 
 
-def _stage_dispatch_counts(report: ServiceReport) -> tuple[int, int]:
-    """(local, remote) stage-batch dispatch counts from the run's counters."""
-    counters = report.metrics.snapshot()["counters"] if report.metrics else {}
-    return (
-        int(counters.get("dispatch.stage_local", 0)),
-        int(counters.get("dispatch.stage_remote", 0)),
-    )
+def _arms(horizon_s: float) -> dict[str, Arm]:
+    return {
+        "stage-locality": partial(mixed_scenario, horizon_s, True),
+        "stage-blind": partial(mixed_scenario, horizon_s, False),
+    }
 
 
-def _local_fraction(report: ServiceReport) -> float:
-    local, remote = _stage_dispatch_counts(report)
-    return local / (local + remote) if local + remote else 0.0
-
-
-def _arm_row(label: str, report: ServiceReport) -> list[object]:
-    local, remote = _stage_dispatch_counts(report)
-    return [
-        label,
-        report.n_offered,
-        report.n_completed,
-        report.shed_rate * 100.0,
-        report.p50_latency_s * 1e3,
-        report.p99_latency_s * 1e3,
-        round(report.throughput_rps),
-        _local_fraction(report) * 100.0,
-        remote,
-    ]
-
-
-_ARM_HEADERS = [
-    "config",
-    "offered",
-    "completed",
-    "shed (%)",
-    "p50 (ms)",
-    "p99 (ms)",
-    "thr (req/s)",
-    "stage-local (%)",
-    "remote stage launches",
-]
-
-
-def _stage_placement_rows(report: ServiceReport) -> list[list[object]]:
-    """Launch counts per (stage workload, device) of one run."""
-    counts: dict[tuple[str, str], tuple[int, int]] = {}
-    for execution in report.executions:
-        parts = execution.shards if execution.is_split else [execution]
-        name = execution.batch.workload.name
-        for part in parts:
-            launches, requests = counts.get((name, part.device_name), (0, 0))
-            counts[(name, part.device_name)] = (
-                launches + 1,
-                requests + execution.batch.n_requests,
-            )
-    return [
-        [name, device, launches, requests]
-        for (name, device), (launches, requests) in sorted(counts.items())
-    ]
-
-
-def golden_rows(
-    horizon_s: float = GOLDEN_HORIZON_S, seed: int = SEED
-) -> tuple[list[str], list[list[object]]]:
+def golden_rows(horizon_s: float = GOLDEN_HORIZON_S) -> Table:
     """The small fixed scenario pinned by the checked-in golden CSV.
 
     Both locality arms of a short mixed-DAG run; every value is a
     deterministic function of the seed, so the rendered CSV must match
     the golden file byte for byte on any platform.
     """
-    locality = mixed_scenario(horizon_s, stage_locality=True, seed=seed)
-    blind = mixed_scenario(horizon_s, stage_locality=False, seed=seed)
-    return _ARM_HEADERS, [
-        _arm_row("stage-locality", locality),
-        _arm_row("stage-blind", blind),
-    ]
+    return COLUMNS.table(SCENARIO.reports(_arms(horizon_s)).items())
 
 
 def run(quick: bool = False, recorder: NullRecorder | None = None) -> ExperimentResult:
     horizon_s = 0.004 if quick else 0.01
-    findings: list[str] = []
-    tables: dict[str, tuple[list[str], list[list[object]]]] = {}
-    text_parts: list[str] = []
-
-    # --- headline: both DAGs, locality-aware placement ----------------------
-    monitor = ServiceMonitor(interval_s=MONITOR_INTERVAL_S)
-    locality = mixed_scenario(horizon_s, stage_locality=True, recorder=recorder, monitor=monitor)
-    blind = mixed_scenario(horizon_s, stage_locality=False)
-
-    arm_rows = [
-        _arm_row("stage-locality", locality),
-        _arm_row("stage-blind", blind),
-    ]
-    tables["arms"] = (_ARM_HEADERS, arm_rows)
-    text_parts.append(
-        render_table(
-            _ARM_HEADERS,
-            arm_rows,
-            title=(
-                "End-to-end pipeline serving on the GH200 + A100 fleet "
-                "(observatory channelize->beamform->dedisperse + clinic "
-                "beamform->Doppler), locality-aware vs stage-blind placement"
-            ),
-        )
-    )
+    served = SCENARIO.serve(_arms(horizon_s), recorder)
+    locality, blind = served.headline, served.reports["stage-blind"]
     stage_rows = _stage_placement_rows(locality)
-    tables["stages"] = (["stage", "device", "launches", "requests"], stage_rows)
-    text_parts.append(
-        render_table(
-            ["stage", "device", "launches", "requests"],
-            stage_rows,
-            title="Per-stage launch placement of the locality-aware run",
-        )
-    )
-
-    # --- findings -----------------------------------------------------------
+    sections = [
+        (
+            "arms",
+            "End-to-end pipeline serving on the GH200 + A100 fleet "
+            "(observatory channelize->beamform->dedisperse + clinic "
+            "beamform->Doppler), locality-aware vs stage-blind placement",
+            COLUMNS.table(served.reports.items()),
+        ),
+        (
+            "stages",
+            "Per-stage launch placement of the locality-aware run",
+            (["stage", "device", "launches", "requests"], stage_rows),
+        ),
+    ]
     p99_ms = locality.p99_latency_s * 1e3
-    findings.append(
-        f"end-to-end p99 of the mixed survey+imaging DAG run: {p99_ms:.3f} ms "
-        f"against the {E2E_SLO_P99_S * 1e3:.0f} ms objective "
-        f"({'PASS' if locality.p99_latency_s <= E2E_SLO_P99_S else 'FAIL'}; "
-        "latency spans every stage, arrival to last-stage completion)"
-    )
     local_frac = _local_fraction(locality)
     blind_frac = _local_fraction(blind)
     beats = local_frac > blind_frac and locality.p99_latency_s <= blind.p99_latency_s
-    findings.append(
+    stage_names = {row[0] for row in stage_rows}
+    all_stages = {s.workload.name for pipeline in _pipelines() for s in pipeline.stages}
+    findings = [
+        f"end-to-end p99 of the mixed survey+imaging DAG run: {p99_ms:.3f} ms "
+        f"against the {E2E_SLO_P99_S * 1e3:.0f} ms objective "
+        f"({verdict(locality.p99_latency_s <= E2E_SLO_P99_S)}; "
+        "latency spans every stage, arrival to last-stage completion)",
         f"stage-locality placement kept {local_frac:.1%} of stage dispatches "
         f"on the worker holding their input buffer (stage-blind: {blind_frac:.1%}) "
         f"at p99 {p99_ms:.3f} ms vs {blind.p99_latency_s * 1e3:.3f} ms "
-        f"({'PASS' if beats else 'FAIL'}: both arms pay the same transfer "
-        "physics; only the scoring differs)"
-    )
-    survey, imaging = _pipelines()
-    stage_names = {w for w, _d, _l, _r in [tuple(r) for r in stage_rows]}
-    all_stages = {s.workload.name for s in survey.stages} | {
-        s.workload.name for s in imaging.stages
-    }
-    findings.append(
+        f"({verdict(beats)}: both arms pay the same transfer "
+        "physics; only the scoring differs)",
         f"both DAGs executed every stage on the shared fleet: "
         f"{len(stage_names & all_stages)}/{len(all_stages)} stage classes "
-        f"launched ({'PASS' if stage_names >= all_stages else 'FAIL'})"
-    )
-
-    # --- determinism --------------------------------------------------------
-    replay = mixed_scenario(horizon_s, stage_locality=True)
-    deterministic = (
-        replay.latencies_s == locality.latencies_s
-        and replay.n_batches == locality.n_batches
-        and replay.placements == locality.placements
-        and _stage_dispatch_counts(replay) == _stage_dispatch_counts(locality)
-    )
-    findings.append(
+        f"launched ({verdict(stage_names >= all_stages)})",
         f"fixed-seed replay reproduces every end-to-end latency, launch, "
-        f"and stage placement bit-identically ({'PASS' if deterministic else 'FAIL'})"
-    )
-
-    return ExperimentResult(
-        name="serve-pipeline",
-        title="Pipeline (DAG) workloads: end-to-end SLOs and stage-locality placement",
-        text="\n".join(text_parts),
-        tables=tables,
-        findings=findings,
-        metrics=locality.metrics.snapshot() if locality.metrics is not None else None,
-        alerts=monitor.engine.snapshot(),
-        availability=locality.availability,
-        dashboard_html=render_dashboard(
-            locality, title="serve-pipeline: mixed observatory + clinic DAGs on GH200 + A100"
-        ),
+        f"and stage placement bit-identically ({verdict(served.replay_identical)})",
+    ]
+    return experiment_result(
+        "serve-pipeline",
+        "Pipeline (DAG) workloads: end-to-end SLOs and stage-locality placement",
+        served,
+        sections,
+        findings,
+        dashboard_title="serve-pipeline: mixed observatory + clinic DAGs on GH200 + A100",
     )

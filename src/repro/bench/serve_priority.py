@@ -22,23 +22,33 @@ capacity**. The serving tier must degrade *by policy*, not by collapse:
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.apps.radioastronomy.beamformer import service_workload as lofar_workload
 from repro.apps.ultrasound.imaging import service_workload as ultrasound_workload
 from repro.bench.report import ExperimentResult
-from repro.gpusim.device import Device, ExecutionMode
+from repro.bench.scenario import (
+    Arm,
+    Columns,
+    Scenario,
+    Table,
+    experiment_result,
+    fleet,
+    gemm_capacity_hz,
+    verdict,
+)
 from repro.serve import (
     SLO,
     BatchingPolicy,
     BeamformingService,
     ClassStats,
+    Request,
     ServiceMonitor,
     ServiceReport,
     merge_arrivals,
     poisson_arrivals,
-    render_dashboard,
 )
 from repro.serve.obs.trace import NullRecorder
-from repro.util.formatting import render_table
 
 GPU = "A100"
 SLO_P99_S = 5e-3
@@ -64,9 +74,46 @@ BATCH_POLICY = BatchingPolicy(max_batch=32, max_wait_s=1e-3)
 #: monitoring cadence of the headline run (~80 samples per quick run).
 MONITOR_INTERVAL_S = 50e-6
 
+#: horizon of the small scenario pinned by the checked-in golden CSV.
+GOLDEN_HORIZON_S = 0.004
 
-def _device() -> Device:
-    return Device(GPU, ExecutionMode.DRY_RUN)
+SLICES = Columns(
+    "slice",
+    ("offered", lambda s: s.n_offered),
+    ("completed", lambda s: s.n_completed),
+    ("shed", lambda s: s.n_shed),
+    ("shed rate (%)", lambda s: s.shed_rate * 100.0),
+    ("shed share (%)", lambda s: s.shed_share * 100.0),
+    ("p50 (ms)", lambda s: s.p50_latency_s * 1e3),
+    ("p99 (ms)", lambda s: s.p99_latency_s * 1e3),
+    ("thr (req/s)", lambda s: round(s.throughput_rps)),
+)
+
+
+def _overall(report: ServiceReport) -> ClassStats:
+    """The whole run as one slice: it owns every shed request."""
+    return ClassStats(
+        "overall",
+        n_offered=report.n_offered,
+        n_admitted=report.n_admitted,
+        n_completed=report.n_completed,
+        p50_latency_s=report.p50_latency_s,
+        p99_latency_s=report.p99_latency_s,
+        throughput_rps=report.throughput_rps,
+        shed_share=1.0 if report.n_offered > report.n_admitted else 0.0,
+    )
+
+
+def _slice_table(*slices: ClassStats) -> Table:
+    return SLICES.table((s.label, s) for s in slices)
+
+
+def _slice_rows(report: ServiceReport) -> list[list[object]]:
+    """Per-class, per-tenant, and overall rows of one run."""
+    return _slice_table(*report.by_priority(), *report.by_tenant(), _overall(report))[1]
+
+
+SCENARIO = Scenario("overload", MONITOR_INTERVAL_S, _slice_rows)
 
 
 def _workloads():
@@ -78,25 +125,24 @@ def _workloads():
 
 def _batched_capacity_hz(workload) -> float:
     """Requests/s one device sustains on full merged batches of this class."""
-    merged = BATCH_POLICY.max_batch
-    gemm_s = workload.kernel.make_plan(_device(), merged).predict_gemm_cost().time_s
-    return merged / gemm_s
+    return gemm_capacity_hz(workload.kernel, GPU, BATCH_POLICY.max_batch)
 
 
-def _service(
+def _serve(
+    trace: list[Request],
     slo_s: float = SLO_P99_S,
     recorder: NullRecorder | None = None,
     monitor: ServiceMonitor | None = None,
-) -> BeamformingService:
+) -> ServiceReport:
     return BeamformingService(
-        [_device()],
+        fleet(GPU),
         policy=BATCH_POLICY,
         class_policies={0: INTERACTIVE_POLICY},
         slo=SLO(p99_latency_s=slo_s),
         tenant_weights=TENANT_WEIGHTS,
         recorder=recorder,
         monitor=monitor,
-    )
+    ).run(trace)
 
 
 def overload_scenario(
@@ -113,15 +159,11 @@ def overload_scenario(
         poisson_arrivals(pulsar_a, batch_rate, horizon_s, seed=seed + 1),
         poisson_arrivals(pulsar_b, batch_rate, horizon_s, seed=seed + 2),
     )
-    return _service(recorder=recorder, monitor=monitor).run(trace)
+    return _serve(trace, recorder=recorder, monitor=monitor)
 
 
-def fairness_scenario(horizon_s: float, seed: int = SEED) -> tuple[dict[str, int], float]:
-    """Two 3:1-weighted tenants saturating the batch class, no shedding.
-
-    Returns the per-tenant requests dispatched while both were backlogged
-    (executions started inside the arrival window) and the served ratio.
-    """
+def fairness_scenario(horizon_s: float, seed: int = SEED) -> ServiceReport:
+    """Two 3:1-weighted tenants saturating the batch class, no shedding."""
     _, pulsar_a, pulsar_b = _workloads()
     rate = _batched_capacity_hz(pulsar_a)
     trace = merge_arrivals(
@@ -130,153 +172,78 @@ def fairness_scenario(horizon_s: float, seed: int = SEED) -> tuple[dict[str, int
     )
     # An SLO far beyond the drain time disables shedding: fairness is a
     # scheduler property and must be measured without admission bias.
-    service = _service(slo_s=10.0)
-    service.run(trace)
-    served = {tenant: 0 for tenant in TENANT_WEIGHTS}
-    for execution in service.fleet.executions:
-        if execution.start_s <= horizon_s:
-            served[execution.batch.tenant] += execution.batch.n_requests
-    ratio = served["pulsar-a"] / served["pulsar-b"] if served["pulsar-b"] else 0.0
-    return served, ratio
+    return _serve(trace, slo_s=10.0)
 
 
-def _stats_row(stats: ClassStats) -> list[object]:
-    return [
-        stats.label,
-        stats.n_offered,
-        stats.n_completed,
-        stats.n_shed,
-        stats.shed_rate * 100.0,
-        stats.shed_share * 100.0,
-        stats.p50_latency_s * 1e3,
-        stats.p99_latency_s * 1e3,
-        round(stats.throughput_rps),
-    ]
+def _arms(horizon_s: float) -> dict[str, Arm]:
+    return {
+        "overload": partial(overload_scenario, horizon_s),
+        "fairness": partial(fairness_scenario, horizon_s),
+    }
 
 
-_STATS_HEADERS = [
-    "slice",
-    "offered",
-    "completed",
-    "shed",
-    "shed rate (%)",
-    "shed share (%)",
-    "p50 (ms)",
-    "p99 (ms)",
-    "thr (req/s)",
-]
-
-
-def golden_rows(horizon_s: float = 0.004, seed: int = SEED) -> tuple[list[str], list[list[object]]]:
+def golden_rows(horizon_s: float = GOLDEN_HORIZON_S) -> Table:
     """The small fixed scenario pinned by the checked-in golden CSV.
 
     Per-class and per-tenant report rows of a short overload run; every
     value is a deterministic function of the seed, so the rendered CSV must
     match the golden file byte for byte on any platform.
     """
-    report = overload_scenario(horizon_s, seed=seed)
-    rows = [_stats_row(s) for s in report.by_priority() + report.by_tenant()]
-    rows.append(
-        [
-            "overall",
-            report.n_offered,
-            report.n_completed,
-            report.n_offered - report.n_admitted,
-            report.shed_rate * 100.0,
-            100.0 if report.n_offered > report.n_admitted else 0.0,
-            report.p50_latency_s * 1e3,
-            report.p99_latency_s * 1e3,
-            round(report.throughput_rps),
-        ]
-    )
-    return _STATS_HEADERS, rows
+    return SLICES.headers, _slice_rows(_arms(horizon_s)["overload"]())
 
 
 def run(quick: bool = False, recorder: NullRecorder | None = None) -> ExperimentResult:
     horizon_s = 0.004 if quick else 0.01
-    findings: list[str] = []
-    tables: dict[str, tuple[list[str], list[list[object]]]] = {}
-    text_parts: list[str] = []
-
-    # --- headline: 5x overload, three tenants, two priority classes ---------
-    monitor = ServiceMonitor(interval_s=MONITOR_INTERVAL_S)
-    report = overload_scenario(horizon_s, recorder=recorder, monitor=monitor)
+    served = SCENARIO.serve(_arms(horizon_s), recorder)
+    report = served.headline
     classes = report.by_priority()
-    tenants = report.by_tenant()
-    class_rows = [_stats_row(s) for s in classes]
-    tenant_rows = [_stats_row(s) for s in tenants]
-    tables["classes"] = (_STATS_HEADERS, class_rows)
-    tables["tenants"] = (_STATS_HEADERS, tenant_rows)
-    text_parts.append(
-        render_table(
-            _STATS_HEADERS,
-            class_rows,
-            title=(
-                f"Priority classes on one {GPU}: live ultrasound (priority 0) vs "
-                f"pulsar reprocessing (priority 1) at "
-                f"{OVERLOAD_FACTOR:.0f}x batched capacity"
-            ),
-        )
-    )
-    text_parts.append(render_table(_STATS_HEADERS, tenant_rows, title="The same run, by tenant"))
-
     interactive = classes[0]
     assert interactive.label == "priority=0"
-    findings.append(
+    shed_share = report.shed_share(1)
+
+    # Requests dispatched per tenant while both were backlogged: executions
+    # started inside the arrival window.
+    served_by = {tenant: 0 for tenant in TENANT_WEIGHTS}
+    for execution in served.reports["fairness"].executions:
+        if execution.start_s <= horizon_s:
+            served_by[execution.batch.tenant] += execution.batch.n_requests
+    ratio = served_by["pulsar-a"] / served_by["pulsar-b"] if served_by["pulsar-b"] else 0.0
+    fair = abs(ratio - FAIRNESS_TARGET) <= FAIRNESS_TARGET * FAIRNESS_TOLERANCE
+    fairness_rows = [[tenant, TENANT_WEIGHTS[tenant], served_by[tenant]] for tenant in served_by]
+    sections = [
+        (
+            "classes",
+            f"Priority classes on one {GPU}: live ultrasound (priority 0) vs "
+            f"pulsar reprocessing (priority 1) at "
+            f"{OVERLOAD_FACTOR:.0f}x batched capacity",
+            _slice_table(*classes),
+        ),
+        ("tenants", "The same run, by tenant", _slice_table(*report.by_tenant())),
+        (
+            "fairness",
+            "Deficit-round-robin service while both tenants are backlogged",
+            (["tenant", "weight", "requests served"], fairness_rows),
+        ),
+    ]
+    findings = [
         f"interactive class p99 {interactive.p99_latency_s * 1e3:.2f} ms holds the "
         f"{SLO_P99_S * 1e3:.0f} ms SLO under {OVERLOAD_FACTOR:.0f}x overload with "
         f"{interactive.shed_rate:.1%} of it shed "
-        f"({'PASS' if interactive.p99_latency_s <= SLO_P99_S else 'FAIL'})"
-    )
-    shed_share = report.shed_share(1)
-    findings.append(
+        f"({verdict(interactive.p99_latency_s <= SLO_P99_S)})",
         f"{shed_share:.1%} of all shed requests came from the lowest priority "
-        f"class ({'PASS' if shed_share >= REQUIRED_SHED_SHARE else 'FAIL'}: "
-        f"bar {REQUIRED_SHED_SHARE:.0%}); overall shed rate {report.shed_rate:.1%}"
-    )
-
-    # --- weighted-fair dispatch inside the batch class ----------------------
-    served, ratio = fairness_scenario(horizon_s)
-    fairness_rows = [[tenant, TENANT_WEIGHTS[tenant], served[tenant]] for tenant in served]
-    tables["fairness"] = (["tenant", "weight", "requests served"], fairness_rows)
-    text_parts.append(
-        render_table(
-            ["tenant", "weight", "requests served"],
-            fairness_rows,
-            title="Deficit-round-robin service while both tenants are backlogged",
-        )
-    )
-    fair = abs(ratio - FAIRNESS_TARGET) <= FAIRNESS_TARGET * FAIRNESS_TOLERANCE
-    findings.append(
+        f"class ({verdict(shed_share >= REQUIRED_SHED_SHARE)}: "
+        f"bar {REQUIRED_SHED_SHARE:.0%}); overall shed rate {report.shed_rate:.1%}",
         f"3:1-weighted tenants served at {ratio:.2f}:1 "
-        f"({'PASS' if fair else 'FAIL'}: within "
-        f"{FAIRNESS_TOLERANCE:.0%} of {FAIRNESS_TARGET:.0f}:1)"
-    )
-
-    # --- determinism ---------------------------------------------------------
-    replay = overload_scenario(horizon_s)
-    deterministic = (
-        [_stats_row(s) for s in replay.by_priority()] == class_rows
-        and [_stats_row(s) for s in replay.by_tenant()] == tenant_rows
-        and replay.latencies_s == report.latencies_s
-        and replay.n_batches == report.n_batches
-    )
-    findings.append(
+        f"({verdict(fair)}: within "
+        f"{FAIRNESS_TOLERANCE:.0%} of {FAIRNESS_TARGET:.0f}:1)",
         f"fixed-seed replay reproduces every class/tenant row and all "
-        f"latencies bit-identically ({'PASS' if deterministic else 'FAIL'})"
-    )
-
-    return ExperimentResult(
-        name="serve-priority",
-        title="Multi-tenant serving: priority classes + weighted-fair queueing",
-        text="\n".join(text_parts),
-        tables=tables,
-        findings=findings,
-        metrics=report.metrics.snapshot() if report.metrics is not None else None,
-        alerts=monitor.engine.snapshot(),
-        availability=report.availability,
-        dashboard_html=render_dashboard(
-            report,
-            title=f"serve-priority: clinic vs pulsar campaigns on one {GPU}",
-        ),
+        f"latencies bit-identically ({verdict(served.replay_identical)})",
+    ]
+    return experiment_result(
+        "serve-priority",
+        "Multi-tenant serving: priority classes + weighted-fair queueing",
+        served,
+        sections,
+        findings,
+        dashboard_title=f"serve-priority: clinic vs pulsar campaigns on one {GPU}",
     )

@@ -35,11 +35,20 @@ Checked claims, all deterministic:
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 
 from repro.apps.radioastronomy.beamformer import service_workload as lofar_workload
 from repro.bench.report import ExperimentResult
-from repro.gpusim.device import Device, ExecutionMode
+from repro.bench.scenario import (
+    Arm,
+    Columns,
+    Scenario,
+    Table,
+    experiment_result,
+    fleet,
+    gemm_capacity_hz,
+    verdict,
+)
 from repro.serve import (
     SLO,
     BatchingPolicy,
@@ -50,9 +59,7 @@ from repro.serve import (
     crash_storm,
     poisson_arrivals,
 )
-from repro.serve.obs import ServiceMonitor, render_dashboard
 from repro.serve.obs.trace import NullRecorder
-from repro.util.formatting import render_table
 
 GPU = "A100"
 #: independent child streams: the trace and the storm must not be coupled.
@@ -89,13 +96,33 @@ DEVICE_SECONDS_TOL = 0.03
 #: the single source both the golden test and scripts/check_golden.py read.
 GOLDEN_HORIZON_S = 8e-3
 
+COLUMNS = Columns(
+    "config",
+    ("offered", lambda r: r.n_offered),
+    ("admitted", lambda r: r.n_admitted),
+    ("completed", lambda r: r.n_completed),
+    ("availability (%)", lambda r: r.availability * 100.0),
+    ("p99 (ms)", lambda r: r.p99_latency_s * 1e3),
+    ("shed (%)", lambda r: r.shed_rate * 100.0),
+    ("device-ms", lambda r: r.device_seconds * 1e3),
+    ("crashes", lambda r: r.n_crashes),
+    ("retries", lambda r: r.n_retries),
+    ("hedges", lambda r: r.n_hedges),
+    ("hedge wins", lambda r: r.n_hedge_wins),
+    ("shard recoveries", lambda r: r.n_shard_recoveries),
+    ("wasted device-ms", lambda r: r.wasted_device_seconds * 1e3),
+)
 
-def _device() -> Device:
-    return Device(GPU, ExecutionMode.DRY_RUN)
+STORM = Columns(
+    "t (ms)",
+    ("kind", lambda e: e.kind.value),
+    ("worker", lambda e: e.worker_index),
+    ("factor", lambda e: e.factor),
+    ("device", lambda e: e.device_name),
+    ("startup (ms)", lambda e: e.startup_s * 1e3),
+)
 
-
-def _workload():
-    return lofar_workload(n_samples=2048)
+SCENARIO = Scenario("resilient", MONITOR_INTERVAL_S, lambda r: [COLUMNS.row("resilient", r)])
 
 
 @cache
@@ -103,14 +130,7 @@ def capacity_hz() -> float:
     """Requests/s one device sustains on full merged batches (GEMM-bound,
     the same accounting as the serve-autoscale bench). Cached: a pure
     function of the catalog spec, consulted by every arm and replay."""
-    plan = _workload().kernel.make_plan(_device(), POLICY.max_batch)
-    return POLICY.max_batch / plan.predict_gemm_cost().time_s
-
-
-def _trace(horizon_s: float, seed: int = TRACE_SEED):
-    return poisson_arrivals(
-        _workload(), LOAD * N_WORKERS * capacity_hz(), horizon_s, seed=seed
-    )
+    return gemm_capacity_hz(lofar_workload(n_samples=2048).kernel, GPU, POLICY.max_batch)
 
 
 def storm(horizon_s: float = HORIZON_S) -> FaultPlan:
@@ -128,102 +148,30 @@ def storm(horizon_s: float = HORIZON_S) -> FaultPlan:
     )
 
 
-def _service(
-    faults: FaultPlan | None = None,
-    resilience: ResiliencePolicy | None = None,
-    recorder: NullRecorder | None = None,
-    monitor: ServiceMonitor | None = None,
-) -> BeamformingService:
+def _serve(horizon_s: float, faults: FaultPlan | None = None, **options) -> ServiceReport:
+    """The fixed-seed trace on the fixed fleet, under ``faults``."""
+    rate = LOAD * N_WORKERS * capacity_hz()
     return BeamformingService(
-        [_device() for _ in range(N_WORKERS)],
+        fleet(*[GPU] * N_WORKERS),
         policy=POLICY,
         slo=SLO(p99_latency_s=SLO_P99_S, deadline_s=DEADLINE_S),
         faults=faults,
-        resilience=resilience,
-        recorder=recorder,
-        monitor=monitor,
-    )
+        **options,
+    ).run(poisson_arrivals(lofar_workload(n_samples=2048), rate, horizon_s, seed=TRACE_SEED))
 
 
-def fault_free_scenario(
-    horizon_s: float = HORIZON_S, faults: FaultPlan | None = None
-) -> ServiceReport:
-    """The control arm; pass an empty :class:`FaultPlan` to witness the
-    zero-overhead-when-disabled byte-identity contract."""
-    return _service(faults=faults).run(_trace(horizon_s))
+def _arms(horizon_s: float) -> dict[str, Arm]:
+    return {
+        "fault-free": partial(_serve, horizon_s),
+        "no-recovery": partial(
+            _serve, horizon_s, storm(horizon_s), resilience=ResiliencePolicy.disabled()
+        ),
+        # The default recovery policy under the storm — the headline arm.
+        "resilient": partial(_serve, horizon_s, storm(horizon_s), resilience=ResiliencePolicy()),
+    }
 
 
-def no_recovery_scenario(horizon_s: float = HORIZON_S) -> ServiceReport:
-    """The storm with every recovery mechanism switched off."""
-    return _service(
-        faults=storm(horizon_s), resilience=ResiliencePolicy.disabled()
-    ).run(_trace(horizon_s))
-
-
-def resilient_scenario(
-    horizon_s: float = HORIZON_S,
-    recorder: NullRecorder | None = None,
-    monitor: ServiceMonitor | None = None,
-) -> ServiceReport:
-    """The storm with the default recovery policy — the headline arm."""
-    return _service(
-        faults=storm(horizon_s),
-        resilience=ResiliencePolicy(),
-        recorder=recorder,
-        monitor=monitor,
-    ).run(_trace(horizon_s))
-
-
-def _arm_row(label: str, report: ServiceReport) -> list[object]:
-    return [
-        label,
-        report.n_offered,
-        report.n_admitted,
-        report.n_completed,
-        report.availability * 100.0,
-        report.p99_latency_s * 1e3,
-        report.shed_rate * 100.0,
-        report.device_seconds * 1e3,
-        report.n_crashes,
-        report.n_retries,
-        report.n_hedges,
-        report.n_hedge_wins,
-        report.n_shard_recoveries,
-        report.wasted_device_seconds * 1e3,
-    ]
-
-
-_ARM_HEADERS = [
-    "config",
-    "offered",
-    "admitted",
-    "completed",
-    "availability (%)",
-    "p99 (ms)",
-    "shed (%)",
-    "device-ms",
-    "crashes",
-    "retries",
-    "hedges",
-    "hedge wins",
-    "shard recoveries",
-    "wasted device-ms",
-]
-
-
-def _storm_rows(plan: FaultPlan) -> list[list[object]]:
-    return [
-        [e.t_s * 1e3, e.kind.value, e.worker_index, e.factor, e.device_name, e.startup_s * 1e3]
-        for e in plan.events
-    ]
-
-
-_STORM_HEADERS = ["t (ms)", "kind", "worker", "factor", "device", "startup (ms)"]
-
-
-def golden_rows(
-    horizon_s: float = GOLDEN_HORIZON_S,
-) -> tuple[list[str], list[list[object]]]:
+def golden_rows(horizon_s: float = GOLDEN_HORIZON_S) -> Table:
     """The scenario rows pinned by the checked-in golden CSV.
 
     One row per arm of the storm scenario over one short horizon; every
@@ -231,122 +179,70 @@ def golden_rows(
     must match the golden file byte for byte on any platform. Regenerate
     (and re-bless deliberately) via ``scripts/check_golden.py --bless``.
     """
-    rows = [
-        _arm_row("fault-free", fault_free_scenario(horizon_s)),
-        _arm_row("no-recovery", no_recovery_scenario(horizon_s)),
-        _arm_row("resilient", resilient_scenario(horizon_s)),
-    ]
-    return _ARM_HEADERS, rows
+    return COLUMNS.table(SCENARIO.reports(_arms(horizon_s)).items())
 
 
 def run(quick: bool = False, recorder: NullRecorder | None = None) -> ExperimentResult:
     # The storm is the experiment: quick mode keeps the full horizon (the
     # run is already small, and a shorter one would under-sample the
     # straggler windows the hedging claim needs).
-    horizon_s = HORIZON_S
-    findings: list[str] = []
-    tables: dict[str, tuple[list[str], list[list[object]]]] = {}
-    text_parts: list[str] = []
-
-    monitor = ServiceMonitor(interval_s=MONITOR_INTERVAL_S)
-    fault_free = fault_free_scenario(horizon_s)
-    no_recovery = no_recovery_scenario(horizon_s)
-    resilient = resilient_scenario(horizon_s, recorder=recorder, monitor=monitor)
-
-    rows = [
-        _arm_row("fault-free", fault_free),
-        _arm_row("no-recovery", no_recovery),
-        _arm_row("resilient", resilient),
+    served = SCENARIO.serve(_arms(HORIZON_S), recorder)
+    fault_free, no_recovery = served.reports["fault-free"], served.reports["no-recovery"]
+    resilient = served.headline
+    # A service handed an empty fault plan must replay the fault-free arm.
+    empty_plan = _serve(HORIZON_S, FaultPlan())
+    sections = [
+        (
+            "arms",
+            f"One crash (+cold replacement) and {N_SLOW_WINDOWS} transient "
+            f"{SLOW_FACTOR:.0f}x straggler windows on {N_WORKERS} {GPU}s at "
+            f"{LOAD:.0%} fleet load: recovery on vs off",
+            COLUMNS.table(served.reports.items()),
+        ),
+        (
+            "storm",
+            "The injected storm, in time order",
+            STORM.table((e.t_s * 1e3, e) for e in storm(HORIZON_S).events),
+        ),
     ]
-    tables["arms"] = (_ARM_HEADERS, rows)
-    text_parts.append(
-        render_table(
-            _ARM_HEADERS,
-            rows,
-            title=(
-                f"One crash (+cold replacement) and {N_SLOW_WINDOWS} transient "
-                f"{SLOW_FACTOR:.0f}x straggler windows on {N_WORKERS} {GPU}s at "
-                f"{LOAD:.0%} fleet load: recovery on vs off"
-            ),
-        )
-    )
-    storm_rows = _storm_rows(storm(horizon_s))
-    tables["storm"] = (_STORM_HEADERS, storm_rows)
-    text_parts.append(
-        render_table(
-            _STORM_HEADERS, storm_rows, title="The injected storm, in time order"
-        )
-    )
-
-    # --- the crash costs requests without recovery; recovery restores them --
     availability_ok = (
         no_recovery.n_failed > 0
         and no_recovery.availability < AVAILABILITY_BAR
         and resilient.availability >= AVAILABILITY_BAR
     )
-    findings.append(
+    slo_ok = resilient.p99_latency_s <= SLO_P99_S and resilient.shed_rate == 0.0
+    parity = resilient.device_seconds / no_recovery.device_seconds
+    identical = (
+        empty_plan.latencies_s == fault_free.latencies_s
+        and empty_plan.summary() == fault_free.summary()
+        and COLUMNS.row("fault-free", empty_plan) == COLUMNS.row("fault-free", fault_free)
+    )
+    findings = [
         f"without recovery the crash loses {no_recovery.n_failed} admitted "
         f"requests ({no_recovery.availability:.3%} available, below the "
         f"{AVAILABILITY_BAR:.1%} bar); the default policy recovers to "
         f"{resilient.availability:.3%} with {resilient.n_retries} retries, "
         f"{resilient.n_hedges} hedges ({resilient.n_hedge_wins} won), and "
         f"{resilient.n_shard_recoveries} shard recoveries "
-        f"({'PASS' if availability_ok else 'FAIL'})"
-    )
-
-    # --- the SLO holds through the storm ------------------------------------
-    slo_ok = resilient.p99_latency_s <= SLO_P99_S and resilient.shed_rate == 0.0
-    findings.append(
+        f"({verdict(availability_ok)})",
         f"the resilient arm holds p99 {resilient.p99_latency_s * 1e3:.3f} ms "
         f"<= {SLO_P99_S * 1e3:.0f} ms through the storm with "
-        f"{resilient.shed_rate:.2%} shed ({'PASS' if slo_ok else 'FAIL'})"
-    )
-
-    # --- recovery is work, not capacity -------------------------------------
-    parity = resilient.device_seconds / no_recovery.device_seconds
-    parity_ok = abs(parity - 1.0) <= DEVICE_SECONDS_TOL
-    findings.append(
+        f"{resilient.shed_rate:.2%} shed ({verdict(slo_ok)})",
         f"recovery buys availability with work, not capacity: "
         f"{parity:.1%} of the no-recovery arm's device-seconds, with the "
         f"bill reported as {resilient.wasted_device_seconds * 1e3:.3f} wasted "
         f"device-ms (hedge losers + burned crash work) "
-        f"({'PASS' if parity_ok else 'FAIL'})"
-    )
-
-    # --- zero faults, zero overhead -----------------------------------------
-    empty_plan = fault_free_scenario(horizon_s, faults=FaultPlan())
-    identical = (
-        empty_plan.latencies_s == fault_free.latencies_s
-        and empty_plan.summary() == fault_free.summary()
-        and _arm_row("fault-free", empty_plan) == rows[0]
-    )
-    findings.append(
+        f"({verdict(abs(parity - 1.0) <= DEVICE_SECONDS_TOL)})",
         f"a service handed an empty fault plan replays the fault-free arm "
-        f"byte-identically ({'PASS' if identical else 'FAIL'})"
-    )
-
-    # --- determinism ---------------------------------------------------------
-    replay = resilient_scenario(horizon_s)
-    deterministic = (
-        replay.latencies_s == resilient.latencies_s
-        and _arm_row("resilient", replay) == rows[2]
-    )
-    findings.append(
+        f"byte-identically ({verdict(identical)})",
         f"fixed-seed replay reproduces every latency and recovery counter "
-        f"bit-identically ({'PASS' if deterministic else 'FAIL'})"
-    )
-
-    return ExperimentResult(
-        name="serve-resilience",
-        title="Resilient serving: crash storms, stragglers, and recovery",
-        text="\n".join(text_parts),
-        tables=tables,
-        findings=findings,
-        metrics=resilient.metrics.snapshot() if resilient.metrics is not None else None,
-        alerts=monitor.engine.snapshot(),
-        availability=resilient.availability,
-        dashboard_html=render_dashboard(
-            resilient,
-            title=f"serve-resilience: default recovery policy under the {GPU} storm",
-        ),
+        f"bit-identically ({verdict(served.replay_identical)})",
+    ]
+    return experiment_result(
+        "serve-resilience",
+        "Resilient serving: crash storms, stragglers, and recovery",
+        served,
+        sections,
+        findings,
+        dashboard_title=f"serve-resilience: default recovery policy under the {GPU} storm",
     )

@@ -38,6 +38,23 @@ def test_experiment_runs_and_reports(name):
     assert result.tables
 
 
+SERVE_EXPERIMENTS = [
+    "serve",
+    "serve-priority",
+    "serve-hetero",
+    "serve-autoscale",
+    "serve-resilience",
+    "serve-pipeline",
+]
+
+
+@pytest.mark.parametrize("name", SERVE_EXPERIMENTS)
+def test_serve_findings_hold(name):
+    # Every serve finding ends in a PASS/FAIL verdict (or reports a number);
+    # none may read FAIL. Reuses the cached results: no extra runs.
+    assert [f for f in _get(name).findings if "FAIL" in f] == []
+
+
 class TestTable1Findings:
     def test_all_cells_reproduced(self):
         result = _get("table1")

@@ -2,9 +2,10 @@
 
 The page is an artifact the CI ships, so it is pinned three ways: two
 renders of the same seed are byte-equal, the golden configuration's
-sha256 matches the checked-in digest (re-bless via
-``scripts/check_golden.py --bless``), and the structural validator the
-CI runs accepts every page this module renders.
+sha256 matches the checked-in digest (the golden-file test in
+``test_golden_replay.py``; re-bless via ``scripts/check_golden.py
+--bless``), and the structural validator the CI runs accepts every page
+this module renders.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from repro.errors import ShapeError
 from repro.serve import ServiceMonitor, render_dashboard, write_dashboard
 from tests.serve.test_monitor import INTERVAL_S, _run
 
-GOLDEN_DIR = Path(__file__).parent / "golden"
 SCRIPTS_DIR = Path(__file__).parent.parent.parent / "scripts"
 
 
@@ -43,10 +43,6 @@ class TestDeterminism:
         first = render_dashboard(_monitored_report(), title="t")
         second = render_dashboard(_monitored_report(), title="t")
         assert first == second
-
-    def test_golden_digest_matches_checked_in_file(self):
-        golden = (GOLDEN_DIR / "serve_dashboard_small.sha256").read_text()
-        assert golden_dashboard_digest() == golden
 
     def test_digest_is_the_sha256_of_the_page(self):
         page = golden_dashboard()

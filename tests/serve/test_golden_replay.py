@@ -6,22 +6,26 @@ is pinned two ways:
 * **replay** — running the "serve" and "serve-priority" experiments twice
   with the same seed must produce byte-identical report rows (the CSVs the
   CLI would write), not merely statistically similar ones;
-* **golden file** — a small fixed overload scenario is rendered to CSV and
-  compared byte-for-byte against a checked-in golden. Any change to the
-  event loop, scheduler, batcher, estimates, or float formatting that
-  moves a single bit shows up as a diff here and must be re-blessed
-  deliberately (regenerate via ``repro.bench.serve_priority.golden_rows``).
+* **golden files** — every file under ``golden/`` is the rendered output
+  of a generator registered in :data:`repro.bench.registry.GOLDENS`: one
+  small fixed scenario per serve bench rendered to CSV (priority slices,
+  heterogeneous-fleet arms, autoscaling regimes, recovery arms, pipeline
+  placement arms), plus the small serve run's Perfetto trace and the
+  sha256 of its dashboard. Each must match its renderer byte for byte.
+  Any change to the event loop, scheduler, batcher, estimates, or float
+  formatting that moves a single bit shows up as a diff here and must be
+  re-blessed deliberately (``scripts/check_golden.py --bless``, which
+  reads the same mapping). The per-bench classes below check that each
+  pinned CSV still covers every arm and still tells the bench's story.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.bench.registry import run_experiment
-from repro.bench.serve_autoscale import golden_rows as autoscale_golden_rows
-from repro.bench.serve_pipeline import golden_rows as pipeline_golden_rows
-from repro.bench.serve_priority import golden_rows
-from repro.bench.serve_resilience import golden_rows as resilience_golden_rows
+import pytest
+
+from repro.bench.registry import GOLDENS, run_experiment
 from repro.util.formatting import render_csv
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -32,6 +36,25 @@ def _csv_tables(name: str) -> dict[str, str]:
     return {table: render_csv(headers, rows) for table, (headers, rows) in result.tables.items()}
 
 
+def _table(name: str) -> tuple[list[str], list[list[str]]]:
+    """A golden CSV's header and rows. Labels may hold commas (``buckets
+    (2048,)``), so each row is split from the right into as many cells as
+    the header has."""
+    header, *lines = (GOLDEN_DIR / name).read_text().splitlines()
+    headers = header.split(",")
+    return headers, [line.rsplit(",", len(headers) - 1) for line in lines]
+
+
+def _rows(name: str) -> tuple[list[str], dict[str, list[str]]]:
+    """A golden CSV's header and its rows keyed by their label."""
+    headers, rows = _table(name)
+    return headers, {row[0]: row for row in rows}
+
+
+def _first_column(name: str) -> list[str]:
+    return [row[0] for row in _table(name)[1]]
+
+
 class TestExperimentReplay:
     def test_serve_experiment_rows_replay_byte_identical(self):
         assert _csv_tables("serve") == _csv_tables("serve")
@@ -40,17 +63,19 @@ class TestExperimentReplay:
         assert _csv_tables("serve-priority") == _csv_tables("serve-priority")
 
 
-class TestGoldenFile:
-    def test_small_scenario_matches_checked_in_golden(self):
-        headers, rows = golden_rows()
-        rendered = render_csv(headers, rows)
-        golden = (GOLDEN_DIR / "serve_priority_small.csv").read_text()
-        assert rendered == golden
+class TestGoldenFiles:
+    @pytest.mark.parametrize("name", list(GOLDENS))
+    def test_matches_renderer(self, name):
+        assert GOLDENS[name]() == (GOLDEN_DIR / name).read_text()
 
+    def test_every_golden_file_is_registered(self):
+        on_disk = {p.name for p in GOLDEN_DIR.iterdir() if p.suffix in (".csv", ".json", ".sha256")}
+        assert on_disk == set(GOLDENS)
+
+
+class TestGoldenFile:
     def test_golden_covers_every_slice(self):
-        golden = (GOLDEN_DIR / "serve_priority_small.csv").read_text()
-        first_column = [line.split(",")[0] for line in golden.splitlines()[1:]]
-        assert first_column == [
+        assert _first_column("serve_priority_small.csv") == [
             "priority=0",
             "priority=1",
             "pulsar-a",
@@ -60,73 +85,68 @@ class TestGoldenFile:
         ]
 
 
-class TestAutoscaleGoldenFile:
-    def test_small_scenario_matches_checked_in_golden(self):
-        # golden_rows defaults to serve_autoscale.GOLDEN_HORIZON_S — the
-        # same single source scripts/check_golden.py regenerates from.
-        headers, rows = autoscale_golden_rows()
-        rendered = render_csv(headers, rows)
-        golden = (GOLDEN_DIR / "serve_autoscale_small.csv").read_text()
-        assert rendered == golden
+class TestHeteroGoldenFile:
+    def test_golden_covers_every_arm(self):
+        assert _first_column("serve_hetero_small.csv") == [
+            "mixed",
+            "amd-only",
+            "exact-shape",
+            "buckets (2048,)",
+            "split",
+        ]
 
+    def test_golden_pins_the_placement_story(self):
+        # The pinned bytes must keep telling the story the bench claims:
+        # int1 traffic is shed at the door of an AMD-only fleet, shape
+        # buckets raise goodput over exact-shape batching, and the
+        # oversized survey request is served rather than shed.
+        header, by_label = _rows("serve_hetero_small.csv")
+        shed, goodput = header.index("shed (%)"), header.index("goodput (req/s)")
+        launches = header.index("launches")
+        assert float(by_label["amd-only"][shed]) == 100.0
+        assert int(by_label["amd-only"][launches]) == 0
+        assert int(by_label["buckets (2048,)"][goodput]) > int(by_label["exact-shape"][goodput])
+        assert float(by_label["split"][shed]) == 0.0
+
+
+class TestAutoscaleGoldenFile:
     def test_golden_covers_every_provisioning_regime(self):
-        golden = (GOLDEN_DIR / "serve_autoscale_small.csv").read_text()
-        first_column = [line.split(",")[0] for line in golden.splitlines()[1:]]
+        first_column = _first_column("serve_autoscale_small.csv")
         assert first_column[:2] == ["reactive", "predictive"]
         assert all(label.startswith("fixed-") for label in first_column[2:])
         assert len(first_column) == 4
 
 
 class TestResilienceGoldenFile:
-    def test_small_scenario_matches_checked_in_golden(self):
-        # golden_rows defaults to serve_resilience.GOLDEN_HORIZON_S — the
-        # same single source scripts/check_golden.py regenerates from.
-        headers, rows = resilience_golden_rows()
-        rendered = render_csv(headers, rows)
-        golden = (GOLDEN_DIR / "serve_resilience_small.csv").read_text()
-        assert rendered == golden
-
     def test_golden_covers_every_recovery_arm(self):
-        golden = (GOLDEN_DIR / "serve_resilience_small.csv").read_text()
-        first_column = [line.split(",")[0] for line in golden.splitlines()[1:]]
-        assert first_column == ["fault-free", "no-recovery", "resilient"]
+        assert _first_column("serve_resilience_small.csv") == [
+            "fault-free",
+            "no-recovery",
+            "resilient",
+        ]
 
     def test_golden_pins_the_recovery_story(self):
         # The pinned bytes must keep telling the story the bench claims:
         # the crash costs the no-recovery arm admitted requests, and the
         # resilient arm recovers every one of them.
-        golden = (GOLDEN_DIR / "serve_resilience_small.csv").read_text()
-        header, *rows = [line.split(",") for line in golden.splitlines()]
+        header, by_label = _rows("serve_resilience_small.csv")
         availability = header.index("availability (%)")
-        by_label = {row[0]: row for row in rows}
         assert float(by_label["fault-free"][availability]) == 100.0
         assert float(by_label["no-recovery"][availability]) < 100.0
         assert float(by_label["resilient"][availability]) >= 99.9
 
 
 class TestPipelineGoldenFile:
-    def test_small_scenario_matches_checked_in_golden(self):
-        # golden_rows defaults to serve_pipeline.GOLDEN_HORIZON_S — the
-        # same single source scripts/check_golden.py regenerates from.
-        headers, rows = pipeline_golden_rows()
-        rendered = render_csv(headers, rows)
-        golden = (GOLDEN_DIR / "serve_pipeline_small.csv").read_text()
-        assert rendered == golden
-
     def test_golden_covers_both_placement_arms(self):
-        golden = (GOLDEN_DIR / "serve_pipeline_small.csv").read_text()
-        first_column = [line.split(",")[0] for line in golden.splitlines()[1:]]
-        assert first_column == ["stage-locality", "stage-blind"]
+        assert _first_column("serve_pipeline_small.csv") == ["stage-locality", "stage-blind"]
 
     def test_golden_pins_the_locality_story(self):
         # The pinned bytes must keep telling the story the bench claims:
         # locality-aware stage placement keeps more dispatches on the
         # buffer-resident worker and holds a tighter end-to-end tail.
-        golden = (GOLDEN_DIR / "serve_pipeline_small.csv").read_text()
-        header, *rows = [line.split(",") for line in golden.splitlines()]
+        header, by_label = _rows("serve_pipeline_small.csv")
         local_pct = header.index("stage-local (%)")
         p99 = header.index("p99 (ms)")
-        by_label = {row[0]: row for row in rows}
         locality, blind = by_label["stage-locality"], by_label["stage-blind"]
         assert float(locality[local_pct]) > float(blind[local_pct])
         assert float(locality[p99]) <= float(blind[p99])
