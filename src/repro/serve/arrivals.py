@@ -26,20 +26,18 @@ from repro.serve.workload import PipelineWorkload, Request, Workload
 from repro.util.rng import derive_seed, make_rng
 
 
-def _entry(workload: Workload | PipelineWorkload) -> tuple[Workload, PipelineWorkload | None, str | None]:
+def _entry(workload: Workload | PipelineWorkload) -> tuple[Workload, PipelineWorkload, str]:
     """The (kernel workload, pipeline, stage name) an arrival enters at.
 
-    Generators accept either descriptor form. A pipeline arrival carries
-    the *source stage's* workload (seed derivation keys on that workload's
-    name, so a single-stage pipeline built via
-    :meth:`~repro.serve.workload.Workload.single_stage` reproduces the
-    legacy stream byte-identically) plus the pipeline reference the
-    service needs to release successor stages.
+    Generators accept either descriptor form; a bare workload is its own
+    one-stage pipeline. An arrival carries the *source stage's* workload
+    (seed derivation keys on that workload's name, so both forms of one
+    workload draw the same stream) plus the pipeline reference the service
+    needs to release successor stages.
     """
-    if isinstance(workload, PipelineWorkload):
-        source = workload.source
-        return source.workload, workload, source.name
-    return workload, None, None
+    pipeline = workload if isinstance(workload, PipelineWorkload) else workload.single_stage()
+    source = pipeline.source
+    return source.workload, pipeline, source.name
 
 
 @dataclass(frozen=True)

@@ -119,7 +119,7 @@ class Batch:
     #: earliest instant a locality-held stage batch should be retried —
     #: the busy buffer-resident worker's ``accept_s``, stamped when the
     #: placer prefers waiting for it over an immediate remote transfer.
-    #: ``None`` (always, for legacy batches) defers to the candidates'
+    #: ``None`` (always, for source-stage batches) defers to the candidates'
     #: plain worker-availability times.
     hold_until_s: float | None = None
 
@@ -166,7 +166,7 @@ class Batch:
         """Time the oldest member spent waiting for the batch to form."""
         return self.formed_s - self.oldest_arrival_s
 
-    # -- pipeline-stage residency (zero for legacy single-kernel batches) ----
+    # -- pipeline-stage residency (zero for source-stage batches) ------------
 
     @property
     def stage_input_bytes(self) -> int:

@@ -176,7 +176,7 @@ class DeviceWorker:
         pipeline-stage batches whose input buffer is (partly) resident here
         or must transfer from another worker
         (:meth:`~repro.serve.placement.Placer.stage_in_s`); ``None`` — the
-        only value legacy batches ever pass — keeps the plan's own cost.
+        only value source-stage batches ever pass — keeps the plan's own cost.
         """
         stage_in_s, gemm_s = entry.stage_in_s, entry.gemm_s
         if stage_in_override is not None:

@@ -24,14 +24,15 @@ invariant the test suite asserts for every traced request. For a split
 placement the decomposition follows the *critical shard* (the slowest
 one — the only shard on the request's critical path).
 
-Multi-stage pipeline requests attribute **end-to-end**: the outcome's
-gating chain (:attr:`RequestOutcome.stage_chain
+Every request is a pipeline request and attributes **end-to-end**: the
+outcome's gating chain (:attr:`RequestOutcome.stage_chain
 <repro.serve.service.RequestOutcome.stage_chain>`) names, per stage, the
-launch that gated the next release; each link's five leading segments are
-computed against the link's own release instant and summed across the
-chain, and ``compute`` closes the end-to-end latency as the residual — the
-same bit-exact-sum invariant, now spanning stages (consecutive links
-telescope: a link's release *is* the previous link's completion).
+launch that gated the next release — one link for a one-stage request;
+each link's five leading segments are computed against the link's own
+release instant and summed across the chain, and ``compute`` closes the
+end-to-end latency as the residual — the same bit-exact-sum invariant
+across any number of stages (consecutive links telescope: a link's
+release *is* the previous link's completion).
 
 :func:`blame` rolls per-request paths up into the tail story a service
 report needs: over the requests at or beyond the p99 latency, the mean
@@ -176,8 +177,7 @@ def _leading_segments(
 
     Returns ``(critical_part, wait_for_batch, queued_behind, preempted,
     cold_build, stage_in)`` — everything but the residual ``compute``,
-    which the caller closes against its own latency (per launch for
-    single-kernel requests, end-to-end for pipeline chains). The copy-
+    which the caller closes against the request's end-to-end latency. The copy-
     engine boundaries are recomputed with the same left-to-right float
     arithmetic ``DeviceWorker.schedule`` used, so they land on the
     identical values.
@@ -210,9 +210,9 @@ def attribute(
     Pure function over a finished run's outcomes and executions (the
     report's own fields) — no recorder required, so attribution is
     available on every run. Returns one :class:`RequestPath` per
-    completed request, in outcome (offered) order. Pipeline outcomes (a
-    non-empty ``stage_chain``) sum each gating launch's leading segments
-    across the chain; the path's ``worker_index`` is the final stage's.
+    completed request, in outcome (offered) order: each gating launch's
+    leading segments are summed across the outcome's ``stage_chain``, and
+    the path's batch and ``worker_index`` are the final stage's.
     """
     by_bid: dict[int, BatchExecution] = {}
     compute_spans: dict[int, list[tuple[float, float, int, float]]] = {}
@@ -230,42 +230,29 @@ def attribute(
             )
     paths: list[RequestPath] = []
     for outcome in outcomes:
-        if outcome.completion_s is None or outcome.batch_id is None:
+        if outcome.completion_s is None:
             continue
-        execution = by_bid.get(outcome.batch_id)
-        if execution is None:
-            raise ShapeError(
-                f"request {outcome.request.rid} completed in batch "
-                f"{outcome.batch_id}, but no execution records that batch"
-            )
-        arrival = outcome.request.arrival_s
-        latency = outcome.completion_s - arrival
-        if outcome.stage_chain:
-            wait_for_batch = queued_behind = preempted = 0.0
-            cold_build = stage_in = 0.0
-            part = None
-            for link in outcome.stage_chain:
-                link_exec = by_bid.get(link.batch_id)
-                if link_exec is None:
-                    raise ShapeError(
-                        f"request {outcome.request.rid} stage {link.stage!r} "
-                        f"completed in batch {link.batch_id}, but no "
-                        "execution records that batch"
-                    )
-                part, wait, queued, pre, cold, sin = _leading_segments(
-                    link.arrival_s, link_exec, compute_spans
+        if not outcome.stage_chain:
+            raise ShapeError(f"request {outcome.request.rid} completed without a stage chain")
+        latency = outcome.completion_s - outcome.request.arrival_s
+        wait_for_batch = queued_behind = preempted = cold_build = stage_in = 0.0
+        for link in outcome.stage_chain:
+            execution = by_bid.get(link.batch_id)
+            if execution is None:
+                raise ShapeError(
+                    f"request {outcome.request.rid} stage {link.stage!r} "
+                    f"completed in batch {link.batch_id}, but no "
+                    "execution records that batch"
                 )
-                wait_for_batch += wait
-                queued_behind += queued
-                preempted += pre
-                cold_build += cold
-                stage_in += sin
-            batch = execution.batch
-        else:
-            part, wait_for_batch, queued_behind, preempted, cold_build, stage_in = (
-                _leading_segments(arrival, execution, compute_spans)
+            part, wait, queued, pre, cold, sin = _leading_segments(
+                link.arrival_s, execution, compute_spans
             )
-            batch = execution.batch
+            wait_for_batch += wait
+            queued_behind += queued
+            preempted += pre
+            cold_build += cold
+            stage_in += sin
+        batch = execution.batch
         # Close the decomposition as a residual: the five leading segments
         # are exact boundary differences, and making compute the remainder
         # guarantees the six sum bit-exactly to the recorded latency (a

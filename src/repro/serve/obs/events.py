@@ -348,8 +348,8 @@ class ShardRecovered(SpanEvent):
 class StageStarted(SpanEvent):
     """One pipeline stage of a request was released for execution.
 
-    Emitted for multi-stage pipeline requests only (single-kernel requests
-    and one-stage pipelines keep the legacy event stream byte-identical).
+    Emitted for multi-stage pipeline requests only: a one-stage request's
+    stage is the request itself, already traced by the request events.
     The source stage starts at admission; every other stage starts the
     instant its last dependency completes. ``stage_index`` is the stage's
     position in the pipeline's topological order and ``dep_indices`` its
@@ -369,8 +369,9 @@ class StageCompleted(SpanEvent):
     """One pipeline stage of a request finished its batched launch.
 
     ``t_s`` is the launch's completion instant; ``bid`` the batch that
-    served the stage. The request's own :class:`RequestCompleted` is
-    emitted once, when its *last* stage completes.
+    served the stage. Emitted for multi-stage pipeline requests only; the
+    request's own :class:`RequestCompleted` is emitted once, when its
+    *last* stage completes.
     """
 
     rid: int

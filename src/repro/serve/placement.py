@@ -146,7 +146,7 @@ class Placer:
         #: transfer it will pay. ``False`` is the stage-blind baseline (the
         #: serve-pipeline bench's comparison arm) — the transfer is still
         #: *charged* at dispatch either way (physics is not a policy knob);
-        #: single-kernel batches are unaffected entirely.
+        #: source-stage batches are unaffected entirely.
         self.stage_locality = stage_locality
         self._workers: list[DeviceWorker] = []
         self._cache: PlanCache | None = None
@@ -226,9 +226,8 @@ class Placer:
     ) -> float | None:
         """Locality-adjusted stage-in time for a pipeline-stage batch.
 
-        Returns ``None`` for single-kernel batches (no inter-stage input) —
-        the caller falls back to the plain ``stage_in_s``, preserving legacy
-        timing byte-exactly. For a stage batch, the fraction of the input
+        Returns ``None`` for source-stage batches (no inter-stage input) —
+        the caller falls back to the plain ``stage_in_s``. For a stage batch, the fraction of the input
         already resident on ``worker`` (its dependency stages executed
         there) skips stage-in; the remainder is charged an interconnect
         transfer on top of the device's own streaming cost:

@@ -11,6 +11,9 @@ and replays a request trace as a discrete-event simulation over a ranked
 table of event sources (see :meth:`BeamformingService.run`): launch
 confirmations, faults, pipeline stage releases, batcher deadlines, worker
 retirements, autoscaler ticks, arrivals, and worker-availability instants.
+Every request is a pipeline request (a bare workload is a one-stage
+pipeline) with one lifecycle: admitted at its source stage, released stage
+by stage as dependencies complete, and completed by its last stage.
 Every arrival first receives an explicit
 :class:`~repro.serve.placement.PlacementDecision`: requests no capable
 device can run are shed at the door; oversized requests become in-service
@@ -34,6 +37,7 @@ from __future__ import annotations
 import heapq
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,12 +79,11 @@ from repro.serve.slo import (
     SLOTracker,
     percentile,
 )
-from repro.serve.workload import Request
+from repro.serve.workload import PipelineWorkload, Request
 
 
-@dataclass(frozen=True)
-class StageLink:
-    """One stage on a completed pipeline request's gating chain.
+class StageLink(NamedTuple):
+    """One stage on a completed request's gating chain.
 
     ``arrival_s`` is when the stage was released (the source stage's is the
     request's own arrival) and ``completion_s`` when its launch finished;
@@ -96,15 +99,22 @@ class StageLink:
     completion_s: float
 
 
+def _gating(pipeline: PipelineWorkload, a: StageLink, b: StageLink) -> StageLink:
+    """The later-completing of two stage links (ties: later topological
+    index, for replay determinism)."""
+    key_a = (a.completion_s, pipeline.stage_index(a.stage))
+    key_b = (b.completion_s, pipeline.stage_index(b.stage))
+    return b if key_b > key_a else a
+
+
 @dataclass
 class RequestOutcome:
     """Fate of one offered request.
 
-    For a multi-stage pipeline request, ``completion_s`` is the *last*
-    stage's completion and ``batch_id`` that stage's batch;
-    ``stage_chain`` records the gating chain source -> final for
-    cross-stage critical-path blame (empty for single-kernel requests and
-    one-stage pipelines).
+    ``completion_s`` is the request's *last* stage's completion and
+    ``batch_id`` that stage's batch; ``stage_chain`` records the gating
+    chain source -> final for critical-path blame (one link for a
+    one-stage request, empty until the request completes).
     """
 
     request: Request
@@ -121,18 +131,19 @@ class RequestOutcome:
         return self.completion_s - self.request.arrival_s
 
 
-@dataclass
-class _PipelineRun:
-    """In-flight bookkeeping of one admitted multi-stage pipeline request."""
+@dataclass(slots=True)
+class _RequestRun:
+    """In-flight bookkeeping of one admitted request, admission to last stage."""
 
-    root: Request
+    outcome: RequestOutcome
+    #: stages not yet completed; the request completes when none remain.
+    remaining: int
     #: per completed stage: its gating-chain link record.
     completed: dict[str, StageLink] = field(default_factory=dict)
-    #: worker indices each completed stage's output buffer resides on.
-    residency: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    #: stages released so far (source from admission; successors on dep
-    #: completion) — guards against double-release under diamond topologies.
-    released: set[str] = field(default_factory=set)
+    #: worker index each completed non-sink stage's output buffer resides on.
+    residency: dict[str, int] = field(default_factory=dict)
+    #: the completed sink that gates the request's completion so far.
+    final: StageLink | None = None
 
 
 @dataclass
@@ -700,12 +711,10 @@ class BeamformingService:
         self._arrivals: deque[RequestOutcome] = deque()
         #: admitted requests in dispatched-but-unconfirmed launches.
         self._in_flight_requests = 0
-        #: admitted-but-uncompleted outcomes, keyed by request identity
+        #: admitted-but-uncompleted requests, keyed by root request identity
         #: (rids may collide across independently generated streams; see
         #: :func:`repro.serve.arrivals.merge_arrivals` for renumbering).
-        self._pending_outcomes: dict[int, RequestOutcome] = {}
-        #: in-flight multi-stage pipeline requests, keyed by root identity.
-        self._pipeline_runs: dict[int, _PipelineRun] = {}
+        self._runs: dict[int, _RequestRun] = {}
         #: min-heap of (release_s, seq, Request): successor stages whose
         #: dependencies have completed, waiting for the clock to reach the
         #: release instant — the pipeline event source.
@@ -786,11 +795,10 @@ class BeamformingService:
                 "the arrival trace offers the same Request object twice; "
                 "generate distinct requests (merge_arrivals renumbers ids)"
             )
-        if self.fleet.is_functional and any(r.is_pipeline_stage for r in requests):
+        if self.fleet.is_functional and any(r.pipeline.n_stages > 1 for r in requests):
             raise ShapeError(
                 "multi-stage pipeline workloads are dry-run only: functional "
-                "execution of inter-stage buffers is not modelled yet "
-                "(single-stage pipelines run functionally like bare workloads)"
+                "execution of inter-stage buffers is not modelled yet"
             )
         outcomes = [RequestOutcome(request=r, admitted=False) for r in requests]
         self._arrivals = deque(sorted(outcomes, key=lambda o: o.request.arrival_s))
@@ -887,12 +895,18 @@ class BeamformingService:
                     tenant=req.workload.tenant,
                 )
             )
-        decision = self.fleet.placer.place(req.workload, self._batcher.policy_for(priority))
+        placer = self.fleet.placer
+        decision = placer.place(req.workload, self._batcher.policy_for(priority))
         if self.recorder.enabled:
             self.recorder.emit(self._placement_event(now, req, decision))
-        projected = self._estimate_latency(
-            now, decision, pipeline=req.pipeline if req.is_pipeline_stage else None
-        )
+        projected = self._estimate_latency(now, decision)
+        # End-to-end admission: every downstream stage adds at least its own
+        # best-device launch. Queueing and transfer along the chain show up
+        # in the SLO, not the projection; a downstream stage with no capable
+        # worker projects inf and sheds at the door.
+        pipeline = req.pipeline
+        for name in pipeline.topo_order[1:]:
+            projected += placer.predicted_service_s(pipeline.stage(name).workload, 1)
         depth = self._depth()
         admitted = self.admission.admit(projected, depth, priority=priority)
         if self.recorder.enabled:
@@ -913,22 +927,9 @@ class BeamformingService:
                 self._monitor.observe_shed(now, priority, req.workload.tenant)
             return
         outcome.admitted = True
-        self._pending_outcomes[id(req)] = outcome
-        if req.is_pipeline_stage:
-            run = _PipelineRun(root=req)
-            run.released.add(req.stage)
-            self._pipeline_runs[id(req)] = run
-            self.metrics.inc("service.stage_released")
-            if self.recorder.enabled:
-                self.recorder.emit(
-                    StageStarted(
-                        t_s=now,
-                        rid=req.rid,
-                        pipeline=req.pipeline.name,
-                        stage=req.stage,
-                        stage_index=req.pipeline.stage_index(req.stage),
-                    )
-                )
+        self._runs[id(req)] = _RequestRun(outcome=outcome, remaining=pipeline.n_stages)
+        if pipeline.n_stages > 1:
+            self._stage_started(req, now)
         self._enqueue(req, now, decision)
 
     def _enqueue(self, req: Request, now: float, decision: PlacementDecision) -> None:
@@ -1034,32 +1035,137 @@ class BeamformingService:
     # -- internals -----------------------------------------------------------
 
     def _complete(self, execution: BatchExecution) -> None:
-        """Stamp every request of one confirmed launch: the completion edge.
+        """Every request of one confirmed launch completed one stage."""
+        outputs = execution.outputs
+        for i, req in enumerate(execution.batch.requests):
+            outcome = self._stage_complete(req, execution)
+            if outcome is not None and outputs is not None:
+                outcome.output = outputs[i]
 
-        Multi-stage pipeline requests divert to :meth:`_stage_complete`:
-        a finished launch completes one *stage*, releasing successors; the
-        end-to-end outcome is only stamped when the last stage finishes.
+    # -- the request lifecycle -----------------------------------------------
+
+    def _stage_started(self, req: Request, now: float) -> None:
+        """Count and trace one released stage of a multi-stage pipeline."""
+        self.metrics.inc("service.stage_released")
+        if self.recorder.enabled:
+            pipeline = req.pipeline
+            self.recorder.emit(
+                StageStarted(
+                    t_s=now,
+                    rid=req.rid,
+                    pipeline=pipeline.name,
+                    stage=req.stage,
+                    stage_index=pipeline.stage_index(req.stage),
+                    dep_indices=tuple(
+                        pipeline.stage_index(d) for d in pipeline.stage(req.stage).depends_on
+                    ),
+                )
+            )
+
+    def _stage_complete(self, req: Request, execution: BatchExecution) -> RequestOutcome | None:
+        """One stage of one request finished its batched launch.
+
+        Records the stage's completion (and the worker its output buffer
+        now resides on), releases every successor whose dependencies are
+        all complete — onto the stage heap at the gating dependency's
+        completion instant, which the clock has just reached — and returns
+        the request's outcome once its last stage has run (else ``None``).
         """
-        batch = execution.batch
-        for i, req in enumerate(batch.requests):
-            if req.is_pipeline_stage:
-                self._stage_complete(req, execution)
+        root = req.root_request
+        run = self._runs.get(id(root))
+        if run is None:
+            return None  # the request already failed on another branch
+        pipeline = req.pipeline
+        link = StageLink(req.stage, execution.batch.bid, req.arrival_s, execution.completion_s)
+        run.completed[req.stage] = link
+        run.remaining -= 1
+        if pipeline.n_stages > 1:
+            self.metrics.inc("service.stage_completed")
+            if self.recorder.enabled:
+                self.recorder.emit(
+                    StageCompleted(
+                        t_s=execution.completion_s,
+                        rid=req.rid,
+                        pipeline=pipeline.name,
+                        stage=req.stage,
+                        stage_index=pipeline.stage_index(req.stage),
+                        bid=execution.batch.bid,
+                    )
+                )
+        successors = pipeline.successors(req.stage)
+        if successors:
+            run.residency[req.stage] = execution.worker_index
+        else:
+            run.final = link if run.final is None else _gating(pipeline, run.final, link)
+        for stage in successors:
+            # Released once: by the completion of its last dependency.
+            if any(d not in run.completed for d in stage.depends_on):
                 continue
-            outcome = self._stamp(req, batch.bid, execution.completion_s)
-            if execution.outputs is not None:
-                outcome.output = execution.outputs[i]
+            release_s = max(run.completed[d].completion_s for d in stage.depends_on)
+            successor = Request(
+                rid=root.rid,
+                workload=stage.workload,
+                arrival_s=release_s,
+                pipeline=pipeline,
+                stage=stage.name,
+                root=root,
+                resident_workers=tuple(sorted({run.residency[d] for d in stage.depends_on})),
+                stage_input_bytes=pipeline.stage_input_bytes(stage.name),
+            )
+            heapq.heappush(self._stage_heap, (release_s, self._stage_seq, successor))
+            self._stage_seq += 1
+        if run.remaining:
+            return None
+        return self._finish_pipeline(root, run)
 
-    def _stamp(self, req: Request, batch_id: int, completion_s: float) -> RequestOutcome:
-        """Close one admitted request's lifecycle at ``completion_s``.
+    def _release_stages(self, now: float) -> None:
+        """Feed every stage whose release instant the clock reached.
 
-        ``req`` is the request as admitted (a pipeline's root) and
-        ``batch_id`` the launch that finished it; returns its outcome.
+        The pipeline event source's handler: released stages skip admission
+        (the root was admitted end-to-end at arrival) and enter the same
+        placement -> batcher -> scheduler path an arrival takes, so
+        same-stage requests of *different* pipeline arrivals coalesce into
+        shared launches exactly like arrivals do.
         """
-        outcome = self._pending_outcomes.pop(id(req))
-        outcome.batch_id = batch_id
-        outcome.completion_s = completion_s
-        latency = completion_s - req.arrival_s
-        workload = req.workload
+        while self._stage_heap and self._stage_heap[0][0] <= now:
+            _, _, req = heapq.heappop(self._stage_heap)
+            if id(req.root_request) not in self._runs:
+                continue  # the root failed while this release was pending
+            self._stage_started(req, now)
+            decision = self.fleet.placer.place(
+                req.workload, self._batcher.policy_for(req.workload.priority)
+            )
+            if decision.is_shed:
+                # Mid-pipeline infeasibility (e.g. the only capable worker
+                # crashed since admission): the whole request fails.
+                self._fail(req, now, "no_capable_worker")
+                continue
+            self._enqueue(req, now, decision)
+
+    def _finish_pipeline(self, root: Request, run: _RequestRun) -> RequestOutcome:
+        """All stages of one request ran: stamp its end-to-end outcome.
+
+        The outcome's completion is the gating sink's; the gating chain is
+        reconstructed by walking back from that sink through, at each
+        stage, the dependency whose completion gated the release.
+        """
+        del self._runs[id(root)]
+        pipeline = root.pipeline
+        final = run.final
+        chain = (final,)
+        deps = pipeline.stage(final.stage).depends_on
+        while deps:
+            gating = run.completed[deps[0]]
+            for dep in deps[1:]:
+                gating = _gating(pipeline, gating, run.completed[dep])
+            chain = (gating, *chain)
+            deps = pipeline.stage(gating.stage).depends_on
+        outcome = run.outcome
+        outcome.batch_id = final.batch_id
+        outcome.completion_s = completion_s = final.completion_s
+        outcome.stage_chain = chain
+        latency = completion_s - root.arrival_s
+        workload = root.workload
         self.metrics.inc("service.completed")
         self.metrics.observe("service.latency_ms", latency * 1e3)
         if self._monitor is not None:
@@ -1070,142 +1176,14 @@ class BeamformingService:
             self.recorder.emit(
                 RequestCompleted(
                     t_s=completion_s,
-                    rid=req.rid,
-                    bid=batch_id,
+                    rid=root.rid,
+                    bid=final.batch_id,
                     latency_s=latency,
                     tenant=workload.tenant,
                     priority=workload.priority,
                 )
             )
         return outcome
-
-    # -- pipeline stage lifecycle --------------------------------------------
-
-    def _stage_complete(self, req: Request, execution: BatchExecution) -> None:
-        """One stage of one pipeline request finished its batched launch.
-
-        Records the stage's completion (and where its output buffer now
-        resides), releases every successor whose dependencies are all
-        complete — onto the stage heap at the gating dependency's
-        completion instant, which the clock has just reached — and
-        finalizes the end-to-end outcome once all stages have run.
-        """
-        run = self._pipeline_runs.get(id(req.root_request))
-        if run is None:
-            return  # the root already failed on another branch
-        pipeline = req.pipeline
-        run.completed[req.stage] = StageLink(
-            stage=req.stage,
-            batch_id=execution.batch.bid,
-            arrival_s=req.arrival_s,
-            completion_s=execution.completion_s,
-        )
-        run.residency[req.stage] = (execution.worker_index,)
-        self.metrics.inc("service.stage_completed")
-        if self.recorder.enabled:
-            self.recorder.emit(
-                StageCompleted(
-                    t_s=execution.completion_s,
-                    rid=req.rid,
-                    pipeline=pipeline.name,
-                    stage=req.stage,
-                    stage_index=pipeline.stage_index(req.stage),
-                    bid=execution.batch.bid,
-                )
-            )
-        for stage in pipeline.successors(req.stage):
-            if stage.name in run.released:
-                continue
-            deps = [run.completed.get(d) for d in stage.depends_on]
-            if any(link is None for link in deps):
-                continue
-            release_s = max(link.completion_s for link in deps)
-            run.released.add(stage.name)
-            resident = tuple(
-                sorted({w for d in stage.depends_on for w in run.residency[d]})
-            )
-            successor = Request(
-                rid=req.root_request.rid,
-                workload=stage.workload,
-                arrival_s=release_s,
-                pipeline=pipeline,
-                stage=stage.name,
-                root=req.root_request,
-                resident_workers=resident,
-                stage_input_bytes=pipeline.stage_input_bytes(stage.name),
-            )
-            heapq.heappush(self._stage_heap, (release_s, self._stage_seq, successor))
-            self._stage_seq += 1
-        if len(run.completed) == pipeline.n_stages:
-            self._finish_pipeline(run)
-
-    def _release_stages(self, now: float) -> None:
-        """Feed every stage whose release instant the clock reached.
-
-        The pipeline event source's handler: released stages skip admission
-        (the root was admitted end-to-end at arrival) and enter the same
-        placement -> batcher -> scheduler path an arrival takes, so
-        same-stage requests of *different* pipeline arrivals coalesce into
-        shared launches exactly like ordinary requests.
-        """
-        while self._stage_heap and self._stage_heap[0][0] <= now:
-            _, _, req = heapq.heappop(self._stage_heap)
-            run = self._pipeline_runs.get(id(req.root_request))
-            if run is None:
-                continue  # the root failed while this release was pending
-            priority = req.workload.priority
-            self.metrics.inc("service.stage_released")
-            if self.recorder.enabled:
-                stage = req.pipeline.stage(req.stage)
-                self.recorder.emit(
-                    StageStarted(
-                        t_s=now,
-                        rid=req.rid,
-                        pipeline=req.pipeline.name,
-                        stage=req.stage,
-                        stage_index=req.pipeline.stage_index(req.stage),
-                        dep_indices=tuple(
-                            req.pipeline.stage_index(d) for d in stage.depends_on
-                        ),
-                    )
-                )
-            decision = self.fleet.placer.place(
-                req.workload, self._batcher.policy_for(priority)
-            )
-            if decision.is_shed:
-                # Mid-pipeline infeasibility (e.g. the only capable worker
-                # crashed since admission): the whole request fails.
-                self._fail(req, now, "no_capable_worker")
-                continue
-            self._enqueue(req, now, decision)
-
-    def _finish_pipeline(self, run: _PipelineRun) -> None:
-        """All stages of one pipeline request ran: stamp the e2e outcome.
-
-        The outcome's completion is the last sink's; the gating chain is
-        reconstructed by walking back from that sink through, at each
-        stage, the dependency whose completion gated the release (ties
-        break on topological index for replay determinism).
-        """
-        root = run.root
-        pipeline = root.pipeline
-        final = max(
-            (run.completed[s.name] for s in pipeline.sinks),
-            key=lambda link: (link.completion_s, pipeline.stage_index(link.stage)),
-        )
-        chain = [final]
-        while True:
-            deps = pipeline.stage(chain[0].stage).depends_on
-            if not deps:
-                break
-            gating = max(
-                (run.completed[d] for d in deps),
-                key=lambda link: (link.completion_s, pipeline.stage_index(link.stage)),
-            )
-            chain.insert(0, gating)
-        del self._pipeline_runs[id(root)]
-        outcome = self._stamp(root, final.batch_id, final.completion_s)
-        outcome.stage_chain = tuple(chain)
 
     def _placement_event(self, now: float, req: Request, decision: PlacementDecision):
         """The :class:`PlacementDecided` span of one arrival (traced runs).
@@ -1632,9 +1610,7 @@ class BeamformingService:
         *stage* fails its whole request: the bookkeeping is keyed through
         the root arrival, and completed sibling branches are discarded.
         """
-        root = req.root_request
-        self._pending_outcomes.pop(id(root), None)
-        self._pipeline_runs.pop(id(root), None)
+        self._runs.pop(id(req.root_request), None)
         self.metrics.inc("service.failed")
         priority = req.workload.priority
         if self._monitor is not None:
@@ -1662,13 +1638,8 @@ class BeamformingService:
         """Admitted requests waiting or in flight (admission's queue view)."""
         return self.queued_requests() + self._in_flight_requests
 
-    def _estimate_latency(
-        self,
-        now: float,
-        decision: PlacementDecision,
-        pipeline=None,
-    ) -> float:
-        """At-arrival, class-aware latency projection for admission control.
+    def _estimate_latency(self, now: float, decision: PlacementDecision) -> float:
+        """Class-aware latency projection of one placed launch.
 
         Built entirely from the placer's per-device cost model — no
         observed EMA: the request's own class batching wait, plus the best
@@ -1702,7 +1673,10 @@ class BeamformingService:
                 decision.workload
             ) or placer.capable_workers(decision.workload)
             backlog = min(w.backlog_s(now) for w in candidates)
-            own_service = placer.predicted_service_s(decision.workload, 1)
+            # Placer.predicted_service_s, over the candidates already in hand.
+            own_service = min(
+                placer.estimate(w, decision.workload, 1).service_s for w in candidates
+            )
             batching_wait = self._batcher.policy_for(priority).max_wait_s
             n_usable = len(candidates)
         # Undispatched work lives in two places: the scheduler's queues and
@@ -1713,14 +1687,4 @@ class BeamformingService:
             self.fleet.scheduler.queued_service_s(priority)
             + self.fleet.held_service_s(priority)
         ) / n_usable
-        projected = batching_wait + backlog + queue_drain + own_service
-        if pipeline is not None:
-            # End-to-end admission for a multi-stage arrival: every
-            # downstream stage adds at least its own best-device launch.
-            # Queueing and transfer along the chain show up in the SLO,
-            # not the projection — admission stays optimistic the same way
-            # it is for single-kernel requests; a downstream stage with no
-            # capable worker projects inf and sheds at the door.
-            for name in pipeline.topo_order[1:]:
-                projected += placer.predicted_service_s(pipeline.stage(name).workload, 1)
-        return projected
+        return batching_wait + backlog + queue_drain + own_service

@@ -13,8 +13,9 @@ Real deployments chain kernels, not single launches — channelizer →
 beamformer → dedispersion search for a radio observatory, beamform →
 Doppler ensemble for a clinic. A :class:`PipelineWorkload` describes such a
 chain as a validated DAG of :class:`Stage` nodes, each wrapping one
-batchable :class:`Workload` (today's single-kernel descriptor is exactly
-the one-stage special case — see :meth:`Workload.single_stage`). Stages of
+batchable :class:`Workload`; a bare workload is exactly the one-stage
+special case (see :meth:`Workload.single_stage`), and every
+:class:`Request` is a request of some pipeline. Stages of
 different pipeline arrivals batch together per stage (same compat key);
 stages of *different* pipelines never coalesce (their workload names are
 pipeline-qualified). Inter-stage buffers are first-class: each stage
@@ -235,14 +236,12 @@ class Workload:
         return replace(self, batch_per_request=batch_per_request, weights=None)
 
     def single_stage(self) -> "PipelineWorkload":
-        """This workload as a one-stage pipeline — the blessed conversion.
+        """This workload as a one-stage pipeline.
 
-        The single-stage pipeline is *behaviourally identical* to the bare
-        workload: the stage keeps this workload's name (no pipeline
-        qualification), so its requests share batches, plans, and golden
-        replays with legacy ``Request(workload=...)`` arrivals bit-exactly.
-        Use this, not a hand-built :class:`PipelineWorkload`, when lifting
-        an existing request class into the pipeline API.
+        The one stage keeps this workload's name (no pipeline
+        qualification) and wraps this very object, so a request built
+        from either form batches, plans and replays identically —
+        :class:`Request` applies this conversion to every bare workload.
         """
         return PipelineWorkload(name=self.name, stages=(Stage(name=self.name, workload=self),))
 
@@ -311,9 +310,11 @@ class PipelineWorkload:
 
     Multi-stage pipelines qualify their stage workload names as
     ``"<pipeline>/<stage>"`` so stages of *different* pipelines never share
-    a compat key; a single-stage pipeline keeps the bare workload name —
-    that is what makes :meth:`Workload.single_stage` a byte-identical
-    refactor of the legacy single-kernel path.
+    a compat key; a single-stage pipeline keeps its workload's own name.
+
+    The topology lookups (:meth:`stage`, :meth:`stage_index`,
+    :meth:`successors`, :attr:`sinks`, :attr:`source`) are tables built
+    once here: the service consults them on every stage completion.
     """
 
     name: str
@@ -343,8 +344,11 @@ class PipelineWorkload:
                 f"pipeline {self.name!r} must have exactly one source stage "
                 f"(no dependencies), found {len(sources)}"
             )
-        order = self._topo_sort()  # raises on cycles
-        object.__setattr__(self, "_topo", tuple(order))
+        successors: dict[str, list[str]] = {name: [] for name in names}
+        for stage in self.stages:
+            for dep in stage.depends_on:
+                successors[dep].append(stage.name)
+        order = self._topo_sort(successors)  # raises on cycles
         stages = self.stages
         if self.priority is not None or self.tenant is not None:
             stages = tuple(
@@ -367,13 +371,19 @@ class PipelineWorkload:
                 for stage in stages
             )
         object.__setattr__(self, "stages", stages)
+        by_name = {stage.name: stage for stage in stages}
+        object.__setattr__(self, "_topo", tuple(order))
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_index", {name: i for i, name in enumerate(order)})
+        object.__setattr__(
+            self,
+            "_successors",
+            {name: tuple(by_name[s] for s in succ) for name, succ in successors.items()},
+        )
+        object.__setattr__(self, "_sinks", tuple(s for s in stages if not successors[s.name]))
 
-    def _topo_sort(self) -> list[str]:
+    def _topo_sort(self, successors: dict[str, list[str]]) -> list[str]:
         indegree = {stage.name: len(stage.depends_on) for stage in self.stages}
-        successors: dict[str, list[str]] = {stage.name: [] for stage in self.stages}
-        for stage in self.stages:
-            for dep in stage.depends_on:
-                successors[dep].append(stage.name)
         ready = [name for name, deg in indegree.items() if deg == 0]
         order: list[str] = []
         while ready:
@@ -399,31 +409,32 @@ class PipelineWorkload:
         """Stage names in one deterministic dependency-respecting order."""
         return self._topo  # type: ignore[attr-defined]
 
+    def _look_up(self, table: dict, name: str):
+        try:
+            return table[name]
+        except KeyError:
+            raise ShapeError(f"pipeline {self.name!r} has no stage {name!r}") from None
+
     def stage(self, name: str) -> Stage:
-        for stage in self.stages:
-            if stage.name == name:
-                return stage
-        raise ShapeError(f"pipeline {self.name!r} has no stage {name!r}")
+        return self._look_up(self._by_name, name)  # type: ignore[attr-defined]
 
     def stage_index(self, name: str) -> int:
         """Position of a stage in :attr:`topo_order` (trace flow-arrow ids)."""
-        return self.topo_order.index(self.stage(name).name)
+        return self._look_up(self._index, name)  # type: ignore[attr-defined]
 
     @property
     def source(self) -> Stage:
         """The unique entry stage — what an arrival's request executes first."""
-        return next(stage for stage in self.stages if not stage.depends_on)
+        return self._by_name[self._topo[0]]  # type: ignore[attr-defined]
 
     @property
     def sinks(self) -> tuple[Stage, ...]:
         """Stages nothing depends on; the request completes when all have run."""
-        consumed = {dep for stage in self.stages for dep in stage.depends_on}
-        return tuple(stage for stage in self.stages if stage.name not in consumed)
+        return self._sinks  # type: ignore[attr-defined]
 
     def successors(self, name: str) -> tuple[Stage, ...]:
         """Stages that consume ``name``'s output, in declaration order."""
-        key = self.stage(name).name
-        return tuple(stage for stage in self.stages if key in stage.depends_on)
+        return self._look_up(self._successors, name)  # type: ignore[attr-defined]
 
     # -- serving-facing views ------------------------------------------------
 
@@ -431,12 +442,10 @@ class PipelineWorkload:
     def kernel(self) -> Workload:
         """The sole stage's workload — single-stage pipelines only.
 
-        The migration escape hatch for callers that still need the bare
-        single-kernel :class:`Workload` surface (``make_plan``,
-        ``footprint_bytes`` per launch, direct :class:`Request`
-        construction) after the adapters' ``service_workload()`` moved to
-        returning the pipeline form. Raises for multi-stage pipelines,
-        which have no single kernel to name.
+        For callers that need the :class:`Workload` surface itself
+        (``make_plan``, ``footprint_bytes`` per launch) of the pipeline
+        form the adapters' ``service_workload()`` returns. Raises for
+        multi-stage pipelines, which have no single kernel to name.
         """
         if len(self.stages) != 1:
             raise ShapeError(
@@ -483,14 +492,18 @@ class Request:
     n_samples)`` for functional fleets; ``None`` on dry-run fleets, where
     only the cost model runs.
 
-    The pipeline fields are populated by the serving tier, not by callers:
-    an arrival of a :class:`PipelineWorkload` carries ``pipeline`` and
-    ``stage`` (the source stage); requests for successor stages are created
-    internally by the service when dependencies complete, with ``root``
-    pointing at the original arrival, ``resident_workers`` naming where
-    dependency outputs live, and ``stage_input_bytes`` the buffer bytes a
-    non-resident placement must transfer. All default off, so legacy
-    single-kernel requests are untouched.
+    Every request belongs to a pipeline: ``pipeline`` is the
+    :class:`PipelineWorkload` it is a request of, ``stage`` the stage it
+    executes and ``workload`` that stage's kernel. Callers pass either a
+    bare :class:`Workload` (it becomes ``workload.single_stage()``) or a
+    :class:`PipelineWorkload` (the request enters at its source stage);
+    both fields are then filled in here, and :class:`ShapeError` rejects a
+    ``stage`` the pipeline lacks or a ``workload`` that is not that
+    stage's. Requests for successor stages are created by the service when
+    their dependencies complete, with ``root`` pointing at the original
+    arrival, ``resident_workers`` naming where dependency outputs live,
+    and ``stage_input_bytes`` the buffer bytes a non-resident placement
+    must transfer.
     """
 
     rid: int
@@ -504,23 +517,27 @@ class Request:
     stage_input_bytes: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
-        if isinstance(self.workload, PipelineWorkload):
-            # Hand-built requests may pass the pipeline form directly;
-            # they enter at the source stage, exactly as the arrival
-            # generators do (a single-stage pipeline's source workload is
-            # the wrapped kernel, so legacy behaviour is unchanged).
-            if self.pipeline is None:
-                source = self.workload.source
-                self.pipeline = self.workload
-                self.stage = source.name
-                self.workload = source.workload
+        if self.pipeline is None:
+            pipeline = self.workload
+            if not isinstance(pipeline, PipelineWorkload):
+                pipeline = pipeline.single_stage()
+            self.pipeline = pipeline
+            if self.stage is None:
+                self.stage = pipeline.source.name
+            if self.workload is pipeline:
+                self.workload = pipeline.stage(self.stage).workload
+        if self.stage is None:
+            raise ShapeError(
+                f"request {self.rid} of pipeline {self.pipeline.name!r} names no stage"
+            )
+        expected = self.pipeline.stage(self.stage).workload
+        if self.workload is not expected and self.workload != expected:
+            raise ShapeError(
+                f"request {self.rid}: workload {self.workload.name!r} is not the "
+                f"workload of stage {self.stage!r} of pipeline {self.pipeline.name!r}"
+            )
 
     @property
     def root_request(self) -> "Request":
-        """The originating arrival (itself for legacy/source requests)."""
+        """The originating arrival (itself for a pipeline's source stage)."""
         return self.root if self.root is not None else self
-
-    @property
-    def is_pipeline_stage(self) -> bool:
-        """True when this request is one stage of a multi-stage pipeline."""
-        return self.pipeline is not None and self.pipeline.n_stages > 1

@@ -29,7 +29,7 @@ from repro.serve import (
 from repro.serve.batching import Batch
 from repro.serve.dispatch import BatchExecution
 from repro.serve.obs.critical_path import SEGMENTS, attribute, blame
-from repro.serve.service import RequestOutcome
+from repro.serve.service import RequestOutcome, StageLink
 from tests.serve.test_service import overload_trace
 
 
@@ -37,6 +37,17 @@ def _workload(name: str, priority: int, tenant: str = "default") -> Workload:
     return Workload(
         name=name, n_beams=8, n_receivers=8, n_samples=64,
         priority=priority, tenant=tenant,
+    )
+
+
+def _completed(req: Request, batch_id: int, completion_s: float) -> RequestOutcome:
+    """A completed one-stage request, as the service records it."""
+    return RequestOutcome(
+        request=req,
+        admitted=True,
+        batch_id=batch_id,
+        completion_s=completion_s,
+        stage_chain=(StageLink(req.stage, batch_id, req.arrival_s, completion_s),),
     )
 
 
@@ -81,8 +92,8 @@ class TestHandBuiltTwoRequestScenario:
             stage_in_s=0.0, build_s=0.0,
         )
         outcomes = [
-            RequestOutcome(request=req_a, admitted=True, batch_id=10, completion_s=2.0),
-            RequestOutcome(request=req_b, admitted=True, batch_id=20, completion_s=0.75),
+            _completed(req_a, batch_id=10, completion_s=2.0),
+            _completed(req_b, batch_id=20, completion_s=0.75),
         ]
         return outcomes, [exec_a, exec_b]
 
@@ -158,6 +169,12 @@ class TestHandBuiltTwoRequestScenario:
         with pytest.raises(ShapeError, match="no execution records"):
             attribute(outcomes, executions[:1])
 
+    def test_completed_outcome_without_chain_raises(self):
+        outcomes, executions = self._scenario()
+        outcomes[0].stage_chain = ()
+        with pytest.raises(ShapeError, match="without a stage chain"):
+            attribute(outcomes, executions)
+
 
 class TestSplitCriticalShard:
     def test_split_follows_the_slowest_shard(self):
@@ -176,7 +193,7 @@ class TestSplitCriticalShard:
             start_s=0.5, compute_start_s=0.75, completion_s=2.0,
             stage_in_s=0.0, gemm_s=0.0, build_s=0.0, shards=[fast, slow],
         )
-        outcomes = [RequestOutcome(request=req, admitted=True, batch_id=30, completion_s=2.0)]
+        outcomes = [_completed(req, batch_id=30, completion_s=2.0)]
         [path] = attribute(outcomes, [top])
         # The decomposition follows shard 1 (completes at 2.0 > 1.0):
         # wait 0.5, queue window 0.5, stage_in 0.25, compute 0.75.

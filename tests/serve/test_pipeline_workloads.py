@@ -6,12 +6,14 @@ The acceptance bars of the pipeline PR, layer by layer:
   duplicate stages, unknown or duplicate dependencies, and multi-source
   graphs at construction; ``.kernel`` is defined for single-stage
   pipelines only;
-* **byte-identity** — a :meth:`Workload.single_stage` pipeline replays
-  the legacy bare-workload path bit-identically (the refactor that let
-  ``service_workload()`` change its return type without moving a golden);
+* **one lifecycle** — every request is a pipeline request: a bare
+  workload and its :meth:`Workload.single_stage` pipeline replay
+  bit-identically, with a one-link ``stage_chain`` on every completed
+  outcome; inconsistent pipeline fields are rejected at construction;
 * **end-to-end** — a multi-stage run releases every stage exactly once,
   completes at the last stage, and records a gating chain whose
-  telescoping segments sum bit-exactly to the end-to-end latency;
+  telescoping segments sum bit-exactly to the end-to-end latency — for
+  bare, one-stage, three-stage and crash-retried requests alike;
 * **locality** — stage-locality placement keeps more stage dispatches on
   the buffer-resident worker than stage-blind placement, at a no-worse
   tail, with both arms paying the same transfer physics;
@@ -39,9 +41,11 @@ from repro.serve import (
     FaultPlan,
     PipelineWorkload,
     Placer,
+    Request,
     ResiliencePolicy,
     Stage,
     Workload,
+    crash_storm,
     merge_arrivals,
     poisson_arrivals,
 )
@@ -70,6 +74,18 @@ def _service(devices=None, **kwargs) -> BeamformingService:
 
 def _pipeline_trace(horizon_s: float = 0.002, rate: float = 20000.0, seed: int = 7):
     return poisson_arrivals(radio_pipeline(), rate, horizon_s, seed=seed)
+
+
+def _diamond() -> PipelineWorkload:
+    return PipelineWorkload(
+        name="diamond",
+        stages=(
+            Stage(name="src", workload=_stage_workload()),
+            Stage(name="left", workload=_stage_workload(), depends_on=("src",)),
+            Stage(name="right", workload=_stage_workload(), depends_on=("src",)),
+            Stage(name="sink", workload=_stage_workload(), depends_on=("left", "right")),
+        ),
+    )
 
 
 class TestTopologyValidation:
@@ -130,15 +146,7 @@ class TestTopologyValidation:
         assert workload.single_stage().kernel is workload
 
     def test_diamond_topology_is_valid(self):
-        diamond = PipelineWorkload(
-            name="diamond",
-            stages=(
-                Stage(name="src", workload=_stage_workload()),
-                Stage(name="left", workload=_stage_workload(), depends_on=("src",)),
-                Stage(name="right", workload=_stage_workload(), depends_on=("src",)),
-                Stage(name="sink", workload=_stage_workload(), depends_on=("left", "right")),
-            ),
-        )
+        diamond = _diamond()
         assert diamond.topo_order[0] == "src"
         assert diamond.topo_order[-1] == "sink"
         assert {s.name for s in diamond.sinks} == {"sink"}
@@ -153,6 +161,74 @@ class TestTopologyValidation:
         assert all(s.workload.tenant == "followup" for s in pipeline.stages)
 
 
+@pytest.mark.parametrize(
+    "pipeline",
+    [_diamond(), radio_pipeline(), ultrasound_pipeline()],
+    ids=["diamond", "radio", "ultrasound"],
+)
+class TestTopologyLookups:
+    """The precomputed lookups agree with a brute-force scan of ``stages``."""
+
+    def test_lookups_match_brute_force(self, pipeline):
+        stages = pipeline.stages
+        consumed = {dep for stage in stages for dep in stage.depends_on}
+        assert pipeline.sinks == tuple(s for s in stages if s.name not in consumed)
+        assert pipeline.source == next(s for s in stages if not s.depends_on)
+        for stage in stages:
+            assert pipeline.stage(stage.name) is stage
+            assert pipeline.stage_index(stage.name) == pipeline.topo_order.index(stage.name)
+            assert pipeline.successors(stage.name) == tuple(
+                s for s in stages if stage.name in s.depends_on
+            )
+
+    def test_unknown_names_raise(self, pipeline):
+        for lookup in (pipeline.stage, pipeline.stage_index, pipeline.successors):
+            with pytest.raises(ShapeError, match="has no stage 'ghost'"):
+                lookup("ghost")
+
+
+class TestRequestValidation:
+    """Inconsistent pipeline fields are rejected when the request is built."""
+
+    def test_workload_must_be_the_stages_workload(self):
+        pipeline = radio_pipeline()
+        with pytest.raises(ShapeError, match="is not the workload of stage 'channelize'"):
+            Request(
+                rid=0,
+                workload=lofar_service().kernel,
+                arrival_s=0.0,
+                pipeline=pipeline,
+                stage="channelize",
+            )
+
+    def test_stage_is_required_with_a_pipeline(self):
+        pipeline = radio_pipeline()
+        with pytest.raises(ShapeError, match="names no stage"):
+            Request(rid=0, workload=pipeline.source.workload, arrival_s=0.0, pipeline=pipeline)
+
+    def test_unknown_stage_is_rejected(self):
+        pipeline = radio_pipeline()
+        with pytest.raises(ShapeError, match="has no stage 'ghost'"):
+            Request(
+                rid=0,
+                workload=pipeline.source.workload,
+                arrival_s=0.0,
+                pipeline=pipeline,
+                stage="ghost",
+            )
+
+    def test_bare_and_pipeline_forms_fill_in_the_fields(self):
+        bare = _stage_workload()
+        request = Request(rid=0, workload=bare, arrival_s=0.0)
+        assert request.pipeline == bare.single_stage()
+        assert (request.stage, request.workload) == ("k", bare)
+        pipeline = radio_pipeline()
+        entry = Request(rid=1, workload=pipeline, arrival_s=0.0)
+        assert entry.pipeline is pipeline
+        assert entry.stage == "channelize"
+        assert entry.workload is pipeline.source.workload
+
+
 class TestSingleStageEquivalence:
     def test_single_stage_pipeline_replays_bare_workload_byte_identically(self):
         bare = lofar_service().kernel
@@ -165,8 +241,16 @@ class TestSingleStageEquivalence:
         assert a.placements == b.placements
         # One-stage pipelines keep the bare workload name end to end.
         assert {e.batch.workload.name for e in b.executions} == {"lofar_beam_block"}
-        # ... and never populate the cross-stage chain.
-        assert all(o.stage_chain == () for o in b.outcomes)
+        # Every completed outcome carries exactly one link: its own stage,
+        # batch, arrival and completion.
+        for report in (a, b):
+            completed = [o for o in report.outcomes if o.completion_s is not None]
+            assert completed
+            for o in completed:
+                assert o.stage_chain == (
+                    (o.request.stage, o.batch_id, o.request.arrival_s, o.completion_s),
+                )
+        assert a.request_paths() == b.request_paths()
 
 
 class TestEndToEnd:
@@ -219,6 +303,48 @@ class TestEndToEnd:
             stages = {r.stage for r in execution.batch.requests}
             assert len(pipelines) == 1
             assert len(stages) == 1
+
+
+def _faulted_run():
+    """Pipelines and bare blocks through a crash storm, absorbed by retries."""
+    trace = merge_arrivals(
+        _pipeline_trace(rate=30000.0, seed=19),
+        poisson_arrivals(lofar_service().kernel, 30000.0, 0.002, seed=4),
+    )
+    service = _service(
+        _fleet(3),
+        faults=crash_storm(0.002, [0, 1, 2], n_crashes=1, seed=1),
+        resilience=ResiliencePolicy(),
+    )
+    report = service.run(trace)
+    assert report.n_retries > 0
+    return report
+
+
+CHAIN_RUNS = {
+    "bare": lambda: _service().run(poisson_arrivals(lofar_service().kernel, 30000.0, 0.002)),
+    "one-stage": lambda: _service().run(poisson_arrivals(lofar_service(), 30000.0, 0.002)),
+    "three-stage": lambda: _service().run(_pipeline_trace()),
+    "faulted-retries": _faulted_run,
+}
+
+
+@pytest.mark.parametrize("run", list(CHAIN_RUNS.values()), ids=list(CHAIN_RUNS))
+def test_every_completed_chain_telescopes(run):
+    """The one-lifecycle invariant, over every kind of request."""
+    report = run()
+    completed = [o for o in report.outcomes if o.completion_s is not None]
+    assert completed
+    for outcome in completed:
+        chain = outcome.stage_chain
+        assert [link.stage for link in chain] == list(outcome.request.pipeline.topo_order)
+        assert chain[0].arrival_s == outcome.request.arrival_s
+        for prev, nxt in zip(chain, chain[1:]):
+            assert nxt.arrival_s == prev.completion_s
+        assert chain[-1].completion_s == outcome.completion_s
+        assert chain[-1].batch_id == outcome.batch_id
+    for path in report.request_paths():
+        assert path.total_s == path.latency_s  # bit-exact
 
 
 class TestStageLocality:
