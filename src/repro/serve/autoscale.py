@@ -126,10 +126,6 @@ class FleetSignals:
     firing_alerts: int = 0
 
     @property
-    def n_provisioned(self) -> int:
-        return self.n_accepting + self.n_draining
-
-    @property
     def pressure_s(self) -> float:
         """The scale-up signal: worst per-capability predicted drain."""
         return max(self.drain_s_by_capability.values(), default=0.0)

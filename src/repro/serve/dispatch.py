@@ -12,25 +12,23 @@ Routing is delegated to the :class:`~repro.serve.placement.Placer`: each
 batch is placed on the *eligible* worker (capability + memory fit) with the
 earliest predicted finish under that device's own cost model. On a
 homogeneous fleet every device predicts identical costs, so the decision
-collapses to the classic least-loaded rule — kept as
-:meth:`FleetDispatcher.least_loaded` both for direct fleet studies and as
-the documented trivial case of cost-aware placement. Split placements
-(requests larger than any single device) shard across several workers at
-once and complete at the slowest shard.
+collapses to the classic least-loaded rule. Split placements (requests
+larger than any single device) shard across several workers at once and
+complete at the slowest shard.
 
-Two dispatch paths coexist:
-
-* :meth:`FleetDispatcher.dispatch` — immediate placement, FIFO in call
-  order (the pre-priority model, still used for direct fleet studies);
-* :meth:`FleetDispatcher.submit` + :meth:`FleetDispatcher.drain` — batches
-  wait in a :class:`~repro.serve.scheduler.PriorityScheduler` and reach a
-  worker only when its pipeline can actually accept one (the previous
-  batch's GEMM has started). Keeping the wait in the scheduler instead of
-  on the worker is what makes priorities real: a high-priority batch jumps
-  everything still queued, while each worker keeps at most one staged batch
-  so copy/compute overlap is preserved exactly. A batch whose eligible
-  workers are all busy is *held* (it never blocks batches other workers
-  could serve) and retried first on the next drain.
+Batches reach workers one way: :meth:`FleetDispatcher.submit` queues them
+in a :class:`~repro.serve.scheduler.PriorityScheduler`, and
+:meth:`FleetDispatcher.drain` hands them to a worker only when its pipeline
+can actually accept one (the previous batch's GEMM has started). Keeping
+the wait in the scheduler instead of on the worker is what makes
+priorities real: a high-priority batch jumps everything still queued,
+while each worker keeps at most one staged batch so copy/compute overlap
+is preserved exactly. A batch whose eligible workers are all busy is
+*held* (it never blocks batches other workers could serve) and retried
+first on the next drain. Every launch — a placed batch, a split's shard, a
+hedge duplicate, a recovered shard — goes through
+:meth:`FleetDispatcher._launch`. The one placement-blind worker choice
+(hedge targets, shard recovery) is :func:`least_loaded`.
 """
 
 from __future__ import annotations
@@ -122,8 +120,8 @@ class DeviceWorker:
         self.joined_s = joined_s
         #: transient compute-rate multiplier (fault injection): batches
         #: scheduled while > 1.0 run that many times slower on both
-        #: engines. Exactly 1.0 (the default) takes the untouched
-        #: fast path, so fault-free runs stay bit-identical.
+        #: engines. The default 1.0 leaves every time bit-identical
+        #: (``x * 1.0 == x`` for every finite float).
         self.slow_factor = 1.0
         #: marked for scale-down: no new placements, drains what it has.
         self.draining = False
@@ -158,18 +156,17 @@ class DeviceWorker:
         batch: Batch,
         entry: CachedPlan,
         build_s: float,
-        now: float = 0.0,
+        now: float,
         n_requests: int | None = None,
         stage_in_override: float | None = None,
     ) -> BatchExecution:
         """Place one batch on this worker's engines; returns its timeline.
 
-        ``now`` is the dispatch instant (0 for the immediate FIFO path,
-        where the batch's formation time orders the queue). The one-time
-        plan build serializes ahead of the batch's stage-in on the copy
-        engine (a cold plan cannot stage data); the GEMM starts once its
-        stage-in and the previous GEMM are both done — the same event model
-        as :func:`repro.tcbf.streaming.pipelined_makespan`.
+        ``now`` is the dispatch instant. The one-time plan build serializes
+        ahead of the batch's stage-in on the copy engine (a cold plan cannot
+        stage data); the GEMM starts once its stage-in and the previous GEMM
+        are both done — the same event model as
+        :func:`repro.tcbf.streaming.pipelined_makespan`.
         ``n_requests`` overrides the request count attributed to this
         worker (a split batch touches several workers at once).
         ``stage_in_override`` replaces the plan's stage-in time for
@@ -181,12 +178,8 @@ class DeviceWorker:
         stage_in_s, gemm_s = entry.stage_in_s, entry.gemm_s
         if stage_in_override is not None:
             stage_in_s = stage_in_override
-        if self.slow_factor != 1.0:
-            # Straggler window: both engines run degraded. Guarded so the
-            # healthy path multiplies by nothing — float-identical to the
-            # pre-fault-injection arithmetic.
-            stage_in_s *= self.slow_factor
-            gemm_s *= self.slow_factor
+        stage_in_s *= self.slow_factor
+        gemm_s *= self.slow_factor
         start = max(batch.formed_s, self._copy_free_s, now)
         copy_end = start + build_s + stage_in_s
         compute_start = max(copy_end, self._compute_free_s)
@@ -242,14 +235,23 @@ class DeviceWorker:
         return self.busy_s / makespan_s if makespan_s > 0 else 0.0
 
 
+def least_loaded(workers: Iterable[DeviceWorker], now: float) -> DeviceWorker | None:
+    """The worker whose compute engine drains first, ``None`` when empty.
+
+    The one backlog-only worker choice (hedge targets, shard recovery).
+    Ties on equal float backlogs go to the lowest worker index, so replay
+    never depends on the order the worker list happens to be in.
+    """
+    return min(workers, key=lambda w: (w.backlog_s(now), w.index), default=None)
+
+
 class FleetDispatcher:
     """Placer-routed dispatch of batches over a (possibly mixed) fleet.
 
     Devices may differ in model and capability (a GH200 next to an MI300X);
     only the execution mode (functional vs dry-run) must be uniform. The
     bound :class:`~repro.serve.placement.Placer` makes every routing
-    decision; :meth:`least_loaded` survives as the homogeneous special
-    case.
+    decision.
     """
 
     def __init__(
@@ -312,32 +314,9 @@ class FleetDispatcher:
     def is_functional(self) -> bool:
         return self._functional
 
-    @staticmethod
-    def _routing_key(worker: DeviceWorker, now: float) -> tuple[float, int]:
-        """Total order for routing decisions: (backlog, worker index).
-
-        The explicit index component makes ties between equal float
-        backlogs index-stable — without it, ``min`` would keep whichever
-        equal-backlog worker happened to come first in a reordered worker
-        list, and replay determinism would hinge on list construction
-        order rather than on the fleet's declared indices.
-        """
-        return (worker.backlog_s(now), worker.index)
-
-    def least_loaded(self, now: float) -> DeviceWorker:
-        """Worker whose compute engine drains first (ties: lowest index).
-
-        The cost-model-blind routing rule — what the placer's predicted
-        finish reduces to when every device prices the workload equally.
-        """
-        return min(self.workers, key=lambda w: self._routing_key(w, now))
-
     def worker_by_index(self, index: int) -> DeviceWorker:
         """The worker with a declared index (robust to list reordering)."""
-        worker = self.workers[index] if index < len(self.workers) else None
-        if worker is not None and worker.index == index:
-            return worker
-        return next(w for w in self.workers if w.index == index)
+        return self.placer.worker_by_index(index)
 
     # -- elastic fleets ------------------------------------------------------
 
@@ -450,10 +429,7 @@ class FleetDispatcher:
         primary (the simulated computation is worker-independent).
         """
         batch = execution.batch
-        entry, build_s = self.cache.get(worker.device, batch.workload, batch.n_requests)
-        self._record_lookup(worker, batch.workload, batch.n_requests, build_s, now)
-        duplicate = worker.schedule(batch, entry, build_s, now=now, n_requests=0)
-        self._record_execution(duplicate)
+        duplicate, _ = self._launch(worker, batch, batch.workload, batch.n_requests, now, count=0)
         duplicate.outputs = execution.outputs
         return duplicate
 
@@ -472,11 +448,9 @@ class FleetDispatcher:
         """
         batch = execution.batch
         extent = batch.decision.shard_extents[shard_index]
-        shard_workload = batch.workload.shard(extent)
-        entry, build_s = self.cache.get(worker.device, shard_workload, 1)
-        self._record_lookup(worker, shard_workload, 1, build_s, now)
-        redo = worker.schedule(batch, entry, build_s, now=now, n_requests=0)
-        self._record_execution(redo, shard_index=shard_index)
+        redo, _ = self._launch(
+            worker, batch, batch.workload.shard(extent), 1, now, count=0, shard_index=shard_index
+        )
         execution.shards[shard_index] = redo
         execution.completion_s = max(e.completion_s for e in execution.shards)
         execution.device_name = "+".join(e.device_name for e in execution.shards)
@@ -627,25 +601,6 @@ class FleetDispatcher:
         fits = [w for w in capable if self.placer.fits(w, batch.workload, batch.n_requests)]
         return fits or capable
 
-    def dispatch(self, batch: Batch) -> BatchExecution:
-        """Immediately route one batch (FIFO in call order).
-
-        Functional fleets additionally execute the merged block for real —
-        the shared weight set repeats per request, the request data blocks
-        concatenate along the batch axis, and the output scatters back one
-        slice per request (:func:`repro.tcbf.split_batched_output`).
-        """
-        if batch.decision is not None and batch.decision.kind is PlacementKind.SPLIT:
-            return self._place_split(batch, now=0.0)
-        candidates = self._candidates(batch)
-        if not candidates:
-            raise DeviceError(
-                f"no device in the fleet supports workload "
-                f"{batch.workload.name!r} ({batch.workload.precision.value})"
-            )
-        worker = self.placer.select_worker(batch, candidates, batch.formed_s)
-        return self._place(worker, batch, now=0.0)
-
     # -- scheduler-mediated dispatch -----------------------------------------
 
     def submit(self, batch: Batch) -> None:
@@ -732,19 +687,13 @@ class FleetDispatcher:
         """
         placed: list[BatchExecution] = []
         remaining: list[Batch] = []
-        if self.scheduler.preemptive:
-            # Stable by class: FIFO within a class is preserved.
-            self._held.sort(key=lambda b: b.priority)
+        # Stable by class: FIFO within a class is preserved.
+        self._held.sort(key=lambda b: b.priority)
         held = deque(self._held)
         self._held = []
         while True:
             head_p = self.scheduler.head_priority()
-            use_held = bool(held) and (
-                not self.scheduler.preemptive
-                or head_p is None
-                or held[0].priority <= head_p
-            )
-            if use_held:
+            if held and (head_p is None or held[0].priority <= head_p):
                 batch = held.popleft()
             elif head_p is None or all(w.accept_s > now for w in self.workers):
                 break
@@ -813,8 +762,13 @@ class FleetDispatcher:
         return self._place(worker, batch, now=now)
 
     def _place(self, worker: DeviceWorker, batch: Batch, now: float) -> BatchExecution:
-        entry, build_s = self.cache.get(worker.device, batch.workload, batch.n_requests)
-        self._record_lookup(worker, batch.workload, batch.n_requests, build_s, now)
+        """Launch one batch on ``worker``; functional fleets also execute it.
+
+        The merged block runs for real: the shared weight set repeats per
+        request, the request data blocks concatenate along the batch axis,
+        and the output scatters back one slice per request
+        (:func:`repro.tcbf.split_batched_output`).
+        """
         stage_in = None
         if batch.stage_input_bytes > 0:
             cost = self.placer.estimate(worker, batch.workload, batch.n_requests)
@@ -825,12 +779,40 @@ class FleetDispatcher:
                     if batch.resident_bytes_on(worker.index) > 0
                     else "dispatch.stage_remote"
                 )
-        execution = worker.schedule(batch, entry, build_s, now=now, stage_in_override=stage_in)
-        self._record_execution(execution)
+        execution, entry = self._launch(
+            worker, batch, batch.workload, batch.n_requests, now, stage_in=stage_in
+        )
         if self.is_functional:
             execution.outputs = self._execute(batch, entry)
         self.executions.append(execution)
         return execution
+
+    def _launch(
+        self,
+        worker: DeviceWorker,
+        batch: Batch,
+        workload: Workload,
+        n_requests: int,
+        now: float,
+        count: int | None = None,
+        shard_index: int = -1,
+        stage_in: float | None = None,
+    ) -> tuple[BatchExecution, CachedPlan]:
+        """Fetch ``workload``'s plan on ``worker`` and schedule ``batch`` there.
+
+        The one launch sequence — cache lookup, its event, the engines'
+        reservation, its event — shared by placed batches, split shards,
+        hedge duplicates and recovered shards. ``count`` and ``stage_in``
+        pass through to :meth:`DeviceWorker.schedule` as its request count
+        and stage-in override; ``shard_index`` tags the execution event.
+        """
+        entry, build_s = self.cache.get(worker.device, workload, n_requests)
+        self._record_lookup(worker, workload, n_requests, build_s, now)
+        execution = worker.schedule(
+            batch, entry, build_s, now=now, n_requests=count, stage_in_override=stage_in
+        )
+        self._record_execution(execution, shard_index=shard_index)
+        return execution, entry
 
     # -- observability hooks -------------------------------------------------
 
@@ -903,18 +885,15 @@ class FleetDispatcher:
         for i, (index, extent) in enumerate(
             zip(decision.shard_worker_indices, decision.shard_extents)
         ):
-            worker = self.worker_by_index(index)
-            shard_workload = batch.workload.shard(extent)
-            entry, build_s = self.cache.get(worker.device, shard_workload, 1)
-            self._record_lookup(worker, shard_workload, 1, build_s, now)
-            shard = worker.schedule(
+            shard, entry = self._launch(
+                self.worker_by_index(index),
                 batch,
-                entry,
-                build_s,
-                now=now,
-                n_requests=batch.n_requests if i == 0 else 0,
+                batch.workload.shard(extent),
+                1,
+                now,
+                count=batch.n_requests if i == 0 else 0,
+                shard_index=i,
             )
-            self._record_execution(shard, shard_index=i)
             shard_entries.append(entry)
             shard_execs.append(shard)
         execution = BatchExecution(
@@ -1016,7 +995,7 @@ class FleetDispatcher:
         """Completion time of the last batch (0 when nothing ran)."""
         return max((e.completion_s for e in self.executions), default=0.0)
 
-    def utilizations(self, makespan_s: float | None = None) -> list[float]:
+    def utilizations(self) -> list[float]:
         """Per-worker busy fraction, retired workers included (index order)."""
-        span = self.makespan_s() if makespan_s is None else makespan_s
+        span = self.makespan_s()
         return [w.utilization(span) for w in self.all_workers]

@@ -21,10 +21,11 @@ explicit :class:`PlacementDecision` for each request:
   by the cost model (the plan is built at the padded shape), trading padded
   FLOPs for fewer, fuller launches.
 * **split** — the request exceeds every single device's memory; it is
-  sharded across the capable workers along the batch axis (the same
-  shard-plan construction as :class:`~repro.tcbf.sharding.ShardedBeamformer`,
-  via :func:`~repro.tcbf.sharding.split_extent`), executed concurrently,
-  and completed at the slowest shard.
+  sharded across the capable workers along the batch axis, with extents
+  proportional to each device's memory
+  (:func:`~repro.tcbf.sharding.split_extent_weighted`), executed
+  concurrently, and completed at the slowest shard. Each shard's plan is
+  ``workload.shard(extent).make_plan``, built by the plan cache.
 * **shed** — no capable device exists (e.g. int1 on an AMD-only fleet) or
   the request cannot be made to fit even sharded; admission turns this into
   an explicit front-door rejection instead of a doomed queue entry.
@@ -116,10 +117,6 @@ class PlacementDecision:
     @property
     def is_shed(self) -> bool:
         return self.kind is PlacementKind.SHED
-
-    @property
-    def n_shards(self) -> int:
-        return len(self.shard_extents)
 
 
 class Placer:
@@ -261,8 +258,8 @@ class Placer:
             return float("inf")
         return min(self.estimate(w, workload, n_requests).service_s for w in candidates)
 
-    def _worker_at(self, index: int) -> "DeviceWorker":
-        """The attached worker with a declared index (list-order robust)."""
+    def worker_by_index(self, index: int) -> "DeviceWorker":
+        """The attached worker with a declared index (robust to list reordering)."""
         worker = self._workers[index] if index < len(self._workers) else None
         if worker is not None and worker.index == index:
             return worker
@@ -272,7 +269,7 @@ class Placer:
         """Service time of a split placement: the slowest shard's launch."""
         return max(
             self.estimate(
-                self._worker_at(idx), decision.workload.shard(extent), 1
+                self.worker_by_index(idx), decision.workload.shard(extent), 1
             ).service_s
             for idx, extent in zip(
                 decision.shard_worker_indices, decision.shard_extents

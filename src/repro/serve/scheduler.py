@@ -176,17 +176,12 @@ class PriorityScheduler:
         DRR credit per ring visit in requests, before weighting. Smaller
         quanta interleave tenants more finely; the default of
         :data:`DEFAULT_QUANTUM` keeps one typical merged batch per turn.
-    preemptive:
-        ``True`` (default): strict priority with DRR inside each class.
-        ``False``: global FIFO in enqueue order — priorities and weights are
-        recorded but ignored, the pre-priority behavior of the service.
     """
 
     def __init__(
         self,
         tenant_weights: dict[str, float] | None = None,
         quantum: float = DEFAULT_QUANTUM,
-        preemptive: bool = True,
     ):
         if quantum <= 0:
             raise ShapeError(f"DRR quantum must be positive, got {quantum}")
@@ -195,9 +190,7 @@ class PriorityScheduler:
             if weight <= 0:
                 raise ShapeError(f"tenant weight must be positive, got {weight} for {tenant!r}")
         self.quantum = quantum
-        self.preemptive = preemptive
         self._classes: dict[int, _ClassQueue] = {}
-        self._fifo: deque[Batch] = deque()
         #: lifetime dispatch counters per (priority, tenant), in requests.
         self.served_requests: dict[tuple[int, str], int] = {}
         #: lifetime overtakes: earlier-formed batches a pop jumped past.
@@ -208,8 +201,6 @@ class PriorityScheduler:
         self.metrics = None
 
     def __len__(self) -> int:
-        if not self.preemptive:
-            return len(self._fifo)
         return sum(len(c) for c in self._classes.values())
 
     def empty(self) -> bool:
@@ -217,33 +208,12 @@ class PriorityScheduler:
 
     def depth_requests(self) -> int:
         """Requests queued across every class (admission's backlog view)."""
-        if not self.preemptive:
-            return sum(b.n_requests for b in self._fifo)
         return sum(c.n_requests for c in self._classes.values())
 
-    def queued_ahead(self, priority: int) -> int:
-        """Batches an arriving request of ``priority`` must let run first.
-
-        Everything queued at the same or a more urgent class (lower or equal
-        number). Less urgent queued batches do not count — the newcomer
-        preempts their slots — which is what makes the admission estimate
-        class-aware and sheds the lowest class first.
-        """
-        if not self.preemptive:
-            return len(self._fifo)
-        return sum(len(c) for p, c in self._classes.items() if p <= priority)
-
     def head_priority(self) -> int | None:
-        """Priority of the batch :meth:`next` would pop (None when empty).
-
-        FIFO mode answers with the literal head batch's class — ordering
-        there is arrival order, so the head's class is the only honest
-        answer.
-        """
+        """Priority of the batch :meth:`next` would pop (None when empty)."""
         if self.empty():
             return None
-        if not self.preemptive:
-            return self._fifo[0].priority
         return min(p for p, c in self._classes.items() if len(c) > 0)
 
     def queued_service_s(self, priority: int) -> float:
@@ -256,8 +226,6 @@ class PriorityScheduler:
         device's predicted cost, so a mixed fleet's estimate no longer
         assumes all batches cost the same.
         """
-        if not self.preemptive:
-            return sum(b.predicted_service_s for b in self._fifo)
         return sum(c.service_s for p, c in self._classes.items() if p <= priority)
 
     def pressure_by_class(self) -> dict[int, QueuePressure]:
@@ -277,20 +245,8 @@ class PriorityScheduler:
 
     def queued_batches(self):
         """Iterate every queued batch (class order, then tenant rings)."""
-        if not self.preemptive:
-            yield from self._fifo
-            return
         for priority in sorted(self._classes):
             yield from self._classes[priority].batches()
-
-    def queued_by_class(self) -> dict[int, int]:
-        """Queued batch count per priority class (most urgent first)."""
-        if not self.preemptive:
-            counts: dict[int, int] = {}
-            for b in self._fifo:
-                counts[b.priority] = counts.get(b.priority, 0) + 1
-            return dict(sorted(counts.items()))
-        return {p: len(c) for p in sorted(self._classes) if len(c := self._classes[p])}
 
     def remove(self, batch: Batch) -> bool:
         """Remove one queued batch by identity; returns whether it was found.
@@ -301,12 +257,6 @@ class PriorityScheduler:
         Ordinary batches stay — a fleet change only re-stamps their
         candidates.
         """
-        if not self.preemptive:
-            try:
-                self._fifo.remove(batch)
-            except ValueError:
-                return False
-            return True
         class_queue = self._classes.get(batch.priority)
         if class_queue is None:
             return False
@@ -328,9 +278,6 @@ class PriorityScheduler:
                     n_requests=batch.n_requests,
                 )
             )
-        if not self.preemptive:
-            self._fifo.append(batch)
-            return
         class_queue = self._classes.get(batch.priority)
         if class_queue is None:
             class_queue = self._classes[batch.priority] = _ClassQueue(
@@ -347,15 +294,12 @@ class PriorityScheduler:
         """
         if self.empty():
             raise ShapeError("PriorityScheduler.next() on an empty queue")
-        if not self.preemptive:
-            batch = self._fifo.popleft()
-        else:
-            priority = min(p for p, c in self._classes.items() if len(c) > 0)
-            class_queue = self._classes[priority]
-            batch = class_queue.next()
-            if len(class_queue) == 0:
-                del self._classes[priority]
-            self._record_overtakes(batch, now)
+        priority = min(p for p, c in self._classes.items() if len(c) > 0)
+        class_queue = self._classes[priority]
+        batch = class_queue.next()
+        if len(class_queue) == 0:
+            del self._classes[priority]
+        self._record_overtakes(batch, now)
         key = (batch.priority, batch.tenant)
         self.served_requests[key] = self.served_requests.get(key, 0) + batch.n_requests
         return batch

@@ -46,7 +46,7 @@ from repro.gpusim.device import Device
 from repro.serve.autoscale import Autoscaler, FleetSignals, ScaleEvent
 from repro.serve.batching import BatchingPolicy, MicroBatcher
 from repro.serve.cache import PlanCache
-from repro.serve.dispatch import BatchExecution, DeviceWorker, FleetDispatcher
+from repro.serve.dispatch import BatchExecution, DeviceWorker, FleetDispatcher, least_loaded
 from repro.serve.faults import FaultEvent, FaultKind, FaultPlan, ResiliencePolicy
 from repro.serve.obs.critical_path import BlameReport, RequestPath, attribute, blame
 from repro.serve.obs.events import (
@@ -618,9 +618,6 @@ class BeamformingService:
     tenant_weights:
         Deficit-round-robin weights for tenants sharing the fleet
         (default 1.0 each); see :class:`~repro.serve.scheduler.PriorityScheduler`.
-    preemptive:
-        ``False`` disables priority/weighted-fair ordering (global FIFO);
-        queued batches then dispatch strictly in flush order.
     placer:
         Optional pre-configured :class:`~repro.serve.placement.Placer`
         (e.g. a custom memory fraction); by default one is built with
@@ -663,7 +660,6 @@ class BeamformingService:
         cache: PlanCache | None = None,
         class_policies: dict[int, BatchingPolicy] | None = None,
         tenant_weights: dict[str, float] | None = None,
-        preemptive: bool = True,
         placer: Placer | None = None,
         autoscaler: Autoscaler | None = None,
         recorder: NullRecorder | None = None,
@@ -685,9 +681,7 @@ class BeamformingService:
         self.fleet = FleetDispatcher(
             devices,
             cache=cache,
-            scheduler=PriorityScheduler(
-                tenant_weights=tenant_weights, preemptive=preemptive
-            ),
+            scheduler=PriorityScheduler(tenant_weights=tenant_weights),
             placer=placer,
         )
         self.fleet.bind_obs(self.recorder, self.metrics)
@@ -828,7 +822,7 @@ class BeamformingService:
                 fire(now)
             for execution in self.fleet.drain(now):
                 self._register(execution, now)
-        makespan = max((e.completion_s for e in self.fleet.executions), default=0.0)
+        makespan = self.fleet.makespan_s()
         cache_by_worker = [
             (w.index, w.device.name, *self.fleet.cache.segment_stats(w.device))
             for w in self.fleet.all_workers
@@ -1280,22 +1274,23 @@ class BeamformingService:
                         )
 
     def _hedge_worker(self, batch, primary_index: int, now: float) -> DeviceWorker | None:
-        """Best healthy candidate to duplicate one batch on, or ``None``."""
+        """Least-loaded healthy candidate to duplicate one batch on, or ``None``.
+
+        Live candidates other than the primary that run below the straggler
+        threshold; a candidate that crashed since the batch was stamped is
+        no longer in the fleet.
+        """
         threshold = self._resilience.hedge_slow_threshold
-        best = None
-        for index in batch.candidate_indices or ():
-            if index == primary_index:
-                continue
-            try:
-                worker = self.fleet.worker_by_index(index)
-            except StopIteration:
-                continue  # crashed since the candidates were stamped
-            if worker.retired_s is not None or worker.slow_factor >= threshold:
-                continue
-            key = (worker.backlog_s(now), worker.index)
-            if best is None or key < best[0]:
-                best = (key, worker)
-        return None if best is None else best[1]
+        return least_loaded(
+            (
+                w
+                for w in self.fleet.workers
+                if w.index in batch.candidate_indices
+                and w.index != primary_index
+                and w.slow_factor < threshold
+            ),
+            now,
+        )
 
     def _confirm(self, now: float) -> None:
         """Finalize every pending launch whose completion the clock reached.
@@ -1479,15 +1474,13 @@ class BeamformingService:
         for shard_index in lost:
             extent = batch.decision.shard_extents[shard_index]
             shard_workload = batch.workload.shard(extent)
-            candidates = [
-                w
-                for w in self.fleet.workers
-                if shard_workload.supported_by(w.device.spec)
-            ]
-            if not candidates:
+            worker = least_loaded(
+                (w for w in self.fleet.workers if shard_workload.supported_by(w.device.spec)),
+                now,
+            )
+            if worker is None:
                 return False
             self._wasted_s += dead.revoke(execution.shards[shard_index], now)
-            worker = min(candidates, key=lambda w: (w.backlog_s(now), w.index))
             redo = self.fleet.recover_shard(execution, shard_index, worker, now)
             self._n_shard_recoveries += 1
             self.metrics.inc("service.shard_recoveries")

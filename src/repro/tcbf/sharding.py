@@ -112,10 +112,10 @@ def build_shard_plans(
 
     ``shard_sizes`` gives each device's extent along ``shard_dim`` (usually
     from :func:`split_extent`); every other problem parameter is shared.
-    This is the single source of shard-plan construction: the offline
-    :class:`ShardedBeamformer` and the serving tier's in-service split path
-    (:mod:`repro.serve.placement`) both build their per-device plans here,
-    so the two tiers can never drift on how a shard is shaped.
+    This is how the offline :class:`ShardedBeamformer` builds its
+    per-device plans. The serving tier's in-service split path does not
+    come here: its shard plans are ``Workload.shard(extent).make_plan``,
+    built inside :meth:`PlanCache.get <repro.serve.cache.PlanCache.get>`.
     """
     if shard_dim not in SHARD_DIMS:
         raise ShapeError(f"shard_dim must be one of {SHARD_DIMS}, got {shard_dim!r}")

@@ -49,6 +49,21 @@ def random_complex(rng: np.random.Generator, shape: tuple[int, ...], scale: floa
     return ((rng.normal(size=shape) + 1j * rng.normal(size=shape)) * scale).astype(np.complex64)
 
 
+def submit_and_drain(fleet, *batches):
+    """Launch batches through ``FleetDispatcher.submit`` + ``drain``.
+
+    Drains at the earliest formation time, then at each next accept instant
+    while work is held (a batch waiting for a busy worker). Returns the
+    executions in launch order.
+    """
+    for batch in batches:
+        fleet.submit(batch)
+    placed = fleet.drain(min(b.formed_s for b in batches))
+    while fleet.has_queued():
+        placed += fleet.drain(fleet.next_accept_s())
+    return placed
+
+
 def random_pm1_complex(rng: np.random.Generator, shape: tuple[int, ...]):
     """Complex values with ±1 real and imaginary parts (1-bit representable)."""
     re = rng.choice([-1.0, 1.0], size=shape)

@@ -25,6 +25,7 @@ from repro.serve import (
 )
 from repro.serve.batching import Batch
 from repro.serve.slo import FleetTimeline
+from tests.conftest import submit_and_drain
 
 
 def workload(name="wl", **overrides) -> Workload:
@@ -311,7 +312,7 @@ class TestAutoscalerDriver:
         fleet = dry_fleet(1)
         wl = workload()
         warm = make_batch(0, wl, 2, 0.0)
-        fleet.dispatch(warm)
+        submit_and_drain(fleet, warm)
         scaler = self.autoscaler(
             ReactiveAutoscaler(up_pressure_s=1e-3, up_ticks=1, max_step=1),
             startup_s=5e-3,

@@ -8,7 +8,8 @@ import pytest
 from repro.errors import DeviceError, ShapeError
 from repro.gpusim.device import Device, ExecutionMode
 from repro.serve import Batch, FleetDispatcher, PlanCache, Request, Workload
-from tests.conftest import random_complex
+from repro.serve.dispatch import least_loaded
+from tests.conftest import random_complex, submit_and_drain
 
 
 def workload(name="wl", **overrides) -> Workload:
@@ -36,15 +37,14 @@ class TestRouting:
     def test_least_loaded_spreads_batches(self):
         fleet = dry_fleet(2)
         wl = workload()
-        e0 = fleet.dispatch(make_batch(0, wl, 2, 0.0))
-        e1 = fleet.dispatch(make_batch(1, wl, 2, 0.0))
+        e0, e1 = submit_and_drain(fleet, make_batch(0, wl, 2, 0.0), make_batch(1, wl, 2, 0.0))
         # Worker 0 is busy after the first batch; the second goes to 1.
         assert e0.worker_index == 0
         assert e1.worker_index == 1
 
     def test_tie_breaks_on_lowest_index(self):
         fleet = dry_fleet(3)
-        assert fleet.least_loaded(0.0).index == 0
+        assert least_loaded(fleet.workers, 0.0).index == 0
 
     def test_mixed_mode_fleet_rejected(self):
         with pytest.raises(DeviceError):
@@ -62,9 +62,8 @@ class TestRouting:
             cache.get(device, wl, 1)
         one = FleetDispatcher(devices[:1], cache=cache)
         two = FleetDispatcher(devices, cache=cache)
-        for i in range(8):
-            one.dispatch(make_batch(i, wl, 1, 0.0))
-            two.dispatch(make_batch(i, wl, 1, 0.0))
+        submit_and_drain(one, *[make_batch(i, wl, 1, 0.0) for i in range(8)])
+        submit_and_drain(two, *[make_batch(i, wl, 1, 0.0) for i in range(8)])
         assert two.makespan_s() < one.makespan_s() * 0.62
 
 
@@ -74,15 +73,14 @@ class TestEngineOverlap:
         # behind batch 0's GEMM, exactly like the BlockExecutor pipeline.
         fleet = dry_fleet(1)
         wl = workload()
-        e0 = fleet.dispatch(make_batch(0, wl, 4, 0.0))
-        e1 = fleet.dispatch(make_batch(1, wl, 4, 0.0))
+        e0, e1 = submit_and_drain(fleet, make_batch(0, wl, 4, 0.0), make_batch(1, wl, 4, 0.0))
         assert e1.start_s == pytest.approx(e0.start_s + e0.build_s + e0.stage_in_s)
         assert e1.start_s < e0.completion_s  # copy ran under compute
         assert e1.compute_start_s >= e0.completion_s  # GEMMs serialize
 
     def test_build_serializes_before_stage_in(self):
         fleet = dry_fleet(1)
-        e = fleet.dispatch(make_batch(0, workload(), 2, 1.0))
+        [e] = submit_and_drain(fleet, make_batch(0, workload(), 2, 1.0))
         assert e.build_s > 0.0  # cold cache
         assert e.compute_start_s >= e.start_s + e.build_s + e.stage_in_s
         assert e.completion_s == pytest.approx(e.compute_start_s + e.gemm_s)
@@ -90,13 +88,12 @@ class TestEngineOverlap:
     def test_warm_cache_has_no_build_charge(self):
         fleet = dry_fleet(1)
         wl = workload()
-        fleet.dispatch(make_batch(0, wl, 2, 0.0))
-        e = fleet.dispatch(make_batch(1, wl, 2, 0.0))
+        _, e = submit_and_drain(fleet, make_batch(0, wl, 2, 0.0), make_batch(1, wl, 2, 0.0))
         assert e.build_s == 0.0
 
     def test_idle_worker_starts_at_ready_time(self):
         fleet = dry_fleet(1)
-        e = fleet.dispatch(make_batch(0, workload(), 1, 5.0))
+        [e] = submit_and_drain(fleet, make_batch(0, workload(), 1, 5.0))
         assert e.ready_s == 5.0
         assert e.start_s == 5.0
         assert e.queue_delay_s == 0.0
@@ -104,7 +101,7 @@ class TestEngineOverlap:
     def test_utilization_accounting(self):
         fleet = dry_fleet(2)
         wl = workload()
-        fleet.dispatch(make_batch(0, wl, 2, 0.0))
+        submit_and_drain(fleet, make_batch(0, wl, 2, 0.0))
         utils = fleet.utilizations()
         assert utils[0] > 0.0
         assert utils[1] == 0.0
@@ -128,7 +125,7 @@ class TestFunctionalMerge:
             ],
             formed_s=0.0,
         )
-        execution = fleet.dispatch(batch)
+        [execution] = submit_and_drain(fleet, batch)
         assert execution.outputs is not None and len(execution.outputs) == 3
         for d, out in zip(data, execution.outputs):
             assert np.allclose(out, wl.weights @ d, atol=0.05)
@@ -137,44 +134,45 @@ class TestFunctionalMerge:
         bare = workload(n_beams=8, n_receivers=16, n_samples=8)
         fleet = FleetDispatcher([Device("A100")])
         with pytest.raises(ShapeError, match="weight set"):
-            fleet.dispatch(make_batch(0, bare, 1, 0.0, data=random_complex(rng, (1, 16, 8))))
+            submit_and_drain(
+                fleet, make_batch(0, bare, 1, 0.0, data=random_complex(rng, (1, 16, 8)))
+            )
         armed = workload(
             name="armed", n_beams=8, n_receivers=16, n_samples=8,
             weights=random_complex(rng, (1, 8, 16)),
         )
         with pytest.raises(ShapeError, match="data block"):
-            fleet.dispatch(make_batch(1, armed, 1, 0.0))
+            submit_and_drain(fleet, make_batch(1, armed, 1, 0.0))
 
 
 class TestTieBreaking:
-    """least_loaded must be index-stable, not list-order-lucky.
+    """least_loaded(workers, now) must be index-stable, not list-order-lucky.
 
     The regression: picking ``min`` over float backlogs alone leaves the
-    winner among equal backlogs to incidental list order. The routing key
-    is pinned to (backlog, index) so equal-backlog ties always resolve to
-    the lowest worker index — and replay determinism never depends on how
-    the worker list happened to be built.
+    winner among equal backlogs to incidental list order. The key is
+    pinned to (backlog, index) so equal-backlog ties always resolve to the
+    lowest worker index — and replay determinism never depends on how the
+    worker list happened to be built.
     """
 
     def test_idle_fleet_ties_resolve_to_lowest_index(self):
         fleet = dry_fleet(4)
-        assert fleet.least_loaded(0.0).index == 0
+        assert least_loaded(fleet.workers, 0.0).index == 0
 
     def test_equal_nonzero_backlogs_tie_on_index(self):
         fleet = dry_fleet(3)
         wl = workload()
         # Identical batches give workers 0..2 byte-identical float backlogs.
-        for i in range(3):
-            fleet.dispatch(make_batch(i, wl, 2, 0.0))
+        submit_and_drain(fleet, *[make_batch(i, wl, 2, 0.0) for i in range(3)])
         backlogs = [w.backlog_s(0.0) for w in fleet.workers]
         assert backlogs[0] == backlogs[1] == backlogs[2] > 0.0
-        assert fleet.least_loaded(0.0).index == 0
+        assert least_loaded(fleet.workers, 0.0).index == 0
 
     def test_routing_key_orders_backlog_before_index(self):
         fleet = dry_fleet(2)
         wl = workload()
-        fleet.dispatch(make_batch(0, wl, 4, 0.0))  # load worker 0
-        assert fleet.least_loaded(0.0).index == 1
+        submit_and_drain(fleet, make_batch(0, wl, 4, 0.0))  # load worker 0
+        assert least_loaded(fleet.workers, 0.0).index == 1
 
     def test_reversed_worker_list_same_winner(self):
         # The pin itself: even if the internal worker list is reordered,
@@ -182,7 +180,10 @@ class TestTieBreaking:
         fleet = dry_fleet(3)
         fleet.workers.reverse()
         assert [w.index for w in fleet.workers] == [2, 1, 0]
-        assert fleet.least_loaded(0.0).index == 0
+        assert least_loaded(fleet.workers, 0.0).index == 0
+
+    def test_empty_worker_list_has_no_winner(self):
+        assert least_loaded([], 0.0) is None
 
     def test_drain_path_uses_same_tie_break(self):
         from repro.serve import PriorityScheduler
@@ -207,12 +208,12 @@ class TestSharedCache:
             [Device("A100", ExecutionMode.DRY_RUN) for _ in range(2)], cache=cache
         )
         wl = workload()
-        e0 = fleet.dispatch(make_batch(0, wl, 2, 0.0))  # worker 0, miss
-        e1 = fleet.dispatch(make_batch(1, wl, 2, 0.0))  # worker 1, its own miss
+        # Worker 0 takes the first batch (a miss), worker 1 the second (its own miss).
+        e0, e1 = submit_and_drain(fleet, make_batch(0, wl, 2, 0.0), make_batch(1, wl, 2, 0.0))
         assert (e0.worker_index, e1.worker_index) == (0, 1)
         assert e0.build_s > 0.0 and e1.build_s > 0.0
         assert cache.misses == 2
-        e2 = fleet.dispatch(make_batch(2, wl, 2, 1.0))  # warm now
+        [e2] = submit_and_drain(fleet, make_batch(2, wl, 2, 1.0))  # warm now
         assert e2.build_s == 0.0
         assert cache.hits == 1
 
@@ -225,8 +226,10 @@ class TestSharedCache:
         )
         devices = [Device("A100") for _ in range(2)]
         fleet = FleetDispatcher(devices)
-        for i in range(4):
-            fleet.dispatch(make_batch(i, wl, 1, 0.0, data=random_complex(rng, (1, 16, 8))))
+        submit_and_drain(
+            fleet,
+            *[make_batch(i, wl, 1, 0.0, data=random_complex(rng, (1, 16, 8))) for i in range(4)],
+        )
         assert {e.worker_index for e in fleet.executions} == {0, 1}
         assert len(devices[0].timeline) > 0
         assert len(devices[1].timeline) > 0

@@ -29,9 +29,12 @@ from repro.serve import (
     FaultKind,
     FaultPlan,
     ResiliencePolicy,
+    Workload,
     crash_storm,
     poisson_arrivals,
 )
+from repro.serve.obs.events import HedgeLaunched
+from repro.serve.obs.trace import TraceRecorder
 from repro.serve.workload import Request
 
 def lofar_workload(**kwargs):
@@ -271,6 +274,56 @@ class TestStragglersAndHedging:
 
     def test_slow_window_alone_loses_nothing(self):
         assert _hedged().availability == 1.0
+
+
+def _hedge_targets(gpus: tuple[str, ...], slow: tuple[int, ...], precision=None):
+    """(primary, hedge) worker indices of every hedge in a two-request run.
+
+    One request arrives at t=0 and one 1 µs later, each its own batch.
+    Workers in ``slow`` run 4x slower from t=0, past the default straggler
+    threshold of 2x; the others stay healthy.
+    """
+    extra = {} if precision is None else {"precision": precision}
+    wl = Workload(name="wl", n_beams=64, n_receivers=32, n_samples=64, **extra)
+    recorder = TraceRecorder()
+    plan = FaultPlan(
+        tuple(
+            FaultEvent(t_s=0.0, kind=FaultKind.SLOW_START, worker_index=i, factor=4.0)
+            for i in slow
+        )
+    )
+    service = BeamformingService(
+        [Device(gpu, ExecutionMode.DRY_RUN) for gpu in gpus],
+        policy=BatchingPolicy(max_batch=1),
+        slo=SLO(p99_latency_s=1.0),
+        recorder=recorder,
+        faults=plan,
+    )
+    service.run([Request(rid=i, workload=wl, arrival_s=t) for i, t in enumerate((0.0, 1e-6))])
+    return [(e.primary_index, e.hedge_index) for e in recorder.of_type(HedgeLaunched)]
+
+
+class TestHedgeTarget:
+    """Which worker a hedge duplicate lands on, not only how many run."""
+
+    def test_least_loaded_healthy_candidate_ties_to_lowest_index(self):
+        # Batch 0 lands on slow worker 0. Worker 1 is idle but slow too, so
+        # the healthy idle workers 2 and 3 tie and 2 wins. Batch 1 then
+        # lands on worker 1, and idle worker 3 beats worker 2, which is
+        # busy with the first hedge.
+        assert _hedge_targets(("A100",) * 4, slow=(0, 1)) == [(0, 2), (1, 3)]
+
+    def test_hedge_stays_inside_the_batch_candidates(self):
+        # The MI300X (worker 2) has no 1-bit MMA. It is idle, healthy and
+        # below worker 3's index, yet every int1 duplicate goes to 3.
+        from repro.ccglib.precision import Precision
+
+        gpus = ("A100", "A100", "MI300X", "A100")
+        targets = _hedge_targets(gpus, slow=(0, 1), precision=Precision.INT1)
+        assert targets == [(0, 3), (1, 3)]
+
+    def test_no_healthy_worker_means_no_hedge(self):
+        assert _hedge_targets(("A100",) * 3, slow=(0, 1, 2)) == []
 
 
 class TestShardRecovery:

@@ -30,7 +30,7 @@ from repro.serve import (
     merge_arrivals,
     poisson_arrivals,
 )
-from tests.conftest import random_complex
+from tests.conftest import random_complex, submit_and_drain
 
 def lofar_workload(**kwargs):
     """The LOFAR adapter's bare kernel (the documented migration unwrap)."""
@@ -195,7 +195,7 @@ class TestWorkerSelection:
         wl = workload()
         batch = make_batch(0, wl, 2)
         assert f.placer.select_worker(batch, f.workers, 0.0).index == 0
-        f.dispatch(make_batch(1, wl, 2))  # loads worker 0
+        submit_and_drain(f, make_batch(1, wl, 2))  # loads worker 0
         assert f.placer.select_worker(batch, f.workers, 0.0).index == 1
 
     def test_heterogeneous_fleet_prefers_faster_device(self):
@@ -210,8 +210,7 @@ class TestWorkerSelection:
     def test_backlog_eventually_overflows_to_slower_device(self):
         f = fleet("W7700", "GH200")
         wl = lofar_workload(n_samples=2048)
-        for i in range(12):
-            f.dispatch(make_batch(i, wl, 8))
+        submit_and_drain(f, *[make_batch(i, wl, 8) for i in range(12)])
         used = {e.worker_index for e in f.executions}
         assert used == {0, 1}  # the slow device still backfills under load
 
@@ -222,7 +221,7 @@ class TestSplitDispatch:
         giant = lofar_workload(n_samples=256, n_channels=350_000)
         decision = mixed.placer.place(giant, BatchingPolicy())
         batch = make_batch(0, giant, 1, decision=decision)
-        execution = mixed.dispatch(batch)
+        [execution] = submit_and_drain(mixed, batch)
         assert execution.is_split
         assert len(execution.shards) == 2
         assert {s.device_name for s in execution.shards} == {"GH200", "MI300X"}
@@ -252,7 +251,7 @@ class TestSplitDispatch:
             formed_s=0.0,
             decision=decision,
         )
-        execution = f.dispatch(batch)
+        [execution] = submit_and_drain(f, batch)
         assert execution.outputs is not None and len(execution.outputs) == 1
         assert np.allclose(execution.outputs[0], weights @ data, atol=0.05)
 

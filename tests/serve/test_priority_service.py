@@ -53,14 +53,13 @@ def batched_capacity_hz(workload) -> float:
     return merged / workload.make_plan(dry_fleet()[0], merged).predict_gemm_cost().time_s
 
 
-def priority_service(tenant_weights=None, slo=SLO_5MS, preemptive=True):
+def priority_service(tenant_weights=None, slo=SLO_5MS):
     return BeamformingService(
         dry_fleet(),
         policy=BATCH_POLICY,
         class_policies={0: INTERACTIVE_POLICY},
         slo=slo,
         tenant_weights=tenant_weights,
-        preemptive=preemptive,
     )
 
 
@@ -129,6 +128,13 @@ class TestClassIsolation:
             assert nxt.compute_start_s >= prev.completion_s - 1e-12
         assert report.n_completed > 0
 
+    def test_summary_includes_class_breakdown(self):
+        report = priority_service().run(overload_trace(horizon_s=0.003))
+        text = report.summary()
+        assert "priority=0" in text
+        assert "priority=1" in text
+        assert "of all shedding" in text
+
 
 class TestWeightedFairService:
     def test_three_to_one_tenant_weights_within_ten_percent(self):
@@ -172,28 +178,6 @@ class TestWeightedFairService:
                 served[execution.batch.tenant] += execution.batch.n_requests
         ratio = served["x"] / served["y"]
         assert 0.85 <= ratio <= 1.18
-
-
-class TestNonPreemptiveFallback:
-    def test_fifo_mode_ignores_priorities(self):
-        # Same trace, preemption off: the interactive class loses its
-        # protection — its tail must be at least as bad as with priorities
-        # on, demonstrating the scheduler (not luck) provides isolation.
-        trace = overload_trace()
-        with_priorities = priority_service().run(trace)
-
-        trace2 = overload_trace()
-        without = priority_service(preemptive=False).run(trace2)
-        p99_with = {s.label: s.p99_latency_s for s in with_priorities.by_priority()}
-        p99_without = {s.label: s.p99_latency_s for s in without.by_priority()}
-        assert p99_without["priority=0"] >= p99_with["priority=0"]
-
-    def test_summary_includes_class_breakdown(self):
-        report = priority_service().run(overload_trace(horizon_s=0.003))
-        text = report.summary()
-        assert "priority=0" in text
-        assert "priority=1" in text
-        assert "of all shedding" in text
 
 
 class TestReplayDeterminism:

@@ -50,32 +50,20 @@ class TestStrictPriority:
         with pytest.raises(ShapeError, match="empty"):
             PriorityScheduler().next()
 
-    def test_non_preemptive_mode_is_global_fifo(self):
-        sched = PriorityScheduler(preemptive=False)
-        sched.enqueue(batch(0, workload(priority=2)))
-        sched.enqueue(batch(1, workload(priority=0)))
-        assert [sched.next().bid, sched.next().bid] == [0, 1]
-
 
 class TestQueueViews:
     def test_depths_and_queued_ahead(self):
         sched = PriorityScheduler()
-        sched.enqueue(batch(0, workload(priority=0), n=2))
-        sched.enqueue(batch(1, workload(priority=1), n=3))
-        sched.enqueue(batch(2, workload(priority=1), n=1))
+        for bid, priority, n, service_s in ((0, 0, 2, 1.0), (1, 1, 3, 2.0), (2, 1, 1, 4.0)):
+            queued = batch(bid, workload(priority=priority), n=n)
+            queued.predicted_service_s = service_s
+            sched.enqueue(queued)
         assert len(sched) == 3
         assert sched.depth_requests() == 6
-        assert sched.queued_ahead(0) == 1  # only its own class
-        assert sched.queued_ahead(1) == 3  # both classes
-        assert sched.queued_by_class() == {0: 1, 1: 2}
-
-    def test_views_in_fifo_mode(self):
-        sched = PriorityScheduler(preemptive=False)
-        sched.enqueue(batch(0, workload(priority=1), n=2))
-        sched.enqueue(batch(1, workload(priority=0), n=1))
-        assert sched.depth_requests() == 3
-        assert sched.queued_ahead(0) == 2  # FIFO: everything is ahead
-        assert sched.queued_by_class() == {0: 1, 1: 1}
+        assert sched.queued_service_s(0) == 1.0  # only its own class
+        assert sched.queued_service_s(1) == 7.0  # both classes
+        pressure = sched.pressure_by_class()
+        assert {p: c.n_batches for p, c in pressure.items()} == {0: 1, 1: 2}
 
     def test_served_counters(self):
         sched = PriorityScheduler()
