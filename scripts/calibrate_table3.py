@@ -1,8 +1,8 @@
 """Fit per-GPU kernel efficiency and tensor power coefficients to paper Table III.
 
 Run after any perf-model change; paste the printed constants into
-src/repro/gpusim/specs.py. This is the documented provenance of the
-calibration numbers (DESIGN.md section 2).
+src/repro/gpusim/specs.py. This script is the provenance of those
+calibration numbers.
 """
 import numpy as np
 from repro.ccglib import model_gemm, GemmProblem, TABLE_III, Precision

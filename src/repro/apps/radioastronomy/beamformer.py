@@ -7,11 +7,11 @@ corresponds to the number of stations ... the product of the number of
 polarizations and channels is the batch size."
 
 The coherent path is a thin domain adapter over
-:class:`repro.tcbf.BeamformerPlan`: streaming transpose/packing stages are
-disabled because "data are typically already GPU-resident and remain on the
-GPU for further computations" (§V-B), so the per-block cost is the GEMM
-alone, and the operand scale is restored on the output (absolute beam
-powers feed the pulsar search downstream).
+:class:`repro.tcbf.BeamformerPlan`: the streaming transpose is disabled
+because "data are typically already GPU-resident and remain on the GPU for
+further computations" (§V-B) and a float16 plan has no packing stage, so
+the per-block cost is the GEMM alone, and the operand scale is restored on
+the output (absolute beam powers feed the pulsar search downstream).
 
 Incoherent beamforming ("discards phase information and instead combines
 the power from each station") is also provided: it is a memory-bound
@@ -77,7 +77,6 @@ class LOFARBeamformer:
             precision=precision,
             params=params,
             include_transpose=False,
-            include_packing=False,
             restore_output_scale=True,
             backend=backend,
             name="lofar_beamform",
@@ -171,7 +170,6 @@ def service_workload(
         batch_per_request=n_channels * n_polarizations,
         precision=precision,
         include_transpose=False,
-        include_packing=False,
         restore_output_scale=True,
         weights_version=weights_version,
         priority=priority,
@@ -207,7 +205,7 @@ def pipeline_workload(
     * ``channelize`` — the polyphase filterbank as a batched DFT GEMM: one
       ``(n_channels, n_channels)`` filter matrix against each station's
       sample block, batched over stations. Station voltages arrive from
-      the network, so transpose/packing are included.
+      the network, so the transpose is included.
     * ``beamform`` — the tied-array beamformer at the LOFAR shape (exactly
       :func:`service_workload`'s kernel): ``n_beams x n_stations`` weights
       against GPU-resident channelized voltages, batched over
@@ -233,7 +231,6 @@ def pipeline_workload(
         batch_per_request=n_stations * n_polarizations,
         precision=Precision.FLOAT16,
         include_transpose=True,
-        include_packing=False,
         weights_version=weights_version,
     )
     beamform = Workload(
@@ -244,7 +241,6 @@ def pipeline_workload(
         batch_per_request=n_channels * n_polarizations,
         precision=precision,
         include_transpose=False,
-        include_packing=False,
         restore_output_scale=True,
         weights_version=weights_version,
         params=params,
@@ -257,7 +253,6 @@ def pipeline_workload(
         batch_per_request=n_beams,
         precision=Precision.FLOAT16,
         include_transpose=False,
-        include_packing=False,
         weights_version=weights_version,
     )
     return PipelineWorkload(

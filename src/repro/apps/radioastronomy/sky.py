@@ -1,6 +1,6 @@
 """Sky models: point sources and pulsars generating station data.
 
-The substitution for real LOFAR beamlet recordings (DESIGN.md §2): synthetic
+The substitution for the paper's real LOFAR beamlet recordings (§V-B): synthetic
 channelized station signals with known ground truth, so tests can verify the
 central beamformer points where it should. Radio emission is modelled as
 band-limited complex Gaussian noise (the physically correct statistics),

@@ -129,7 +129,6 @@ class UltrasoundBeamformer:
             precision=precision,
             params=self.params,
             include_transpose=not fused_transpose,
-            include_packing=precision is Precision.INT1,
             restore_output_scale=False,
             backend=backend,
             name="ultrasound_reconstruction",
@@ -246,7 +245,6 @@ def service_workload(
         batch_per_request=1,
         precision=precision,
         include_transpose=True,
-        include_packing=precision is Precision.INT1,
         restore_output_scale=False,
         weights_version=weights_version,
         priority=priority,
@@ -303,7 +301,6 @@ def pipeline_workload(
         batch_per_request=1,
         precision=precision,
         include_transpose=True,
-        include_packing=precision is Precision.INT1,
         restore_output_scale=False,
         weights_version=weights_version,
         params=params,
@@ -316,7 +313,6 @@ def pipeline_workload(
         batch_per_request=1,
         precision=Precision.FLOAT16,
         include_transpose=False,
-        include_packing=False,
         weights_version=weights_version,
     )
     return PipelineWorkload(

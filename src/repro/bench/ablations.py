@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design decisions called out in DESIGN.md §5.
+"""Ablation benchmarks for the kernel design decisions of paper §III.
 
 Not a paper figure — these quantify the *reasons* behind the paper's design
 choices on the simulated devices:
@@ -183,7 +183,7 @@ def run() -> ExperimentResult:
 
     return ExperimentResult(
         name="ablations",
-        title="Design-choice ablations (DESIGN.md §5)",
+        title="Design-choice ablations (paper §III)",
         text="\n".join(sections),
         tables=tables,
         findings=findings,

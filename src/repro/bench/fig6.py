@@ -1,6 +1,7 @@
 """Experiment: paper Fig 6 — beamformed mouse-brain volume.
 
-Two halves, per the substitution plan (DESIGN.md §2):
+Two halves, since simulated devices stand in for the paper's GPUs (README
+introduction):
 
 * **Image quality (functional)**: synthetic vascular phantom at reduced
   scale through the full pipeline — simulate frames, SVD clutter filter,

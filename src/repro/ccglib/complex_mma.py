@@ -119,7 +119,9 @@ def complex_mma_f16_naive(
     combines them afterwards with a subtraction on the regular cores. This
     needs the same four MMAs but an extra full-size combine pass (2*m*n
     reads + m*n subtract/add), which is what the in-register negation
-    avoids. Kept as an ablation baseline (DESIGN.md §5.1).
+    avoids. Kept as the independent reference the fused schedule is tested
+    against; :mod:`repro.bench.ablations` prices the combine pass
+    analytically and never calls it.
     """
     a_re = quantize_f16(a_planar[REAL])
     a_im = quantize_f16(a_planar[IMAG])

@@ -1,7 +1,7 @@
 """Analytical performance model of the ccglib matrix-multiply kernels.
 
 This is the documented substitution for timing real kernels on real GPUs
-(DESIGN.md §2). One kernel execution is modelled as the maximum of three
+(README introduction). One kernel execution is modelled as the maximum of three
 resource bounds plus launch overhead::
 
     t = max(t_math, t_dram, t_smem) + t_launch

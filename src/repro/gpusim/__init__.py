@@ -1,7 +1,8 @@
 """Simulated GPU substrate: architectures, device catalog, execution models.
 
 This package is the documented substitution for the physical GPUs of the
-paper's evaluation (see DESIGN.md §2). It provides:
+paper's evaluation (see the README's introduction and subsystem map). It
+provides:
 
 * :mod:`~repro.gpusim.arch` — architecture capability tables (fragment
   layouts, 1-bit support, async copies, WMMA interface factors);

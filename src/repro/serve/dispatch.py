@@ -14,7 +14,9 @@ earliest predicted finish under that device's own cost model. On a
 homogeneous fleet every device predicts identical costs, so the decision
 collapses to the classic least-loaded rule. Split placements (requests
 larger than any single device) shard across several workers at once and
-complete at the slowest shard.
+complete at the slowest shard; functional fleets execute them through
+:func:`repro.tcbf.execute_shards`, the same path as
+:class:`~repro.tcbf.ShardedBeamformer`.
 
 Batches reach workers one way: :meth:`FleetDispatcher.submit` queues them
 in a :class:`~repro.serve.scheduler.PriorityScheduler`, and
@@ -48,8 +50,7 @@ from repro.serve.obs.trace import NULL_RECORDER, NullRecorder
 from repro.serve.placement import PlacementKind, Placer
 from repro.serve.scheduler import PriorityScheduler, QueuePressure
 from repro.serve.workload import Workload
-from repro.tcbf import merge_batch_operands, split_batched_output
-from repro.tcbf.scaling import rms
+from repro.tcbf import execute_shards, merge_batch_operands, split_batched_output
 
 
 @dataclass
@@ -919,32 +920,16 @@ class FleetDispatcher:
 
         ``shard_entries`` are the cache entries the placement step already
         fetched (one per shard, in decision order) — re-fetching here would
-        double-count cache hits. Mirrors :meth:`ShardedBeamformer.execute
-        <repro.tcbf.sharding.ShardedBeamformer.execute>` batch-dimension
-        slicing: disjoint batch ranges with one global RMS scale, outputs
-        concatenated back along the batch axis.
+        double-count cache hits. The block runs through
+        :func:`repro.tcbf.execute_shards`, the path
+        :class:`~repro.tcbf.ShardedBeamformer` uses too: full-shape
+        validation, one global RMS scale, disjoint batch ranges, outputs
+        concatenated back along the batch axis. A missing weight set or
+        data block, or a data block of the wrong shape, raises
+        :class:`~repro.errors.ShapeError` as the merged path does.
         """
-        workload = batch.workload
-        request = batch.requests[0]
-        if workload.weights is None or request.data is None:
-            raise ShapeError(
-                f"functional split dispatch of {workload.name!r} requires "
-                "the workload's weights and the request's data block"
-            )
-        decision = batch.decision
-        scale = None
         plans = [entry.plan for entry in shard_entries]
-        if plans[0].needs_scale:
-            scale = rms(np.asarray(request.data))
-        pieces = []
-        offset = 0
-        for plan, extent in zip(plans, decision.shard_extents):
-            w_shard = np.asarray(workload.weights)[offset : offset + extent]
-            d_shard = np.asarray(request.data)[offset : offset + extent]
-            result = plan.execute(w_shard, d_shard, scale=scale)
-            pieces.append(result.output)
-            offset += extent
-        return [np.concatenate(pieces, axis=0)]
+        return [execute_shards(plans, batch.workload.weights, batch.requests[0].data).output]
 
     # -- merged (and bucket-padded) execution --------------------------------
 

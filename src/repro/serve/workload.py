@@ -4,7 +4,7 @@ A serving tier sees neither matrices nor plans — it sees *requests*: "beam
 this block", "reconstruct this frame", each tied to a workload class. A
 :class:`Workload` captures everything the scheduler needs to know to treat
 two requests as batchable into one tensor-core launch: the GEMM shape, the
-precision, the stage-inclusion flags, and the weight-set generation (two
+precision, the transpose and scale flags, and the weight-set generation (two
 requests against different calibrations must never share a GEMM). A
 :class:`Request` is one arrival of a workload, optionally carrying a real
 data block for functional fleets.
@@ -47,7 +47,8 @@ from repro.tcbf import BeamformerPlan
 class Workload:
     """One batchable class of beamforming requests.
 
-    Parameters mirror :class:`~repro.tcbf.plan.BeamformerPlan`;
+    Parameters mirror :class:`~repro.tcbf.plan.BeamformerPlan`, which
+    charges the 1-bit packing stage iff the precision is int1;
     ``batch_per_request`` is the batch extent one request contributes (e.g.
     channels x polarizations for a LOFAR beam block, 1 for an ultrasound
     frame batch). ``weights_version`` is the calibration generation: bump it
@@ -74,7 +75,6 @@ class Workload:
     batch_per_request: int = 1
     precision: Precision = Precision.FLOAT16
     include_transpose: bool = True
-    include_packing: bool | None = None
     restore_output_scale: bool = False
     weights_version: int = 0
     priority: int = 0
@@ -96,31 +96,15 @@ class Workload:
         if not self.tenant:
             raise ShapeError("tenant must be a non-empty string")
 
-    @property
-    def effective_packing(self) -> bool:
-        """The packing flag as the plan will resolve it.
-
-        ``include_packing=None`` defaults to "pack iff int1", and float
-        precisions force it off — mirroring
-        :class:`~repro.tcbf.plan.BeamformerPlan` so two descriptors that
-        build identical plans also share one batching identity.
-        """
-        packing = (
-            self.include_packing
-            if self.include_packing is not None
-            else self.precision is Precision.INT1
-        )
-        return packing and self.precision is Precision.INT1
-
     def compat_key(self) -> tuple:
         """Hashable batching identity.
 
         Requests whose workloads share this key may be merged into one
-        batched plan execution: same shape, precision, stage accounting
-        (with the packing flag resolved, not as passed), tuning override,
-        and weight-set generation. The priority class and tenant are part
-        of the key so a batch never straddles scheduling classes or
-        callers — each launch has one priority and one accountable tenant.
+        batched plan execution: same shape, precision, stage accounting,
+        tuning override, and weight-set generation. The priority class and
+        tenant are part of the key so a batch never straddles scheduling
+        classes or callers — each launch has one priority and one
+        accountable tenant.
         """
         return (
             self.name,
@@ -130,7 +114,6 @@ class Workload:
             self.batch_per_request,
             self.precision.value,
             self.include_transpose,
-            self.effective_packing,
             self.restore_output_scale,
             self.weights_version,
             self.priority,
@@ -151,7 +134,6 @@ class Workload:
             precision=self.precision,
             params=self.params,
             include_transpose=self.include_transpose,
-            include_packing=self.include_packing,
             restore_output_scale=self.restore_output_scale,
             name=f"serve_{self.name}",
         )

@@ -12,7 +12,14 @@ complexities of tensor-core programming ... for multidisciplinary use"):
   with cross-block copy/compute overlap on the kernel pipeline's
   commit/wait protocol;
 * :class:`~repro.tcbf.sharding.ShardedBeamformer` — batch- or beam-dimension
-  sharding across multiple devices with aggregate-throughput accounting.
+  sharding across multiple devices with aggregate-throughput accounting;
+  its :func:`~repro.tcbf.sharding.execute_shards` is the one sharded
+  execution path, shared with the serving tier's split placements.
+
+A plan takes only what callers vary: the problem shape, precision, tuning
+parameters, and the transpose and output-scale flags. The 1-bit packing
+stage is charged iff the precision is int1, and the MMA shape and the
+1-bit multiply op are ccglib's choice (paper §III).
 
 The domain applications (:mod:`repro.apps.radioastronomy`,
 :mod:`repro.apps.ultrasound`) are thin adapters over this package.
@@ -24,7 +31,7 @@ from repro.tcbf.scaling import normalize_rms, rms
 from repro.tcbf.sharding import (
     ShardedBeamformer,
     ShardResult,
-    build_shard_plans,
+    execute_shards,
     merge_batch_operands,
     split_batched_output,
     split_extent,
@@ -41,7 +48,7 @@ __all__ = [
     "ShardResult",
     "split_extent",
     "split_extent_weighted",
-    "build_shard_plans",
+    "execute_shards",
     "merge_batch_operands",
     "split_batched_output",
     "pipelined_makespan",

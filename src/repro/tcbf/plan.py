@@ -14,8 +14,10 @@ per-block total includes the streaming-operand transpose and (for int1) the
 packing kernel, not just the GEMM — the accounting of the paper's Fig 5
 ("The processing includes the 1-bit packing and transpose of the measurement
 matrix"). Applications where data are already GPU-resident in GEMM layout
-(the LOFAR central beamformer, §V-B) disable those stages and the total
-collapses to the GEMM cost alone.
+(the LOFAR central beamformer, §V-B) disable the transpose, and a float
+plan has no packing stage, so the total collapses to the GEMM cost alone.
+The caller states only the problem; the MMA shape, the 1-bit multiply op
+and packing are ccglib's to decide (paper §III).
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from repro.ccglib.precision import Precision, traits
 from repro.ccglib.transpose import run_transpose_kernel, transpose_cost
 from repro.ccglib.tuning import TuneParams
 from repro.errors import ShapeError
-from repro.gpusim.arch import BitOp, FragmentShape
 from repro.gpusim.device import Device
 from repro.gpusim.timing import KernelCost, combine_costs
 from repro.tcbf.result import BeamformResult
@@ -61,11 +62,9 @@ class BeamformerPlan:
     include_transpose:
         Charge the per-block transpose of the streaming (B) operand. Off
         when data arrive already tiled/K-major (GPU-resident pipelines) or
-        when an interleaved-input GEMM is used (§VI future work).
-    include_packing:
-        Charge the per-block 1-bit packing of the streaming operand;
-        defaults to ``precision is INT1``. Meaningless (and forced off) for
-        float precisions.
+        when an interleaved-input GEMM is used (§VI future work). The 1-bit
+        packing of the streaming operand is charged iff the precision is
+        int1 — the functional GEMM packs both operands on every call.
     restore_output_scale:
         Multiply the output by the operand RMS again after the GEMM. On for
         absolute-calibrated pipelines (LOFAR); off for scale-invariant
@@ -89,11 +88,7 @@ class BeamformerPlan:
         batch: int = 1,
         precision: Precision = Precision.FLOAT16,
         params: TuneParams | None = None,
-        bit_op: BitOp | None = None,
-        fragment: FragmentShape | None = None,
-        experimental_ok: bool = False,
         include_transpose: bool = True,
-        include_packing: bool | None = None,
         restore_output_scale: bool = False,
         backend: ArrayBackend | str | None = None,
         name: str = "beamform_block",
@@ -106,9 +101,6 @@ class BeamformerPlan:
         self.batch = batch
         self.precision = precision
         self.include_transpose = include_transpose
-        if include_packing is None:
-            include_packing = precision is Precision.INT1
-        self.include_packing = include_packing and precision is Precision.INT1
         self.restore_output_scale = restore_output_scale
         self.name = name
         self._gemm = Gemm(
@@ -119,9 +111,6 @@ class BeamformerPlan:
             n=n_samples,
             k=n_receivers,
             params=params,
-            bit_op=bit_op,
-            fragment=fragment,
-            experimental_ok=experimental_ok,
             backend=self.backend,
         )
         #: one-time weight/filter preparation cost (set by prepare_weights).
@@ -135,12 +124,18 @@ class BeamformerPlan:
         return self._gemm.params
 
     @property
+    def include_packing(self) -> bool:
+        """Whether the per-block 1-bit packing stage is charged (int1 only)."""
+        return self.precision is Precision.INT1
+
+    @property
     def cache_key(self) -> tuple:
         """Hashable identity of this built plan (cache ground truth).
 
         Two plans with equal keys predict identical costs and accept the
-        same operands: device, shape, precision, resolved tuning
-        parameters, and every stage-inclusion flag participate. Caching
+        same operands: device, shape, precision (which fixes the packing
+        stage), resolved tuning parameters, the transpose and scale flags
+        and the backend participate. Caching
         layers that key on pre-build descriptors — the serving tier's
         :class:`~repro.serve.cache.PlanCache` derives its key from
         :meth:`Workload.compat_key <repro.serve.workload.Workload.compat_key>`
@@ -156,7 +151,6 @@ class BeamformerPlan:
             self.precision.value,
             self.params,
             self.include_transpose,
-            self.include_packing,
             self.restore_output_scale,
             self.backend.name,
         )

@@ -11,7 +11,9 @@ Two axes shard naturally:
   item is too large).
 
 :class:`ShardedBeamformer` builds one :class:`~repro.tcbf.plan.BeamformerPlan`
-per device, executes the shards, and aggregates the per-device timelines:
+per device and runs them through :func:`execute_shards` — the one sharded
+execution path, which the serving tier's split placements share — and
+aggregates the per-device timelines:
 the modelled wall time of a block is the slowest shard (devices run
 concurrently), so aggregate throughput is total useful ops over that
 maximum.
@@ -29,7 +31,6 @@ from repro.ccglib.layouts import ensure_batched
 from repro.ccglib.precision import Precision
 from repro.ccglib.tuning import TuneParams
 from repro.errors import DeviceError, ShapeError
-from repro.gpusim.arch import BitOp, FragmentShape
 from repro.gpusim.device import Device
 from repro.gpusim.timing import KernelCost
 from repro.tcbf.plan import BeamformerPlan
@@ -86,63 +87,6 @@ def split_extent_weighted(total: int, weights: Sequence[float]) -> list[int]:
             extents[donor] -= 1
             extents[i] += 1
     return extents
-
-
-def build_shard_plans(
-    devices: Sequence[Device],
-    shard_sizes: Sequence[int],
-    *,
-    n_beams: int,
-    n_receivers: int,
-    n_samples: int,
-    batch: int = 1,
-    precision: Precision = Precision.FLOAT16,
-    shard_dim: str = "batch",
-    params: TuneParams | None = None,
-    bit_op: BitOp | None = None,
-    fragment: FragmentShape | None = None,
-    experimental_ok: bool = False,
-    include_transpose: bool = True,
-    include_packing: bool | None = None,
-    restore_output_scale: bool = False,
-    backend: ArrayBackend | str | None = None,
-    name: str = "beamform_block",
-) -> list[BeamformerPlan]:
-    """One :class:`BeamformerPlan` per device for a sharded problem.
-
-    ``shard_sizes`` gives each device's extent along ``shard_dim`` (usually
-    from :func:`split_extent`); every other problem parameter is shared.
-    This is how the offline :class:`ShardedBeamformer` builds its
-    per-device plans. The serving tier's in-service split path does not
-    come here: its shard plans are ``Workload.shard(extent).make_plan``,
-    built inside :meth:`PlanCache.get <repro.serve.cache.PlanCache.get>`.
-    """
-    if shard_dim not in SHARD_DIMS:
-        raise ShapeError(f"shard_dim must be one of {SHARD_DIMS}, got {shard_dim!r}")
-    if len(devices) != len(shard_sizes):
-        raise ShapeError(f"{len(shard_sizes)} shard sizes for {len(devices)} devices")
-    plans = []
-    for device, size in zip(devices, shard_sizes):
-        plans.append(
-            BeamformerPlan(
-                device,
-                n_beams=size if shard_dim == "beams" else n_beams,
-                n_receivers=n_receivers,
-                n_samples=n_samples,
-                batch=size if shard_dim == "batch" else batch,
-                precision=precision,
-                params=params,
-                bit_op=bit_op,
-                fragment=fragment,
-                experimental_ok=experimental_ok,
-                include_transpose=include_transpose,
-                include_packing=include_packing,
-                restore_output_scale=restore_output_scale,
-                backend=backend,
-                name=name,
-            )
-        )
-    return plans
 
 
 def merge_batch_operands(
@@ -258,6 +202,91 @@ class ShardResult:
         return (sum(times) / len(times)) / max(times) if max(times) > 0 else 1.0
 
 
+def execute_shards(
+    plans: Sequence[BeamformerPlan],
+    weights: Any | None,
+    data: Any | None,
+    shard_dim: str = "batch",
+) -> ShardResult:
+    """Beamform one block across per-shard plans and merge the outputs.
+
+    The one sharded-execution path: :class:`ShardedBeamformer` and the
+    serving tier's split placements both run here. Each plan covers one
+    disjoint range of ``shard_dim`` — batch items (full weights and data
+    rows per range) or beams (weight rows, with the full data) — and every
+    other extent is shared. Functional plans validate the operands against
+    the full problem shape first, so an oversized operand is rejected like
+    the single-device plan rejects it, never silently truncated; normalize
+    the block by one global RMS (per-shard RMS would scale each slice
+    differently and corrupt relative amplitudes across the merged output);
+    and concatenate the shard outputs back along the same axis. Dry-run
+    plans ignore the operands and record their shard's timeline only.
+    """
+    if not plans:
+        raise ShapeError("sharded execution requires at least one plan")
+    if shard_dim not in SHARD_DIMS:
+        raise ShapeError(f"shard_dim must be one of {SHARD_DIMS}, got {shard_dim!r}")
+    first = plans[0]
+    extents = [p.batch if shard_dim == "batch" else p.n_beams for p in plans]
+    be = first.backend
+    scale = None
+    if not first.device.is_functional:
+        # Dry-run shards ignore operands (like the single-device plan), so
+        # skip the full-block normalization pass and copies.
+        weights = data = None
+    elif weights is not None and data is not None:
+        total = sum(extents)
+        batch = total if shard_dim == "batch" else first.batch
+        n_beams = total if shard_dim == "beams" else first.n_beams
+        weights, _ = ensure_batched(be.asarray(weights), 3, backend=be)
+        data, _ = ensure_batched(be.asarray(data), 3, backend=be)
+        expect_w = (batch, n_beams, first.n_receivers)
+        expect_d = (batch, first.n_receivers, first.n_samples)
+        if weights.shape != expect_w:
+            raise ShapeError(f"weights must be {expect_w}, got {weights.shape}")
+        if data.shape != expect_d:
+            raise ShapeError(f"data must be {expect_d}, got {data.shape}")
+        # Skipped entirely when the plans skip it too (int1 without
+        # output-scale restore).
+        if first.needs_scale:
+            scale = rms(data, backend=be)
+            if shard_dim == "beams":
+                # Every shard consumes the identical full data block, so
+                # normalize it once instead of once per device.
+                data = be.astype(data / scale, be.xp.complex64)
+    shards: list[BeamformResult] = []
+    offset = 0
+    for plan, size in zip(plans, extents):
+        w_shard = d_shard = shard_scale = None
+        if weights is not None and data is not None:
+            if shard_dim == "batch":
+                w_shard = weights[offset : offset + size]
+                d_shard = data[offset : offset + size]
+                shard_scale = scale
+            else:
+                w_shard = weights[..., offset : offset + size, :]
+                d_shard = data
+                shard_scale = 1.0  # already normalized (or scale-free)
+        result = plan.execute(w_shard, d_shard, scale=shard_scale)
+        if (
+            shard_dim == "beams"
+            and plan.restore_output_scale
+            and result.output is not None
+            and scale is not None
+            and scale != 1.0
+        ):
+            # Beams-mode plans saw pre-normalized data (unit scale), so
+            # restore the true scale here.
+            result.output = result.output * scale
+        shards.append(result)
+        offset += size
+    output = None
+    if all(s.output is not None for s in shards):
+        axis = 0 if shard_dim == "batch" else 1
+        output = be.xp.concatenate([s.output for s in shards], axis=axis)
+    return ShardResult(output=output, shards=shards, shard_dim=shard_dim, shard_sizes=extents)
+
+
 class ShardedBeamformer:
     """One beamforming problem spread over several (simulated) devices.
 
@@ -265,6 +294,7 @@ class ShardedBeamformer:
     device list and the shard dimension; every stage-inclusion flag is
     forwarded to the per-device plans, so sharded LOFAR (GEMM-only
     accounting) and sharded ultrasound (transpose+pack included) both work.
+    Execution is :func:`execute_shards` over those plans.
     """
 
     def __init__(
@@ -278,11 +308,7 @@ class ShardedBeamformer:
         precision: Precision = Precision.FLOAT16,
         shard_dim: str = "batch",
         params: TuneParams | None = None,
-        bit_op: BitOp | None = None,
-        fragment: FragmentShape | None = None,
-        experimental_ok: bool = False,
         include_transpose: bool = True,
-        include_packing: bool | None = None,
         restore_output_scale: bool = False,
         backend: ArrayBackend | str | None = None,
         name: str = "beamform_block",
@@ -299,35 +325,25 @@ class ShardedBeamformer:
                 "got a mix of functional and dry-run"
             )
         self.devices = list(devices)
-        self.backend = get_backend(backend)
         self.shard_dim = shard_dim
-        self.restore_output_scale = restore_output_scale
-        self.n_beams = n_beams
-        self.n_receivers = n_receivers
-        self.n_samples = n_samples
-        self.batch = batch
-        self.precision = precision
         total = batch if shard_dim == "batch" else n_beams
         self.shard_sizes = split_extent(total, len(self.devices))
-        self.plans = build_shard_plans(
-            self.devices,
-            self.shard_sizes,
-            n_beams=n_beams,
-            n_receivers=n_receivers,
-            n_samples=n_samples,
-            batch=batch,
-            precision=precision,
-            shard_dim=shard_dim,
-            params=params,
-            bit_op=bit_op,
-            fragment=fragment,
-            experimental_ok=experimental_ok,
-            include_transpose=include_transpose,
-            include_packing=include_packing,
-            restore_output_scale=restore_output_scale,
-            backend=self.backend,
-            name=name,
-        )
+        self.plans = [
+            BeamformerPlan(
+                device,
+                n_beams=size if shard_dim == "beams" else n_beams,
+                n_receivers=n_receivers,
+                n_samples=n_samples,
+                batch=size if shard_dim == "batch" else batch,
+                precision=precision,
+                params=params,
+                include_transpose=include_transpose,
+                restore_output_scale=restore_output_scale,
+                backend=backend,
+                name=name,
+            )
+            for device, size in zip(self.devices, self.shard_sizes)
+        ]
 
     # -- prediction ----------------------------------------------------------
 
@@ -348,82 +364,5 @@ class ShardedBeamformer:
     # -- execution -----------------------------------------------------------
 
     def execute(self, weights: Any | None = None, data: Any | None = None) -> ShardResult:
-        """Beamform one block across all devices and merge the outputs.
-
-        Functional mode slices the operands per shard — disjoint batch
-        ranges (full weights and data rows per range) for ``batch``
-        sharding, disjoint weight rows with the full data for ``beams``
-        sharding — and concatenates the shard outputs back along the same
-        axis. Dry-run devices record their shard's timeline only.
-        """
-        shards: list[BeamformResult] = []
-        be = self.backend
-        offset = 0
-        scale = None
-        shared_data = None
-        functional = self.devices[0].is_functional  # fleet mode is homogeneous
-        if not functional:
-            # Dry-run shards ignore operands (like the single-device plan),
-            # so skip the full-block normalization pass and copies.
-            weights = data = None
-        if weights is not None and data is not None:
-            # Validate against the full problem shape before slicing: the
-            # per-shard plans only see their slice, so without this an
-            # oversized operand would be silently truncated instead of
-            # rejected like the single-device plan does.
-            weights, _ = ensure_batched(be.asarray(weights), 3, backend=be)
-            data, _ = ensure_batched(be.asarray(data), 3, backend=be)
-            expect_w = (self.batch, self.n_beams, self.n_receivers)
-            expect_d = (self.batch, self.n_receivers, self.n_samples)
-            if weights.shape != expect_w:
-                raise ShapeError(f"weights must be {expect_w}, got {weights.shape}")
-            if data.shape != expect_d:
-                raise ShapeError(f"data must be {expect_d}, got {data.shape}")
-            # One global normalization for the whole block: per-shard RMS
-            # would scale each batch slice differently and corrupt relative
-            # amplitudes across the merged output. Skipped entirely when the
-            # plans skip it too (int1 without output-scale restore).
-            needs_scale = self.plans[0].needs_scale
-            if needs_scale:
-                scale = rms(data, backend=be)
-            if self.shard_dim == "beams":
-                # Every shard consumes the identical full data block, so
-                # normalize it once instead of once per device.
-                shared_data = data
-                if needs_scale:
-                    shared_data = be.astype(data / scale, be.xp.complex64)
-        for plan, size in zip(self.plans, self.shard_sizes):
-            w_shard = d_shard = None
-            shard_scale = None
-            if weights is not None and data is not None:
-                if self.shard_dim == "batch":
-                    w_shard = weights[offset : offset + size]
-                    d_shard = data[offset : offset + size]
-                    shard_scale = scale
-                else:
-                    w_shard = weights[..., offset : offset + size, :]
-                    d_shard = shared_data
-                    shard_scale = 1.0  # already normalized (or scale-free)
-            result = plan.execute(w_shard, d_shard, scale=shard_scale)
-            if (
-                self.shard_dim == "beams"
-                and self.restore_output_scale
-                and result.output is not None
-                and scale is not None
-                and scale != 1.0
-            ):
-                # Beams-mode plans saw pre-normalized data (unit scale), so
-                # restore the true scale here.
-                result.output = result.output * scale
-            shards.append(result)
-            offset += size
-        output = None
-        if all(s.output is not None for s in shards):
-            axis = 0 if self.shard_dim == "batch" else 1
-            output = be.xp.concatenate([s.output for s in shards], axis=axis)
-        return ShardResult(
-            output=output,
-            shards=shards,
-            shard_dim=self.shard_dim,
-            shard_sizes=list(self.shard_sizes),
-        )
+        """Beamform one block across all devices and merge the outputs."""
+        return execute_shards(self.plans, weights, data, self.shard_dim)

@@ -100,18 +100,6 @@ class TestCompatibility:
         i1 = workload("x", precision=Precision.INT1)
         assert f16.compat_key() != i1.compat_key()
 
-    def test_packing_flag_normalized_in_compat_key(self):
-        # None resolves to "pack iff int1" and float precisions force it
-        # off — descriptors building identical plans must batch together.
-        from repro.ccglib.precision import Precision
-
-        implicit = workload("x", precision=Precision.INT1, include_packing=None)
-        explicit = workload("x", precision=Precision.INT1, include_packing=True)
-        assert implicit.compat_key() == explicit.compat_key()
-        forced_off = workload("y", precision=Precision.FLOAT16, include_packing=True)
-        default_off = workload("y", precision=Precision.FLOAT16, include_packing=None)
-        assert forced_off.compat_key() == default_off.compat_key()
-
     def test_request_equality_safe_with_array_data(self):
         import numpy as np
 

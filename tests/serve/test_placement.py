@@ -229,15 +229,16 @@ class TestSplitDispatch:
         # Both workers' compute engines were really occupied.
         assert all(w.busy_s > 0 for w in mixed.workers)
 
-    def test_functional_split_matches_reference(self, rng):
+    @staticmethod
+    def _functional_split(rng, data_rows: int):
+        """A 6-row workload split 4 + 2 over two A100s, plus its request data."""
         b, m, k, n = 6, 8, 16, 12
         weights = random_complex(rng, (b, m, k))
-        data = random_complex(rng, (b, k, n))
+        data = random_complex(rng, (data_rows, k, n))
         wl = workload(
             n_beams=m, n_receivers=k, n_samples=n, batch_per_request=b,
             restore_output_scale=True, weights=weights,
         )
-        f = FleetDispatcher([Device("A100"), Device("A100")])
         decision = PlacementDecision(
             kind=PlacementKind.SPLIT,
             workload=wl,
@@ -251,9 +252,21 @@ class TestSplitDispatch:
             formed_s=0.0,
             decision=decision,
         )
+        return FleetDispatcher([Device("A100"), Device("A100")]), batch, weights, data
+
+    def test_functional_split_matches_reference(self, rng):
+        f, batch, weights, data = self._functional_split(rng, data_rows=6)
         [execution] = submit_and_drain(f, batch)
         assert execution.outputs is not None and len(execution.outputs) == 1
         assert np.allclose(execution.outputs[0], weights @ data, atol=0.05)
+
+    def test_functional_split_rejects_oversized_data(self, rng):
+        # 8 data rows for a 6-row workload: the merged path rejects this,
+        # and the split path must too instead of beamforming the first 6
+        # rows and silently dropping the rest.
+        f, batch, _, _ = self._functional_split(rng, data_rows=8)
+        with pytest.raises(ShapeError, match="data must be"):
+            submit_and_drain(f, batch)
 
 
 class TestBucketedBatching:

@@ -180,7 +180,7 @@ class TestAppWorkloads:
 
         wl = ultrasound_workload(n_voxels=1024, k=512, n_frames=32)
         assert wl.include_transpose is True  # Fig 5 accounting
-        assert wl.include_packing is True
+        assert wl.make_plan(dry_fleet()[0]).include_packing is True  # int1
         assert wl.precision is Precision.INT1
         report = BeamformingService(
             dry_fleet(),

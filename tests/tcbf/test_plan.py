@@ -57,7 +57,7 @@ class TestCostAccounting:
         dev = Device("A100", ExecutionMode.DRY_RUN)
         plan = BeamformerPlan(
             dev, n_beams=1024, n_receivers=48, n_samples=1024, batch=64,
-            include_transpose=False, include_packing=False,
+            include_transpose=False,
         )
         assert plan.stage_in_cost() is None
         assert plan.predict_block_cost() == plan.predict_gemm_cost()
@@ -117,7 +117,7 @@ class TestFunctionalExecution:
         d = random_complex(rng, (2, 32, 16))
         plan = BeamformerPlan(
             Device("A100"), n_beams=8, n_receivers=32, n_samples=16, batch=2,
-            include_transpose=False, include_packing=False,
+            include_transpose=False,
             restore_output_scale=True,
         )
         out = plan.execute(w, d).output
@@ -191,7 +191,7 @@ class TestBeamformResult:
         plan = BeamformerPlan(
             Device("A100", ExecutionMode.DRY_RUN),
             n_beams=1024, n_receivers=48, n_samples=1024, batch=256,
-            include_transpose=False, include_packing=False,
+            include_transpose=False,
         )
         return plan.execute()
 

@@ -45,7 +45,6 @@ def test_int1_tracks_float16_in_sign_and_correlation(problem):
             n_samples=n,
             precision=precision,
             include_transpose=False,
-            include_packing=False,
         )
         return plan.execute(weights, data).output.ravel()
 

@@ -13,6 +13,7 @@ from repro.gpusim.device import Device, ExecutionMode
 from repro.tcbf import (
     BeamformerPlan,
     ShardedBeamformer,
+    execute_shards,
     merge_batch_operands,
     split_batched_output,
     split_extent,
@@ -116,11 +117,11 @@ class TestAggregateThroughput:
         # single-device modelled throughput on two devices.
         single = BeamformerPlan(
             Device("A100", ExecutionMode.DRY_RUN), **LOFAR,
-            include_transpose=False, include_packing=False,
+            include_transpose=False,
         ).predict_gemm_cost()
         sharded = ShardedBeamformer(
             dry_devices(2), **LOFAR,
-            include_transpose=False, include_packing=False,
+            include_transpose=False,
         )
         result = sharded.execute()
         assert result.ops_per_second >= 1.8 * single.ops_per_second
@@ -130,11 +131,11 @@ class TestAggregateThroughput:
     def test_four_devices_scale_further(self):
         single = BeamformerPlan(
             Device("A100", ExecutionMode.DRY_RUN), **LOFAR,
-            include_transpose=False, include_packing=False,
+            include_transpose=False,
         ).predict_gemm_cost()
         result = ShardedBeamformer(
             dry_devices(4), **LOFAR,
-            include_transpose=False, include_packing=False,
+            include_transpose=False,
         ).execute()
         assert result.ops_per_second >= 3.6 * single.ops_per_second
 
@@ -150,7 +151,7 @@ class TestAggregateThroughput:
             Device("AD4000", ExecutionMode.DRY_RUN),
         ]
         result = ShardedBeamformer(
-            devices, **LOFAR, include_transpose=False, include_packing=False
+            devices, **LOFAR, include_transpose=False
         ).execute()
         times = [s.total.time_s for s in result.shards]
         assert result.wall_time_s == max(times)
@@ -263,10 +264,15 @@ class TestValidation:
     def test_no_devices(self):
         with pytest.raises(ShapeError):
             ShardedBeamformer([], **LOFAR)
+        with pytest.raises(ShapeError):
+            execute_shards([], None, None)
 
     def test_bad_shard_dim(self):
         with pytest.raises(ShapeError):
             ShardedBeamformer(dry_devices(2), shard_dim="samples", **LOFAR)
+        plans = ShardedBeamformer(dry_devices(2), **LOFAR).plans
+        with pytest.raises(ShapeError):
+            execute_shards(plans, None, None, shard_dim="samples")
 
     def test_oversized_operands_rejected_not_truncated(self, rng):
         # An operand larger than the declared problem along the sharded
@@ -284,12 +290,11 @@ class TestValidation:
             beam_sharded.execute(random_complex(rng, (1, 12, 32)), random_complex(rng, (1, 32, 8)))
 
     def test_kernel_variant_kwargs_forwarded(self):
-        # AND-mode int1 (Hopper-style) must be shardable too.
-        from repro.gpusim.arch import BitOp
-
+        # AND-mode int1 (Hopper-style) must be shardable too: GH200s resolve
+        # the bit operation to AND on their own.
         sharded = ShardedBeamformer(
-            dry_devices(2), n_beams=64, n_receivers=256, n_samples=64,
-            batch=2, precision=Precision.INT1, bit_op=BitOp.AND,
+            dry_devices(2, "GH200"), n_beams=64, n_receivers=256, n_samples=64,
+            batch=2, precision=Precision.INT1,
         )
         result = sharded.execute()
         assert all(s.gemm_cost.name == "gemm_int1_and" for s in result.shards)
@@ -394,37 +399,3 @@ class TestWeightedSplit:
             split_extent_weighted(5, [1.0, -1.0])
         with pytest.raises(ShapeError):
             split_extent_weighted(1, [1.0, 1.0])
-
-
-class TestBuildShardPlans:
-    def test_matches_sharded_beamformer_construction(self):
-        from repro.tcbf import build_shard_plans
-
-        devices = dry_devices(2)
-        sharded = ShardedBeamformer(
-            devices, n_beams=512, n_receivers=48, n_samples=256, batch=6,
-            include_transpose=False,
-        )
-        rebuilt = build_shard_plans(
-            devices,
-            sharded.shard_sizes,
-            n_beams=512,
-            n_receivers=48,
-            n_samples=256,
-            batch=6,
-            include_transpose=False,
-        )
-        assert [p.cache_key for p in rebuilt] == [p.cache_key for p in sharded.plans]
-
-    def test_validates_inputs(self):
-        from repro.tcbf import build_shard_plans
-
-        with pytest.raises(ShapeError, match="shard_dim"):
-            build_shard_plans(
-                dry_devices(1), [4], n_beams=8, n_receivers=8, n_samples=8,
-                shard_dim="voxels",
-            )
-        with pytest.raises(ShapeError, match="shard sizes"):
-            build_shard_plans(
-                dry_devices(2), [4], n_beams=8, n_receivers=8, n_samples=8,
-            )

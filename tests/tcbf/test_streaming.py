@@ -144,7 +144,7 @@ class TestOverlapModel:
         assert stats.pipelined_time_s >= stats.compute_time_s
 
     def test_no_stage_in_means_no_overlap_to_win(self):
-        plan = dry_plan(include_transpose=False, include_packing=False)
+        plan = dry_plan(include_transpose=False, precision=Precision.FLOAT16)
         _, stats = BlockExecutor(plan, num_buffers=2).run_stream([None] * 4)
         assert stats.stage_in_time_s == 0.0
         assert stats.pipelined_time_s == pytest.approx(stats.compute_time_s)
