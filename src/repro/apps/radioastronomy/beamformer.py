@@ -134,10 +134,8 @@ def service_workload(
     pipeline form** (:meth:`Workload.single_stage
     <repro.serve.workload.Workload.single_stage>`): behaviourally
     byte-identical to the bare workload it wraps, accepted everywhere a
-    workload is (arrivals generators, SLO maps). Callers that still need
-    the bare single-kernel :class:`~repro.serve.workload.Workload` during
-    migration should use the returned pipeline's ``.kernel`` — relying on
-    the old bare return type directly is the deprecated path.
+    workload is (arrivals generators, SLO maps); its ``.kernel`` is the
+    bare single-kernel :class:`~repro.serve.workload.Workload`.
 
     One request is a beam block — a channel range of station voltages to
     tied-array beamform, the unit a correlator node hands off. Data are

@@ -14,7 +14,7 @@ regimes:
   :meth:`~repro.serve.faults.ResiliencePolicy.disabled`: whatever was in
   flight on the crashed worker is simply lost;
 * **resilient** — the storm with the default
-  :class:`~repro.serve.faults.ResiliencePolicy`: per-class retries with
+  :class:`~repro.serve.faults.ResiliencePolicy`: retries with
   deadline-aware re-placement, hedged dispatch against the stragglers,
   shard recovery, and plan re-warm on the replacement.
 
@@ -59,6 +59,7 @@ from repro.serve import (
     crash_storm,
     poisson_arrivals,
 )
+from repro.serve.faults import SLOW_FACTOR
 from repro.serve.obs.trace import NullRecorder
 
 GPU = "A100"
@@ -80,7 +81,6 @@ POLICY = BatchingPolicy(max_batch=32, max_wait_s=0.5e-3)
 #: transient straggler windows on the survivors.
 N_CRASHES = 1
 N_SLOW_WINDOWS = 2
-SLOW_FACTOR = 4.0
 REPLACE_STARTUP_S = 400e-6
 
 #: monitor sampling cadence of the headline (resilient) run.
@@ -141,7 +141,6 @@ def storm(horizon_s: float = HORIZON_S) -> FaultPlan:
         list(range(N_WORKERS)),
         n_crashes=N_CRASHES,
         n_slow_windows=N_SLOW_WINDOWS,
-        slow_factor=SLOW_FACTOR,
         replace_device=GPU,
         replace_startup_s=REPLACE_STARTUP_S,
         seed=STORM_SEED,

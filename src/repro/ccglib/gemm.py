@@ -51,7 +51,6 @@ from repro.ccglib.precision import Precision, require_supported, traits
 from repro.ccglib.transpose import planar_to_kmajor
 from repro.ccglib.tuning import TuneParams, select_params
 from repro.errors import ShapeError
-from repro.gpusim.arch import BitOp, FragmentShape
 from repro.gpusim.device import Device
 from repro.gpusim.timing import KernelCost
 from repro.util.validation import require_positive_int, round_up
@@ -75,6 +74,10 @@ class GemmResult:
 class Gemm:
     """A complex matrix-multiply plan bound to a device.
 
+    The MMA fragment shape and the 1-bit op are not parameters: ccglib
+    resolves both from the device and precision (:attr:`fragment`,
+    :attr:`bit_op`).
+
     Parameters
     ----------
     device:
@@ -88,9 +91,9 @@ class Gemm:
     params:
         Optional tuning override; defaults to the shipped (Table III)
         parameters adapted to the problem shape.
-    bit_op:
-        1-bit multiply op override; by default XOR, or AND on Hopper-class
-        devices where XOR is software-emulated (§III-E).
+    experimental_ok:
+        Enable experimental precisions (TF32); without it they raise
+        :class:`~repro.errors.UnsupportedPrecisionError`.
     backend:
         Array-execution backend for the functional path (name, instance, or
         ``None`` for the NumPy reference).
@@ -106,8 +109,6 @@ class Gemm:
         k: int,
         *,
         params: TuneParams | None = None,
-        bit_op: BitOp | None = None,
-        fragment: FragmentShape | None = None,
         experimental_ok: bool = False,
         backend: ArrayBackend | str | None = None,
     ):
@@ -121,8 +122,11 @@ class Gemm:
         self.backend = get_backend(backend)
         self.problem = GemmProblem(batch=batch, m=m, n=n, k=k)
         self.params = select_params(device.spec, precision, m, n, params)
-        self.fragment = fragment or traits(precision).default_fragment
-        self.bit_op = resolve_bit_op(device.spec, precision, bit_op)
+        #: MMA fragment shape: the precision's default (paper Table I).
+        self.fragment = traits(precision).default_fragment
+        #: 1-bit multiply op (``None`` unless int1): XOR, or AND on
+        #: Hopper-class devices where XOR is software-emulated (§III-E).
+        self.bit_op = resolve_bit_op(device.spec, precision, None)
         # Fail fast on invalid configurations at plan time, like a runtime
         # compilation failure would.
         validate_config(device.spec, precision, self.params, self.fragment)
@@ -224,7 +228,7 @@ class Gemm:
             a_words,
             b_words,
             k_valid=self.problem.k,
-            bit_op=self.bit_op or BitOp.XOR,
+            bit_op=self.bit_op,
             backend=be,
         )
         out = planar[..., REAL, :, :].astype(xp.float32) + 1j * planar[..., IMAG, :, :].astype(

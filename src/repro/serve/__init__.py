@@ -35,9 +35,9 @@ discrete-event simulation:
   heterogeneous-fleet-aware, with multi-worker shard dispatch;
 * :mod:`~repro.serve.faults` — seeded deterministic fault injection
   (:class:`FaultPlan`: worker crashes, transient slowdowns, replacements)
-  and the :class:`ResiliencePolicy` recovery knobs — per-class retry
-  budgets, hedged dispatch against stragglers, shard-failure recovery,
-  plan-cache re-warm on replacement workers;
+  and the on/off :class:`ResiliencePolicy` — retries, hedged dispatch
+  against stragglers, shard-failure recovery, plan-cache re-warm on
+  replacement workers;
 * :mod:`~repro.serve.slo` — SLO targets, deterministic percentiles,
   front-door admission control (lowest-class-first load shedding), and the
   per-class / per-tenant :class:`SLOTracker`;

@@ -58,6 +58,11 @@ if TYPE_CHECKING:
 
 #: default autoscaler evaluation interval (simulated seconds).
 DEFAULT_INTERVAL_S = 200e-6
+#: largest single :class:`ReactiveAutoscaler` scale-up step (workers per action).
+MAX_STEP = 4
+#: a reactive tick is "idle" when nothing is queued and at most this
+#: fraction of accepting workers has a compute backlog.
+IDLE_BUSY_FRACTION = 0.5
 
 
 class ScaleKind(enum.Enum):
@@ -108,11 +113,6 @@ class FleetSignals:
     accepting worker reports ``inf``). Forming batches still inside the
     micro-batcher are deliberately excluded: they wait by policy
     (``max_wait_s``), not because the fleet is behind.
-
-    ``firing_alerts`` counts the service monitor's burn-rate alerts
-    currently in the firing state (0 on unmonitored runs): error budget
-    burning *now* is a scale-up signal the queue numbers can lag behind —
-    shed storms burn budget at the front door, before any queue forms.
     """
 
     t_s: float
@@ -123,7 +123,6 @@ class FleetSignals:
     pressure_by_priority: dict[int, QueuePressure]
     drain_s_by_capability: dict[str, float]
     busy_workers: int
-    firing_alerts: int = 0
 
     @property
     def pressure_s(self) -> float:
@@ -157,14 +156,14 @@ class ReactiveAutoscaler:
     ``up_ticks`` consecutive ticks — sustained pressure, not a single
     burst the batcher would absorb anyway. The step is proportional to
     how far past the threshold the pressure is (one worker per threshold
-    multiple, capped at ``max_step``): a fleet twice as far behind gets
+    multiple, capped at :data:`MAX_STEP`): a fleet twice as far behind gets
     capacity twice as fast. Scale **down** when the fleet has been idle
-    for ``down_ticks`` consecutive ticks. Both counters reset on any
-    contrary observation, so oscillating load keeps the fleet where it
-    is. Reaction is this policy's whole character — it cannot tell a
-    draining backlog from a rising rate, so it pays a lag (and its
-    cold-start bill) on every fresh peak; that is exactly what the
-    predictive policy exists to avoid.
+    (:data:`IDLE_BUSY_FRACTION`) for ``down_ticks`` consecutive ticks.
+    Both counters reset on any contrary observation, so oscillating load
+    keeps the fleet where it is. Reaction is this policy's whole
+    character — it cannot tell a draining backlog from a rising rate, so
+    it pays a lag (and its cold-start bill) on every fresh peak; that is
+    exactly what the predictive policy exists to avoid.
     """
 
     #: predicted drain seconds that count as pressure (e.g. a fraction of
@@ -172,16 +171,6 @@ class ReactiveAutoscaler:
     up_pressure_s: float
     up_ticks: int = 2
     down_ticks: int = 5
-    #: largest single scale-up step (workers per action).
-    max_step: int = 4
-    #: a tick is "idle" when nothing is queued and at most this fraction
-    #: of accepting workers has a compute backlog.
-    idle_busy_fraction: float = 0.5
-    #: opt-in: treat a firing burn-rate alert as a pressured tick even when
-    #: the queues look calm — error budget burns at the front door (shed
-    #: storms) before queue drain ever crosses ``up_pressure_s``. Off by
-    #: default, so existing queue-pressure-only runs replay byte-identically.
-    alert_burn_up: bool = False
     _pressured: int = field(default=0, init=False, repr=False)
     _idle: int = field(default=0, init=False, repr=False)
 
@@ -190,36 +179,23 @@ class ReactiveAutoscaler:
             raise ShapeError(f"up_pressure_s must be positive, got {self.up_pressure_s}")
         if self.up_ticks < 1 or self.down_ticks < 1:
             raise ShapeError("tick thresholds must be >= 1")
-        if self.max_step < 1:
-            raise ShapeError(f"max_step must be >= 1, got {self.max_step}")
-        if not 0.0 <= self.idle_busy_fraction <= 1.0:
-            raise ShapeError(f"idle_busy_fraction must be in [0, 1], got {self.idle_busy_fraction}")
 
     def decide(self, signals: FleetSignals) -> ScaleAction | None:
-        idle = signals.queued_requests == 0 and signals.busy_fraction <= self.idle_busy_fraction
-        burning = self.alert_burn_up and signals.firing_alerts > 0
-        if signals.pressure_s >= self.up_pressure_s or burning:
+        idle = signals.queued_requests == 0 and signals.busy_fraction <= IDLE_BUSY_FRACTION
+        if signals.pressure_s >= self.up_pressure_s:
             self._pressured += 1
             self._idle = 0
             if self._pressured >= self.up_ticks:
                 self._pressured = 0
-                if signals.pressure_s >= self.up_pressure_s:
-                    # pressure_s is inf when a capability's accepting pool
-                    # is empty — the strongest possible signal, not an
-                    # error.
-                    ratio = signals.pressure_s / self.up_pressure_s
-                    step = self.max_step if math.isinf(ratio) else min(self.max_step, int(ratio))
-                    reason = (
-                        f"queue drain {signals.pressure_s * 1e3:.3f} ms >= "
-                        f"{self.up_pressure_s * 1e3:.3f} ms for {self.up_ticks} ticks"
-                    )
-                else:
-                    step = 1
-                    reason = (
-                        f"{signals.firing_alerts} burn-rate alert(s) firing "
-                        f"for {self.up_ticks} ticks"
-                    )
-                return ScaleAction(ScaleKind.UP, n=max(1, step), reason=reason)
+                # pressure_s is inf when a capability's accepting pool is
+                # empty — the strongest possible signal, not an error.
+                ratio = signals.pressure_s / self.up_pressure_s
+                step = MAX_STEP if math.isinf(ratio) else min(MAX_STEP, int(ratio))
+                reason = (
+                    f"queue drain {signals.pressure_s * 1e3:.3f} ms >= "
+                    f"{self.up_pressure_s * 1e3:.3f} ms for {self.up_ticks} ticks"
+                )
+                return ScaleAction(ScaleKind.UP, n=step, reason=reason)
         elif idle:
             self._idle += 1
             self._pressured = 0
@@ -315,8 +291,8 @@ class Autoscaler:
     """Drives one policy against a live fleet — the service's scale loop.
 
     The service calls :meth:`next_tick_s` when merging event sources and
-    :meth:`tick` when the tick fires; everything else (bounds, cooldown,
-    picking which worker drains, charging startup) lives here so policies
+    :meth:`tick` when the tick fires; everything else (bounds, picking
+    which worker drains, charging startup) lives here so policies
     stay pure. The autoscaler only ever drains workers it added, newest
     first — the seed fleet is the floor, and ``max_workers`` caps the
     provisioned (accepting + draining) size.
@@ -329,7 +305,6 @@ class Autoscaler:
         interval_s: float = DEFAULT_INTERVAL_S,
         max_workers: int = 8,
         startup_s: float = 0.0,
-        cooldown_s: float = 0.0,
     ):
         if interval_s <= 0:
             raise ShapeError(f"interval_s must be positive, got {interval_s}")
@@ -337,16 +312,12 @@ class Autoscaler:
             raise ShapeError(f"max_workers must be >= 1, got {max_workers}")
         if startup_s < 0:
             raise ShapeError(f"startup_s must be >= 0, got {startup_s}")
-        if cooldown_s < 0:
-            raise ShapeError(f"cooldown_s must be >= 0, got {cooldown_s}")
         self.policy = policy
         self.device_factory = device_factory
         self.interval_s = interval_s
         self.max_workers = max_workers
         self.startup_s = startup_s
-        self.cooldown_s = cooldown_s
         self._next_tick_s = interval_s
-        self._last_action_s = -float("inf")
         #: indices of workers this autoscaler added, in join order; drains
         #: pop from the end (LIFO — the newest capacity leaves first).
         self._added: list[int] = []
@@ -361,13 +332,9 @@ class Autoscaler:
     def tick(self, now: float, fleet: "FleetDispatcher", signals: FleetSignals) -> list[ScaleEvent]:
         """Evaluate the policy at ``now`` and apply its action to the fleet.
 
-        Returns the scale events applied (empty on a no-op tick). During
-        ``cooldown_s`` after an applied action the policy is not consulted,
-        so trend counters cannot double-fire on the same pressure episode.
+        Returns the scale events applied (empty on a no-op tick).
         """
         self._next_tick_s = now + self.interval_s
-        if now - self._last_action_s < self.cooldown_s:
-            return []
         action = self.policy.decide(signals)
         if action is None:
             return []
@@ -375,11 +342,9 @@ class Autoscaler:
             events = self._scale_up(now, fleet, action)
         else:
             events = self._scale_down(now, fleet, action)
-        if events:
-            self._last_action_s = now
-            if self.metrics is not None:
-                for event in events:
-                    self.metrics.inc(f"autoscale.{event.kind}")
+        if self.metrics is not None:
+            for event in events:
+                self.metrics.inc(f"autoscale.{event.kind}")
         return events
 
     # -- applying actions ----------------------------------------------------

@@ -32,6 +32,10 @@ from repro.serve.obs.events import BatchClosed, BatcherEnqueued
 from repro.serve.obs.trace import NULL_RECORDER
 from repro.serve.workload import Request, Workload
 
+#: largest tolerated (padded - exact) / exact along the sample axis: a
+#: shape bucket never pads a request by more than a quarter of its samples.
+MAX_PAD_FRACTION = 0.25
+
 if TYPE_CHECKING:
     from repro.serve.placement import PlacementDecision
 
@@ -49,7 +53,7 @@ class BatchingPolicy:
     to the smallest such edge, so *nearby* shapes share one merged launch
     instead of each forming its own trickle of small batches. The padded
     columns are real work the cost model prices (the plan is built at the
-    bucket's shape). ``max_pad_fraction`` bounds the relative padding a
+    bucket's shape). :data:`MAX_PAD_FRACTION` bounds the relative padding a
     bucket may impose — a 64-sample request must not be padded 32x to a
     2048 edge just because the edge exists; shapes whose nearest edge would
     exceed the budget (and shapes beyond the largest edge) batch at their
@@ -60,8 +64,6 @@ class BatchingPolicy:
     max_batch: int = 8
     max_wait_s: float = 1e-3
     sample_buckets: tuple[int, ...] = ()
-    #: largest tolerated (padded - exact) / exact along the sample axis.
-    max_pad_fraction: float = 0.25
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -74,8 +76,6 @@ class BatchingPolicy:
             )
         if self.sample_buckets and self.sample_buckets[0] < 1:
             raise ShapeError(f"sample_buckets must be >= 1, got {self.sample_buckets}")
-        if self.max_pad_fraction < 0:
-            raise ShapeError(f"max_pad_fraction must be >= 0, got {self.max_pad_fraction}")
 
     def bucket_samples(self, n_samples: int) -> int:
         """The padded sample count of one request (identity when unbucketed).
@@ -85,7 +85,7 @@ class BatchingPolicy:
         """
         for edge in self.sample_buckets:
             if edge >= n_samples:
-                if (edge - n_samples) / n_samples <= self.max_pad_fraction:
+                if (edge - n_samples) / n_samples <= MAX_PAD_FRACTION:
                     return edge
                 break
         return n_samples

@@ -11,11 +11,11 @@ makes those events first-class citizens of the discrete-event simulation:
   <repro.serve.service.BeamformingService.run>` as one more event source.
   A crash is the *non-graceful* cousin of PR 5's drain: the worker leaves
   immediately and everything in flight on it is lost, not finished.
-* :class:`ResiliencePolicy` — the recovery knobs the service absorbs the
-  plan with: per-class retry budgets with deadline-aware re-placement
-  through the existing :class:`~repro.serve.placement.Placer`, hedged
-  dispatch for batches stuck on a straggler (first completion wins, the
-  loser's compute is charged as waste, never hidden), shard-failure
+* :class:`ResiliencePolicy` — recovery on or off. On, the service absorbs
+  the plan with a retry budget of :data:`MAX_RETRIES` and deadline-aware
+  re-placement through the existing :class:`~repro.serve.placement.Placer`,
+  hedged dispatch for batches stuck on a straggler (first completion wins,
+  the loser's compute is charged as waste, never hidden), shard-failure
   recovery for split requests (only the lost shard re-executes, on a
   surviving capable worker), and plan-cache re-warm on replacements.
 * :func:`crash_storm` — the canonical seeded storm generator the
@@ -30,11 +30,23 @@ same plan, same seed, same bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from repro.errors import ShapeError
 from repro.util.rng import derive_seed, make_rng
+
+#: compute-rate slowdown of every :func:`crash_storm` straggler window.
+SLOW_FACTOR = 4.0
+#: length of one :func:`crash_storm` straggler window, as a share of the horizon.
+SLOW_WINDOW_FRACTION = 0.1
+#: retries one lost request may take while recovery is on.
+MAX_RETRIES = 2
+#: slowdown factor at which a batch's worker counts as a straggler and the
+#: batch gets a hedged duplicate.
+HEDGE_SLOW_THRESHOLD = 2.0
+#: most recent workloads whose plans a replacement worker pre-builds.
+REWARM_LIMIT = 8
 
 
 class FaultKind(Enum):
@@ -44,7 +56,8 @@ class FaultKind(Enum):
     CRASH = "crash"
     #: the worker's compute rate degrades by ``factor`` (a straggler).
     SLOW_START = "slow_start"
-    #: the straggler recovers to full rate (flapping = repeated pairs).
+    #: one straggler window closes; the worker recovers to full rate once
+    #: its last open window has closed (flapping = repeated pairs).
     SLOW_END = "slow_end"
     #: a replacement device joins the fleet (cold cache, startup delay).
     REPLACE = "replace"
@@ -112,8 +125,6 @@ def crash_storm(
     worker_indices: list[int],
     n_crashes: int = 1,
     n_slow_windows: int = 2,
-    slow_factor: float = 4.0,
-    slow_window_s: float | None = None,
     replace_device: str = "",
     replace_startup_s: float = 0.0,
     seed: int = 0,
@@ -124,9 +135,10 @@ def crash_storm(
     ``worker_indices``) crash at uniform instants in the middle 80% of the
     horizon; each crash is followed by a replacement (``replace_device``
     joining ``replace_startup_s`` later) when a device name is given.
-    ``n_slow_windows`` transient slowdowns of ``slow_factor``x land on the
-    surviving workers, each lasting ``slow_window_s`` (default: 10% of the
-    horizon). Bit-deterministic for a fixed seed.
+    ``n_slow_windows`` transient slowdowns by :data:`SLOW_FACTOR` land on
+    the surviving workers, each lasting :data:`SLOW_WINDOW_FRACTION` of the
+    horizon; windows on one worker may overlap. Bit-deterministic for a
+    fixed seed.
     """
     if horizon_s <= 0:
         raise ShapeError(f"horizon must be positive, got {horizon_s}")
@@ -136,7 +148,7 @@ def crash_storm(
         raise ShapeError(
             f"cannot crash {n_crashes} of {len(worker_indices)} workers"
         )
-    window_s = horizon_s * 0.1 if slow_window_s is None else slow_window_s
+    window_s = horizon_s * SLOW_WINDOW_FRACTION
     rng = make_rng(derive_seed(seed, "crash_storm", horizon_s, n_crashes))
     events: list[FaultEvent] = []
     order = [worker_indices[i] for i in rng.permutation(len(worker_indices))]
@@ -159,7 +171,7 @@ def crash_storm(
         t = float(rng.uniform(0.0, max(horizon_s - window_s, 0.0)))
         events.append(
             FaultEvent(
-                t_s=t, kind=FaultKind.SLOW_START, worker_index=index, factor=slow_factor
+                t_s=t, kind=FaultKind.SLOW_START, worker_index=index, factor=SLOW_FACTOR
             )
         )
         events.append(
@@ -171,63 +183,28 @@ def crash_storm(
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """The recovery knobs a faulted service runs with.
+    """Whether a faulted service recovers from its faults.
 
-    ``max_retries`` is the default per-request retry budget;
-    ``class_retries`` overrides it per priority class (an interactive
-    class may deserve more attempts than bulk reprocessing — or fewer, if
-    its deadline cannot absorb them anyway). A retry is only submitted
-    when its deadline-aware re-placement projects a finish within
-    ``retry_deadline_factor`` times the admission deadline; otherwise the
-    request fails fast instead of wasting a doomed launch.
+    With ``enabled`` (the default), a lost request retries up to
+    :data:`MAX_RETRIES` times, and a retry is only submitted when its
+    deadline-aware re-placement projects a finish within the admission
+    deadline; otherwise the request fails fast instead of wasting a doomed
+    launch. A batch landing on a worker whose slowdown factor is at or past
+    :data:`HEDGE_SLOW_THRESHOLD` gets a second launch on the best healthy
+    candidate: first completion wins, and the loser's compute is added to
+    the report's wasted-device-seconds — the honest bill of hedging. A
+    crash re-executes only the lost shard of a split request on a
+    surviving capable worker, and a replacement worker pre-builds the plans
+    of the :data:`REWARM_LIMIT` most recent workloads before it takes
+    traffic (cold start paid up front, on the replacement, instead of by
+    the first unlucky batches).
 
-    ``hedge_slow_threshold`` arms hedged dispatch: a batch landing on a
-    worker whose slowdown factor is at or past the threshold gets a second
-    launch on the best healthy candidate. First completion wins; the
-    loser's compute is added to the report's wasted-device-seconds — the
-    honest bill of hedging. ``inf`` disables hedging.
-
-    ``recover_shards`` re-executes only the lost shard of a split request
-    on a surviving capable worker; ``rewarm_plans`` pre-builds the most
-    recent ``rewarm_limit`` workloads' plans on a replacement worker
-    before it takes traffic (cold-start paid up front, on the replacement,
-    instead of by the first unlucky batches).
+    Disabled, none of this happens: a lost request fails at once.
     """
 
-    max_retries: int = 2
-    class_retries: dict[int, int] | None = field(default=None)
-    retry_deadline_factor: float = 1.0
-    hedge_slow_threshold: float = 2.0
-    recover_shards: bool = True
-    rewarm_plans: bool = True
-    rewarm_limit: int = 8
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ShapeError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.retry_deadline_factor <= 0:
-            raise ShapeError(
-                f"retry_deadline_factor must be positive, got {self.retry_deadline_factor}"
-            )
-        if self.hedge_slow_threshold < 1.0:
-            raise ShapeError(
-                f"hedge_slow_threshold must be >= 1, got {self.hedge_slow_threshold}"
-            )
-        if self.rewarm_limit < 0:
-            raise ShapeError(f"rewarm_limit must be >= 0, got {self.rewarm_limit}")
-
-    def budget(self, priority: int) -> int:
-        """Retry budget of one priority class."""
-        if self.class_retries and priority in self.class_retries:
-            return self.class_retries[priority]
-        return self.max_retries
+    enabled: bool = True
 
     @classmethod
     def disabled(cls) -> "ResiliencePolicy":
         """No recovery at all — the bench's honest no-recovery baseline."""
-        return cls(
-            max_retries=0,
-            hedge_slow_threshold=float("inf"),
-            recover_shards=False,
-            rewarm_plans=False,
-        )
+        return cls(enabled=False)

@@ -264,10 +264,11 @@ class WorkerCrashed(SpanEvent):
 
 @dataclass(frozen=True)
 class WorkerSlowed(SpanEvent):
-    """A worker's compute rate changed (straggler onset or recovery).
+    """A straggler window opened or closed on a worker.
 
-    ``factor`` is the new slowdown multiplier: > 1 marks the onset of a
-    transient slowdown, exactly 1.0 marks recovery to full rate.
+    ``factor`` is the worker's slowdown multiplier after the event: > 1
+    while any of its windows is open, exactly 1.0 once the last one has
+    closed (recovery to full rate).
     """
 
     worker_index: int
@@ -280,7 +281,7 @@ class RequestRetried(SpanEvent):
     """A request lost to a crash was re-placed and re-submitted.
 
     ``attempt`` counts retries for this request so far (1 = first retry);
-    ``budget`` is its class's total allowance.
+    ``budget`` is the total allowance (:data:`~repro.serve.faults.MAX_RETRIES`).
     """
 
     rid: int

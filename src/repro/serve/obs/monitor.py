@@ -3,7 +3,7 @@
 PR 6 left the serving stack with end-of-run snapshots: a metrics registry
 you read after the fact, a trace you post-process. This module adds the
 time axis — a :class:`MetricSampler` that snapshots registry gauges and
-derived rates into rolling :class:`TimeSeries` at a fixed simulation-time
+derived rates into :class:`TimeSeries` at a fixed simulation-time
 cadence, and a :class:`ServiceMonitor` that bundles the sampler with an
 :class:`~repro.serve.obs.alerts.AlertEngine` so SLO burn-rate alerts are
 evaluated on the same ticks.
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.errors import ShapeError
-from repro.serve.obs.alerts import DEFAULT_OBJECTIVE, AlertEngine, BurnRateRule
+from repro.serve.obs.alerts import AlertEngine
 from repro.serve.obs.metrics import MetricsRegistry
 from repro.serve.obs.trace import NullRecorder
 
@@ -42,21 +42,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 @dataclass
 class TimeSeries:
-    """One named series of ``(t_s, value)`` points, strictly time-ordered.
-
-    ``max_points`` bounds memory for long runs: the series becomes a
-    rolling window, dropping its oldest point on overflow (the dashboard
-    then shows the trailing window, which is what an operator watches
-    anyway).
-    """
+    """One named series of ``(t_s, value)`` points, strictly time-ordered."""
 
     name: str
-    max_points: int | None = None
     points: list[tuple[float, float]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.max_points is not None and self.max_points < 1:
-            raise ShapeError(f"max_points must be >= 1, got {self.max_points}")
 
     def append(self, t_s: float, value: float) -> None:
         """Append one sample; timestamps must strictly increase."""
@@ -66,8 +55,6 @@ class TimeSeries:
                 f"after {self.points[-1][0]}"
             )
         self.points.append((t_s, value))
-        if self.max_points is not None and len(self.points) > self.max_points:
-            del self.points[0]
 
     def __len__(self) -> int:
         return len(self.points)
@@ -126,11 +113,10 @@ class MetricSampler:
         window, over the window — created when the worker first exists.
     """
 
-    def __init__(self, interval_s: float, max_points: int | None = None):
+    def __init__(self, interval_s: float):
         if interval_s <= 0:
             raise ShapeError(f"sampler interval must be positive, got {interval_s}")
         self.interval_s = interval_s
-        self.max_points = max_points
         self.series: dict[str, TimeSeries] = {}
         self._ticks = 0
         self._last_s = 0.0
@@ -165,7 +151,7 @@ class MetricSampler:
     def _series(self, name: str) -> TimeSeries:
         series = self.series.get(name)
         if series is None:
-            series = self.series[name] = TimeSeries(name, max_points=self.max_points)
+            series = self.series[name] = TimeSeries(name)
         return series
 
     def _delta(self, key: str, cumulative: float) -> float:
@@ -265,24 +251,22 @@ class ServiceMonitor:
     instant (all pending ticks ``<= now`` fire, oldest first, *before*
     the event's handler), and feeds it each shed and completion verdict
     for the alert engine's error budgets. One monitor monitors one run.
+    The engine runs the default burn-rate rules and objective of
+    :class:`~repro.serve.obs.alerts.AlertEngine`.
     """
 
-    def __init__(
-        self,
-        interval_s: float,
-        rules: tuple[BurnRateRule, ...] | None = None,
-        objective: float = DEFAULT_OBJECTIVE,
-        max_points: int | None = None,
-    ):
-        self.sampler = MetricSampler(interval_s, max_points=max_points)
-        self.engine = AlertEngine(rules=rules, objective=objective)
-        self._deadline_s: float | None = None
+    def __init__(self, interval_s: float):
+        self.sampler = MetricSampler(interval_s)
+        self.engine = AlertEngine()
+        #: completions at or under this latency are budget-good; until
+        #: :meth:`bind` sets the run's deadline, every completion is.
+        self._deadline_s = float("inf")
 
     def bind(
         self,
         recorder: NullRecorder,
         metrics: MetricsRegistry | None,
-        deadline_s: float | None,
+        deadline_s: float,
     ) -> None:
         """Attach the run's recorder/metrics and the goodness deadline."""
         self.engine.bind(recorder, metrics)
@@ -318,7 +302,7 @@ class ServiceMonitor:
         self, t_s: float, priority: int, tenant: str, latency_s: float
     ) -> None:
         """One request completed; good iff it made the goodness deadline."""
-        good = self._deadline_s is None or latency_s <= self._deadline_s
+        good = latency_s <= self._deadline_s
         self.engine.observe(t_s, self._scopes(priority, tenant), good=good)
         self.sampler.note_completion(t_s)
 

@@ -51,7 +51,7 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.errors import DeviceError, ShapeError
+from repro.errors import DeviceError
 from repro.serve.workload import Workload
 from repro.tcbf import split_extent_weighted
 
@@ -62,7 +62,7 @@ if TYPE_CHECKING:
 
 #: fraction of a device's memory the placer lets one merged problem claim
 #: (operands + output; leaves headroom for staging buffers and the runtime).
-DEFAULT_MEMORY_FRACTION = 0.9
+MEMORY_FRACTION = 0.9
 
 #: effective device-to-device bandwidth for moving an inter-stage buffer
 #: between workers, bytes/s. PCIe-class: the fleet model assumes no NVLink
@@ -129,14 +129,7 @@ class Placer:
     deterministically.
     """
 
-    def __init__(
-        self,
-        memory_fraction: float = DEFAULT_MEMORY_FRACTION,
-        stage_locality: bool = True,
-    ):
-        if not 0.0 < memory_fraction <= 1.0:
-            raise ShapeError(f"memory_fraction must be in (0, 1], got {memory_fraction}")
-        self.memory_fraction = memory_fraction
+    def __init__(self, stage_locality: bool = True):
         #: score pipeline-stage routing by buffer residency: a successor
         #: stage on the producing worker elides stage-in for the resident
         #: fraction; off-worker placement is scored with the interconnect
@@ -187,7 +180,7 @@ class Placer:
 
     def fits(self, worker: DeviceWorker, workload: Workload, n_requests: int = 1) -> bool:
         """Whether the merged problem's operands fit one device's memory."""
-        limit = self.memory_fraction * worker.device.spec.mem_bytes
+        limit = MEMORY_FRACTION * worker.device.spec.mem_bytes
         return workload.footprint_bytes(n_requests) <= limit
 
     def eligible_workers(self, workload: Workload, n_requests: int = 1) -> list[DeviceWorker]:

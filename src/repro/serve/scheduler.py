@@ -17,7 +17,7 @@ Two levels of decision:
   the preemptor's critical path as queueing delay.
 * **Deficit round robin (DRR) across tenants inside a class** — each tenant
   with queued work sits in a round-robin ring and accrues credit
-  (``quantum x weight`` requests per visit); a tenant dispatches its
+  (:data:`QUANTUM` x weight requests per visit); a tenant dispatches its
   head-of-line batch when its credit covers the batch's request count.
   Over a contended interval, tenants therefore receive dispatch service in
   proportion to their weights regardless of how unevenly they submit, and
@@ -38,8 +38,9 @@ from repro.serve.batching import Batch
 from repro.serve.obs.events import BatchPreempted, BatchQueued
 from repro.serve.obs.trace import NULL_RECORDER
 
-#: DRR credit (in requests) granted per ring visit, before weighting.
-DEFAULT_QUANTUM = 4.0
+#: DRR credit (in requests) granted per ring visit, before weighting: one
+#: typical merged batch per turn.
+QUANTUM = 4.0
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,7 @@ class _ClassQueue:
     determinism.
     """
 
-    def __init__(self, quantum: float, weights: dict[str, float]):
-        self._quantum = quantum
+    def __init__(self, weights: dict[str, float]):
         self._weights = weights
         self._queues: OrderedDict[str, deque[Batch]] = OrderedDict()
         #: tenants with queued work, in round-robin order.
@@ -147,7 +147,7 @@ class _ClassQueue:
             queue = self._queues[tenant]
             head = queue[0]
             if not self._credited:
-                self._deficit[tenant] += self._quantum * self._weights.get(tenant, 1.0)
+                self._deficit[tenant] += QUANTUM * self._weights.get(tenant, 1.0)
                 self._credited = True
             if self._deficit[tenant] >= head.n_requests:
                 self._deficit[tenant] -= head.n_requests
@@ -172,24 +172,13 @@ class PriorityScheduler:
         DRR weight per tenant (default 1.0). A tenant with weight 3 receives
         three times the dispatch service (measured in requests) of a
         weight-1 tenant while both are backlogged at the same priority.
-    quantum:
-        DRR credit per ring visit in requests, before weighting. Smaller
-        quanta interleave tenants more finely; the default of
-        :data:`DEFAULT_QUANTUM` keeps one typical merged batch per turn.
     """
 
-    def __init__(
-        self,
-        tenant_weights: dict[str, float] | None = None,
-        quantum: float = DEFAULT_QUANTUM,
-    ):
-        if quantum <= 0:
-            raise ShapeError(f"DRR quantum must be positive, got {quantum}")
+    def __init__(self, tenant_weights: dict[str, float] | None = None):
         self.tenant_weights = dict(tenant_weights) if tenant_weights else {}
         for tenant, weight in self.tenant_weights.items():
             if weight <= 0:
                 raise ShapeError(f"tenant weight must be positive, got {weight} for {tenant!r}")
-        self.quantum = quantum
         self._classes: dict[int, _ClassQueue] = {}
         #: lifetime dispatch counters per (priority, tenant), in requests.
         self.served_requests: dict[tuple[int, str], int] = {}
@@ -280,9 +269,7 @@ class PriorityScheduler:
             )
         class_queue = self._classes.get(batch.priority)
         if class_queue is None:
-            class_queue = self._classes[batch.priority] = _ClassQueue(
-                self.quantum, self.tenant_weights
-            )
+            class_queue = self._classes[batch.priority] = _ClassQueue(self.tenant_weights)
         class_queue.enqueue(batch)
 
     def next(self, now: float | None = None) -> Batch:

@@ -45,9 +45,16 @@ from repro.errors import ShapeError
 from repro.gpusim.device import Device
 from repro.serve.autoscale import Autoscaler, FleetSignals, ScaleEvent
 from repro.serve.batching import BatchingPolicy, MicroBatcher
-from repro.serve.cache import PlanCache
 from repro.serve.dispatch import BatchExecution, DeviceWorker, FleetDispatcher, least_loaded
-from repro.serve.faults import FaultEvent, FaultKind, FaultPlan, ResiliencePolicy
+from repro.serve.faults import (
+    HEDGE_SLOW_THRESHOLD,
+    MAX_RETRIES,
+    REWARM_LIMIT,
+    FaultEvent,
+    FaultKind,
+    FaultPlan,
+    ResiliencePolicy,
+)
 from repro.serve.obs.critical_path import BlameReport, RequestPath, attribute, blame
 from repro.serve.obs.events import (
     AdmissionDecided,
@@ -608,9 +615,6 @@ class BeamformingService:
     admission:
         Optional pre-configured controller; by default one is built from
         ``slo`` with no depth cap.
-    cache:
-        Optional pre-warmed :class:`PlanCache` (shared across runs to model
-        a long-lived server; by default each run starts cold).
     class_policies:
         Per-priority-class :class:`BatchingPolicy` overrides — e.g. a tight
         ``max_wait_s`` for the interactive class 0, a deep ``max_batch``
@@ -620,8 +624,8 @@ class BeamformingService:
         (default 1.0 each); see :class:`~repro.serve.scheduler.PriorityScheduler`.
     placer:
         Optional pre-configured :class:`~repro.serve.placement.Placer`
-        (e.g. a custom memory fraction); by default one is built with
-        defaults and bound to the fleet.
+        (e.g. stage-blind routing); by default one is built with defaults
+        and bound to the fleet.
     autoscaler:
         Optional :class:`~repro.serve.autoscale.Autoscaler`: the fleet
         becomes elastic, with the autoscaler's ticks registered as an
@@ -630,11 +634,12 @@ class BeamformingService:
         fixed and registers no tick source.
     monitor:
         Optional :class:`~repro.serve.obs.monitor.ServiceMonitor`: its
-        sampler ticks are caught up ahead of every event (pure reads —
-        sampling never perturbs the simulation) and its alert engine is
-        fed every shed/completion/failure verdict. ``None`` (default)
-        does no monitoring work at all, the same zero-overhead discipline
-        as the trace recorder.
+        sampler ticks are caught up ahead of every event and its alert
+        engine is fed every shed/completion/failure verdict. The monitor
+        only reads: nothing in the simulation consults its samples or
+        alerts, so a monitored run reports byte-identically. ``None``
+        (default) does no monitoring work at all, the same zero-overhead
+        discipline as the trace recorder.
     faults:
         Optional :class:`~repro.serve.faults.FaultPlan`: a deterministic
         schedule of worker crashes, transient slowdowns, and replacements,
@@ -644,11 +649,11 @@ class BeamformingService:
         no fault source; completions are confirmed on the clock either
         way, so a fault-free run takes the same code path as a faulted one.
     resilience:
-        The :class:`~repro.serve.faults.ResiliencePolicy` absorbing the
-        fault plan: per-class retry budgets with deadline-aware
+        The :class:`~repro.serve.faults.ResiliencePolicy`: whether the
+        service recovers from the fault plan (retries with deadline-aware
         re-placement, hedged dispatch past the straggler threshold, shard
-        recovery, and plan-cache re-warm on replacements. Defaults to the
-        policy's defaults; only consulted when ``faults`` is non-empty.
+        recovery, and plan-cache re-warm on replacements). Recovery is on
+        by default and only consulted when ``faults`` is non-empty.
     """
 
     def __init__(
@@ -657,13 +662,11 @@ class BeamformingService:
         policy: BatchingPolicy | None = None,
         slo: SLO | None = None,
         admission: AdmissionController | None = None,
-        cache: PlanCache | None = None,
         class_policies: dict[int, BatchingPolicy] | None = None,
         tenant_weights: dict[str, float] | None = None,
         placer: Placer | None = None,
         autoscaler: Autoscaler | None = None,
         recorder: NullRecorder | None = None,
-        metrics: MetricsRegistry | None = None,
         monitor: ServiceMonitor | None = None,
         faults: FaultPlan | None = None,
         resilience: ResiliencePolicy | None = None,
@@ -677,10 +680,9 @@ class BeamformingService:
         self.recorder = NULL_RECORDER if recorder is None else recorder
         #: the run's metrics registry; always live (deterministic counters),
         #: shared with every component below and attached to the report.
-        self.metrics = MetricsRegistry() if metrics is None else metrics
+        self.metrics = MetricsRegistry()
         self.fleet = FleetDispatcher(
             devices,
-            cache=cache,
             scheduler=PriorityScheduler(tenant_weights=tenant_weights),
             placer=placer,
         )
@@ -717,11 +719,12 @@ class BeamformingService:
         #: the fault schedule; empty without a plan, and then the fault
         #: event source is never registered.
         self._faults: tuple[FaultEvent, ...] = faults.events if faults is not None else ()
-        #: the recovery policy; without faults there is nothing to recover
-        #: from, so it is disabled (no hedging, no re-warm bookkeeping).
-        if not self._faults:
-            resilience = ResiliencePolicy.disabled()
-        self._resilience = resilience if resilience is not None else ResiliencePolicy()
+        #: whether lost work is recovered; without faults there is nothing
+        #: to recover from (no hedging, no re-warm bookkeeping).
+        self._recovery = bool(self._faults) and (resilience is None or resilience.enabled)
+        #: open straggler windows per worker index, oldest first: the
+        #: slowdown factor of each SLOW_START not yet closed by a SLOW_END.
+        self._slow_windows: dict[int, list[float]] = {}
         self._fault_idx = 0
         #: dispatched-but-unconfirmed launches.
         self._pending: list[_PendingExecution] = []
@@ -774,14 +777,13 @@ class BeamformingService:
         up with the input trace.
 
         One service instance replays one trace: worker queues, batcher
-        counters, and report state are all trace-scoped. To model a warm
-        long-lived server, construct a fresh service per trace and share a
-        :class:`PlanCache` between them.
+        counters, the plan cache and report state are all trace-scoped, so
+        construct a fresh service per trace.
         """
         if self._ran:
             raise ShapeError(
                 "BeamformingService.run is single-shot: construct a new "
-                "service per trace (share a PlanCache to model a warm server)"
+                "service per trace"
             )
         self._ran = True
         if len({id(r) for r in requests}) != len(requests):
@@ -998,22 +1000,9 @@ class BeamformingService:
         self._timeline.record(now, accepting, provisioned)
 
     def _signals(self, now: float) -> FleetSignals:
-        """Snapshot the pressure signals one autoscale tick consumes.
-
-        ``firing_alerts`` feeds burn-rate alert state to the autoscaler:
-        when a monitor is attached, every alert currently in the firing
-        state counts — budget burn as a scale-up signal, not just queue
-        pressure (opt-in on the policy side via
-        :attr:`ReactiveAutoscaler.alert_burn_up
-        <repro.serve.autoscale.ReactiveAutoscaler.alert_burn_up>`).
-        """
+        """Snapshot the pressure signals one autoscale tick consumes."""
         pressure = self.fleet.queued_pressure_by_class()
         accepting = self.fleet.accepting_workers
-        firing = 0
-        if self._monitor is not None:
-            firing = sum(
-                1 for a in self._monitor.engine.history if a.state == "firing"
-            )
         return FleetSignals(
             t_s=now,
             n_accepting=len(accepting),
@@ -1023,7 +1012,6 @@ class BeamformingService:
             pressure_by_priority=pressure,
             drain_s_by_capability=self.fleet.queued_drain_by_capability(),
             busy_workers=sum(1 for w in accepting if w.backlog_s(now) > 0),
-            firing_alerts=firing,
         )
 
     # -- internals -----------------------------------------------------------
@@ -1252,10 +1240,9 @@ class BeamformingService:
         self._pending.append(pending)
         self._in_flight_requests += batch.n_requests
         self._note_recent(batch)
-        threshold = self._resilience.hedge_slow_threshold
-        if not execution.is_split and threshold != float("inf"):
+        if self._recovery and not execution.is_split:
             primary = self.fleet.worker_by_index(execution.worker_index)
-            if primary.slow_factor >= threshold:
+            if primary.slow_factor >= HEDGE_SLOW_THRESHOLD:
                 alt = self._hedge_worker(batch, execution.worker_index, now)
                 if alt is not None:
                     pending.hedge = self.fleet.hedge(execution, alt, now)
@@ -1280,14 +1267,13 @@ class BeamformingService:
         threshold; a candidate that crashed since the batch was stamped is
         no longer in the fleet.
         """
-        threshold = self._resilience.hedge_slow_threshold
         return least_loaded(
             (
                 w
                 for w in self.fleet.workers
                 if w.index in batch.candidate_indices
                 and w.index != primary_index
-                and w.slow_factor < threshold
+                and w.slow_factor < HEDGE_SLOW_THRESHOLD
             ),
             now,
         )
@@ -1333,22 +1319,31 @@ class BeamformingService:
         self._fault_idx += 1
         if event.kind is FaultKind.CRASH:
             self._crash(event, now)
-        elif event.kind is FaultKind.SLOW_START:
-            self._slow(event, now, event.factor)
-        elif event.kind is FaultKind.SLOW_END:
-            self._slow(event, now, 1.0)
+        elif event.kind in (FaultKind.SLOW_START, FaultKind.SLOW_END):
+            self._slow(event, now)
         elif event.kind is FaultKind.REPLACE:
             self._replace(event, now)
 
-    def _slow(self, event: FaultEvent, now: float, factor: float) -> None:
-        """Set (or reset) one worker's straggler factor."""
+    def _slow(self, event: FaultEvent, now: float) -> None:
+        """Open or close one straggler window on a worker.
+
+        Windows on one worker may overlap: the worker runs at the factor of
+        its latest open window and recovers full speed only when its last
+        open window closes.
+        """
         try:
             worker = self.fleet.worker_by_index(event.worker_index)
         except StopIteration:
             return  # the target crashed or retired before this window
+        windows = self._slow_windows.setdefault(worker.index, [])
+        if event.kind is FaultKind.SLOW_START:
+            windows.append(event.factor)
+            if event.factor != 1.0:
+                self.metrics.inc("service.slowdowns")
+        elif windows:
+            windows.pop(0)
+        factor = windows[-1] if windows else 1.0
         worker.slow_factor = factor
-        if factor != 1.0:
-            self.metrics.inc("service.slowdowns")
         if self.recorder.enabled:
             self.recorder.emit(
                 WorkerSlowed(
@@ -1468,7 +1463,7 @@ class BeamformingService:
         now: float,
     ) -> bool:
         """Re-execute the lost shards of one split; ``False`` = unrecoverable."""
-        if not self._resilience.recover_shards:
+        if not self._recovery:
             return False
         batch = execution.batch
         for shard_index in lost:
@@ -1500,14 +1495,14 @@ class BeamformingService:
     def _replace(self, event: FaultEvent, now: float) -> None:
         """A replacement worker joins the fleet (cold cache, startup delay).
 
-        With ``rewarm_plans`` enabled, the most recent workloads' plans
-        build *before* the worker takes traffic — serialized onto its copy
+        While recovery is on, the most recent workloads' plans build
+        *before* the worker takes traffic — serialized onto its copy
         engine, so the warm-up is paid by the replacement's own timeline
         rather than by its first unlucky batches.
         """
         device = Device(event.device_name, mode=self._device_mode)
         worker = self.fleet.add_worker(device, now, ready_s=now + event.startup_s)
-        if self._resilience.rewarm_plans and self._recent_workloads:
+        if self._recovery and self._recent_workloads:
             build_total = 0.0
             for workload, n_requests in self._recent_workloads.values():
                 if not workload.supported_by(device.spec):
@@ -1532,13 +1527,12 @@ class BeamformingService:
 
     def _note_recent(self, batch) -> None:
         """Track the trailing workload mix, for replacement-worker re-warm."""
-        limit = self._resilience.rewarm_limit
-        if not self._resilience.rewarm_plans or limit <= 0:
+        if not self._recovery:
             return
         key = batch.workload.name
         self._recent_workloads[key] = (batch.workload, batch.n_requests)
         self._recent_workloads.move_to_end(key)
-        while len(self._recent_workloads) > limit:
+        while len(self._recent_workloads) > REWARM_LIMIT:
             self._recent_workloads.popitem(last=False)
 
     def _abandon(self, batch, now: float) -> None:
@@ -1551,17 +1545,16 @@ class BeamformingService:
 
         A retry re-enters the placer for a *fresh* decision on the
         post-crash fleet (the original route may name a dead worker) and
-        is only submitted when the projected finish fits inside
-        ``retry_deadline_factor`` times the admission deadline — a doomed
-        launch wastes capacity the surviving fleet needs. A lost pipeline
-        *stage* retries as itself — re-entering the pipeline at the failed
-        stage, with completed predecessors standing — while the deadline
-        clock runs from the *root* arrival (end-to-end, not per stage).
+        is only submitted when the projected finish fits inside the
+        admission deadline — a doomed launch wastes capacity the surviving
+        fleet needs. A lost pipeline *stage* retries as itself —
+        re-entering the pipeline at the failed stage, with completed
+        predecessors standing — while the deadline clock runs from the
+        *root* arrival (end-to-end, not per stage).
         """
-        policy = self._resilience
         priority = req.workload.priority
         attempts = self._attempts.get(id(req), 0)
-        budget = policy.budget(priority)
+        budget = MAX_RETRIES if self._recovery else 0
         if attempts >= budget:
             self._fail(req, now, "retries_exhausted")
             return
@@ -1573,8 +1566,7 @@ class BeamformingService:
             return
         projected = self._estimate_latency(now, decision)
         elapsed = now - req.root_request.arrival_s
-        deadline = policy.retry_deadline_factor * self.slo.admission_deadline_s
-        if elapsed + projected > deadline:
+        if elapsed + projected > self.slo.admission_deadline_s:
             self._fail(req, now, "deadline")
             return
         self._attempts[id(req)] = attempts + 1

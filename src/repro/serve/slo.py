@@ -254,30 +254,20 @@ class AdmissionController:
     A request is admitted unless
 
     * the projected latency (batching wait + queue backlog + service
-      estimate, scaled by ``headroom``) exceeds the SLO's admission
-      deadline, or
+      estimate) exceeds the SLO's admission deadline, or
     * more than ``max_queue_depth`` admitted requests are already waiting
       (forming batches plus in-flight dispatches).
 
-    ``headroom > 1`` sheds earlier (conservative), ``< 1`` later. The
-    estimate intentionally uses only information available at arrival time
+    The estimate intentionally uses only information available at arrival time
     — no peeking at future arrivals — so the same controller logic would
     run unchanged in a live deployment.
     """
 
-    def __init__(
-        self,
-        slo: SLO,
-        max_queue_depth: int | None = None,
-        headroom: float = 1.0,
-    ):
-        if headroom <= 0:
-            raise ShapeError(f"headroom must be positive, got {headroom}")
+    def __init__(self, slo: SLO, max_queue_depth: int | None = None):
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ShapeError(f"max_queue_depth must be >= 1, got {max_queue_depth}")
         self.slo = slo
         self.max_queue_depth = max_queue_depth
-        self.headroom = headroom
         self.n_admitted = 0
         self.n_shed = 0
         #: per-priority-class shed counts ("who absorbed the overload").
@@ -301,7 +291,7 @@ class AdmissionController:
         sees the longest projected queue and sheds first — strictly, once
         its backlog alone busts the deadline.
         """
-        over_deadline = estimated_latency_s * self.headroom > self.slo.admission_deadline_s
+        over_deadline = estimated_latency_s > self.slo.admission_deadline_s
         over_depth = self.max_queue_depth is not None and queue_depth >= self.max_queue_depth
         if over_deadline or over_depth:
             self.n_shed += 1

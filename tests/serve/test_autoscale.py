@@ -23,6 +23,7 @@ from repro.serve import (
     Workload,
     poisson_arrivals,
 )
+from repro.serve.autoscale import IDLE_BUSY_FRACTION, MAX_STEP
 from repro.serve.batching import Batch
 from repro.serve.slo import FleetTimeline
 from tests.conftest import submit_and_drain
@@ -55,7 +56,6 @@ def signals(
     queued_service_s=0.0,
     drain_s=None,
     busy_workers=0,
-    firing_alerts=0,
 ) -> FleetSignals:
     drain_by_cap = {"float16": drain_s} if drain_s is not None else {}
     return FleetSignals(
@@ -67,7 +67,6 @@ def signals(
         pressure_by_priority={},
         drain_s_by_capability=drain_by_cap,
         busy_workers=busy_workers,
-        firing_alerts=firing_alerts,
     )
 
 
@@ -130,18 +129,19 @@ class TestReactivePolicy:
         assert policy.decide(signals(drain_s=2e-3)) is None
 
     def test_step_scales_with_pressure(self):
-        policy = ReactiveAutoscaler(up_pressure_s=1e-3, up_ticks=1, max_step=4)
+        policy = ReactiveAutoscaler(up_pressure_s=1e-3, up_ticks=1)
         assert policy.decide(signals(drain_s=1.5e-3)).n == 1
         assert policy.decide(signals(drain_s=3.2e-3)).n == 3
-        assert policy.decide(signals(drain_s=9e-3)).n == 4  # capped
+        assert policy.decide(signals(drain_s=4.5e-3)).n == MAX_STEP == 4
+        assert policy.decide(signals(drain_s=9e-3)).n == MAX_STEP  # capped
 
     def test_infinite_pressure_takes_the_full_step(self):
         # An empty capability pool reports inf drain — the strongest
         # scale-up signal must not crash the step computation.
-        policy = ReactiveAutoscaler(up_pressure_s=1e-3, up_ticks=1, max_step=4)
+        policy = ReactiveAutoscaler(up_pressure_s=1e-3, up_ticks=1)
         action = policy.decide(signals(drain_s=float("inf")))
         assert action.kind is ScaleKind.UP
-        assert action.n == 4
+        assert action.n == MAX_STEP
 
     def test_sustained_idle_scales_down(self):
         policy = ReactiveAutoscaler(up_pressure_s=1e-3, down_ticks=3)
@@ -152,44 +152,20 @@ class TestReactivePolicy:
         assert action is not None and action.kind is ScaleKind.DOWN
 
     def test_busy_fleet_is_not_idle(self):
-        policy = ReactiveAutoscaler(up_pressure_s=1e-3, down_ticks=1, idle_busy_fraction=0.5)
+        policy = ReactiveAutoscaler(up_pressure_s=1e-3, down_ticks=1)
         assert policy.decide(signals(n_accepting=2, busy_workers=2)) is None
         assert policy.decide(signals(queued_requests=3, busy_workers=0)) is None
-
-    def test_alert_burn_up_scales_on_firing_alert_with_calm_queues(self):
-        # Error budget can burn at the front door (shed storms) before any
-        # queue forms; with alert_burn_up on, a firing burn-rate alert is a
-        # pressured tick even at zero queue drain.
-        policy = ReactiveAutoscaler(up_pressure_s=1e-3, up_ticks=2, alert_burn_up=True)
-        assert policy.decide(signals(firing_alerts=1)) is None
-        action = policy.decide(signals(firing_alerts=1))
-        assert action is not None and action.kind is ScaleKind.UP
-        assert action.n == 1
-        assert "burn-rate alert" in action.reason
-
-    def test_alert_burn_up_off_by_default_keeps_legacy_behavior(self):
-        policy = ReactiveAutoscaler(up_pressure_s=1e-3, up_ticks=1)
-        assert policy.decide(signals(firing_alerts=3)) is None
-
-    def test_queue_pressure_still_takes_the_proportional_step_while_burning(self):
-        # When real queue pressure and a firing alert coincide, the reason
-        # and step come from the pressure path (the stronger signal).
-        policy = ReactiveAutoscaler(
-            up_pressure_s=1e-3, up_ticks=1, max_step=4, alert_burn_up=True
-        )
-        action = policy.decide(signals(drain_s=3.2e-3, firing_alerts=1))
-        assert action.n == 3
-        assert "queue drain" in action.reason
+        # Idle means at most IDLE_BUSY_FRACTION (half) of the accepting
+        # workers busy: three of four is not idle, two of four is.
+        assert IDLE_BUSY_FRACTION == 0.5
+        assert policy.decide(signals(n_accepting=4, busy_workers=3)) is None
+        assert policy.decide(signals(n_accepting=4, busy_workers=2)).kind is ScaleKind.DOWN
 
     def test_validation(self):
         with pytest.raises(ShapeError):
             ReactiveAutoscaler(up_pressure_s=0.0)
         with pytest.raises(ShapeError):
             ReactiveAutoscaler(up_pressure_s=1e-3, up_ticks=0)
-        with pytest.raises(ShapeError):
-            ReactiveAutoscaler(up_pressure_s=1e-3, max_step=0)
-        with pytest.raises(ShapeError):
-            ReactiveAutoscaler(up_pressure_s=1e-3, idle_busy_fraction=1.5)
 
 
 class TestPredictivePolicy:
@@ -288,9 +264,9 @@ class TestAutoscalerDriver:
 
     def test_scale_down_is_lifo_over_added_workers(self):
         fleet = dry_fleet(1)
-        up = ReactiveAutoscaler(up_pressure_s=1e-3, up_ticks=1, max_step=2)
+        up = ReactiveAutoscaler(up_pressure_s=1e-3, up_ticks=1)
         scaler = self.autoscaler(up)
-        scaler.tick(1e-3, fleet, signals(drain_s=3e-3))
+        scaler.tick(1e-3, fleet, signals(drain_s=2e-3))
         assert [w.index for w in fleet.workers] == [0, 1, 2]
         down = scaler.tick(2e-3, fleet, signals(n_accepting=3))
         # down_ticks default is high; force the drain directly instead.
@@ -300,24 +276,16 @@ class TestAutoscalerDriver:
         assert [e.kind for e in events] == ["down"]
         assert events[0].worker_index == 2  # newest addition drains first
 
-    def test_cooldown_suppresses_consecutive_actions(self):
-        fleet = dry_fleet(1)
-        policy = ReactiveAutoscaler(up_pressure_s=1e-3, up_ticks=1, max_step=1)
-        scaler = self.autoscaler(policy, cooldown_s=2.5e-3)
-        assert scaler.tick(1e-3, fleet, signals(drain_s=3e-3)) != []
-        assert scaler.tick(2e-3, fleet, signals(drain_s=3e-3)) == []
-        assert scaler.tick(4e-3, fleet, signals(drain_s=3e-3)) != []
-
     def test_scaled_up_worker_charges_startup_and_cold_plans(self):
         fleet = dry_fleet(1)
         wl = workload()
         warm = make_batch(0, wl, 2, 0.0)
         submit_and_drain(fleet, warm)
         scaler = self.autoscaler(
-            ReactiveAutoscaler(up_pressure_s=1e-3, up_ticks=1, max_step=1),
+            ReactiveAutoscaler(up_pressure_s=1e-3, up_ticks=1),
             startup_s=5e-3,
         )
-        [event] = scaler.tick(1e-3, fleet, signals(drain_s=3e-3))
+        [event] = scaler.tick(1e-3, fleet, signals(drain_s=1.5e-3))
         newcomer = fleet.worker_by_index(event.worker_index)
         # Engines free only after the modelled startup latency...
         assert newcomer.accept_s == pytest.approx(1e-3 + 5e-3)

@@ -33,7 +33,7 @@ from repro.serve import (
     crash_storm,
     poisson_arrivals,
 )
-from repro.serve.obs.events import HedgeLaunched
+from repro.serve.obs.events import HedgeLaunched, RequestFailed, WorkerSlowed
 from repro.serve.obs.trace import TraceRecorder
 from repro.serve.workload import Request
 
@@ -48,10 +48,10 @@ CRASH_T_S = 2e-3
 
 
 def _service(n_workers: int = 2, gpu: str = "A100", **kwargs) -> BeamformingService:
+    kwargs.setdefault("slo", SLO(p99_latency_s=3e-3, deadline_s=2e-3))
     return BeamformingService(
         [Device(gpu, ExecutionMode.DRY_RUN) for _ in range(n_workers)],
         policy=POLICY,
-        slo=SLO(p99_latency_s=3e-3, deadline_s=2e-3),
         **kwargs,
     )
 
@@ -144,27 +144,11 @@ class TestCrashStorm:
 
 
 class TestResiliencePolicy:
-    def test_class_budget_overrides_default(self):
-        policy = ResiliencePolicy(max_retries=2, class_retries={0: 5})
-        assert policy.budget(0) == 5
-        assert policy.budget(1) == 2
-
     def test_disabled_turns_everything_off(self):
-        policy = ResiliencePolicy.disabled()
-        assert policy.budget(0) == 0
-        assert policy.hedge_slow_threshold == float("inf")
-        assert not policy.recover_shards
-        assert not policy.rewarm_plans
-
-    def test_validation(self):
-        with pytest.raises(ShapeError):
-            ResiliencePolicy(max_retries=-1)
-        with pytest.raises(ShapeError):
-            ResiliencePolicy(retry_deadline_factor=0.0)
-        with pytest.raises(ShapeError):
-            ResiliencePolicy(hedge_slow_threshold=0.5)
-        with pytest.raises(ShapeError):
-            ResiliencePolicy(rewarm_limit=-1)
+        # Recovery is one on/off value; its effects (no retries, hedges,
+        # shard recovery or re-warm) are checked against runs below.
+        assert ResiliencePolicy().enabled
+        assert ResiliencePolicy.disabled() == ResiliencePolicy(enabled=False)
 
 
 class TestZeroFaultIdentity:
@@ -185,6 +169,13 @@ class TestZeroFaultIdentity:
 @cache
 def _no_recovery():
     return _run(faults=_CRASH, resilience=ResiliencePolicy.disabled())
+
+
+def _failure_reasons(**kwargs) -> list[str]:
+    """Failure reason of every request the crash plan loses."""
+    recorder = TraceRecorder()
+    _run(faults=_CRASH, recorder=recorder, **kwargs)
+    return [e.reason for e in recorder.of_type(RequestFailed)]
 
 
 @cache
@@ -238,20 +229,26 @@ class TestCrashRecovery:
         assert b.summary() == a.summary()
 
     def test_exhausted_retry_budget_fails_the_request(self):
-        # Budget 0 with recovery otherwise on: every displaced request
-        # fails as retries_exhausted instead of re-entering the placer.
-        report = _run(faults=_CRASH, resilience=ResiliencePolicy(max_retries=0))
-        assert report.n_retries == 0
-        assert report.n_failed > 0
+        # Recovery off means a budget of 0: every displaced request fails
+        # as retries_exhausted instead of re-entering the placer.
+        reasons = _failure_reasons(resilience=ResiliencePolicy.disabled())
+        assert reasons and set(reasons) == {"retries_exhausted"}
+        assert _no_recovery().n_retries == 0
 
     def test_hopeless_deadline_fails_fast_instead_of_retrying(self):
-        # A retry whose projected finish cannot fit inside the scaled
-        # admission deadline is a doomed launch; fail fast instead.
+        # A retry whose projected finish cannot fit inside the admission
+        # deadline is a doomed launch; fail fast instead. At this tight
+        # deadline some lost requests still fit and retry, the rest fail.
+        recorder = TraceRecorder()
         report = _run(
-            faults=_CRASH, resilience=ResiliencePolicy(retry_deadline_factor=1e-6)
+            faults=_CRASH,
+            slo=SLO(p99_latency_s=3e-3, deadline_s=0.8e-3),
+            recorder=recorder,
         )
-        assert report.n_retries == 0
-        assert report.n_failed > 0
+        reasons = [e.reason for e in recorder.of_type(RequestFailed)]
+        assert reasons and set(reasons) == {"deadline"}
+        assert report.n_failed == len(reasons)
+        assert report.n_retries > 0
 
 
 class TestStragglersAndHedging:
@@ -264,16 +261,36 @@ class TestStragglersAndHedging:
         assert report.n_failed == 0
 
     def test_hedging_off_means_no_hedges_and_a_worse_tail(self):
-        unhedged = _run(
-            faults=_SLOW,
-            resilience=ResiliencePolicy(hedge_slow_threshold=float("inf")),
-        )
+        unhedged = _run(faults=_SLOW, resilience=ResiliencePolicy.disabled())
         assert unhedged.n_hedges == 0
         assert unhedged.wasted_device_seconds == 0.0
         assert unhedged.p99_latency_s >= _hedged().p99_latency_s
 
     def test_slow_window_alone_loses_nothing(self):
         assert _hedged().availability == 1.0
+
+    def test_overlapping_windows_keep_the_worker_slow_until_the_last_closes(self):
+        # Two windows on worker 0 overlap over [1, 2] ms. Closing the first
+        # must not restore full speed while the second is still open.
+        plan = FaultPlan(
+            (
+                FaultEvent(t_s=0.0, kind=FaultKind.SLOW_START, worker_index=0, factor=4.0),
+                FaultEvent(t_s=1e-3, kind=FaultKind.SLOW_START, worker_index=0, factor=4.0),
+                FaultEvent(t_s=2e-3, kind=FaultKind.SLOW_END, worker_index=0),
+                FaultEvent(t_s=3e-3, kind=FaultKind.SLOW_END, worker_index=0),
+            )
+        )
+        recorder = TraceRecorder()
+        report = _run(faults=plan, recorder=recorder)
+        slowed = [(e.t_s, e.factor) for e in recorder.of_type(WorkerSlowed)]
+        assert slowed == [(0.0, 4.0), (1e-3, 4.0), (2e-3, 4.0), (3e-3, 1.0)]
+        # The worker is still a straggler after the first window closes,
+        # so batches landing on it there are still hedged.
+        assert any(
+            2e-3 < e.t_s < 3e-3 and e.primary_index == 0
+            for e in recorder.of_type(HedgeLaunched)
+        )
+        assert report.availability == 1.0
 
 
 def _hedge_targets(gpus: tuple[str, ...], slow: tuple[int, ...], precision=None):
@@ -370,7 +387,7 @@ class TestShardRecovery:
         # shard recovery is the only way this request completes.
         report = self._run_survey(
             faults=self._crash_mid_split(),
-            resilience=ResiliencePolicy(recover_shards=False),
+            resilience=ResiliencePolicy.disabled(),
         )
         assert report.n_shard_recoveries == 0
         assert report.n_retries == 0
@@ -394,14 +411,11 @@ class TestReplacement:
         assert any(e.worker_index == 2 for e in report.executions)
 
     def test_rewarm_spares_the_replacement_cold_builds(self):
-        cold = _run(
-            faults=_CRASH_REPLACE, resilience=ResiliencePolicy(rewarm_plans=False)
-        )
-        warm = _replaced()
-        warm_builds = sum(
-            1 for e in warm.executions if e.worker_index == 2 and e.build_s > 0
-        )
-        cold_builds = sum(
-            1 for e in cold.executions if e.worker_index == 2 and e.build_s > 0
-        )
-        assert warm_builds < cold_builds
+        # With recovery on, the replacement pre-builds the recent plans, so
+        # its first batch runs warm; without, that batch pays the build.
+        def first_on_replacement(report):
+            return next(e for e in report.executions if e.worker_index == 2)
+
+        cold = _run(faults=_CRASH_REPLACE, resilience=ResiliencePolicy.disabled())
+        assert first_on_replacement(_replaced()).build_s == 0.0
+        assert first_on_replacement(cold).build_s > 0.0

@@ -61,21 +61,11 @@ class TestTimeSeries:
         with pytest.raises(ShapeError):
             series.append(0.5, 1.0)
 
-    def test_rolls_oldest_point_past_max_points(self):
-        series = TimeSeries("q", max_points=3)
-        for t in range(5):
-            series.append(float(t), float(t) * 10.0)
-        assert series.times == [2.0, 3.0, 4.0]
-
     def test_empty_series_raises_on_reads(self):
         series = TimeSeries("q")
         for prop in ("latest", "minimum", "maximum"):
             with pytest.raises(ShapeError):
                 getattr(series, prop)
-
-    def test_rejects_bad_max_points(self):
-        with pytest.raises(ShapeError):
-            TimeSeries("q", max_points=0)
 
 
 class TestSamplerValidation:

@@ -30,6 +30,7 @@ from repro.serve import (
     merge_arrivals,
     poisson_arrivals,
 )
+from repro.serve.batching import MAX_PAD_FRACTION
 from tests.conftest import random_complex, submit_and_drain
 
 def lofar_workload(**kwargs):
@@ -139,15 +140,19 @@ class TestDecisions:
 
     def test_pad_budget_bounds_bucket_overhead(self):
         # A 64-sample request must not be padded 32x just because a 2048
-        # edge exists: beyond max_pad_fraction the exact shape wins.
+        # edge exists: beyond MAX_PAD_FRACTION the exact shape wins.
         f = fleet("A100")
         policy = BatchingPolicy(sample_buckets=(2048,))
         decision = f.placer.place(workload(n_samples=64), policy)
         assert decision.kind is PlacementKind.ROUTE
         assert policy.bucket_samples(64) == 64
         assert policy.bucket_samples(1792) == 2048  # 14% < the 25% budget
-        generous = BatchingPolicy(sample_buckets=(2048,), max_pad_fraction=100.0)
-        assert generous.bucket_samples(64) == 2048
+        # 2048 / 1.25 = 1638.4: 1639 pads by 24.95%, 1638 would pad 25.03%;
+        # a pad of exactly 25% is inside the budget.
+        assert MAX_PAD_FRACTION == 0.25
+        assert policy.bucket_samples(1639) == 2048
+        assert policy.bucket_samples(1638) == 1638
+        assert BatchingPolicy(sample_buckets=(80,)).bucket_samples(64) == 80
 
     def test_exact_edge_shape_routes_unpadded(self):
         f = fleet("A100")
@@ -277,14 +282,8 @@ class TestBucketedBatching:
             BatchingPolicy(sample_buckets=(64, 64))
         with pytest.raises(ShapeError):
             BatchingPolicy(sample_buckets=(0, 64))
-        with pytest.raises(ShapeError, match="max_pad_fraction"):
-            BatchingPolicy(max_pad_fraction=-0.1)
-        # 65 -> 128 is 97% padding: over the default budget, exact shape wins;
-        # a generous budget buckets it.
+        # 65 -> 128 is 97% padding: over the budget, exact shape wins.
         assert BatchingPolicy(sample_buckets=(64, 128)).bucket_samples(65) == 65
-        assert BatchingPolicy(
-            sample_buckets=(64, 128), max_pad_fraction=1.0
-        ).bucket_samples(65) == 128
         assert BatchingPolicy(sample_buckets=(64, 128)).bucket_samples(120) == 128
 
     def test_padded_to_validation(self):

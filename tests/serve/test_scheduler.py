@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ShapeError
 from repro.serve import Batch, PriorityScheduler, Request, Workload
+from repro.serve.scheduler import QUANTUM
 
 
 def workload(priority=0, tenant="default", name="wl") -> Workload:
@@ -74,9 +75,7 @@ class TestQueueViews:
 
 
 class TestValidation:
-    def test_bad_quantum_and_weights(self):
-        with pytest.raises(ShapeError, match="quantum"):
-            PriorityScheduler(quantum=0.0)
+    def test_bad_weights(self):
         with pytest.raises(ShapeError, match="weight"):
             PriorityScheduler(tenant_weights={"a": 0.0})
 
@@ -124,22 +123,24 @@ class TestDeficitRoundRobin:
                 sched.enqueue(batch(10 + i, workload(tenant="a"), n=3))
                 sched.enqueue(batch(20 + i, workload(tenant="b"), n=3))
 
-        warmed = PriorityScheduler(tenant_weights={"a": 3.0, "b": 1.0}, quantum=1.0)
+        warmed = PriorityScheduler(tenant_weights={"a": 3.0, "b": 1.0})
         warmed.enqueue(batch(0, workload(tenant="a"), n=5))
         assert warmed.next().tenant == "a"
         assert warmed.empty()
         enqueue_round(warmed)
-        fresh = PriorityScheduler(tenant_weights={"a": 3.0, "b": 1.0}, quantum=1.0)
+        fresh = PriorityScheduler(tenant_weights={"a": 3.0, "b": 1.0})
         enqueue_round(fresh)
         warmed_order = [warmed.next().bid for _ in range(len(warmed))]
         fresh_order = [fresh.next().bid for _ in range(len(fresh))]
         assert warmed_order == fresh_order
 
     def test_lone_tenant_served_fifo_regardless_of_quantum(self):
-        sched = PriorityScheduler(quantum=0.25)
+        # Each 8-request batch needs two visits' worth of credit; a lone
+        # tenant still gets them in order.
+        sched = PriorityScheduler()
         wl = workload(tenant="solo")
         for i in range(5):
-            sched.enqueue(batch(i, wl, n=8))
+            sched.enqueue(batch(i, wl, n=2 * int(QUANTUM)))
         assert [sched.next().bid for _ in range(5)] == [0, 1, 2, 3, 4]
         assert sched.empty()
 
