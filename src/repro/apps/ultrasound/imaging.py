@@ -4,18 +4,21 @@
 implemented as a wrapper around ccglib" (paper §V-A). Reconstruction is the
 matched-filter product ``X = conj(H).T @ Y``:
 
-* A-operand: the (V, K) matched filter from the model matrix — in the 1-bit
-  pipeline it is sign-quantized and packed **once before the experiment**
-  ("this typically happens once ... and does not need to be repeated"), so
-  its packing cost is excluded from the per-frame budget;
+* A-operand: the (V, K) matched filter from the model matrix — it is
+  converted to planar form and, in the 1-bit pipeline, sign-quantized and
+  packed **once before the experiment** by :meth:`UltrasoundBeamformer.prepare_model`
+  ("this typically happens once ... and does not need to be repeated"),
+  and every frame batch reuses the prepared operand, so its cost is
+  excluded from the per-frame budget;
 * B-operand: the (K, N) measurement matrix — its transpose and 1-bit
   packing run for every frame batch and **are** included (Fig 5: "The
   processing includes the 1-bit packing and transpose of the measurement
   matrix").
 
-Both behaviours are native :class:`repro.tcbf.BeamformerPlan` stage flags,
-so this module only maps the imaging vocabulary (model matrix, matched
-filter, frames) onto the shared library.
+Both behaviours are native :class:`repro.tcbf.BeamformerPlan` features
+(``prepare_weights`` and the per-block stages), so this module only maps
+the imaging vocabulary (model matrix, matched filter, frames) onto the
+shared library.
 
 The GEMM uses parameters auto-tuned for the ultrasound shape (huge M = many
 voxels, large K, moderate N = frames); the shipped generic defaults would
@@ -133,7 +136,6 @@ class UltrasoundBeamformer:
             backend=backend,
             name="ultrasound_reconstruction",
         )
-        self._matched_filter: np.ndarray | None = None
 
     @property
     def plan(self) -> BeamformerPlan:
@@ -150,15 +152,14 @@ class UltrasoundBeamformer:
 
         Runs outside the per-frame budget: "It excludes these steps for the
         model matrix, as this typically happens once before the experiment"
-        (paper §V-A). In functional mode this also materializes the matched
-        filter used by :meth:`reconstruct`.
+        (paper §V-A). In functional mode the plan also keeps the prepared
+        matched filter, which every :meth:`reconstruct` reuses; call this
+        again if the model matrix changes.
         """
-        values = None
-        if self.model is not None:
-            self._matched_filter = self.model.matched_filter()
-            if self.device.is_functional and self.precision is Precision.INT1:
-                values = _planar(self._matched_filter)
-        self._plan.prepare_weights(values, name="model_prep")
+        weights = None
+        if self.model is not None and self.device.is_functional:
+            weights = self.model.matched_filter()
+        self._plan.prepare_weights(weights, name="model_prep")
 
     def reconstruct(self, measurement: np.ndarray | None = None) -> BeamformResult:
         """Beamform one frame batch.
@@ -168,6 +169,10 @@ class UltrasoundBeamformer:
         follow the paper's Fig 5 accounting: transpose + (1-bit) packing of
         the measurement, then the GEMM. The image is scale-invariant, so
         the unit-RMS operand normalization is not undone on the output.
+
+        A functional call without a prior :meth:`prepare_model` prepares
+        the model once, lazily, through :meth:`prepare_model`, which also
+        records the one-time ``model_prep`` cost on the device timeline.
         """
         if not self.device.is_functional:
             return self._plan.execute()
@@ -178,11 +183,11 @@ class UltrasoundBeamformer:
                 f"measurement must be (K={self.k}, N={self.n_frames}), "
                 f"got {measurement.shape}"
             )
-        if self._matched_filter is None:
-            if self.model is None:
-                raise ShapeError("functional mode requires a model matrix")
-            self._matched_filter = self.model.matched_filter()
-        result = self._plan.execute(self._matched_filter, measurement)
+        if self.model is None:
+            raise ShapeError("functional mode requires a model matrix")
+        if self.model_prep_cost is None:
+            self.prepare_model()
+        result = self._plan.execute(None, measurement)
         # The imaging API is unbatched: strip the TCBF plan's batch axis.
         return replace(result, output=result.output[0])
 
@@ -323,7 +328,3 @@ def pipeline_workload(
         tenant=tenant,
     )
 
-
-def _planar(complex_matrix: np.ndarray) -> np.ndarray:
-    """(R, C) complex -> (2, R, C) planar float32."""
-    return np.stack([complex_matrix.real, complex_matrix.imag]).astype(np.float32)

@@ -2,8 +2,8 @@
 
 Answers one question per backend: *does the full pack -> transpose -> GEMM
 pipeline produce the same answers as the NumPy reference?* The harness runs
-the real entry points (:func:`repro.ccglib.gemm.gemm_once`,
-:func:`repro.ccglib.packing.pack_sign_planar`, ...) on each backend over a
+the real entry points (:meth:`repro.ccglib.gemm.Gemm.run` with a prepared A
+operand, :func:`repro.ccglib.packing.pack_sign_planar`, ...) on each backend over a
 deterministic set of seeded shapes and compares against the NumPy backend
 with the per-precision tolerances of
 :data:`repro.ccglib.precision.PARITY_TOLERANCES` — exact (bit-for-bit) for
@@ -31,10 +31,12 @@ from repro.backend import ArrayBackend, available_backends, get_backend, numpy_b
 from repro.backend.conformance import check_backend
 from repro.ccglib.bit_gemm import complex_bit_gemm
 from repro.ccglib.complex_mma import complex_mma_f16_batched, complex_mma_tf32_batched
+from repro.ccglib.gemm import Gemm
 from repro.ccglib.layouts import to_planar
 from repro.ccglib.packing import pack_sign_planar, unpack_sign_planar
 from repro.ccglib.precision import Precision, parity_tolerance
 from repro.ccglib.transpose import planar_to_kmajor
+from repro.gpusim.device import Device
 from repro.tcbf.scaling import rms
 from repro.util.bits import pack_bits, sign_to_bits, unpack_bits
 
@@ -168,6 +170,21 @@ def validate_backend(
         report.cases.append(
             _compare(f"tf32-gemm/{tag}", got / scale, want / scale, tol.rtol, tol.atol)
         )
+
+        # -- Gemm.run with a prepared A against a per-call A on NumPy ---------
+        for precision in (Precision.INT1, Precision.FLOAT16, Precision.TF32):
+            shape = dict(batch=batch, m=m, n=n, k=k, experimental_ok=True)
+            plan = Gemm(Device("A100"), precision, backend=be, **shape)
+            got = be.to_numpy(plan.run(plan.prepare_a(a), b).output)
+            want = np.asarray(Gemm(Device("A100"), precision, **shape).run(a, b).output)
+            tol = parity_tolerance(precision)
+            scale = max(1.0, float(np.max(np.abs(want))))
+            report.cases.append(
+                _compare(
+                    f"prepared-gemm/{precision.value}-{tag}",
+                    got / scale, want / scale, tol.rtol, tol.atol,
+                )
+            )
 
     # -- raw word-level pack/unpack and the RMS reduction ---------------------
     raw_bits = (rng.integers(0, 2, size=(3, 5, 64))).astype(np.uint8)

@@ -18,7 +18,7 @@ lives here:
 """
 
 from repro.ccglib.precision import Precision, traits, tensor_peak_ops, complex_ops
-from repro.ccglib.gemm import Gemm, GemmResult, gemm_once
+from repro.ccglib.gemm import Gemm, GemmResult, PreparedOperand, gemm_once
 from repro.ccglib.perfmodel import (
     GemmProblem,
     model_gemm,
@@ -52,6 +52,7 @@ __all__ = [
     "complex_ops",
     "Gemm",
     "GemmResult",
+    "PreparedOperand",
     "gemm_once",
     "GemmProblem",
     "model_gemm",

@@ -15,6 +15,11 @@ implementation. The functional paths are fully batched — one fused
 pack/transpose/GEMM pipeline over the whole batch instead of a Python loop
 per item — which is what lets a CuPy or JAX backend run them efficiently.
 
+A weight (A) operand that serves many calls is prepared once with
+:meth:`Gemm.prepare_a` — planar conversion, plus sign packing for int1 —
+and passed to :meth:`Gemm.run` in place of the interleaved array; a raw A
+goes through the same preparation on every call.
+
 >>> from repro.gpusim import Device
 >>> from repro.ccglib import Gemm, Precision
 >>> import numpy as np
@@ -29,7 +34,7 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -37,14 +42,7 @@ import numpy as np
 from repro.backend import ArrayBackend, get_backend
 from repro.ccglib.bit_gemm import complex_bit_gemm
 from repro.ccglib.complex_mma import complex_mma_f16_batched, complex_mma_tf32_batched
-from repro.ccglib.layouts import (
-    IMAG,
-    REAL,
-    ComplexLayout,
-    ensure_batched,
-    to_planar,
-    validate_planar_pair,
-)
+from repro.ccglib.layouts import IMAG, REAL, ensure_batched, to_planar
 from repro.ccglib.packing import pack_sign_planar
 from repro.ccglib.perfmodel import GemmProblem, model_gemm, resolve_bit_op, validate_config
 from repro.ccglib.precision import Precision, require_supported, traits
@@ -71,12 +69,37 @@ class GemmResult:
     cost: KernelCost
 
 
+@dataclass(frozen=True, eq=False)
+class PreparedOperand:
+    """The A (weight) operand of a :class:`Gemm` plan, prepared once.
+
+    Built by :meth:`Gemm.prepare_a`. ``data`` is what :meth:`Gemm.run`
+    would otherwise derive from the interleaved A on every call: for int1
+    the sign-packed words (batch, 2, M, padded_k / 32); for float16/tf32
+    the planar (batch, 2, M, K) planes, unquantized, so the MMA rounds
+    exactly what it rounds on the per-call path. The tags name the plan
+    the operand is valid for; :meth:`Gemm.run` rejects any other.
+
+    A snapshot: it does not follow later in-place updates of the weights
+    it was prepared from.
+    """
+
+    precision: Precision
+    #: (batch, M, K) of the interleaved operand.
+    shape: tuple[int, int, int]
+    padded_k: int
+    #: name of the :class:`~repro.backend.ArrayBackend` holding ``data``.
+    backend: str
+    data: Any = field(repr=False)
+
+
 class Gemm:
     """A complex matrix-multiply plan bound to a device.
 
     The MMA fragment shape and the 1-bit op are not parameters: ccglib
     resolves both from the device and precision (:attr:`fragment`,
-    :attr:`bit_op`).
+    :attr:`bit_op`). :meth:`prepare_a` prepares a weight operand once for
+    any number of :meth:`run` calls.
 
     Parameters
     ----------
@@ -151,12 +174,35 @@ class Gemm:
 
     # -- execution -------------------------------------------------------------
 
+    def prepare_a(self, a: Any) -> PreparedOperand:
+        """Validate the interleaved A operand and prepare it for :meth:`run`.
+
+        ``a`` is (batch, M, K) complex (or (M, K) for batch=1). The result
+        holds the planar planes, sign-packed at :attr:`padded_k` for int1,
+        on this plan's backend. :meth:`run` prepares a raw A through this
+        same method on every call, so passing the prepared operand instead
+        skips exactly that work and gives a bit-identical output.
+        """
+        p = self.problem
+        data = self._planar(a, "A", (p.batch, p.m, p.k))
+        if self.precision is Precision.INT1:
+            data = pack_sign_planar(data, k_pad_to=self.padded_k, backend=self.backend)
+        return PreparedOperand(
+            precision=self.precision,
+            shape=(p.batch, p.m, p.k),
+            padded_k=self.padded_k,
+            backend=self.backend.name,
+            data=data,
+        )
+
     def run(self, a: Any | None = None, b: Any | None = None) -> GemmResult:
         """Execute the plan.
 
-        Functional devices require interleaved complex operands ``a`` of
-        shape (batch, M, K) (or (M, K) for batch=1) and ``b`` of shape
-        (batch, K, N); dry-run devices ignore the operands and return the
+        Functional devices require ``a`` — the interleaved complex (batch,
+        M, K) operand (or (M, K) for batch=1), or a :class:`PreparedOperand`
+        from :meth:`prepare_a` of a plan with the same shape, padded K,
+        precision and backend — and the interleaved complex ``b`` of shape
+        (batch, K, N). Dry-run devices ignore the operands and return the
         predicted cost only. The launch is recorded on the device timeline
         either way.
         """
@@ -166,34 +212,42 @@ class Gemm:
             return GemmResult(output=None, cost=cost)
         if a is None or b is None:
             raise ShapeError("functional execution requires both operands")
-        a_planar, b_planar = self._prepare_operands(a, b)
+        prepared = a if isinstance(a, PreparedOperand) else self.prepare_a(a)
+        self._check_prepared(prepared)
+        p = self.problem
+        b_planar = self._planar(b, "B", (p.batch, p.k, p.n))
         if self.precision is Precision.INT1:
-            output = self._run_int1(a_planar, b_planar)
+            output = self._run_int1(prepared.data, b_planar)
         else:
-            output = self._run_float(a_planar, b_planar)
+            output = self._run_float(prepared.data, b_planar)
         return GemmResult(output=output, cost=cost)
 
     # -- internals ----------------------------------------------------------
 
-    def _prepare_operands(self, a: Any, b: Any) -> tuple[Any, Any]:
+    def _planar(self, operand: Any, side: str, expected: tuple[int, int, int]) -> Any:
+        """Shape-check one interleaved operand against the plan, then make it planar."""
         be = self.backend
-        a = be.asarray(a)
-        b = be.asarray(b)
-        if not _is_complex_dtype(a) or not _is_complex_dtype(b):
+        operand = be.asarray(operand)
+        if not _is_complex_dtype(operand):
             raise ShapeError("operands must be complex arrays (interleaved layout)")
-        a, _ = ensure_batched(a, 3, backend=be)
-        b, _ = ensure_batched(b, 3, backend=be)
-        a_planar = to_planar(a, backend=be)
-        b_planar = to_planar(b, backend=be)
-        batch, m, n, k = validate_planar_pair(a_planar, b_planar)
-        expected = (self.problem.batch, self.problem.m, self.problem.n, self.problem.k)
-        if (batch, m, n, k) != expected:
+        operand, _ = ensure_batched(operand, 3, backend=be)
+        if tuple(operand.shape) != expected:
             raise ShapeError(
-                f"operand shapes (batch={batch}, M={m}, N={n}, K={k}) do not match "
-                f"the plan (batch={expected[0]}, M={expected[1]}, N={expected[2]}, "
-                f"K={expected[3]})"
+                f"operand shapes do not match the plan: {side} is {tuple(operand.shape)}, "
+                f"the plan (batch={self.problem.batch}, M={self.problem.m}, "
+                f"N={self.problem.n}, K={self.problem.k}) needs {expected}"
             )
-        return a_planar, b_planar
+        return to_planar(operand, backend=be)
+
+    def _check_prepared(self, a: PreparedOperand) -> None:
+        p = self.problem
+        got = (a.precision.value, a.shape, a.padded_k, a.backend)
+        want = (self.precision.value, (p.batch, p.m, p.k), self.padded_k, self.backend.name)
+        if got != want:
+            raise ShapeError(
+                f"prepared A operand (precision, (batch, M, K), padded K, backend) = {got} "
+                f"is not valid for this plan, which needs {want}"
+            )
 
     def _run_float(self, a_planar: Any, b_planar: Any) -> Any:
         """float16 (and experimental tf32) functional path.
@@ -212,18 +266,17 @@ class Gemm:
         out = planar[..., REAL, :, :] + 1j * planar[..., IMAG, :, :]
         return be.astype(out, be.xp.complex64)
 
-    def _run_int1(self, a_planar: Any, b_planar: Any) -> Any:
-        """1-bit functional path: sign-quantize, pack, binary GEMM (Eq. 5/6).
+    def _run_int1(self, a_words: Any, b_planar: Any) -> Any:
+        """1-bit functional path: sign-quantize and pack B, binary GEMM (Eq. 5/6).
 
-        Exact integer arithmetic throughout, so batching the packed GEMM over
-        all items is trivially bit-identical to the historical loop.
+        ``a_words`` is the prepared A. Exact integer arithmetic throughout,
+        so batching the packed GEMM over all items is trivially
+        bit-identical to the historical loop.
         """
         be = self.backend
         xp = be.xp
-        k_pad_to = self.padded_k
-        a_words = pack_sign_planar(a_planar, k_pad_to=k_pad_to, backend=be)
         b_kmajor = planar_to_kmajor(b_planar, backend=be)
-        b_words = pack_sign_planar(b_kmajor, k_pad_to=k_pad_to, backend=be)
+        b_words = pack_sign_planar(b_kmajor, k_pad_to=self.padded_k, backend=be)
         planar = complex_bit_gemm(
             a_words,
             b_words,
@@ -231,6 +284,13 @@ class Gemm:
             bit_op=self.bit_op,
             backend=be,
         )
+        if xp is np:
+            # Fill complex64 storage directly: assignment casts each int32
+            # count to float32 exactly as ``astype`` would.
+            out = np.empty(planar.shape[:-3] + planar.shape[-2:], dtype=np.complex64)
+            out.real = planar[..., REAL, :, :]
+            out.imag = planar[..., IMAG, :, :]
+            return out
         out = planar[..., REAL, :, :].astype(xp.float32) + 1j * planar[..., IMAG, :, :].astype(
             xp.float32
         )

@@ -27,11 +27,11 @@ from typing import Any
 import numpy as np
 
 from repro.backend import ArrayBackend, get_backend
-from repro.ccglib.gemm import Gemm
+from repro.ccglib.gemm import Gemm, PreparedOperand
 from repro.ccglib.layouts import ensure_batched
-from repro.ccglib.packing import packing_cost, run_pack_kernel
+from repro.ccglib.packing import packing_cost
 from repro.ccglib.precision import Precision, traits
-from repro.ccglib.transpose import run_transpose_kernel, transpose_cost
+from repro.ccglib.transpose import transpose_cost
 from repro.ccglib.tuning import TuneParams
 from repro.errors import ShapeError
 from repro.gpusim.device import Device
@@ -64,7 +64,7 @@ class BeamformerPlan:
         when data arrive already tiled/K-major (GPU-resident pipelines) or
         when an interleaved-input GEMM is used (§VI future work). The 1-bit
         packing of the streaming operand is charged iff the precision is
-        int1 — the functional GEMM packs both operands on every call.
+        int1 — the functional GEMM packs it on every call.
     restore_output_scale:
         Multiply the output by the operand RMS again after the GEMM. On for
         absolute-calibrated pipelines (LOFAR); off for scale-invariant
@@ -115,6 +115,8 @@ class BeamformerPlan:
         )
         #: one-time weight/filter preparation cost (set by prepare_weights).
         self.weight_prep_cost: KernelCost | None = None
+        #: A operand kept by prepare_weights for ``execute(None, data)``.
+        self._prepared_a: PreparedOperand | None = None
 
     # -- introspection -------------------------------------------------------
 
@@ -232,6 +234,20 @@ class BeamformerPlan:
         """Real values in the A operand (weights / matched filter)."""
         return 2 * self.batch * self.n_beams * self.n_receivers
 
+    def _weight_prep_costs(self) -> list[KernelCost]:
+        """The one-time weight preparation stage costs, in execution order.
+
+        Single source of the weight-side stages (tiling transpose, plus the
+        1-bit pack for int1), consumed by both :meth:`predict_weight_prep_cost`
+        and :meth:`prepare_weights` — the counterpart of
+        :meth:`_stage_in_costs` for the streaming operand.
+        """
+        tr = traits(self.precision)
+        costs = [transpose_cost(self.device, self._weight_values, tr.input_bytes)]
+        if self.precision is Precision.INT1:
+            costs.append(packing_cost(self.device, self._weight_values, _HOST_BYTES_PER_VALUE))
+        return costs
+
     def predict_weight_prep_cost(self, name: str = "weight_prep") -> KernelCost:
         """Pure prediction of :meth:`prepare_weights` — nothing recorded.
 
@@ -239,37 +255,31 @@ class BeamformerPlan:
         preparation) of candidate devices they may never dispatch to; this
         keeps those what-if estimates off the device timeline.
         """
-        tr = traits(self.precision)
-        costs = [transpose_cost(self.device, self._weight_values, tr.input_bytes)]
-        if self.precision is Precision.INT1:
-            costs.append(packing_cost(self.device, self._weight_values, _HOST_BYTES_PER_VALUE))
-        return combine_costs(name, costs)
+        return combine_costs(name, self._weight_prep_costs())
 
-    def prepare_weights(
-        self, values_planar: np.ndarray | None = None, name: str = "weight_prep"
-    ) -> KernelCost:
+    def prepare_weights(self, weights: Any | None = None, name: str = "weight_prep") -> KernelCost:
         """One-time preparation of the A operand (weights / matched filter).
 
-        Tiling transpose plus — for int1 — sign packing at the GEMM's padded
-        K. Recorded on the device timeline but kept out of the per-block
-        budget: "this typically happens once before the experiment and does
-        not need to be repeated" (paper §V-A).
+        Records the tiling transpose plus — for int1 — the sign packing at
+        the GEMM's padded K on the device timeline, kept out of the
+        per-block budget: "this typically happens once before the
+        experiment and does not need to be repeated" (paper §V-A).
+
+        Given ``weights`` — (batch, n_beams, n_receivers) complex, 2-D
+        allowed when ``batch == 1`` — on a functional device, the plan
+        also keeps the prepared operand (:meth:`Gemm.prepare_a
+        <repro.ccglib.gemm.Gemm.prepare_a>`: packed words for int1, planar
+        planes otherwise) and ``execute(None, data)`` reuses it on every
+        block. The operand is a snapshot: call this again after the
+        weights change. Without ``weights`` (or on a dry-run device) only
+        the costs are recorded. Malformed weights raise
+        :class:`~repro.errors.ShapeError` before anything is recorded.
         """
-        n_values = self._weight_values
-        tr = traits(self.precision)
-        costs: list[KernelCost] = []
-        _, t_cost = run_transpose_kernel(self.device, None, n_values, tr.input_bytes)
-        costs.append(t_cost)
-        if self.precision is Precision.INT1:
-            _, p_cost = run_pack_kernel(
-                self.device,
-                values_planar,
-                n_values,
-                input_bytes_per_value=_HOST_BYTES_PER_VALUE,
-                k_pad_to=self.padded_k,
-                backend=self.backend,
-            )
-            costs.append(p_cost)
+        if weights is not None and self.device.is_functional:
+            self._prepared_a = self._gemm.prepare_a(self._validated_weights(weights))
+        costs = self._weight_prep_costs()
+        for stage in costs:
+            self.device.record_kernel(stage)
         self.weight_prep_cost = combine_costs(name, costs)
         return self.weight_prep_cost
 
@@ -285,17 +295,27 @@ class BeamformerPlan:
         """Beamform one block: ``out[b] = weights[b] @ data[b]``.
 
         ``weights``: (batch, n_beams, n_receivers) complex (2-D allowed when
-        ``batch == 1``); ``data``: (batch, n_receivers, n_samples) complex.
-        Both are required in functional mode and ignored in dry-run. Records
-        every charged stage on the device timeline in execution order and
-        returns the end-to-end :class:`~repro.tcbf.result.BeamformResult`.
+        ``batch == 1``), or ``None`` to use the operand kept by
+        :meth:`prepare_weights`; ``data``: (batch, n_receivers, n_samples)
+        complex. Per-call weights are prepared again on every block, so
+        in-place updates between blocks are honoured. In functional mode
+        ``data`` and one of the two weight sources are required (a
+        :class:`~repro.errors.ShapeError` otherwise, raised before any cost
+        is recorded); dry-run ignores the operands. Records every charged
+        stage on the device timeline in execution order and returns the
+        end-to-end :class:`~repro.tcbf.result.BeamformResult`.
 
         ``scale`` overrides the automatic unit-RMS operand normalization —
         the sharding layer passes one global scale so every shard of a
         block normalizes identically.
         """
         if self.device.is_functional:
-            weights = self._prepared_weights(weights)
+            weights = self._prepared_a if weights is None else self._validated_weights(weights)
+            if weights is None:
+                raise ShapeError(
+                    "functional beamforming requires weights (per call or from "
+                    "prepare_weights) and data"
+                )
             data = self._validated_data(data)
         # Per-block streaming stages (cost accounting only: the functional
         # data movement happens inside the GEMM plan, which consumes the
@@ -333,16 +353,15 @@ class BeamformerPlan:
 
     # -- internals -----------------------------------------------------------
 
-    def _prepared_weights(self, weights: Any | None) -> Any:
-        """Validate and convert the A operand.
+    def _validated_weights(self, weights: Any) -> Any:
+        """Shape-check the interleaved A operand and make it complex64.
 
-        ``copy=False`` makes the conversion free for complex64 inputs (the
-        common case for a weight set reused across streamed blocks) while
-        still re-reading the array every call, so in-place weight updates
-        between blocks are honored.
+        The cast is free for complex64 inputs (the common case for a weight
+        set reused across streamed blocks). Per-call weights are re-read on
+        every block, so in-place updates between blocks are honoured; the
+        operand kept by :meth:`prepare_weights` is a snapshot that must be
+        re-prepared after the weights change.
         """
-        if weights is None:
-            raise ShapeError("functional beamforming requires weights and data")
         be = self.backend
         batched, _ = ensure_batched(be.asarray(weights), 3, backend=be)
         expect_w = (self.batch, self.n_beams, self.n_receivers)

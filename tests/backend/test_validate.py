@@ -27,7 +27,8 @@ class TestValidateNumpy:
         cases = {c.case.split("/")[0] for c in report.cases}
         assert {
             "conformance", "pack", "unpack", "transpose",
-            "int1-gemm", "f16-gemm", "tf32-gemm", "pack-bits", "unpack-bits", "rms",
+            "int1-gemm", "f16-gemm", "tf32-gemm", "prepared-gemm", "pack-bits",
+            "unpack-bits", "rms",
         } <= cases
 
     def test_quick_mode_runs_fewer_shapes(self):

@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.ccglib.complex_mma import complex_mma_f16_batched, complex_mma_tf32_batched
-from repro.ccglib.gemm import Gemm, gemm_once
+from repro.backend import NumpyBackend
+from repro.ccglib.gemm import Gemm, PreparedOperand, gemm_once
 from repro.ccglib.layouts import to_interleaved, to_planar
 from repro.ccglib.precision import Precision
 from repro.ccglib.tuning import TuneParams
 from repro.errors import ShapeError, UnsupportedPrecisionError
 from repro.gpusim.device import Device, ExecutionMode
-from tests.conftest import random_complex, random_pm1_complex
+from tests.conftest import GenericNumpyBackend, random_complex, random_pm1_complex
 
 
 class TestFloat16Path:
@@ -92,6 +95,102 @@ class TestInt1Path:
     def test_rejected_on_amd(self, mi300x_device):
         with pytest.raises(UnsupportedPrecisionError):
             Gemm(mi300x_device, Precision.INT1, 1, 8, 8, 256)
+
+
+class TestPreparedOperand:
+    """``Gemm.prepare_a`` once, then ``run`` many times: the same bytes."""
+
+    PRECISIONS = [Precision.INT1, Precision.FLOAT16, Precision.TF32]
+
+    @staticmethod
+    def _plan(precision, shape, backend=None, device=None):
+        batch, m, n, k = shape
+        return Gemm(
+            device or Device("A100"), precision, batch=batch, m=m, n=n, k=k,
+            experimental_ok=True, backend=backend,
+        )
+
+    @pytest.mark.parametrize("backend", [NumpyBackend(), GenericNumpyBackend()], ids=lambda b: b.name)
+    @pytest.mark.parametrize("precision", PRECISIONS, ids=lambda p: p.value)
+    @pytest.mark.parametrize("shape", [(1, 7, 5, 45), (3, 6, 4, 300)])
+    def test_prepared_and_per_call_a_give_identical_bytes(self, rng, backend, precision, shape):
+        # K = 45 and 300 are multiples of neither 32 nor 256: the padding path runs.
+        batch, m, n, k = shape
+        a = random_complex(rng, (batch, m, k))
+        b = random_complex(rng, (batch, k, n), scale=3.0)
+        plan = self._plan(precision, shape, backend)
+        prepared = plan.prepare_a(a)
+        assert (prepared.precision, prepared.shape, prepared.padded_k) == (
+            precision, (batch, m, k), plan.padded_k,
+        )
+        per_call = plan.run(a, b).output
+        for _ in range(2):  # reused, not consumed
+            got = plan.run(prepared, b).output
+            assert got.dtype == np.complex64 and got.tobytes() == per_call.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 7, 5, 45), (3, 6, 4, 300)])
+    def test_int1_output_identical_on_both_backends(self, rng, shape):
+        # NumPy fills complex64 storage directly; the generic path combines
+        # float32 planes. Both must produce the same bytes.
+        batch, m, n, k = shape
+        a = random_complex(rng, (batch, m, k))
+        b = random_complex(rng, (batch, k, n))
+        outs = [
+            self._plan(Precision.INT1, shape, be).run(a, b).output
+            for be in (NumpyBackend(), GenericNumpyBackend())
+        ]
+        assert outs[0].flags.c_contiguous
+        assert outs[0].tobytes() == outs[1].tobytes()
+
+    def test_int1_prepared_operand_holds_packed_words(self, rng):
+        plan = self._plan(Precision.INT1, (2, 5, 3, 45))
+        prepared = plan.prepare_a(random_complex(rng, (2, 5, 45)))
+        assert prepared.data.dtype == np.uint32
+        assert prepared.data.shape == (2, 2, 5, plan.padded_k // 32)
+
+    def test_float_prepared_operand_is_unquantized(self, rng):
+        plan = self._plan(Precision.FLOAT16, (1, 5, 3, 45))
+        a = random_complex(rng, (5, 45))
+        prepared = plan.prepare_a(a)
+        assert np.array_equal(prepared.data, to_planar(a[None]))
+
+    def test_operand_with_another_padded_k_rejected(self, rng):
+        # Plans of one precision and K share a padded K; only a stale or
+        # hand-built operand can disagree.
+        plan = self._plan(Precision.INT1, (1, 7, 5, 45))
+        stale = replace(plan.prepare_a(random_complex(rng, (1, 7, 45))), padded_k=512)
+        with pytest.raises(ShapeError, match="not valid for this plan"):
+            plan.run(stale, random_complex(rng, (1, 45, 5)))
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            dict(precision=Precision.INT1, shape=(1, 8, 5, 45)),
+            dict(precision=Precision.INT1, shape=(2, 7, 5, 45)),
+            dict(precision=Precision.FLOAT16, shape=(1, 7, 5, 45)),
+            dict(precision=Precision.INT1, shape=(1, 7, 5, 45), backend=GenericNumpyBackend()),
+        ],
+        ids=["m", "batch", "precision", "backend"],
+    )
+    def test_operand_prepared_by_another_plan_rejected(self, rng, other):
+        plan = self._plan(Precision.INT1, (1, 7, 5, 45))
+        batch, m, _, k = other["shape"]
+        foreign = self._plan(**other).prepare_a(random_complex(rng, (batch, m, k)))
+        with pytest.raises(ShapeError, match="not valid for this plan"):
+            plan.run(foreign, random_complex(rng, (1, 45, 5)))
+
+    def test_prepare_a_validates(self, rng):
+        plan = self._plan(Precision.INT1, (1, 7, 5, 45))
+        with pytest.raises(ShapeError, match="do not match the plan"):
+            plan.prepare_a(random_complex(rng, (1, 7, 44)))
+        with pytest.raises(ShapeError, match="complex"):
+            plan.prepare_a(np.ones((1, 7, 45)))
+        assert isinstance(plan.prepare_a(random_complex(rng, (7, 45))), PreparedOperand)
+
+    def test_prepare_a_records_nothing(self, rng, a100_device):
+        plan = self._plan(Precision.INT1, (1, 7, 5, 45), device=a100_device)
+        plan.prepare_a(random_complex(rng, (1, 7, 45)))
+        assert len(a100_device.timeline) == 0
 
 
 class TestPlanning:

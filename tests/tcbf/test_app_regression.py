@@ -17,13 +17,15 @@ from repro.apps.ultrasound.array_geometry import TransducerArray, VoxelGrid
 from repro.apps.ultrasound.measurement import EnsembleConfig, simulate_frames
 from repro.apps.ultrasound.model_matrix import ImagingConfig, build_model_matrix
 from repro.apps.ultrasound.phantom import make_phantom
+from repro.backend import available_backends, get_backend
+from repro.ccglib.bit_gemm import bit_gemm_reference
 from repro.ccglib.gemm import Gemm
 from repro.ccglib.packing import packing_cost
 from repro.ccglib.precision import Precision, traits
 from repro.ccglib.transpose import transpose_cost
 from repro.gpusim.device import Device, ExecutionMode
 from repro.tcbf import BeamformerPlan, BeamformResult
-from tests.conftest import random_complex
+from tests.conftest import GenericNumpyBackend, random_complex
 
 
 @pytest.fixture(scope="module")
@@ -141,3 +143,24 @@ class TestUltrasoundRegression:
             Device("A100"), model, n_frames=32, precision=Precision.INT1
         ).reconstruct(frames * 1e4)
         assert np.array_equal(a.frames, b.frames)
+
+
+@pytest.mark.parametrize(
+    "backend", [*available_backends(), GenericNumpyBackend()], ids=lambda b: getattr(b, "name", b)
+)
+def test_int1_reconstruction_is_the_bit_gemm_on_every_backend(ultrasound_setup, backend):
+    """``prepare_model`` + ``reconstruct`` equals the scalar 1-bit reference
+    on the sign bits, exactly, on every available backend."""
+    model, frames = ultrasound_setup
+    be = get_backend(backend)
+    bf = UltrasoundBeamformer(
+        Device("A100"), model, n_frames=32, precision=Precision.INT1, backend=be
+    )
+    bf.prepare_model()
+    filt = model.matched_filter()
+    a_bits = np.stack([filt.real >= 0, filt.imag >= 0]).astype(np.uint8)
+    for y in (frames, -frames[:, ::-1].copy()):
+        got = be.to_numpy(bf.reconstruct(y).frames)
+        b_bits = np.stack([y.real.T >= 0, y.imag.T >= 0]).astype(np.uint8)
+        ref = bit_gemm_reference(a_bits, b_bits)
+        assert np.array_equal(got.real, ref[0]) and np.array_equal(got.imag, ref[1])

@@ -5,6 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.apps.ultrasound import UltrasoundBeamformer
+from repro.apps.ultrasound.array_geometry import TransducerArray, VoxelGrid
+from repro.apps.ultrasound.model_matrix import ImagingConfig, build_model_matrix
+from repro.ccglib import gemm as ccglib_gemm
 from repro.ccglib.gemm import Gemm
 from repro.ccglib.precision import Precision
 from repro.errors import ShapeError
@@ -184,6 +188,123 @@ class TestFunctionalExecution:
         result = plan.execute()
         assert result.output is None
         assert result.total.time_s > 0
+
+
+class TestPreparedWeights:
+    """``prepare_weights(weights)`` once, then ``execute(None, data)``."""
+
+    KW = dict(n_beams=8, n_receivers=45, n_samples=16, batch=2)
+
+    @pytest.mark.parametrize("precision", [Precision.INT1, Precision.FLOAT16], ids=lambda p: p.value)
+    @pytest.mark.parametrize("restore", [False, True])
+    def test_kept_operand_matches_per_call_weights(self, rng, precision, restore):
+        w = random_complex(rng, (2, 8, 45))
+        plan = BeamformerPlan(
+            Device("A100"), precision=precision, restore_output_scale=restore, **self.KW
+        )
+        plan.prepare_weights(w)
+        for _ in range(3):
+            d = random_complex(rng, (2, 45, 16), scale=3.0)
+            kept = plan.execute(None, d)
+            per_call = plan.execute(w, d)
+            assert kept.output.tobytes() == per_call.output.tobytes()
+            assert [c.name for c in kept.costs] == [c.name for c in per_call.costs]
+
+    def test_records_the_same_costs_as_cost_only_preparation(self, rng):
+        with_weights, cost_only = Device("A100"), Device("A100")
+        kw = dict(precision=Precision.INT1, **self.KW)
+        a = BeamformerPlan(with_weights, **kw).prepare_weights(random_complex(rng, (2, 8, 45)))
+        b = BeamformerPlan(cost_only, **kw).prepare_weights()
+        assert a.time_s == b.time_s
+        assert [e.cost.name for e in with_weights.timeline] == ["transpose", "pack_bits"]
+        assert [e.cost.name for e in cost_only.timeline] == ["transpose", "pack_bits"]
+
+    def test_execute_without_weights_or_prepared_operand_records_nothing(self, rng):
+        dev = Device("A100")
+        plan = BeamformerPlan(dev, precision=Precision.INT1, **self.KW)
+        with pytest.raises(ShapeError, match="prepare_weights"):
+            plan.execute(None, random_complex(rng, (2, 45, 16)))
+        assert len(dev.timeline) == 0  # nothing charged for a rejected block
+        plan.prepare_weights()  # cost only: still nothing to execute with
+        with pytest.raises(ShapeError):
+            plan.execute(None, random_complex(rng, (2, 45, 16)))
+        assert len(dev.timeline) == 2
+
+    def test_malformed_weights_rejected_before_recording(self, rng):
+        dev = Device("A100")
+        plan = BeamformerPlan(dev, precision=Precision.INT1, **self.KW)
+        with pytest.raises(ShapeError):
+            plan.prepare_weights(random_complex(rng, (2, 8, 44)))
+        assert len(dev.timeline) == 0 and plan.weight_prep_cost is None
+
+    def test_kept_operand_is_a_snapshot(self, rng):
+        w = random_complex(rng, (2, 8, 45))
+        d = random_complex(rng, (2, 45, 16))
+        plan = BeamformerPlan(Device("A100"), precision=Precision.INT1, **self.KW)
+        plan.prepare_weights(w)
+        before = plan.execute(None, d).output
+        w *= -1  # per-call weights honour in-place updates; the snapshot does not
+        assert plan.execute(None, d).output.tobytes() == before.tobytes()
+        assert np.array_equal(plan.execute(w, d).output, -before)
+        plan.prepare_weights(w)
+        assert np.array_equal(plan.execute(None, d).output, -before)
+
+    def test_dry_run_ignores_weights(self, rng):
+        dev = Device("A100", ExecutionMode.DRY_RUN)
+        plan = BeamformerPlan(dev, precision=Precision.INT1, **self.KW)
+        plan.prepare_weights(random_complex(rng, (2, 8, 45)))
+        assert plan.execute().output is None
+
+
+class TestUltrasoundPreparesTheModelOnce:
+    """Call counts at the names ``Gemm`` looks its layout and pack stages up by."""
+
+    N_CALLS = 5
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        cfg = ImagingConfig(
+            array=TransducerArray(4, 4),
+            grid=VoxelGrid(shape=(6, 6, 6)),
+            n_frequencies=8,
+            n_transmissions=4,
+        )
+        return build_model_matrix(cfg)
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"pack_sign_planar": 0, "to_planar": 0}
+        for name in counts:
+            original = getattr(ccglib_gemm, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(ccglib_gemm, name, counted)
+        return counts
+
+    def _reconstruct(self, bf, model, rng):
+        for _ in range(self.N_CALLS):
+            bf.reconstruct(random_complex(rng, (model.k, 16)))
+
+    def test_after_prepare_model_only_the_measurement_is_prepared(self, model, counts, rng):
+        bf = UltrasoundBeamformer(Device("A100"), model, n_frames=16)
+        bf.prepare_model()
+        assert counts == {"pack_sign_planar": 1, "to_planar": 1}
+        counts.update(pack_sign_planar=0, to_planar=0)
+        self._reconstruct(bf, model, rng)
+        # One pack and one planar conversion per block: the measurement's.
+        assert counts == {"pack_sign_planar": self.N_CALLS, "to_planar": self.N_CALLS}
+
+    def test_without_prepare_model_the_model_is_prepared_once(self, model, counts, rng):
+        dev = Device("A100")
+        bf = UltrasoundBeamformer(dev, model, n_frames=16)
+        self._reconstruct(bf, model, rng)
+        assert counts == {"pack_sign_planar": 1 + self.N_CALLS, "to_planar": 1 + self.N_CALLS}
+        assert bf.model_prep_cost is not None and bf.model_prep_cost.name == "model_prep"
+        prep = [e.cost.name for e in dev.timeline[:2]]
+        assert prep == ["transpose", "pack_bits"]
 
 
 class TestBeamformResult:
