@@ -96,15 +96,28 @@ class LOFARBeamformer:
         """
         return self._plan.predict_gemm_cost()
 
+    def prepare_weights(self, weights: np.ndarray | None = None) -> KernelCost:
+        """One-time preparation of the beam weight set.
+
+        A weight set is fixed for an observation while station data
+        stream through, so the plan converts it to its planar GEMM operand
+        once and every ``form_beams(None, data)`` reuses it (see
+        :meth:`repro.tcbf.BeamformerPlan.prepare_weights`, which also
+        records the one-time cost outside the per-block budget). The kept
+        operand is a snapshot: call this again after the weights change.
+        """
+        return self._plan.prepare_weights(weights)
+
     def form_beams(
         self, weights: np.ndarray | None = None, data: np.ndarray | None = None
     ) -> BeamformResult:
         """Beamform one block: beams[b] = sum_st w[b, st] * X[st, t].
 
-        ``weights``: (batch, n_beams, n_stations) complex;
-        ``data``: (batch, n_stations, n_samples) complex. Required in
-        functional mode; ignored in dry-run. Scaling, validation, and cost
-        accounting all live in :class:`repro.tcbf.BeamformerPlan`.
+        ``weights``: (batch, n_beams, n_stations) complex, or ``None`` to
+        use the set given to :meth:`prepare_weights`; ``data``: (batch,
+        n_stations, n_samples) complex. Required in functional mode;
+        ignored in dry-run. Scaling, validation, and cost accounting all
+        live in :class:`repro.tcbf.BeamformerPlan`.
         """
         return self._plan.execute(weights, data)
 

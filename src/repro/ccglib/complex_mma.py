@@ -26,25 +26,33 @@ Two tiers of entry point exist:
   (..., 2, m, k) operands, on any :class:`~repro.backend.ArrayBackend`.
   Like the kernel, which loads each operand fragment into registers once
   and reuses it for all four MMAs, they round each operand through the
-  precision's quantizer to float32 exactly once, negate that quantized
-  Im(B) copy in step 3, and run each step as one batched ``matmul`` over
-  all leading dims. On NumPy the products land through ``matmul(out=)``
-  in two float32 accumulator planes and one scratch plane, and steps 4/5
-  add in place straight into the interleaved storage of a complex64
-  array, so a call allocates its output once, casts no operand twice and
-  needs no separate interleaving pass (at the ``lofar-f16`` benchmark
-  shape, functional accumulation plus that pass took ~1.3x as long).
-  float32 operands reach the float16 grid through integer ops instead of
-  NumPy's element-at-a-time float16 cast. Other backends run the same
-  schedule with functional accumulation, so immutable arrays work too.
+  precision's quantizer to float32 exactly once and negate that quantized
+  Im(B) copy in step 3. On NumPy the schedule walks the flattened leading
+  (batch) dims in chunks sized so that one chunk's quantized operands,
+  two accumulator planes, a scratch plane and its output slice fill about
+  a fixed cache budget (:func:`_chunk_items`, from the shapes alone); each
+  chunk runs all five steps through ``matmul(out=)`` into planes
+  allocated once per call, and steps 4/5 add straight into the chunk's
+  slice of the interleaved storage of a complex64 array. A call thus
+  allocates its output once, casts no operand twice, needs no separate
+  interleaving pass, and keeps a chunk in cache across all four products
+  instead of streaming whole-batch planes through memory between steps
+  (at the ``lofar-f16`` benchmark shape that streaming cost about a third
+  of the call). float32 operands reach the float16 grid through integer
+  ops instead of NumPy's element-at-a-time float16 cast. Other backends
+  run each step as one functional batched ``matmul`` over all leading
+  dims, so immutable arrays work too.
 
 Both tiers produce bit-identical float32 results on NumPy: a batched
 ``matmul`` equals the per-tile 2D ``matmul`` exactly (``einsum`` does not,
-which is why the schedule uses ``matmul`` exclusively), so batching
-changes no golden output.
+which is why the schedule uses ``matmul`` exclusively) and the quantizers
+are elementwise, so neither batching nor the chunk size changes a golden
+output.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -209,6 +217,29 @@ def quantize_tf32_backend(values, backend: ArrayBackend | None = None):
     return be.bitcast(rounded, xp.float32)
 
 
+#: Bytes one chunk of batch items should touch on the NumPy path: its
+#: quantized A and B planes, three float32 accumulator and scratch planes
+#: and its complex64 output slice. One core's L2 (2 MiB) on the Xeon host
+#: where budgets of 1 to 4 MiB were swept (CHANGES.md); each chunk costs a
+#: few dozen NumPy calls, so smaller budgets slow batches of small items.
+_CHUNK_BYTES = 2 << 20
+
+
+def _chunk_items(items: int, m: int, k: int, n: int) -> int:
+    """Batch items per chunk of an ``items``-long batch of (m, k, n) products.
+
+    ``fit`` items fill :data:`_CHUNK_BYTES` (at least one). The batch splits
+    into the whole number of equal chunks nearest to ``items / fit``, so a
+    batch a little over the budget stays one chunk rather than paying the
+    per-chunk cost for a small ragged tail (measured 10% slower at
+    batch x m x k x n = 64 x 32 x 32 x 32).
+    """
+    item_bytes = 4 * (2 * m * k + 2 * k * n + 3 * m * n + 2 * m * n)
+    fit = max(1, _CHUNK_BYTES // max(item_bytes, 1))
+    chunks = max(1, round(items / fit))
+    return max(1, -(-items // chunks))
+
+
 def _mma_step(a_q, b_q, c, be: ArrayBackend, out=None, scratch=None):
     """One schedule step: ``c + a_q @ b_q`` on float32 operands quantized once.
 
@@ -230,13 +261,23 @@ def _mma_step(a_q, b_q, c, be: ArrayBackend, out=None, scratch=None):
 
 def _batched_schedule(a_planar, b_planar, c_planar, quantize, backend):
     """The batched 5-step schedule; ``quantize(values, be)`` picks the
-    precision and must return a fresh float32 array."""
+    precision and must return a fresh float32 array.
+
+    NumPy runs :func:`_chunked_schedule` over the flattened leading (batch)
+    dims in equal chunks of :func:`_chunk_items` items, sized from the
+    batch length and one item's working set of ``4 * (2mk + 2kn + 5mn)``
+    bytes so that a chunk holds about :data:`_CHUNK_BYTES` (at least one
+    item). Other backends run each step as one functional batched
+    ``matmul`` over all leading dims.
+    """
     be = get_backend(backend)
     xp = be.xp
     a_planar = be.asarray(a_planar)
     b_planar = be.asarray(b_planar)
     c_planar = None if c_planar is None else be.asarray(c_planar)
     _validate_batched_planar(a_planar, b_planar, c_planar)
+    if xp is np:
+        return _chunked_schedule(a_planar, b_planar, c_planar, quantize, be)
     # One fragment load per operand, reused by all four products.
     a_q, b_q = quantize(a_planar, be), quantize(b_planar, be)
     a_re, a_im = a_q[..., REAL, :, :], a_q[..., IMAG, :, :]
@@ -245,24 +286,60 @@ def _batched_schedule(a_planar, b_planar, c_planar, quantize, backend):
     if c_planar is not None:
         c_re = be.astype(c_planar[..., REAL, :, :], xp.float32)
         c_im = be.astype(c_planar[..., IMAG, :, :], xp.float32)
-
-    in_place = xp is np
-    dst, scratch = (None,) * 4, None
-    if in_place:
-        out = np.empty(a_re.shape[:-1] + b_re.shape[-1:], dtype=np.complex64)
-        planes = out.view(np.float32).reshape(out.shape + (2,))
-        acc_re, acc_im, scratch = np.empty((3,) + out.shape, dtype=np.float32)
-        dst = (acc_re, acc_im, planes[..., REAL], planes[..., IMAG])
-
-    c_re = _mma_step(a_re, b_re, c_re, be, dst[0], scratch)    # step 1
-    c_im = _mma_step(a_re, b_im, c_im, be, dst[1], scratch)    # step 2
-    b_im = np.negative(b_im, out=b_im) if in_place else -b_im  # step 3
-    c_re = _mma_step(a_im, b_im, c_re, be, dst[2], scratch)    # step 4
-    c_im = _mma_step(a_im, b_re, c_im, be, dst[3], scratch)    # step 5
-    if in_place:
-        # Planar (..., 2, m, n) view of the complex64 storage.
-        return np.moveaxis(planes, -1, -3)
+    c_re = _mma_step(a_re, b_re, c_re, be)  # step 1
+    c_im = _mma_step(a_re, b_im, c_im, be)  # step 2
+    b_im = -b_im                            # step 3
+    c_re = _mma_step(a_im, b_im, c_re, be)  # step 4
+    c_im = _mma_step(a_im, b_re, c_im, be)  # step 5
     return xp.stack([c_re, c_im], axis=-3)
+
+
+def _chunked_schedule(a_planar, b_planar, c_planar, quantize, be: ArrayBackend):
+    """The NumPy schedule, one cache-sized chunk of batch items at a time.
+
+    Each chunk of the flattened batch axis quantizes its own A and B
+    slices, runs steps 1 and 2 into two accumulator planes and a scratch
+    plane (allocated once per call, one chunk in size) and adds steps 4
+    and 5 straight into its slice of the interleaved complex64 output, so
+    a chunk's operands stay in cache across all four products. ``matmul``
+    runs one sgemm per batch item whatever the chunking, and the quantizer
+    is elementwise, so the result does not depend on the chunk size.
+    """
+    lead = a_planar.shape[:-3]
+    m, k, n = a_planar.shape[-2], a_planar.shape[-1], b_planar.shape[-1]
+    items = math.prod(lead)
+    a_items = a_planar.reshape((items, 2, m, k))
+    b_items = b_planar.reshape((items, 2, k, n))
+    c_items = None if c_planar is None else c_planar.reshape((items, 2, m, n))
+    step = _chunk_items(items, m, k, n)
+    # One fragment load per operand, reused by all four products. The first
+    # chunk's operands are rounded before the output and the planes are
+    # allocated: the other order measured about 8% slower on one-chunk
+    # calls (batch x m x k x n = 1 x 2048 x 128 x 64).
+    operands = quantize(a_items[:step], be), quantize(b_items[:step], be)
+    out = np.empty((items, m, n), dtype=np.complex64)
+    planes = out.view(np.float32).reshape((items, m, n, 2))
+    buffers = np.empty((3, min(step, items), m, n), dtype=np.float32)
+    for start in range(0, items, step):
+        chunk = slice(start, start + step)
+        if start:
+            operands = quantize(a_items[chunk], be), quantize(b_items[chunk], be)
+        a_q, b_q = operands
+        acc_re, acc_im, scratch = buffers[:, : min(step, items - start)]
+        a_re, a_im = a_q[:, REAL], a_q[:, IMAG]
+        b_re, b_im = b_q[:, REAL], b_q[:, IMAG]
+        c_re = c_im = None
+        if c_items is not None:
+            c_q = be.astype(c_items[chunk], np.float32)
+            c_re, c_im = c_q[:, REAL], c_q[:, IMAG]
+        re, im = planes[chunk, ..., REAL], planes[chunk, ..., IMAG]
+        _mma_step(a_re, b_re, c_re, be, acc_re, scratch)  # step 1
+        _mma_step(a_re, b_im, c_im, be, acc_im, scratch)  # step 2
+        np.negative(b_im, out=b_im)                       # step 3
+        _mma_step(a_im, b_im, acc_re, be, re, scratch)    # step 4
+        _mma_step(a_im, b_re, acc_im, be, im, scratch)    # step 5
+    # Planar (..., 2, m, n) view of the complex64 storage.
+    return np.moveaxis(planes.reshape(lead + (m, n, 2)), -1, -3)
 
 
 def complex_mma_f16_batched(
@@ -275,11 +352,11 @@ def complex_mma_f16_batched(
 
     Executes the identical schedule as :func:`complex_mma_f16` — operands
     rounded through float16 once, four float32-accumulated products with
-    the Im(B) register negation — with each step a single batched
-    ``matmul`` over all leading dims: the vectorized hot path of the
-    float16 GEMM. ``c_planar`` is an optional (..., 2, m, n) accumulator.
-    The float32 result is a fresh array; on NumPy it is a planar view of
-    interleaved complex64 storage.
+    the Im(B) register negation — with each step a batched ``matmul`` over
+    the leading dims (on NumPy, one cache-sized chunk of them at a time):
+    the vectorized hot path of the float16 GEMM. ``c_planar`` is an
+    optional (..., 2, m, n) accumulator. The float32 result is a fresh
+    array; on NumPy it is a planar view of interleaved complex64 storage.
     """
     return _batched_schedule(a_planar, b_planar, c_planar, _quantize_f16, backend)
 

@@ -108,22 +108,3 @@ def ensure_batched(array, expected_ndim: int, backend: ArrayBackend | None = Non
         f"expected {expected_ndim}D (batched) or {expected_ndim - 1}D array, "
         f"got {array.ndim}D with shape {array.shape}"
     )
-
-
-def validate_planar_pair(a, b) -> tuple[int, int, int, int]:
-    """Validate planar GEMM operands and return ``(batch, M, N, K)``.
-
-    ``a``: (batch, 2, M, K); ``b``: (batch, 2, K, N). Shape-only checks,
-    so arrays of any backend pass through untouched.
-    """
-    if a.ndim != 4 or b.ndim != 4:
-        raise ShapeError(f"expected 4D planar operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != 2 or b.shape[1] != 2:
-        raise ShapeError("planar operands need a complex axis of length 2 at index 1")
-    if a.shape[0] != b.shape[0]:
-        raise ShapeError(f"batch mismatch: {a.shape[0]} vs {b.shape[0]}")
-    if a.shape[3] != b.shape[2]:
-        raise ShapeError(f"K mismatch: A has K={a.shape[3]}, B has K={b.shape[2]}")
-    batch, _, m, k = a.shape
-    n = b.shape[3]
-    return batch, m, n, k

@@ -4,8 +4,8 @@ Parameterized over :func:`repro.backend.available_backends`, so on a plain
 CI host this pins the NumPy backend against itself (exercising the backend
 code paths), and on the optional-backends job (``jax[cpu]`` installed) the
 same tests become genuine cross-library parity checks — pack -> transpose
--> GEMM round trips within the per-precision tolerances of
-:data:`repro.ccglib.precision.PARITY_TOLERANCES`.
+-> GEMM round trips, and the LOFAR beamformer end to end, within the
+per-precision tolerances of :data:`repro.ccglib.precision.PARITY_TOLERANCES`.
 """
 
 from __future__ import annotations
@@ -15,21 +15,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.radioastronomy import (
+    LOFARBeamformer,
+    Observation,
+    PointSource,
+    ReferenceBeamformer,
+    beam_grid,
+    generate_station_data,
+    lofar_like_layout,
+    steering_weights,
+)
 from repro.backend import available_backends, get_backend, numpy_backend
 from repro.backend.conformance import require_conformant
 from repro.ccglib.bit_gemm import bit_gemm_reference, complex_bit_gemm
-from repro.ccglib.complex_mma import complex_mma_f16_batched, complex_mma_tf32_batched
+from repro.ccglib.complex_mma import (
+    _chunk_items,
+    complex_mma_f16_batched,
+    complex_mma_tf32_batched,
+)
 from repro.ccglib.gemm import gemm_once
 from repro.ccglib.layouts import to_planar
 from repro.ccglib.packing import pack_sign_planar, unpack_sign_planar
-from repro.ccglib.precision import Precision, parity_tolerance
+from repro.ccglib.precision import PARITY_TOLERANCES, Precision, parity_tolerance
 from repro.ccglib.transpose import planar_to_kmajor
 from repro.gpusim.device import Device
 from repro.tcbf import BeamformerPlan, ShardedBeamformer
+from tests.conftest import GenericNumpyBackend
 
 BACKENDS = list(available_backends())
 
-pytestmark = pytest.mark.parametrize("backend_name", BACKENDS)
+per_backend = pytest.mark.parametrize("backend_name", BACKENDS)
 
 
 def _pad32(k: int) -> int:
@@ -53,11 +68,13 @@ def _operands(batch, m, n, k, seed):
     return a.astype(np.complex64), b.astype(np.complex64)
 
 
+@per_backend
 class TestConformance:
     def test_backend_is_conformant(self, backend_name):
         require_conformant(get_backend(backend_name))
 
 
+@per_backend
 class TestPackRoundTrip:
     @settings(max_examples=20, deadline=None)
     @given(case=_problem())
@@ -84,6 +101,7 @@ class TestPackRoundTrip:
         assert np.array_equal(got, np.asarray(planar_to_kmajor(planar)))
 
 
+@per_backend
 class TestGemmParity:
     @settings(max_examples=15, deadline=None)
     @given(case=_problem())
@@ -143,6 +161,7 @@ class TestGemmParity:
         )
 
 
+@per_backend
 class TestEndToEnd:
     @pytest.mark.parametrize("precision", [Precision.FLOAT16, Precision.INT1])
     def test_gemm_entry_point_matches_numpy(self, backend_name, precision):
@@ -163,6 +182,7 @@ class TestEndToEnd:
             )
 
 
+@per_backend
 class TestShardedParity:
     """``ShardedBeamformer`` on each backend vs the single-device NumPy plan."""
 
@@ -190,3 +210,47 @@ class TestShardedParity:
             np.testing.assert_allclose(
                 got / scale, want / scale, rtol=tol.rtol, atol=tol.atol
             )
+
+
+class TestLofarParity:
+    """``LOFARBeamformer.form_beams`` on every backend against the NumPy
+    plan, at a channel batch spanning several chunks of the NumPy MMA."""
+
+    #: beams, stations, samples, channels (the batch).
+    DIMS = (64, 24, 256, 16)
+
+    @pytest.fixture(scope="class")
+    def observation(self):
+        n_beams, n_stations, n_samples, n_channels = self.DIMS
+        layout = lofar_like_layout(n_stations)
+        obs = Observation(layout=layout, n_channels=n_channels, n_samples=n_samples)
+        data = generate_station_data(obs, [PointSource(l=0.004, m=-0.006, flux=4.0)])
+        dirs = beam_grid(n_beams, fov_radius=0.012)
+        weights = steering_weights(layout, obs.channel_frequencies(), dirs)
+        numpy_beams = LOFARBeamformer(Device("A100"), *self.DIMS).form_beams(weights, data).beams
+        return weights, data, numpy_beams
+
+    def test_batch_spans_several_chunks(self):
+        n_beams, n_stations, n_samples, n_channels = self.DIMS
+        step = _chunk_items(n_channels, n_beams, n_stations, n_samples)
+        assert -(-n_channels // step) >= 3
+
+    def test_numpy_matches_the_reference_beamformer(self, observation):
+        weights, data, numpy_beams = observation
+        ref, _ = ReferenceBeamformer(Device("A100"), *self.DIMS).form_beams(weights, data)
+        assert np.abs(numpy_beams - ref).max() / np.abs(ref).max() < 2e-3
+
+    @pytest.mark.parametrize(
+        "backend", [*BACKENDS, GenericNumpyBackend()], ids=lambda b: getattr(b, "name", b)
+    )
+    def test_form_beams_matches_numpy(self, observation, backend):
+        weights, data, numpy_beams = observation
+        be = get_backend(backend)
+        bf = LOFARBeamformer(Device("A100"), *self.DIMS, backend=be)
+        got = be.to_numpy(bf.form_beams(weights, data).beams)
+        tol = PARITY_TOLERANCES[Precision.FLOAT16]
+        scale = max(1.0, float(np.max(np.abs(numpy_beams))))
+        assert got.shape == numpy_beams.shape
+        np.testing.assert_allclose(
+            got / scale, numpy_beams / scale, rtol=tol.rtol, atol=tol.atol
+        )

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,6 +18,7 @@ from repro.ccglib.complex_mma import (
     complex_mma_tf32,
     complex_mma_tf32_batched,
     reference_complex_gemm,
+    _chunk_items,
     _round_f32_to_f16,
 )
 from repro.errors import ShapeError
@@ -122,16 +126,31 @@ def _bits(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=np.float32).view(np.uint32)
 
 
+#: A tile shape whose NumPy chunk holds about twenty batch items, and
+#: batches of it that span three chunks with a ragged last one.
+CHUNKED_MNK = (64, 48, 40)
+CHUNKED_BATCHES = [(65,), (2, 32)]
+
+#: (leading dims, (m, n, k)) cases: one chunk, then several.
+BATCH_CASES = [
+    ((3,), (7, 5, 13)),
+    ((2, 3), (7, 5, 13)),
+    *((batch, CHUNKED_MNK) for batch in CHUNKED_BATCHES),
+]
+
+
 class TestBatchedEqualsTiles:
     """The batched hot path against a loop of single-tile schedules, bit
-    for bit, on both the NumPy in-place and the functional path."""
+    for bit, on both the NumPy chunked and the functional path."""
 
     @pytest.mark.parametrize("backend", BACKENDS, ids=lambda be: be.name)
     @pytest.mark.parametrize("batched, tile", SCHEDULES, ids=["f16", "tf32"])
-    @pytest.mark.parametrize("batch", [(3,), (2, 3)], ids=["1dim", "2dim"])
+    @pytest.mark.parametrize(
+        "batch, mnk", BATCH_CASES, ids=["1dim", "2dim", "1dim-chunks", "2dim-chunks"]
+    )
     @pytest.mark.parametrize("with_c", [False, True], ids=["no-c", "c"])
-    def test_bit_identical(self, backend, batched, tile, batch, with_c):
-        m, n, k = 7, 5, 13
+    def test_bit_identical(self, backend, batched, tile, batch, mnk, with_c):
+        m, n, k = mnk
         rng = np.random.default_rng(11)
         a = rng.normal(size=batch + (2, m, k)).astype(np.float32)
         b = rng.normal(size=batch + (2, k, n)).astype(np.float32)
@@ -149,6 +168,17 @@ class TestBatchedEqualsTiles:
             assert np.array_equal(_bits(before), _bits(after))
         for operand in (a, b, c):
             assert operand is None or not np.shares_memory(got, operand)
+
+    def test_chunked_cases_span_three_chunks_with_a_ragged_last(self):
+        m, n, k = CHUNKED_MNK
+        for batch in CHUNKED_BATCHES:
+            items = math.prod(batch)
+            step = _chunk_items(items, m, k, n)
+            assert -(-items // step) >= 3 and items % step, (batch, step)
+
+    def test_a_batch_just_over_the_budget_is_one_chunk(self):
+        # 64 items of 36 KiB make 2.25 MiB: nearer one 2 MiB chunk than two.
+        assert _chunk_items(64, 32, 32, 32) == 64
 
     @pytest.mark.parametrize("batched, tile", SCHEDULES, ids=["f16", "tf32"])
     @pytest.mark.parametrize("dtype", [np.float16, np.float64])
@@ -206,3 +236,23 @@ class TestAccumulatorValidation:
             tile(a, b, np.zeros((2, 3, 3), dtype=np.float32))
         with pytest.raises(ShapeError):
             tile(a, b, np.zeros((1, 2, 2, 3), dtype=np.float32))
+
+
+class TestChunkedMemory:
+    def test_peak_allocation_is_the_output_plus_one_chunk(self):
+        """At the ``lofar-f16`` shape, batch x M x N x K = 32 x 256 x 256 x 64,
+        the NumPy schedule allocates its complex64 output plus chunk-sized
+        planes, not whole-batch operand and accumulator planes."""
+        batch, m, n, k = 32, 256, 256, 64
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(batch, 2, m, k)).astype(np.float32)
+        b = rng.normal(size=(batch, 2, k, n)).astype(np.float32)
+        out_bytes = batch * m * n * np.dtype(np.complex64).itemsize
+        tracemalloc.start()
+        try:
+            got = complex_mma_f16_batched(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (batch, 2, m, n)
+        assert peak < out_bytes + 4 * 2**20, peak

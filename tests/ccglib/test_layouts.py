@@ -13,7 +13,6 @@ from repro.ccglib.layouts import (
     ensure_batched,
     to_interleaved,
     to_planar,
-    validate_planar_pair,
 )
 from repro.errors import ShapeError
 
@@ -64,23 +63,3 @@ class TestEnsureBatched:
     def test_rejects_other_ranks(self):
         with pytest.raises(ShapeError):
             ensure_batched(np.zeros((4,)), 3)
-
-
-class TestValidatePlanarPair:
-    def test_extracts_dims(self):
-        a = np.zeros((2, 2, 5, 7))
-        b = np.zeros((2, 2, 7, 3))
-        assert validate_planar_pair(a, b) == (2, 5, 3, 7)
-
-    @pytest.mark.parametrize(
-        "a_shape,b_shape",
-        [
-            ((2, 2, 5, 7), (2, 2, 6, 3)),  # K mismatch
-            ((2, 2, 5, 7), (3, 2, 7, 3)),  # batch mismatch
-            ((2, 1, 5, 7), (2, 2, 7, 3)),  # bad complex axis
-            ((2, 5, 7), (2, 7, 3)),        # missing batch
-        ],
-    )
-    def test_rejects(self, a_shape, b_shape):
-        with pytest.raises(ShapeError):
-            validate_planar_pair(np.zeros(a_shape), np.zeros(b_shape))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.apps.radioastronomy import LOFARBeamformer
 from repro.apps.ultrasound import UltrasoundBeamformer
 from repro.apps.ultrasound.array_geometry import TransducerArray, VoxelGrid
 from repro.apps.ultrasound.model_matrix import ImagingConfig, build_model_matrix
@@ -256,6 +257,21 @@ class TestPreparedWeights:
         assert plan.execute().output is None
 
 
+@pytest.fixture
+def counts(monkeypatch):
+    """Counts calls of ``Gemm``'s planar conversion and 1-bit pack."""
+    counts = {"pack_sign_planar": 0, "to_planar": 0}
+    for name in counts:
+        original = getattr(ccglib_gemm, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(ccglib_gemm, name, counted)
+    return counts
+
+
 class TestUltrasoundPreparesTheModelOnce:
     """Call counts at the names ``Gemm`` looks its layout and pack stages up by."""
 
@@ -270,19 +286,6 @@ class TestUltrasoundPreparesTheModelOnce:
             n_transmissions=4,
         )
         return build_model_matrix(cfg)
-
-    @pytest.fixture
-    def counts(self, monkeypatch):
-        counts = {"pack_sign_planar": 0, "to_planar": 0}
-        for name in counts:
-            original = getattr(ccglib_gemm, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                counts[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(ccglib_gemm, name, counted)
-        return counts
 
     def _reconstruct(self, bf, model, rng):
         for _ in range(self.N_CALLS):
@@ -305,6 +308,27 @@ class TestUltrasoundPreparesTheModelOnce:
         assert bf.model_prep_cost is not None and bf.model_prep_cost.name == "model_prep"
         prep = [e.cost.name for e in dev.timeline[:2]]
         assert prep == ["transpose", "pack_bits"]
+
+
+class TestLofarPreparesTheWeightsOnce:
+    """``LOFARBeamformer.prepare_weights`` converts the weight set once."""
+
+    N_CALLS = 5
+    SHAPE = dict(n_beams=9, n_stations=24, n_samples=32, n_channels=3, n_polarizations=2)
+
+    def test_after_prepare_weights_only_the_data_is_converted(self, counts, rng):
+        w = random_complex(rng, (6, 9, 24))
+        blocks = [random_complex(rng, (6, 24, 32), scale=3.0) for _ in range(self.N_CALLS)]
+        per_call = LOFARBeamformer(Device("A100"), **self.SHAPE)
+        want = [per_call.form_beams(w, d).beams.tobytes() for d in blocks]
+        counts.update(to_planar=0)
+        bf = LOFARBeamformer(Device("A100"), **self.SHAPE)
+        bf.prepare_weights(w)
+        assert counts == {"pack_sign_planar": 0, "to_planar": 1}
+        got = [bf.form_beams(None, d).beams.tobytes() for d in blocks]
+        # One planar conversion per block: the data's.
+        assert counts == {"pack_sign_planar": 0, "to_planar": 1 + self.N_CALLS}
+        assert got == want
 
 
 class TestBeamformResult:
