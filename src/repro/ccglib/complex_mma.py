@@ -166,7 +166,15 @@ def _validate_batched_planar(a_planar, b_planar, c_planar=None) -> None:
 
 #: float32 encodings bounding the float16 normal range [2**-14, 65520);
 #: inside it, rounding to float16 only rounds the mantissa to 10 bits.
-_F16_NORMAL_LO, _F16_NORMAL_HI = np.uint32(0x38800000), np.uint32(0x477FF000)
+_F16_NORMAL_LO, _F16_NORMAL_HI = 0x38800000, 0x477FF000
+
+#: the integer rounding's operands as 0-d uint32 arrays, built once: a ufunc
+#: takes a 0-d array about twice as fast as a NumPy scalar, and the tiny
+#: chunks of the chunked schedule make that fixed cost matter.
+_U32_13, _U32_1, _U32_HALF, _U32_KEEP, _U32_ABS, _U32_LO = (
+    np.array(x, dtype=np.uint32)
+    for x in (13, 1, 0xFFF, 0xFFFFE000, 0x7FFFFFFF, _F16_NORMAL_LO)
+)
 
 
 def _quantize_f16(values, be: ArrayBackend):
@@ -187,15 +195,17 @@ def _round_f32_to_f16(values: np.ndarray) -> np.ndarray:
     """
     values = np.ascontiguousarray(values)
     bits = values.view(np.uint32)
-    out = bits >> np.uint32(13)
-    out &= np.uint32(1)  # mantissa lsb: ties round to even
+    out = bits >> _U32_13
+    out &= _U32_1  # mantissa lsb: ties round to even
     out += bits
-    out += np.uint32(0xFFF)
-    out &= np.uint32(0xFFFFE000)
-    offset = bits & np.uint32(0x7FFFFFFF)
-    offset -= _F16_NORMAL_LO  # wraps around below the range
-    rare = np.flatnonzero(offset >= _F16_NORMAL_HI - _F16_NORMAL_LO)
-    if rare.size:
+    out += _U32_HALF
+    out &= _U32_KEEP
+    offset = bits & _U32_ABS
+    offset -= _U32_LO  # wraps around below the range
+    span = _F16_NORMAL_HI - _F16_NORMAL_LO
+    # One reduction when nothing is rare (max raises on an empty array).
+    if offset.size and offset.max() >= span:
+        rare = np.flatnonzero(offset >= span)
         cast = values.reshape(-1)[rare].astype(np.float16).astype(np.float32)
         out.reshape(-1)[rare] = cast.view(np.uint32)
     return out.view(np.float32)

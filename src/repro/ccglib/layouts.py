@@ -45,14 +45,6 @@ class ComplexLayout(enum.Enum):
     PLANAR = "planar"
 
 
-class MatrixSide(enum.Enum):
-    """Which GEMM operand a matrix is (decides expected shape)."""
-
-    A = "a"  # (batch, M, K): e.g. beam weights
-    B = "b"  # (batch, K, N): e.g. receiver samples
-    C = "c"  # (batch, M, N): beamformed output
-
-
 def _is_complex(array, xp) -> bool:
     """Complex-dtype test that never copies the array off its device."""
     return np.issubdtype(np.dtype(array.dtype), np.complexfloating)

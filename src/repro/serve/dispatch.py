@@ -531,18 +531,27 @@ class FleetDispatcher:
         worker set — those placements are committed, and :meth:`reap`
         waits for them. Predicted service times are re-priced too, so
         admission's queue-drain estimate tracks the fleet it actually has.
+        Queued batches are re-stamped through
+        :meth:`PriorityScheduler.restamp
+        <repro.serve.scheduler.PriorityScheduler.restamp>`, which keeps the
+        scheduler's counts and cached sums in step with the new stamps.
         """
-        for batch in self._held + list(self.scheduler.queued_batches()):
-            if batch.decision is not None and batch.decision.kind is PlacementKind.SPLIT:
-                continue
-            # Clearing first is load-bearing: _candidates returns the
-            # stamped indices verbatim when they are set.
-            batch.candidate_indices = None
-            batch.candidate_indices = tuple(w.index for w in self._candidates(batch))
-            batch.hold_until_s = None  # the fleet changed; the preference is stale
-            batch.predicted_service_s = self.placer.predicted_service_s(
-                batch.workload, batch.n_requests
-            )
+        for batch in self._held:
+            self._restamp(batch)
+        self.scheduler.restamp(self._restamp)
+
+    def _restamp(self, batch: Batch) -> None:
+        """Re-derive one undispatched batch's candidates and predicted cost."""
+        if batch.decision is not None and batch.decision.kind is PlacementKind.SPLIT:
+            return
+        # Clearing first is load-bearing: _candidates returns the stamped
+        # indices verbatim when they are set.
+        batch.candidate_indices = None
+        batch.candidate_indices = tuple(w.index for w in self._candidates(batch))
+        batch.hold_until_s = None  # the fleet changed; the preference is stale
+        batch.predicted_service_s = self.placer.predicted_service_s(
+            batch.workload, batch.n_requests
+        )
 
     def queued_pressure_by_class(self) -> dict[int, "QueuePressure"]:
         """Per-priority-class pressure over scheduler *and* held batches.
@@ -654,23 +663,25 @@ class FleetDispatcher:
         Restricted to workers eligible for at least one queued/held batch:
         an AMD worker going idle is not an event for a queue of int1 work.
         ``None`` when no live worker matches (possible transiently on an
-        elastic fleet while candidates are re-stamped).
+        elastic fleet while candidates are re-stamped). Queued batches are
+        read through the scheduler's kept
+        :attr:`~repro.serve.scheduler.PriorityScheduler.candidate_refs`, so
+        only the few held batches are walked.
 
         A locality-held stage batch (``hold_until_s`` set) wakes at its
         preferred worker's accept time instead of its candidates' — an
         idle non-preferred candidate is deliberately *not* a dispatch
         opportunity for it, and treating it as one would stall the clock.
         """
-        indices: set[int] = set()
+        queued = self.scheduler.candidate_refs
+        held: set[int] = set()
         waits: list[float] = []
         for batch in self._held:
             if batch.hold_until_s is not None:
                 waits.append(batch.hold_until_s)
             else:
-                indices.update(batch.candidate_indices or ())
-        for batch in self.scheduler.queued_batches():
-            indices.update(batch.candidate_indices or ())
-        accepts = [w.accept_s for w in self.workers if w.index in indices]
+                held.update(batch.candidate_indices or ())
+        accepts = [w.accept_s for w in self.workers if w.index in queued or w.index in held]
         accepts.extend(waits)
         return min(accepts) if accepts else None
 

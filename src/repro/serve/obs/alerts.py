@@ -22,7 +22,7 @@ arithmetic, so the alert sequence is bit-identical for the same seed.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 
 from repro.errors import ShapeError
@@ -92,11 +92,12 @@ class ErrorBudget:
     """Windowed good/bad accounting for one scope (service, class, tenant).
 
     Events arrive out of time order (completions are settled at dispatch,
-    with completion instants in the future), so the budget keeps them
-    lazily sorted: appends are O(1) and the first query after a batch of
-    appends pays one near-sorted timsort. All queries treat the window as
-    the half-open interval ``(now - window_s, now]`` — events stamped in
-    the future (recorded early) never leak into the present.
+    with completion instants in the future), so :meth:`record` inserts each
+    one in place into two sorted lists — every event time, and the bad
+    event times — and a window query is four bisections, whatever the
+    history length. All queries treat the window as the half-open interval
+    ``(now - window_s, now]`` — events stamped in the future (recorded
+    early) never leak into the present.
     """
 
     def __init__(self, scope: str, objective: float = DEFAULT_OBJECTIVE):
@@ -104,43 +105,35 @@ class ErrorBudget:
             raise ShapeError(f"objective must be in (0, 1), got {objective}")
         self.scope = scope
         self.objective = objective
-        self._events: list[tuple[float, int]] = []  # (t_s, 1 if bad else 0)
-        self._dirty = False
+        #: every event time, sorted.
         self._times: list[float] = []
-        self._bad_prefix: list[int] = [0]
+        #: the bad events' times, sorted.
+        self._bad_times: list[float] = []
 
     def record(self, t_s: float, good: bool) -> None:
         """Record one request verdict at simulation time ``t_s``."""
-        self._events.append((t_s, 0 if good else 1))
-        self._dirty = True
+        insort(self._times, t_s)
+        if not good:
+            insort(self._bad_times, t_s)
 
     @property
     def n_events(self) -> int:
-        return len(self._events)
+        return len(self._times)
 
     @property
     def n_bad(self) -> int:
-        return sum(bad for _, bad in self._events)
-
-    def _ensure_sorted(self) -> None:
-        if not self._dirty:
-            return
-        self._events.sort(key=lambda e: e[0])
-        self._times = [t for t, _ in self._events]
-        prefix = [0]
-        for _, bad in self._events:
-            prefix.append(prefix[-1] + bad)
-        self._bad_prefix = prefix
-        self._dirty = False
+        return len(self._bad_times)
 
     def window_counts(self, window_s: float, now: float) -> tuple[int, int]:
         """``(n_events, n_bad)`` in the window ``(now - window_s, now]``."""
         if window_s <= 0:
             raise ShapeError(f"window_s must be positive, got {window_s}")
-        self._ensure_sorted()
-        lo = bisect_right(self._times, now - window_s)
-        hi = bisect_right(self._times, now)
-        return hi - lo, self._bad_prefix[hi] - self._bad_prefix[lo]
+        start = now - window_s
+        times, bad = self._times, self._bad_times
+        return (
+            bisect_right(times, now) - bisect_right(times, start),
+            bisect_right(bad, now) - bisect_right(bad, start),
+        )
 
     def error_rate(self, window_s: float, now: float) -> float:
         """Fraction of windowed events that were bad (0 with no events)."""

@@ -31,6 +31,7 @@ the same trace always produces the same dispatch sequence.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.errors import ShapeError
@@ -75,7 +76,10 @@ class _ClassQueue:
 
     Dispatch order is purely structural — deque FIFO within a tenant, ring
     order across tenants — so no extra sequence numbers are needed for
-    determinism.
+    determinism. The batch and request counts are kept up to date by
+    :meth:`enqueue`, :meth:`next` and :meth:`remove`; :attr:`service_s` is
+    cached and recomputed, in tenant-queue order, only after one of them
+    changed the queue or the scheduler re-stamped it.
     """
 
     def __init__(self, weights: dict[str, float]):
@@ -88,18 +92,29 @@ class _ClassQueue:
         #: exactly one credit per visit, however many batches it then serves
         #: (crediting per *serve* would overpay whoever is at the front).
         self._credited = False
-
-    def __len__(self) -> int:
-        return sum(len(q) for q in self._queues.values())
-
-    @property
-    def n_requests(self) -> int:
-        return sum(b.n_requests for q in self._queues.values() for b in q)
+        self.n_batches = 0
+        self.n_requests = 0
+        #: cached :attr:`service_s`; ``None`` when the queue changed since.
+        self._service_s: float | None = None
 
     @property
     def service_s(self) -> float:
-        """Total placer-predicted service time queued in this class."""
-        return sum(b.predicted_service_s for q in self._queues.values() for b in q)
+        """Total placer-predicted service time queued in this class.
+
+        Summed with ``sum`` in tenant-queue order, never kept as a running
+        total: adding and subtracting batches one by one gives a different
+        float, and admission compares this one against deadlines.
+        """
+        if self._service_s is None:
+            self._service_s = sum(
+                b.predicted_service_s for q in self._queues.values() for b in q
+            )
+        return self._service_s
+
+    def _count(self, batch: Batch, sign: int) -> None:
+        self.n_batches += sign
+        self.n_requests += sign * batch.n_requests
+        self._service_s = None
 
     def batches(self):
         """Iterate queued batches (tenant ring order within the class)."""
@@ -117,6 +132,7 @@ class _ClassQueue:
             self._ring.append(tenant)
             self._deficit[tenant] = 0.0
         queue.append(batch)
+        self._count(batch, 1)
 
     def remove(self, batch: Batch) -> bool:
         """Remove one queued batch by identity (crash recovery path).
@@ -132,6 +148,7 @@ class _ClassQueue:
             queue.remove(batch)
         except ValueError:
             return False
+        self._count(batch, -1)
         if not queue:
             if self._ring and self._ring[0] == batch.tenant:
                 self._credited = False
@@ -152,6 +169,7 @@ class _ClassQueue:
             if self._deficit[tenant] >= head.n_requests:
                 self._deficit[tenant] -= head.n_requests
                 queue.popleft()
+                self._count(head, -1)
                 if not queue:
                     del self._queues[tenant]
                     del self._deficit[tenant]
@@ -172,6 +190,13 @@ class PriorityScheduler:
         DRR weight per tenant (default 1.0). A tenant with weight 3 receives
         three times the dispatch service (measured in requests) of a
         weight-1 tenant while both are backlogged at the same priority.
+
+    The queue views are kept, not recounted per event: each class keeps its
+    batch and request counts, empty classes are deleted at once, and
+    :attr:`candidate_refs` counts, per worker index, the queued batches
+    that list the worker among their ``candidate_indices``. Those stamps
+    and ``predicted_service_s`` change on a queued batch only through
+    :meth:`restamp`.
     """
 
     def __init__(self, tenant_weights: dict[str, float] | None = None):
@@ -179,7 +204,10 @@ class PriorityScheduler:
         for tenant, weight in self.tenant_weights.items():
             if weight <= 0:
                 raise ShapeError(f"tenant weight must be positive, got {weight} for {tenant!r}")
+        #: non-empty classes only (a class is deleted when it empties).
         self._classes: dict[int, _ClassQueue] = {}
+        #: worker index -> queued batches listing it as a candidate (> 0).
+        self.candidate_refs: dict[int, int] = {}
         #: lifetime dispatch counters per (priority, tenant), in requests.
         self.served_requests: dict[tuple[int, str], int] = {}
         #: lifetime overtakes: earlier-formed batches a pop jumped past.
@@ -190,10 +218,10 @@ class PriorityScheduler:
         self.metrics = None
 
     def __len__(self) -> int:
-        return sum(len(c) for c in self._classes.values())
+        return sum(c.n_batches for c in self._classes.values())
 
     def empty(self) -> bool:
-        return len(self) == 0
+        return not self._classes
 
     def depth_requests(self) -> int:
         """Requests queued across every class (admission's backlog view)."""
@@ -201,9 +229,7 @@ class PriorityScheduler:
 
     def head_priority(self) -> int | None:
         """Priority of the batch :meth:`next` would pop (None when empty)."""
-        if self.empty():
-            return None
-        return min(p for p, c in self._classes.items() if len(c) > 0)
+        return min(self._classes) if self._classes else None
 
     def queued_service_s(self, priority: int) -> float:
         """Predicted drain time of work queued at ``priority`` and above.
@@ -250,9 +276,39 @@ class PriorityScheduler:
         if class_queue is None:
             return False
         removed = class_queue.remove(batch)
-        if removed and len(class_queue) == 0:
-            del self._classes[batch.priority]
+        if removed:
+            self._unref(batch)
+            if not class_queue.n_batches:
+                del self._classes[batch.priority]
         return removed
+
+    def restamp(self, stamp: Callable[[Batch], None]) -> None:
+        """Apply ``stamp`` to every queued batch, then rebuild the kept state.
+
+        The one way a queued batch's ``candidate_indices`` or
+        ``predicted_service_s`` may change (the dispatcher re-stamps on
+        every fleet change): the candidate reference counts are recounted
+        and every class's cached service time goes stale.
+        """
+        self.candidate_refs = {}
+        for batch in self.queued_batches():
+            stamp(batch)
+            self._ref(batch)
+        for class_queue in self._classes.values():
+            class_queue._service_s = None  # re-priced: recompute lazily
+
+    def _ref(self, batch: Batch) -> None:
+        refs = self.candidate_refs
+        for index in batch.candidate_indices or ():
+            refs[index] = refs.get(index, 0) + 1
+
+    def _unref(self, batch: Batch) -> None:
+        refs = self.candidate_refs
+        for index in batch.candidate_indices or ():
+            if refs[index] == 1:
+                del refs[index]
+            else:
+                refs[index] -= 1
 
     def enqueue(self, batch: Batch) -> None:
         if self.metrics is not None:
@@ -271,6 +327,7 @@ class PriorityScheduler:
         if class_queue is None:
             class_queue = self._classes[batch.priority] = _ClassQueue(self.tenant_weights)
         class_queue.enqueue(batch)
+        self._ref(batch)
 
     def next(self, now: float | None = None) -> Batch:
         """Pop the next batch to dispatch; raises when empty.
@@ -281,10 +338,11 @@ class PriorityScheduler:
         """
         if self.empty():
             raise ShapeError("PriorityScheduler.next() on an empty queue")
-        priority = min(p for p, c in self._classes.items() if len(c) > 0)
+        priority = min(self._classes)
         class_queue = self._classes[priority]
         batch = class_queue.next()
-        if len(class_queue) == 0:
+        self._unref(batch)
+        if not class_queue.n_batches:
             del self._classes[priority]
         self._record_overtakes(batch, now)
         key = (batch.priority, batch.tenant)

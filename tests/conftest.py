@@ -14,6 +14,9 @@ settings.register_profile(
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
+    # Loading this profile replaces hypothesis's own CI profile, which
+    # would otherwise print the @reproduce_failure blob of a failure.
+    print_blob=True,
 )
 settings.load_profile("repro")
 
