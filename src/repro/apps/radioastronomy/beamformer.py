@@ -100,7 +100,7 @@ class LOFARBeamformer:
         """One-time preparation of the beam weight set.
 
         A weight set is fixed for an observation while station data
-        stream through, so the plan converts it to its planar GEMM operand
+        stream through, so the plan rounds it to its float16 GEMM operand
         once and every ``form_beams(None, data)`` reuses it (see
         :meth:`repro.tcbf.BeamformerPlan.prepare_weights`, which also
         records the one-time cost outside the per-block budget). The kept

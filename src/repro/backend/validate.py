@@ -3,7 +3,8 @@
 Answers one question per backend: *does the full pack -> transpose -> GEMM
 pipeline produce the same answers as the NumPy reference?* The harness runs
 the real entry points (:meth:`repro.ccglib.gemm.Gemm.run` with a prepared A
-operand, :func:`repro.ccglib.packing.pack_sign_planar`, ...) on each backend over a
+operand, :meth:`repro.tcbf.plan.BeamformerPlan.execute` with its block scale,
+:func:`repro.ccglib.packing.pack_sign_planar`, ...) on each backend over a
 deterministic set of seeded shapes and compares against the NumPy backend
 with the per-precision tolerances of
 :data:`repro.ccglib.precision.PARITY_TOLERANCES` — exact (bit-for-bit) for
@@ -37,6 +38,7 @@ from repro.ccglib.packing import pack_sign_planar, unpack_sign_planar
 from repro.ccglib.precision import Precision, parity_tolerance
 from repro.ccglib.transpose import planar_to_kmajor
 from repro.gpusim.device import Device
+from repro.tcbf.plan import BeamformerPlan
 from repro.tcbf.scaling import rms
 from repro.util.bits import pack_bits, sign_to_bits, unpack_bits
 
@@ -185,6 +187,32 @@ def validate_backend(
                     got / scale, want / scale, tol.rtol, tol.atol,
                 )
             )
+
+        # -- BeamformerPlan.execute: the block scale through Gemm.run --------
+        # Both plans get the scale the NumPy plan would compute, so the cases
+        # compare the divide/restore path, not two RMS reductions (the rms
+        # case below checks those).
+        data = (3.0 * b).astype(np.complex64)
+        block_scale = rms(data)
+        for precision in (Precision.FLOAT16, Precision.INT1):
+            for restore in (False, True):
+                kw = dict(
+                    n_beams=m, n_receivers=k, n_samples=n, batch=batch, precision=precision,
+                    include_transpose=False, restore_output_scale=restore,
+                )
+                plan = BeamformerPlan(Device("A100"), backend=be, **kw)
+                got = be.to_numpy(plan.execute(a, data, scale=block_scale).output)
+                want = BeamformerPlan(Device("A100"), **kw).execute(a, data, scale=block_scale)
+                want = np.asarray(want.output)
+                tol = parity_tolerance(precision)
+                scale = max(1.0, float(np.max(np.abs(want))))
+                mode = "restore" if restore else "plain"
+                report.cases.append(
+                    _compare(
+                        f"plan-execute/{precision.value}-{mode}-{tag}",
+                        got / scale, want / scale, tol.rtol, tol.atol,
+                    )
+                )
 
     # -- raw word-level pack/unpack and the RMS reduction ---------------------
     raw_bits = (rng.integers(0, 2, size=(3, 5, 64))).astype(np.uint8)

@@ -16,9 +16,9 @@ pack/transpose/GEMM pipeline over the whole batch instead of a Python loop
 per item — which is what lets a CuPy or JAX backend run them efficiently.
 
 A weight (A) operand that serves many calls is prepared once with
-:meth:`Gemm.prepare_a` — planar conversion, plus sign packing for int1 —
-and passed to :meth:`Gemm.run` in place of the interleaved array; a raw A
-goes through the same preparation on every call.
+:meth:`Gemm.prepare_a` — sign packing for int1, rounding to the input grid
+for float16/tf32 — and passed to :meth:`Gemm.run` in place of the
+interleaved array; a raw A goes through the same work on every call.
 
 >>> from repro.gpusim import Device
 >>> from repro.ccglib import Gemm, Precision
@@ -41,7 +41,11 @@ import numpy as np
 
 from repro.backend import ArrayBackend, get_backend
 from repro.ccglib.bit_gemm import complex_bit_gemm
-from repro.ccglib.complex_mma import complex_mma_f16_batched, complex_mma_tf32_batched
+from repro.ccglib.complex_mma import (
+    complex_mma_f16_batched,
+    complex_mma_tf32_batched,
+    round_operand,
+)
 from repro.ccglib.layouts import IMAG, REAL, ensure_batched, to_planar
 from repro.ccglib.packing import pack_sign_planar
 from repro.ccglib.perfmodel import GemmProblem, model_gemm, resolve_bit_op, validate_config
@@ -75,9 +79,10 @@ class PreparedOperand:
 
     Built by :meth:`Gemm.prepare_a`. ``data`` is what :meth:`Gemm.run`
     would otherwise derive from the interleaved A on every call: for int1
-    the sign-packed words (batch, 2, M, padded_k / 32); for float16/tf32
-    the planar (batch, 2, M, K) planes, unquantized, so the MMA rounds
-    exactly what it rounds on the per-call path. The tags name the plan
+    the sign-packed words (batch, 2, M, padded_k / 32); for float16/tf32 a
+    :class:`~repro.ccglib.complex_mma.RoundedPlanes` holding the planar
+    (batch, 2, M, K) float32 planes already rounded to the precision's
+    grid, the values the MMA rounds a per-call A to. The tags name the plan
     the operand is valid for; :meth:`Gemm.run` rejects any other.
 
     A snapshot: it does not follow later in-place updates of the weights
@@ -178,15 +183,22 @@ class Gemm:
         """Validate the interleaved A operand and prepare it for :meth:`run`.
 
         ``a`` is (batch, M, K) complex (or (M, K) for batch=1). The result
-        holds the planar planes, sign-packed at :attr:`padded_k` for int1,
-        on this plan's backend. :meth:`run` prepares a raw A through this
-        same method on every call, so passing the prepared operand instead
-        skips exactly that work and gives a bit-identical output.
+        holds, on this plan's backend, the sign-packed planar words at
+        :attr:`padded_k` for int1, and for float16/tf32 the planar planes
+        already rounded to the precision's input grid, which the MMA then
+        uses without rounding them again. A per-call A goes through the
+        same preparation (int1) or the same rounding (float16/tf32, one
+        chunk at a time), so passing the prepared operand instead skips
+        exactly that work and gives a bit-identical output.
         """
         p = self.problem
-        data = self._planar(a, "A", (p.batch, p.m, p.k))
+        a = self._checked(a, "A", (p.batch, p.m, p.k))
         if self.precision is Precision.INT1:
-            data = pack_sign_planar(data, k_pad_to=self.padded_k, backend=self.backend)
+            data = pack_sign_planar(
+                to_planar(a, backend=self.backend), k_pad_to=self.padded_k, backend=self.backend
+            )
+        else:
+            data = round_operand(a, self.precision.value, backend=self.backend)
         return PreparedOperand(
             precision=self.precision,
             shape=(p.batch, p.m, p.k),
@@ -195,7 +207,14 @@ class Gemm:
             data=data,
         )
 
-    def run(self, a: Any | None = None, b: Any | None = None) -> GemmResult:
+    def run(
+        self,
+        a: Any | None = None,
+        b: Any | None = None,
+        *,
+        scale: Any | None = None,
+        restore_scale: bool = False,
+    ) -> GemmResult:
         """Execute the plan.
 
         Functional devices require ``a`` — the interleaved complex (batch,
@@ -205,6 +224,14 @@ class Gemm:
         (batch, K, N). Dry-run devices ignore the operands and return the
         predicted cost only. The launch is recorded on the device timeline
         either way.
+
+        ``scale`` normalizes B: the product uses ``b / scale`` cast to
+        complex64, and ``restore_scale`` multiplies the complex64 output by
+        ``scale`` again. The output is bit for bit that of those two
+        whole-array steps around a plain run. On NumPy the float16/tf32
+        MMA applies both to one cache-sized chunk of batch items at a time
+        (:func:`~repro.ccglib.complex_mma.complex_mma_f16_batched`); int1
+        applies them to the whole block, as do other backends.
         """
         cost = self.predict_cost()
         self.device.record_kernel(cost)
@@ -212,20 +239,29 @@ class Gemm:
             return GemmResult(output=None, cost=cost)
         if a is None or b is None:
             raise ShapeError("functional execution requires both operands")
-        prepared = a if isinstance(a, PreparedOperand) else self.prepare_a(a)
-        self._check_prepared(prepared)
         p = self.problem
-        b_planar = self._planar(b, "B", (p.batch, p.k, p.n))
-        if self.precision is Precision.INT1:
-            output = self._run_int1(prepared.data, b_planar)
+        if isinstance(a, PreparedOperand):
+            self._check_prepared(a)
+            a = a.data
+        elif self.precision is Precision.INT1:
+            a = self.prepare_a(a).data
         else:
-            output = self._run_float(prepared.data, b_planar)
+            a = self._checked(a, "A", (p.batch, p.m, p.k))
+        b = self._checked(b, "B", (p.batch, p.k, p.n))
+        if self.precision is not Precision.INT1:
+            return GemmResult(output=self._run_float(a, b, scale, restore_scale), cost=cost)
+        be = self.backend
+        if scale is not None:
+            b = be.astype(b / scale, be.xp.complex64)
+        output = self._run_int1(a, to_planar(b, backend=be))
+        if restore_scale and scale is not None:
+            output *= scale  # fresh output: in place (immutable backends rebind)
         return GemmResult(output=output, cost=cost)
 
     # -- internals ----------------------------------------------------------
 
-    def _planar(self, operand: Any, side: str, expected: tuple[int, int, int]) -> Any:
-        """Shape-check one interleaved operand against the plan, then make it planar."""
+    def _checked(self, operand: Any, side: str, expected: tuple[int, int, int]) -> Any:
+        """Shape-check one interleaved operand against the plan."""
         be = self.backend
         operand = be.asarray(operand)
         if not _is_complex_dtype(operand):
@@ -237,7 +273,7 @@ class Gemm:
                 f"the plan (batch={self.problem.batch}, M={self.problem.m}, "
                 f"N={self.problem.n}, K={self.problem.k}) needs {expected}"
             )
-        return to_planar(operand, backend=be)
+        return operand
 
     def _check_prepared(self, a: PreparedOperand) -> None:
         p = self.problem
@@ -249,22 +285,18 @@ class Gemm:
                 f"is not valid for this plan, which needs {want}"
             )
 
-    def _run_float(self, a_planar: Any, b_planar: Any) -> Any:
+    def _run_float(self, a: Any, b: Any, scale: Any | None, restore_scale: bool) -> Any:
         """float16 (and experimental tf32) functional path.
 
-        One batched 5-step complex MMA over all batch items, each operand
-        quantized once. On NumPy the MMA accumulates steps 4/5 straight
-        into interleaved complex64 storage, so the complex64 view taken
-        here is free (another planar layout costs one interleaving pass).
+        One batched 5-step complex MMA over all batch items, straight from
+        the interleaved operands (``a`` may be prepared rounded planes) to
+        the interleaved complex64 output. On NumPy each cache-sized chunk
+        of batch items de-interleaves, scales and rounds its own slices and
+        restores the scale on its own output slice, so no block-sized
+        planar, normalized or rounded copy of either operand is made.
         """
-        be = self.backend
         mma = complex_mma_tf32_batched if self.precision is Precision.TF32 else complex_mma_f16_batched
-        planar = mma(a_planar, b_planar, backend=be)
-        if be.xp is np:
-            interleaved = np.ascontiguousarray(np.moveaxis(planar, -3, -1))
-            return interleaved.view(np.complex64)[..., 0]
-        out = planar[..., REAL, :, :] + 1j * planar[..., IMAG, :, :]
-        return be.astype(out, be.xp.complex64)
+        return mma(a, b, backend=self.backend, scale=scale, restore_scale=restore_scale)
 
     def _run_int1(self, a_words: Any, b_planar: Any) -> Any:
         """1-bit functional path: sign-quantize and pack B, binary GEMM (Eq. 5/6).

@@ -269,11 +269,12 @@ class BeamformerPlan:
         allowed when ``batch == 1`` — on a functional device, the plan
         also keeps the prepared operand (:meth:`Gemm.prepare_a
         <repro.ccglib.gemm.Gemm.prepare_a>`: packed words for int1, planar
-        planes otherwise) and ``execute(None, data)`` reuses it on every
-        block. The operand is a snapshot: call this again after the
-        weights change. Without ``weights`` (or on a dry-run device) only
-        the costs are recorded. Malformed weights raise
-        :class:`~repro.errors.ShapeError` before anything is recorded.
+        planes already rounded to the precision's grid otherwise) and
+        ``execute(None, data)`` reuses it on every block. The operand is
+        a snapshot: call this again after the weights change. Without
+        ``weights`` (or on a dry-run device) only the costs are recorded.
+        Malformed weights raise :class:`~repro.errors.ShapeError` before
+        anything is recorded.
         """
         if weights is not None and self.device.is_functional:
             self._prepared_a = self._gemm.prepare_a(self._validated_weights(weights))
@@ -307,7 +308,13 @@ class BeamformerPlan:
 
         ``scale`` overrides the automatic unit-RMS operand normalization —
         the sharding layer passes one global scale so every shard of a
-        block normalizes identically.
+        block normalizes identically. The RMS is computed here, once per
+        block; the divide of ``data`` by the scale (and, for
+        ``restore_output_scale``, the multiply of the output by it) happen
+        in :meth:`Gemm.run <repro.ccglib.gemm.Gemm.run>`, which on NumPy
+        float16 applies both one cache-sized chunk of batch items at a
+        time, bit for bit as the whole-array ``data / scale`` and
+        ``output *= scale``.
         """
         if self.device.is_functional:
             weights = self._prepared_a if weights is None else self._validated_weights(weights)
@@ -328,17 +335,15 @@ class BeamformerPlan:
             be = self.backend
             if self.needs_scale and scale is None:
                 scale = rms(data, backend=be)
-            # Skip the divide for pre-normalized data (scale 1.0) and the
-            # cast for complex64 inputs: no hidden full-block copies.
-            normalized = (
-                data if not self.needs_scale or scale == 1.0 else data / scale
-            )
-            gemm_result = self._gemm.run(weights, be.astype(normalized, be.xp.complex64))
+            # Pre-normalized data (scale 1.0) are neither divided nor
+            # restored; complex64 data are not cast: no hidden block copies.
+            if self.needs_scale and scale != 1.0:
+                gemm_result = self._gemm.run(
+                    weights, data, scale=scale, restore_scale=self.restore_output_scale
+                )
+            else:
+                gemm_result = self._gemm.run(weights, be.astype(data, be.xp.complex64))
             output = gemm_result.output
-            if self.restore_output_scale and scale != 1.0:
-                # The GEMM output is fresh: restore in place, no block copy
-                # (immutable backends rebind instead).
-                output *= scale
         else:
             gemm_result = self._gemm.run()
         costs.append(gemm_result.cost)

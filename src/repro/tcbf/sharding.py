@@ -276,8 +276,9 @@ def execute_shards(
             and scale != 1.0
         ):
             # Beams-mode plans saw pre-normalized data (unit scale), so
-            # restore the true scale here.
-            result.output = result.output * scale
+            # restore the true scale here, in place on the shard's fresh
+            # output (immutable backends rebind).
+            result.output *= scale
         shards.append(result)
         offset += size
     output = None

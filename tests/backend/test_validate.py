@@ -27,9 +27,15 @@ class TestValidateNumpy:
         cases = {c.case.split("/")[0] for c in report.cases}
         assert {
             "conformance", "pack", "unpack", "transpose",
-            "int1-gemm", "f16-gemm", "tf32-gemm", "prepared-gemm", "pack-bits",
-            "unpack-bits", "rms",
+            "int1-gemm", "f16-gemm", "tf32-gemm", "prepared-gemm", "plan-execute",
+            "pack-bits", "unpack-bits", "rms",
         } <= cases
+        # the plan cases cover both precisions the plan runs, restore on and off
+        plan_cases = {c.case.split("/")[1].rsplit("-", 1)[0] for c in report.cases
+                      if c.case.startswith("plan-execute/")}
+        assert plan_cases == {
+            "float16-plain", "float16-restore", "int1-plain", "int1-restore",
+        }
 
     def test_quick_mode_runs_fewer_shapes(self):
         quick = validate_backend("numpy", quick=True)

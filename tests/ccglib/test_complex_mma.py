@@ -18,8 +18,9 @@ from repro.ccglib.complex_mma import (
     complex_mma_tf32,
     complex_mma_tf32_batched,
     reference_complex_gemm,
+    round_operand,
     _chunk_items,
-    _round_f32_to_f16,
+    _round_f16_into,
 )
 from repro.errors import ShapeError
 from tests.conftest import GenericNumpyBackend
@@ -194,6 +195,12 @@ class TestBatchedEqualsTiles:
             assert np.array_equal(_bits(got[i]), _bits(tile(a[i], b[i])))
 
 
+def _round_f32_to_f16(values: np.ndarray) -> np.ndarray:
+    out = np.empty(values.shape, dtype=np.float32)
+    _round_f16_into(values, out)
+    return out
+
+
 class TestFloat16Rounding:
     """The integer-op float16 rounding of the NumPy hot path equals the
     float16 round trip bit for bit, at every range edge."""
@@ -217,6 +224,36 @@ class TestFloat16Rounding:
         values = rng.normal(size=(2, 6, 8)).astype(np.float32)[:, ::2, 1::3]
         want = values.astype(np.float16).astype(np.float32)
         assert np.array_equal(_bits(_round_f32_to_f16(values)), _bits(want))
+
+
+class TestInterleavedOperands:
+    """Interleaved complex operands and pre-rounded A against the planar path."""
+
+    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda be: be.name)
+    @pytest.mark.parametrize("batched", [complex_mma_f16_batched, complex_mma_tf32_batched])
+    @pytest.mark.parametrize("rounded", [False, True], ids=["per-call", "rounded"])
+    def test_interleaved_result_is_the_planar_result(self, backend, batched, rounded):
+        rng = np.random.default_rng(5)
+        a = (rng.normal(size=(4, 7, 9)) + 1j * rng.normal(size=(4, 7, 9))).astype(np.complex64)
+        b = (rng.normal(size=(4, 9, 3)) + 1j * rng.normal(size=(4, 9, 3))).astype(np.complex64)
+        planar = batched(np.stack([a.real, a.imag], 1), np.stack([b.real, b.imag], 1))
+        precision = "tf32" if batched is complex_mma_tf32_batched else "float16"
+        a_op = round_operand(a, precision, backend=backend) if rounded else a
+        got = np.asarray(batched(a_op, b, backend=backend))
+        assert got.dtype == np.complex64 and got.shape == (4, 7, 3)
+        assert np.array_equal(_bits(got.real), _bits(planar[:, 0]))
+        assert np.array_equal(_bits(got.imag), _bits(planar[:, 1]))
+
+    def test_operand_rounded_to_another_grid_rejected(self):
+        a = np.ones((1, 2, 3), dtype=np.complex64)
+        b = np.ones((1, 3, 2), dtype=np.complex64)
+        with pytest.raises(ShapeError, match="rounded to tf32"):
+            complex_mma_f16_batched(round_operand(a, "tf32"), b)
+
+    def test_scale_needs_an_interleaved_b(self):
+        a = np.ones((1, 2, 3), dtype=np.complex64)
+        with pytest.raises(ShapeError, match="interleaved"):
+            complex_mma_f16_batched(a, np.ones((1, 2, 3, 2), dtype=np.float32), scale=2.0)
 
 
 class TestAccumulatorValidation:

@@ -128,6 +128,27 @@ class TestPreparedOperand:
             got = plan.run(prepared, b).output
             assert got.dtype == np.complex64 and got.tobytes() == per_call.tobytes()
 
+    @pytest.mark.parametrize("backend", [NumpyBackend(), GenericNumpyBackend()], ids=lambda b: b.name)
+    @pytest.mark.parametrize("precision", PRECISIONS, ids=lambda p: p.value)
+    @pytest.mark.parametrize("restore", [False, True], ids=["plain", "restore"])
+    @pytest.mark.parametrize("scale", [2.5, np.float64(0.3), -4.0], ids=["f", "f64", "neg"])
+    def test_scale_equals_the_whole_array_steps(self, rng, backend, precision, restore, scale):
+        # ``run(a, b, scale=s, restore_scale=r)`` is ``run(a, b / s)`` with
+        # the quotient cast to complex64, times ``s`` when restoring: bit for
+        # bit, whether the divide runs chunk by chunk or over the block.
+        shape = (3, 6, 4, 45)
+        batch, m, n, k = shape
+        a = random_complex(rng, (batch, m, k))
+        b = random_complex(rng, (batch, k, n), scale=3.0)
+        b0 = b.copy()
+        plan = self._plan(precision, shape, backend)
+        got = plan.run(a, b, scale=scale, restore_scale=restore).output
+        want = plan.run(a, (b / scale).astype(np.complex64)).output
+        if restore:
+            want *= scale
+        assert got.dtype == np.complex64 and got.tobytes() == want.tobytes()
+        assert b.tobytes() == b0.tobytes()
+
     @pytest.mark.parametrize("shape", [(1, 7, 5, 45), (3, 6, 4, 300)])
     def test_int1_output_identical_on_both_backends(self, rng, shape):
         # NumPy fills complex64 storage directly; the generic path combines
@@ -148,11 +169,14 @@ class TestPreparedOperand:
         assert prepared.data.dtype == np.uint32
         assert prepared.data.shape == (2, 2, 5, plan.padded_k // 32)
 
-    def test_float_prepared_operand_is_unquantized(self, rng):
+    def test_float_prepared_operand_holds_rounded_planes(self, rng):
         plan = self._plan(Precision.FLOAT16, (1, 5, 3, 45))
         a = random_complex(rng, (5, 45))
         prepared = plan.prepare_a(a)
-        assert np.array_equal(prepared.data, to_planar(a[None]))
+        want = to_planar(a[None]).astype(np.float16).astype(np.float32)
+        assert prepared.data.precision == "float16"
+        assert prepared.data.planes.dtype == np.float32
+        assert prepared.data.planes.tobytes() == want.tobytes()
 
     def test_operand_with_another_padded_k_rejected(self, rng):
         # Plans of one precision and K share a padded K; only a stale or

@@ -9,6 +9,7 @@ from repro.apps.radioastronomy import LOFARBeamformer
 from repro.apps.ultrasound import UltrasoundBeamformer
 from repro.apps.ultrasound.array_geometry import TransducerArray, VoxelGrid
 from repro.apps.ultrasound.model_matrix import ImagingConfig, build_model_matrix
+from repro.ccglib import complex_mma
 from repro.ccglib import gemm as ccglib_gemm
 from repro.ccglib.gemm import Gemm
 from repro.ccglib.precision import Precision
@@ -311,23 +312,40 @@ class TestUltrasoundPreparesTheModelOnce:
 
 
 class TestLofarPreparesTheWeightsOnce:
-    """``LOFARBeamformer.prepare_weights`` converts the weight set once."""
+    """``LOFARBeamformer.prepare_weights`` rounds the weight set once."""
 
     N_CALLS = 5
     SHAPE = dict(n_beams=9, n_stations=24, n_samples=32, n_channels=3, n_polarizations=2)
 
-    def test_after_prepare_weights_only_the_data_is_converted(self, counts, rng):
+    @pytest.fixture
+    def rounded(self, monkeypatch):
+        """Shapes of the planes the NumPy float16 rounding writes, per call."""
+        shapes = []
+        original = complex_mma._round_f16_into
+
+        def counted(values, out):
+            shapes.append(out.shape[-3:])
+            return original(values, out)
+
+        monkeypatch.setattr(complex_mma, "_round_f16_into", counted)
+        return shapes
+
+    def test_after_prepare_weights_only_the_data_is_rounded(self, counts, rounded, rng):
         w = random_complex(rng, (6, 9, 24))
         blocks = [random_complex(rng, (6, 24, 32), scale=3.0) for _ in range(self.N_CALLS)]
+        a_planes, b_planes = (2, 9, 24), (2, 24, 32)
         per_call = LOFARBeamformer(Device("A100"), **self.SHAPE)
         want = [per_call.form_beams(w, d).beams.tobytes() for d in blocks]
-        counts.update(to_planar=0)
+        # The per-call weights are rounded on every block.
+        assert rounded.count(a_planes) == rounded.count(b_planes) >= self.N_CALLS
+        rounded.clear()
         bf = LOFARBeamformer(Device("A100"), **self.SHAPE)
         bf.prepare_weights(w)
-        assert counts == {"pack_sign_planar": 0, "to_planar": 1}
+        assert rounded == [a_planes]
         got = [bf.form_beams(None, d).beams.tobytes() for d in blocks]
-        # One planar conversion per block: the data's.
-        assert counts == {"pack_sign_planar": 0, "to_planar": 1 + self.N_CALLS}
+        # Every later rounding is the data's; no planar conversion anywhere.
+        assert rounded.count(a_planes) == 1 and len(rounded) > self.N_CALLS
+        assert counts == {"pack_sign_planar": 0, "to_planar": 0}
         assert got == want
 
 

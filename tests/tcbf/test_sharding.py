@@ -15,6 +15,7 @@ from repro.tcbf import (
     ShardedBeamformer,
     execute_shards,
     merge_batch_operands,
+    rms,
     split_batched_output,
     split_extent,
 )
@@ -247,6 +248,39 @@ class TestFunctionalSharding:
             [Device("A100"), Device("A100")], shard_dim="beams", **kwargs
         ).execute(w, d)
         assert np.array_equal(sharded.output, single.output)
+
+    def test_beam_shard_restores_the_scale_in_place(self, rng, monkeypatch):
+        # Each beams shard multiplies its own fresh output by the global
+        # scale in place: the bytes are those of the out-of-place product,
+        # and the array is the one the shard's plan returned.
+        batch, m, k, n = 2, 9, 24, 10
+        w = random_complex(rng, (batch, m, k))
+        d = random_complex(rng, (batch, k, n), scale=7.0)
+        kwargs = dict(n_beams=m, n_receivers=k, n_samples=n, batch=batch,
+                      include_transpose=False, restore_output_scale=True)
+        sharded = ShardedBeamformer([Device("A100"), Device("A100")], shard_dim="beams", **kwargs)
+        returned = []
+        execute = BeamformerPlan.execute
+
+        def recording(plan, *args, **kw):
+            result = execute(plan, *args, **kw)
+            returned.append(result.output)
+            return result
+
+        monkeypatch.setattr(BeamformerPlan, "execute", recording)
+        result = sharded.execute(w, d)
+        monkeypatch.undo()
+        scale = rms(d)
+        unit = (d / scale).astype(np.complex64)
+        bounds = np.cumsum([0] + sharded.shard_sizes)
+        for plan, shard, own, lo, hi in zip(
+            sharded.plans, result.shards, returned, bounds[:-1], bounds[1:]
+        ):
+            assert shard.output is own
+            want = plan.execute(w[:, lo:hi], unit, scale=1.0).output * scale
+            assert shard.output.tobytes() == want.tobytes()
+        merged = np.concatenate([s.output for s in result.shards], axis=1)
+        assert result.output.tobytes() == merged.tobytes()
 
     def test_float16_batch_shard_close(self, rng):
         batch, m, k, n = 2, 4, 32, 8
