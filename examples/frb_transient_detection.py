@@ -32,7 +32,6 @@ from repro.apps.radioastronomy import (
     lofar_like_layout,
     steering_weights,
 )
-from repro.util.units import tera
 
 rng = np.random.default_rng(42)
 

@@ -11,8 +11,6 @@ analysis for the NVIDIA GPUs at paper scale.
 Run:  python examples/ultrasound_imaging.py
 """
 
-import numpy as np
-
 from repro import Device, Precision
 from repro.apps.ultrasound import (
     ClutterFilter,

@@ -36,11 +36,6 @@ class ArrayLayout:
     def n_stations(self) -> int:
         return self.positions.shape[0]
 
-    def baselines(self) -> np.ndarray:
-        """(n, n) pairwise distances; longest sets angular resolution."""
-        diff = self.positions[:, None, :] - self.positions[None, :, :]
-        return np.linalg.norm(diff, axis=-1)
-
 
 def lofar_like_layout(
     n_stations: int = 48,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.apps.radioastronomy.beamformer import LOFARBeamformer
-from repro.apps.radioastronomy.coordinates import ArrayLayout, lofar_like_layout
+from repro.apps.radioastronomy.coordinates import lofar_like_layout
 from repro.apps.radioastronomy.pulsar import PulsarDetection, search_beams
 from repro.apps.radioastronomy.sky import Observation, PointSource, Pulsar, generate_station_data
 from repro.apps.radioastronomy.weights import beam_grid, steering_weights
@@ -36,9 +36,6 @@ class ObservationResult:
     def beam_powers(self) -> np.ndarray:
         """(n_beams, n_channels, n_samples) power cube for post-processing."""
         return np.transpose(np.abs(self.beams) ** 2, (1, 0, 2))
-
-    def brightest_beam(self) -> int:
-        return int(self.beam_powers().mean(axis=(1, 2)).argmax())
 
 
 def run_observation(

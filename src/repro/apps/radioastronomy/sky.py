@@ -15,12 +15,11 @@ is exactly what the central (coherent) beamformer undoes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.apps.radioastronomy.coordinates import ArrayLayout, geometric_delay
-from repro.errors import ShapeError
 from repro.util.rng import derive_seed, make_rng
 
 #: dispersion constant in ms GHz^2 / (pc cm^-3).

@@ -15,7 +15,7 @@ TCBF consumes station-level data generated directly by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -19,7 +19,7 @@ a spatial encoding mask". We model:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

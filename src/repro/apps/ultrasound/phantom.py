@@ -18,7 +18,7 @@ Doppler signature the clutter filter can isolate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np

@@ -234,13 +234,6 @@ def _pad32(k: int) -> int:
     return -(-k // 32) * 32
 
 
-def validate_all(quick: bool = False, seed: int = 1234) -> dict[str, ValidationReport]:
-    """Validate every backend importable in this environment."""
-    return {
-        name: validate_backend(name, quick=quick, seed=seed) for name in available_backends()
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code (0 = all backends pass)."""
     argv = sys.argv[1:] if argv is None else argv

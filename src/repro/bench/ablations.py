@@ -19,7 +19,7 @@ import dataclasses
 
 from repro.bench.report import ExperimentResult
 from repro.ccglib.perfmodel import GemmProblem, model_gemm
-from repro.ccglib.precision import Precision, traits
+from repro.ccglib.precision import Precision
 from repro.ccglib.tuning import TABLE_III, published_tuning
 from repro.errors import KernelConfigError
 from repro.gpusim.arch import BitOp, FRAG_INT1_8x8x128, FRAG_INT1_16x8x256

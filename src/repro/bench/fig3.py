@@ -12,7 +12,7 @@ the theoretical float32-core maximum.
 from __future__ import annotations
 
 from repro.bench.report import ExperimentResult
-from repro.ccglib.perfmodel import model_gemm, theoretical_min_bytes
+from repro.ccglib.perfmodel import model_gemm
 from repro.ccglib.precision import Precision
 from repro.gpusim.specs import GPU_CATALOG
 from repro.kerneltuner.strategies import GreedyILS

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from repro.bench.report import ExperimentResult
 from repro.cudapeak.microbench import run_table1
-from repro.gpusim.arch import BitOp
 from repro.util.formatting import render_table
 
 #: Paper Table I "Measured performance" values, keyed by

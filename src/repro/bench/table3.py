@@ -12,8 +12,7 @@ Two comparisons per row:
 from __future__ import annotations
 
 from repro.bench.report import ExperimentResult
-from repro.ccglib.perfmodel import GemmProblem, model_gemm
-from repro.ccglib.precision import Precision
+from repro.ccglib.perfmodel import model_gemm
 from repro.ccglib.tuning import TABLE_III
 from repro.gpusim.specs import get_spec
 from repro.kerneltuner.tuner import PAPER_TUNING_PROBLEMS, tune_gemm

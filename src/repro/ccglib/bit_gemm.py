@@ -38,7 +38,7 @@ from repro.backend import ArrayBackend, get_backend
 from repro.ccglib.layouts import IMAG, REAL
 from repro.errors import ShapeError
 from repro.gpusim.arch import BitOp
-from repro.util.bits import PACK_WORD_BITS, bits_to_sign, popcount, popcount_gemm, unpack_bits
+from repro.util.bits import PACK_WORD_BITS, bits_to_sign, popcount, popcount_gemm
 
 #: default N-block of the popcount accumulation; bounds each step's
 #: (M, n_block) combine/count tile and its int32 accumulator.
@@ -148,15 +148,6 @@ def real_bit_dot(a_words: np.ndarray, b_words: np.ndarray, k: int) -> int:
     return k - 2 * p
 
 
-def real_bit_dot_and(a_words: np.ndarray, b_words: np.ndarray, k: int) -> int:
-    """Real-valued ±1 dot product with AND ops, Eq. 6:
-    ``2*(popc(A & B) + popc(~A & ~B)) - K``."""
-    a_words = np.atleast_1d(np.asarray(a_words, dtype=np.uint32))
-    b_words = np.atleast_1d(np.asarray(b_words, dtype=np.uint32))
-    same = int(popcount(a_words & b_words).sum()) + int(popcount(~a_words & ~b_words).sum())
-    return 2 * same - k
-
-
 def bit_gemm_reference(a_bits: np.ndarray, b_bits: np.ndarray) -> np.ndarray:
     """Unpacked ±1 complex reference GEMM for validation.
 
@@ -173,8 +164,3 @@ def bit_gemm_reference(a_bits: np.ndarray, b_bits: np.ndarray) -> np.ndarray:
     real = a_re @ b_re.T - a_im @ b_im.T
     imag = a_re @ b_im.T + a_im @ b_re.T
     return np.stack([real, imag])
-
-
-def unpack_planar(words, k_valid: int, backend: ArrayBackend | None = None):
-    """Unpack a planar packed matrix (..., 2, R, W) to bits (..., 2, R, k_valid)."""
-    return unpack_bits(words, axis=-1, count=k_valid, backend=backend)

@@ -18,9 +18,10 @@ Two artifacts live here:
   this is why Table III tunes A100 int1 to 4 buffers but all float16
   kernels to 2.
 * :class:`MultiStageBuffer` — a functional model of the producer/consumer
-  stage cycling with the CUDA-pipeline commit/wait semantics, used by tests
-  to verify that no stage is read before it is written and that exactly
-  ``num_buffers`` stages are ever in flight.
+  stage cycling with the CUDA-pipeline commit/wait semantics: no stage is
+  read before it is written and at most ``num_buffers`` stages are ever in
+  flight. :class:`~repro.tcbf.streaming.BlockExecutor` drives it with one
+  stage per data block.
 """
 
 from __future__ import annotations
@@ -120,37 +121,3 @@ class MultiStageBuffer:
         self._stages[self._tail] = _Stage()
         self._tail = (self._tail + 1) % self.num_buffers
         self._in_flight -= 1
-
-    @property
-    def stages_in_flight(self) -> int:
-        return self._in_flight
-
-
-def run_pipelined_chunks(num_buffers: int, chunk_ids: list[int]) -> list[int]:
-    """Drive a :class:`MultiStageBuffer` over a chunk sequence.
-
-    Software-pipelines like the kernel does: prefetch up to ``num_buffers``
-    chunks, then steady-state consume-one/prefetch-one. Returns the chunk
-    ids in consumption order (must equal the input order — a test invariant).
-    """
-    pipe = MultiStageBuffer(num_buffers)
-    consumed: list[int] = []
-    produce_iter = iter(chunk_ids)
-    # Prefetch phase.
-    prefetched = []
-    for _ in range(min(num_buffers, len(chunk_ids))):
-        cid = next(produce_iter)
-        prefetched.append(pipe.producer_acquire(cid))
-    for idx in prefetched:
-        pipe.producer_commit(idx)
-    # Steady state.
-    remaining = len(chunk_ids)
-    while remaining:
-        consumed.append(pipe.consumer_wait())
-        pipe.consumer_release()
-        remaining -= 1
-        nxt = next(produce_iter, None)
-        if nxt is not None:
-            idx = pipe.producer_acquire(nxt)
-            pipe.producer_commit(idx)
-    return consumed

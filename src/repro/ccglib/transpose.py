@@ -26,7 +26,7 @@ from repro.backend import ArrayBackend, get_backend
 from repro.errors import ShapeError
 from repro.gpusim.device import Device
 from repro.gpusim.timing import Bound, KernelCost
-from repro.util.validation import ceil_div, round_up
+from repro.util.validation import round_up
 
 
 def _ascontiguous(array, xp):
@@ -50,14 +50,6 @@ class TiledMatrix:
     cols: int
     tile_r: int
     tile_c: int
-
-    @property
-    def padded_rows(self) -> int:
-        return self.tiles.shape[1] * self.tile_r
-
-    @property
-    def padded_cols(self) -> int:
-        return self.tiles.shape[2] * self.tile_c
 
 
 def tile_planar(
@@ -162,8 +154,3 @@ def run_transpose_kernel(
     if device.is_functional and planar_kn is not None:
         return planar_to_kmajor(planar_kn, backend=backend), cost
     return None, cost
-
-
-def count_tiles(rows: int, cols: int, tile_r: int, tile_c: int) -> tuple[int, int]:
-    """Tile-grid dimensions for a padded matrix."""
-    return ceil_div(rows, tile_r), ceil_div(cols, tile_c)

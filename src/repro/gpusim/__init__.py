@@ -38,7 +38,7 @@ from repro.gpusim.specs import (
     MI300X,
     MI300A,
 )
-from repro.gpusim.device import Device, ExecutionMode, Stream, Event
+from repro.gpusim.device import Device, ExecutionMode, Stream
 from repro.gpusim.timing import KernelCost, Bound, combine_costs
 from repro.gpusim.memory import DeviceBuffer, MemoryPool
 
@@ -66,7 +66,6 @@ __all__ = [
     "Device",
     "ExecutionMode",
     "Stream",
-    "Event",
     "KernelCost",
     "Bound",
     "combine_costs",

@@ -20,7 +20,7 @@ Encodes the architecture-level facts the paper relies on:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import UnsupportedFragmentError, UnsupportedPrecisionError
 

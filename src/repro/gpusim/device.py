@@ -18,11 +18,10 @@ needs to know whether time comes from cudaEventElapsedTime or from a model.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import DeviceError
 from repro.gpusim.clock import ClockModel
 from repro.gpusim.memory import DeviceBuffer, MemoryPool
 from repro.gpusim.power import PowerModel
@@ -46,26 +45,11 @@ class TimelineEntry:
     cost: KernelCost
 
 
-@dataclass
-class Event:
-    """A CUDA-event-like timestamp marker on a stream."""
-
-    time_s: float | None = None
-
-    def elapsed_since(self, other: "Event") -> float:
-        if self.time_s is None or other.time_s is None:
-            raise DeviceError("event not recorded yet")
-        return self.time_s - other.time_s
-
-
 class Stream:
     """An in-order execution queue; kernels on one stream serialize."""
 
     def __init__(self, device: "Device"):
         self._device = device
-
-    def record_event(self) -> Event:
-        return Event(time_s=self._device.now_s)
 
     def launch(self, cost: KernelCost) -> TimelineEntry:
         return self._device.record_kernel(cost)
@@ -137,22 +121,6 @@ class Device:
         self._now_s = entry.end_s
         self._timeline.append(entry)
         return entry
-
-    def reset_timeline(self) -> None:
-        """Clear execution history (keeps allocations)."""
-        self._now_s = 0.0
-        self._timeline.clear()
-
-    # -- aggregate statistics ----------------------------------------------
-
-    def total_time_s(self) -> float:
-        return sum(e.cost.time_s for e in self._timeline)
-
-    def total_energy_j(self) -> float:
-        return sum(e.cost.energy_j for e in self._timeline)
-
-    def total_useful_ops(self) -> float:
-        return sum(e.cost.useful_ops for e in self._timeline)
 
     def power_at(self, t_s: float) -> float:
         """Instantaneous power at simulated time ``t_s`` (idle between kernels).

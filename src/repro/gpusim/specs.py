@@ -22,7 +22,7 @@ are the documented substitution for running on real hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import DeviceError
 from repro.gpusim.arch import Architecture, ArchCapabilities, capabilities
@@ -96,14 +96,6 @@ class GPUSpec:
             return self.tensor_peak_tops[precision] * tera
         except KeyError as exc:
             raise DeviceError(f"{self.name} has no {precision} tensor peak") from exc
-
-    def sustained_peak_ops(self, precision: str) -> float:
-        """Tensor peak at the actually sustained clock, ops/s."""
-        return self.theoretical_peak_ops(precision) * self.sustained_clock_fraction
-
-    def wmma_peak_ops(self, precision: str) -> float:
-        """Peak reachable through the WMMA interface (0.65x on Hopper)."""
-        return self.sustained_peak_ops(precision) * self.caps.wmma_interface_factor
 
     def mem_bandwidth_bytes(self) -> float:
         return self.mem_bandwidth_gbs * giga

@@ -13,9 +13,10 @@ Reproduces the *numerics* of the WMMA instructions ccglib issues:
   epilogue, not by the instruction. We mirror that split: these functions
   accumulate raw population counts.
 
-Only fragment-shape validation is architecture-dependent; the arithmetic
-itself is identical across devices, which is what lets ccglib hide CUDA/HIP
-differences behind one interface.
+Only the fragment shapes are architecture-dependent
+(:meth:`~repro.gpusim.arch.ArchCapabilities.require_fragment`); the
+arithmetic itself is identical across devices, which is what lets ccglib
+hide CUDA/HIP differences behind one interface.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.gpusim.arch import ArchCapabilities, BitOp, FragmentShape
+from repro.gpusim.arch import BitOp
 from repro.util.bits import popcount_gemm
 
 
@@ -104,15 +105,3 @@ def bmma_and(a_words: np.ndarray, b_words: np.ndarray, c: np.ndarray | None = No
     out = _bmma(a_words, b_words, BitOp.AND)
     return out if c is None else c + out
 
-
-def validate_fragment_tile(
-    caps: ArchCapabilities, precision: str, frag: FragmentShape, m: int, n: int, k: int
-) -> None:
-    """Check that an (m, n, k) tile decomposes into whole fragments.
-
-    ccglib pads matrices so that kernels only ever see whole fragments; this
-    guard catches internal tiling bugs early in the functional path.
-    """
-    caps.require_fragment(precision, frag)
-    if m % frag.m or n % frag.n or k % frag.k:
-        raise ShapeError(f"tile {m}x{n}x{k} is not a multiple of fragment {frag} — pad first")

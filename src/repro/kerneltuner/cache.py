@@ -1,15 +1,13 @@
 """Tuning result cache.
 
-Kernel Tuner persists evaluated configurations so repeated tuning runs (and
-crash recovery) skip known points. We reproduce a JSON-file cache keyed by
-(device, precision, problem shape, configuration).
+Kernel Tuner caches evaluated configurations so repeated tuning runs skip
+known points. We reproduce that cache in memory, keyed by (device,
+precision, problem shape, configuration).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.kerneltuner.space import Config
 
@@ -21,16 +19,9 @@ def _key(device: str, precision: str, problem_key: str, config: Config) -> str:
 
 @dataclass
 class TuningCache:
-    """In-memory cache with optional JSON persistence."""
+    """In-memory cache of evaluated configurations."""
 
-    path: Path | None = None
     _entries: dict[str, dict[str, float]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.path is not None:
-            self.path = Path(self.path)
-            if self.path.exists():
-                self._entries = json.loads(self.path.read_text())
 
     def get(
         self, device: str, precision: str, problem_key: str, config: Config
@@ -46,12 +37,6 @@ class TuningCache:
         metrics: dict[str, float],
     ) -> None:
         self._entries[_key(device, precision, problem_key, config)] = dict(metrics)
-
-    def flush(self) -> None:
-        """Write the cache to disk (no-op for purely in-memory caches)."""
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text(json.dumps(self._entries, indent=1, sort_keys=True))
 
     def __len__(self) -> int:
         return len(self._entries)

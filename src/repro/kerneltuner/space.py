@@ -49,13 +49,6 @@ class SearchSpace:
             if self.is_valid(config):
                 yield config
 
-    def cardinality_unrestricted(self) -> int:
-        """Cartesian size before restrictions."""
-        out = 1
-        for values in self.parameters.values():
-            out *= len(values)
-        return out
-
     def enumerate_valid(self) -> list[Config]:
         return list(self)
 

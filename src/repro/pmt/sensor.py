@@ -10,7 +10,6 @@ short kernels are not under-sampled the way real counters can be).
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 
 from repro.errors import PowerError
@@ -26,7 +25,7 @@ class PowerReading:
     watts: float
 
 
-class PowerSensor(abc.ABC):
+class PowerSensor:
     """Samples instantaneous device power at a simulated timestamp."""
 
     #: sensor poll interval in seconds.
@@ -34,11 +33,6 @@ class PowerSensor(abc.ABC):
 
     def __init__(self, device: Device):
         self.device = device
-
-    @property
-    @abc.abstractmethod
-    def backend_name(self) -> str:
-        """Name of the native counter backend this sensor models."""
 
     def sample(self, time_s: float | None = None) -> PowerReading:
         """Read instantaneous power at ``time_s`` (default: device 'now')."""
@@ -69,17 +63,9 @@ class PowerSensor(abc.ABC):
 class NVMLSensor(PowerSensor):
     """NVIDIA Management Library power counter model."""
 
-    @property
-    def backend_name(self) -> str:
-        return "nvml"
-
 
 class ROCmSMISensor(PowerSensor):
     """rocm-smi power counter model."""
-
-    @property
-    def backend_name(self) -> str:
-        return "rocm-smi"
 
 
 def create_sensor(device: Device) -> PowerSensor:

@@ -128,11 +128,6 @@ class Batch:
         return len(self.requests)
 
     @property
-    def merged_batch(self) -> int:
-        """Batch extent of the merged plan execution."""
-        return self.n_requests * self.workload.batch_per_request
-
-    @property
     def useful_ops(self) -> float:
         """GEMM operations the member requests actually asked for."""
         return sum(r.workload.request_ops() for r in self.requests)
@@ -156,15 +151,6 @@ class Batch:
     def tenant(self) -> str:
         """The one caller this launch is accountable to."""
         return self.workload.tenant
-
-    @property
-    def oldest_arrival_s(self) -> float:
-        return self.requests[0].arrival_s
-
-    @property
-    def batching_delay_s(self) -> float:
-        """Time the oldest member spent waiting for the batch to form."""
-        return self.formed_s - self.oldest_arrival_s
 
     # -- pipeline-stage residency (zero for source-stage batches) ------------
 
@@ -318,18 +304,6 @@ class MicroBatcher:
         )
         batches = []
         for key in due_keys:
-            self.n_flushed_timer += 1
-            batches.append(self._flush(key, self._groups[key].deadline_s, cause="max_wait"))
-        return batches
-
-    def flush_all(self) -> list[Batch]:
-        """Drain every forming batch at its deadline (end-of-trace flush)."""
-        keys = sorted(
-            self._groups,
-            key=lambda key: (self._groups[key].deadline_s, self._groups[key].seq),
-        )
-        batches = []
-        for key in keys:
             self.n_flushed_timer += 1
             batches.append(self._flush(key, self._groups[key].deadline_s, cause="max_wait"))
         return batches

@@ -106,15 +106,6 @@ class PlanCache:
         """
         return (id(device), workload.compat_key(), n_requests)
 
-    def contains(self, device: Device, workload: Workload, n_requests: int) -> bool:
-        """Whether a dispatch would hit, without touching LRU order."""
-        segment = self._segments.get(id(device))
-        return segment is not None and self.key(device, workload, n_requests) in segment
-
-    def entries_for(self, device: Device) -> int:
-        """Resident entry count of one device's segment."""
-        return len(self._segments.get(id(device), ()))
-
     def segment_stats(self, device: Device) -> tuple[int, int]:
         """Lifetime ``(hits, misses)`` of one device's segment.
 

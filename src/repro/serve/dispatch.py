@@ -81,11 +81,6 @@ class BatchExecution:
     shards: list["BatchExecution"] | None = None
 
     @property
-    def queue_delay_s(self) -> float:
-        """Time the batch waited for the worker (excludes batching delay)."""
-        return self.start_s - self.ready_s
-
-    @property
     def service_s(self) -> float:
         return self.completion_s - self.start_s
 

@@ -116,16 +116,8 @@ class ErrorBudget:
         if not good:
             insort(self._bad_times, t_s)
 
-    @property
-    def n_events(self) -> int:
-        return len(self._times)
-
-    @property
-    def n_bad(self) -> int:
-        return len(self._bad_times)
-
     def window_counts(self, window_s: float, now: float) -> tuple[int, int]:
-        """``(n_events, n_bad)`` in the window ``(now - window_s, now]``."""
+        """Event and bad-event counts in the window ``(now - window_s, now]``."""
         if window_s <= 0:
             raise ShapeError(f"window_s must be positive, got {window_s}")
         start = now - window_s

@@ -122,20 +122,6 @@ class FleetTimeline:
             return
         self.points.append((t_s, accepting, provisioned))
 
-    def size_at(self, t_s: float) -> int:
-        """Accepting fleet size in effect at ``t_s`` (0 before any point)."""
-        size = 0
-        for t, accepting, _ in self.points:
-            if t > t_s:
-                break
-            size = accepting
-        return size
-
-    @property
-    def peak_size(self) -> int:
-        """Largest *accepting* size reached (the serving-capacity peak)."""
-        return max((accepting for _, accepting, _ in self.points), default=0)
-
     @property
     def peak_provisioned(self) -> int:
         """Largest *provisioned* size reached (the cost peak — draining

@@ -281,8 +281,8 @@ class PipelineWorkload:
     Topology rules, checked at construction: stage names are unique, every
     dependency names an earlier-declared-or-later stage that exists, the
     graph is acyclic, and exactly one stage has no dependencies (the
-    *source* — the stage arrivals enter at). Multiple sinks are allowed; a
-    request completes when its last stage does.
+    *source* — the stage arrivals enter at). Several stages may have no
+    successor; a request completes when its last stage does.
 
     ``priority`` / ``tenant``, when given, are inherited by every stage
     workload (the whole pipeline schedules as one class and bills one
@@ -295,8 +295,8 @@ class PipelineWorkload:
     a compat key; a single-stage pipeline keeps its workload's own name.
 
     The topology lookups (:meth:`stage`, :meth:`stage_index`,
-    :meth:`successors`, :attr:`sinks`, :attr:`source`) are tables built
-    once here: the service consults them on every stage completion.
+    :meth:`successors`, :attr:`source`) are tables built once here: the
+    service consults them on every stage completion.
     """
 
     name: str
@@ -362,7 +362,6 @@ class PipelineWorkload:
             "_successors",
             {name: tuple(by_name[s] for s in succ) for name, succ in successors.items()},
         )
-        object.__setattr__(self, "_sinks", tuple(s for s in stages if not successors[s.name]))
 
     def _topo_sort(self, successors: dict[str, list[str]]) -> list[str]:
         indegree = {stage.name: len(stage.depends_on) for stage in self.stages}
@@ -409,11 +408,6 @@ class PipelineWorkload:
         """The unique entry stage — what an arrival's request executes first."""
         return self._by_name[self._topo[0]]  # type: ignore[attr-defined]
 
-    @property
-    def sinks(self) -> tuple[Stage, ...]:
-        """Stages nothing depends on; the request completes when all have run."""
-        return self._sinks  # type: ignore[attr-defined]
-
     def successors(self, name: str) -> tuple[Stage, ...]:
         """Stages that consume ``name``'s output, in declaration order."""
         return self._look_up(self._successors, name)  # type: ignore[attr-defined]
@@ -435,16 +429,6 @@ class PipelineWorkload:
                 ".kernel is defined for single-stage pipelines only"
             )
         return self.stages[0].workload
-
-    @property
-    def priority_class(self) -> int:
-        """The pipeline's scheduling class (the source stage's priority)."""
-        return self.source.workload.priority
-
-    @property
-    def tenant_name(self) -> str:
-        """The accountable caller (the source stage's tenant)."""
-        return self.source.workload.tenant
 
     def stage_input_bytes(self, name: str) -> int:
         """Bytes one request's ``name`` stage reads from its dependencies."""

@@ -353,7 +353,6 @@ class BeamformerPlan:
             costs=costs,
             total=total,
             n_frames=self.n_samples,
-            backend=self.backend,
         )
 
     # -- internals -----------------------------------------------------------

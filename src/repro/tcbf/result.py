@@ -14,9 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
-from repro.backend import ArrayBackend
 from repro.gpusim.timing import KernelCost
 from repro.util.units import tera
 
@@ -30,7 +27,8 @@ class BeamformResult:
     output:
         Complex output matrix — ``(batch, n_beams, n_samples)`` from a
         :class:`~repro.tcbf.plan.BeamformerPlan` (domain adapters may strip
-        the batch axis). ``None`` in dry-run mode.
+        the batch axis), an array of the plan's backend. ``None`` in
+        dry-run mode.
     costs:
         Per-kernel costs in execution order (``[transpose,] [pack,] gemm``).
     total:
@@ -39,25 +37,12 @@ class BeamformResult:
     n_frames:
         Samples/frames produced by this block — the denominator of the
         throughput accessors.
-    backend:
-        The :class:`~repro.backend.ArrayBackend` that produced ``output``
-        (``None`` for legacy/dry-run records). On a non-NumPy backend the
-        output stays a device array; use :meth:`output_numpy` to fetch it.
     """
 
     output: Any | None
     costs: list[KernelCost]
     total: KernelCost
     n_frames: int | None = None
-    backend: ArrayBackend | None = None
-
-    def output_numpy(self) -> np.ndarray | None:
-        """The output as a host NumPy array (``None`` in dry-run mode)."""
-        if self.output is None:
-            return None
-        if self.backend is not None:
-            return self.backend.to_numpy(self.output)
-        return np.asarray(self.output)
 
     # -- domain aliases ------------------------------------------------------
 

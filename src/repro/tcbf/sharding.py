@@ -195,13 +195,6 @@ class ShardResult:
     def tflops(self) -> float:
         return self.ops_per_second / tera
 
-    @property
-    def load_balance(self) -> float:
-        """mean / max shard time — 1.0 means a perfectly even split."""
-        times = [s.total.time_s for s in self.shards]
-        return (sum(times) / len(times)) / max(times) if max(times) > 0 else 1.0
-
-
 def execute_shards(
     plans: Sequence[BeamformerPlan],
     weights: Any | None,
@@ -351,16 +344,6 @@ class ShardedBeamformer:
     def predict_block_cost(self) -> list[KernelCost]:
         """Per-shard end-to-end block cost (nothing recorded)."""
         return [plan.predict_block_cost() for plan in self.plans]
-
-    def predicted_throughput(self) -> float:
-        """Aggregate modelled ops/s: total GEMM ops over the slowest shard.
-
-        The denominator is the end-to-end block time (stages included), the
-        numerator the GEMM operations only — consistent with
-        ``ShardResult.ops_per_second`` and the single-device metrics.
-        """
-        gemm_ops = sum(plan.predict_gemm_cost().useful_ops for plan in self.plans)
-        return gemm_ops / max(c.time_s for c in self.predict_block_cost())
 
     # -- execution -----------------------------------------------------------
 

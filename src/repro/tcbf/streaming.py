@@ -82,8 +82,7 @@ class BlockExecutor:
     empty pipeline — the same protocol the in-kernel pipeline enforces.
 
     Per-block history (``consumed``, the timing lists behind :meth:`stats`)
-    grows with the stream; a truly unbounded real-time loop should call
-    :meth:`reset_stats` at window boundaries to keep it O(window).
+    grows with the stream.
     """
 
     def __init__(self, plan: BeamformerPlan, num_buffers: int = 2):
@@ -97,10 +96,6 @@ class BlockExecutor:
         self._stage_in_times: list[float] = []
         self._compute_times: list[float] = []
         self._gemm_ops: list[float] = []
-
-    @property
-    def blocks_in_flight(self) -> int:
-        return self._pipe.stages_in_flight
 
     def submit(self, weights: Any | None = None, data: Any | None = None) -> int:
         """Stage one block for execution; returns its sequence id."""
@@ -165,30 +160,6 @@ class BlockExecutor:
                 self.submit(weights, blocks[submitted])
                 submitted += 1
         return results, self.stats(start_block=first_block)
-
-    def discard(self) -> int:
-        """Drop the oldest staged block without executing it.
-
-        The error-recovery path for a block :meth:`collect` rejected (e.g.
-        shape validation failure): releases its pipeline stage and returns
-        its id, leaving it out of ``consumed`` and the stats. Raises
-        :class:`~repro.errors.KernelConfigError` on an empty pipeline.
-        """
-        chunk_id = self._pipe.consumer_wait()
-        self._pipe.consumer_release()
-        self._staged.popleft()
-        return chunk_id
-
-    def reset_stats(self) -> None:
-        """Drop the collected per-block history (pipeline state is kept).
-
-        For endless streams: call at reporting-window boundaries so memory
-        stays bounded by the window, not the stream.
-        """
-        self.consumed.clear()
-        self._stage_in_times.clear()
-        self._compute_times.clear()
-        self._gemm_ops.clear()
 
     def stats(self, start_block: int = 0) -> StreamStats:
         """Timing aggregate over collected blocks.

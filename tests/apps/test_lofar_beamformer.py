@@ -18,7 +18,6 @@ from repro.apps.radioastronomy import (
     run_observation,
     steering_weights,
 )
-from repro.ccglib.precision import Precision
 from repro.errors import ShapeError
 from repro.gpusim.device import Device, ExecutionMode
 

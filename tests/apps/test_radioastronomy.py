@@ -38,12 +38,6 @@ class TestLayout:
         assert radii.min() < 2000
         assert radii.max() > 40000
 
-    def test_baselines_symmetric(self):
-        layout = lofar_like_layout(10)
-        b = layout.baselines()
-        assert np.allclose(b, b.T)
-        assert np.all(np.diag(b) == 0)
-
     def test_geometric_delay_zenith_zero(self):
         layout = lofar_like_layout(8)
         assert np.all(geometric_delay(layout.positions, 0.0, 0.0) == 0.0)

@@ -31,7 +31,7 @@ from repro.apps.ultrasound import (
 )
 from repro.ccglib.precision import Precision
 from repro.errors import ShapeError
-from repro.gpusim.device import Device, ExecutionMode
+from repro.gpusim.device import Device
 from repro.gpusim.specs import get_spec
 
 PROJ_AXIS = {"axial": 0, "coronal": 1, "sagittal": 2}

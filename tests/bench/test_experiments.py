@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.registry import EXPERIMENTS, run_all, run_experiment
+from repro.bench.registry import EXPERIMENTS, run_experiment
 from repro.bench.report import ExperimentResult
 from repro.errors import ReproError
 

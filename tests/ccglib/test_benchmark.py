@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.ccglib.benchmark import measure, size_grid, sweep_cubic, sweep_k, sweep_mn
 from repro.ccglib.perfmodel import GemmProblem
 from repro.ccglib.precision import Precision

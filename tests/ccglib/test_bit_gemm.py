@@ -12,12 +12,12 @@ from repro.ccglib.bit_gemm import (
     bit_gemm_reference,
     complex_bit_gemm,
     real_bit_dot,
-    real_bit_dot_and,
-    unpack_planar,
 )
+from repro.ccglib.packing import unpack_sign_planar
 from repro.errors import ShapeError
 from repro.gpusim.arch import BitOp
-from repro.util.bits import pack_bits, pad_to_words
+from repro.gpusim.tensorcore import bmma_and, bmma_xor
+from repro.util.bits import pack_bits, pad_to_words, unpack_bits
 from tests.conftest import GenericNumpyBackend
 
 
@@ -182,11 +182,16 @@ class TestWordMajorEdges:
 class TestRealBitDot:
     @given(st.integers(0, 2**31), st.integers(1, 4))
     def test_xor_and_agree(self, seed, words):
+        # Eq. 4 on the XOR fragment op and Eq. 6 (two AND passes, the Hopper
+        # form) on the AND op give the same dot as real_bit_dot.
         rng = np.random.default_rng(seed)
-        a = rng.integers(0, 2**32, size=words, dtype=np.uint32)
-        b = rng.integers(0, 2**32, size=words, dtype=np.uint32)
+        a = rng.integers(0, 2**32, size=(1, words), dtype=np.uint32)
+        b = rng.integers(0, 2**32, size=(1, words), dtype=np.uint32)
         k = 32 * words
-        assert real_bit_dot(a, b, k) == real_bit_dot_and(a, b, k)
+        dot = real_bit_dot(a[0], b[0], k)
+        assert dot == k - 2 * int(bmma_xor(a, b)[0, 0])
+        same = int(bmma_and(a, b)[0, 0]) + int(bmma_and(~a, ~b)[0, 0])
+        assert dot == 2 * same - k
 
     @given(st.integers(0, 2**31), st.integers(1, 3))
     def test_matches_sign_arithmetic(self, seed, words):
@@ -202,6 +207,10 @@ class TestRealBitDot:
 
 class TestUnpackPlanar:
     def test_roundtrip(self, rng):
-        bits = rng.integers(0, 2, size=(2, 3, 64)).astype(np.uint8)
+        # The operands built above unpack through the library's own word
+        # layout, padding trimmed: the bits as {0, 1} and as the ±1 signs.
+        bits = rng.integers(0, 2, size=(2, 3, 70)).astype(np.uint8)
         words = _pack_planar_bits(bits)
-        assert np.array_equal(unpack_planar(words, 64), bits)
+        assert np.array_equal(unpack_bits(words, axis=-1, count=70), bits)
+        signs = unpack_sign_planar(words, 70)
+        assert np.array_equal(signs, bits.astype(np.int8) * 2 - 1)

@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.ccglib.pipeline import (
-    MultiStageBuffer,
-    overlap_factor,
-    run_pipelined_chunks,
-)
+from repro.ccglib.pipeline import MultiStageBuffer, overlap_factor
 from repro.ccglib.precision import Precision
 from repro.errors import KernelConfigError
 from repro.gpusim.arch import Architecture, capabilities
+from repro.gpusim.device import Device, ExecutionMode
+from repro.tcbf import BeamformerPlan, BlockExecutor
 
 
 class TestOverlapFactor:
@@ -57,7 +55,10 @@ class TestMultiStageBuffer:
         pipe.producer_commit(i0)
         assert pipe.consumer_wait() == 10
         pipe.consumer_release()
-        assert pipe.stages_in_flight == 0
+        with pytest.raises(KernelConfigError):
+            pipe.consumer_wait()  # drained
+        pipe.producer_acquire(11)
+        pipe.producer_acquire(12)  # both stages free again
 
     def test_overrun_detected(self):
         pipe = MultiStageBuffer(2)
@@ -85,14 +86,30 @@ class TestMultiStageBuffer:
 
 
 class TestPipelinedExecution:
+    """The buffer driven the way production drives it: one stage per block
+    of a :class:`~repro.tcbf.streaming.BlockExecutor` stream."""
+
     @given(st.integers(1, 6), st.integers(0, 40))
     def test_order_preserved(self, depth, n_chunks):
-        chunks = list(range(n_chunks))
-        assert run_pipelined_chunks(depth, chunks) == chunks
+        plan = BeamformerPlan(
+            Device("A100", ExecutionMode.DRY_RUN), n_beams=64, n_receivers=64, n_samples=64
+        )
+        executor = BlockExecutor(plan, num_buffers=depth)
+        results, _ = executor.run_stream([None] * n_chunks)
+        assert executor.consumed == list(range(n_chunks))
+        assert len(results) == n_chunks
 
     @given(st.integers(1, 4))
     def test_in_flight_bounded(self, depth):
-        # Indirect check via the protocol: a longer sequence than depth must
-        # still complete, proving release/acquire cycling works.
-        chunks = list(range(depth * 3 + 1))
-        assert run_pipelined_chunks(depth, chunks) == chunks
+        # A stream longer than the ring completes only if every collect
+        # releases its stage; afterwards exactly ``depth`` stages are free.
+        plan = BeamformerPlan(
+            Device("A100", ExecutionMode.DRY_RUN), n_beams=64, n_receivers=64, n_samples=64
+        )
+        executor = BlockExecutor(plan, num_buffers=depth)
+        executor.run_stream([None] * (depth * 3 + 1))
+        assert executor.consumed == list(range(depth * 3 + 1))
+        for _ in range(depth):
+            executor.submit()
+        with pytest.raises(KernelConfigError):
+            executor.submit()

@@ -8,15 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ShapeError
-from repro.gpusim.arch import Architecture, FRAG_FLOAT16_16x16x16, capabilities, FragmentShape
-from repro.gpusim.tensorcore import (
-    bmma_and,
-    bmma_xor,
-    mma_f16,
-    quantize_f16,
-    validate_fragment_tile,
-)
-from repro.util.bits import popcount
+from repro.gpusim.tensorcore import bmma_and, bmma_xor, mma_f16
 
 
 class TestMmaF16:
@@ -95,13 +87,3 @@ class TestBinaryMma:
         with pytest.raises(ShapeError):
             bmma_xor(np.zeros((1, 2), dtype=np.uint32), np.zeros((1, 3), dtype=np.uint32))
 
-
-class TestFragmentTileValidation:
-    def test_accepts_whole_fragments(self):
-        caps = capabilities(Architecture.AMPERE)
-        validate_fragment_tile(caps, "float16", FRAG_FLOAT16_16x16x16, 32, 48, 64)
-
-    def test_rejects_partial_fragments(self):
-        caps = capabilities(Architecture.AMPERE)
-        with pytest.raises(ShapeError, match="pad first"):
-            validate_fragment_tile(caps, "float16", FRAG_FLOAT16_16x16x16, 17, 16, 16)

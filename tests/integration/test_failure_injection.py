@@ -25,7 +25,6 @@ from repro.errors import (
     UnsupportedPrecisionError,
 )
 from repro.gpusim.device import Device, ExecutionMode
-from repro.gpusim.specs import get_spec
 
 
 class TestCapabilityFailures:
@@ -53,17 +52,21 @@ class TestCapabilityFailures:
 class TestCapacityFailures:
     def test_oversized_allocation_is_atomic(self):
         dev = Device("AD4000", ExecutionMode.DRY_RUN)  # 20 GB
-        dev.allocate((2**30,), np.float32)  # 4 GB fine
-        before = dev.memory.allocated_bytes
+        first = dev.allocate((2**30,), np.float32)  # 4 GB fine
         with pytest.raises(MemoryError_):
             dev.allocate((5 * 2**30,), np.float32)  # 20 GB more: too much
-        assert dev.memory.allocated_bytes == before  # nothing leaked
+        # Nothing leaked: everything but the first buffer is still free.
+        dev.allocate((dev.memory.capacity_bytes - first.nbytes,), np.uint8)
 
     def test_functional_access_of_dry_buffer(self):
+        # A dry-run device holds no data: an upload keeps only metadata, and
+        # a GEMM given host arrays there returns a cost and no output.
         dev = Device("A100", ExecutionMode.DRY_RUN)
-        buf = dev.allocate((8,), np.float32)
-        with pytest.raises(MemoryError_, match="dry-run"):
-            buf.require_data()
+        a = np.ones((1, 16, 32), dtype=np.complex64)
+        assert dev.upload(a).data is None
+        result = Gemm(dev, Precision.FLOAT16, 1, 16, 8, 32).run(a, np.ones((1, 32, 8), np.complex64))
+        assert result.output is None
+        assert result.cost.time_s > 0
 
 
 class TestProtocolMisuse:

@@ -10,8 +10,6 @@ efficient."
 
 from __future__ import annotations
 
-import pytest
-
 from repro.apps.radioastronomy.beamformer import LOFARBeamformer
 from repro.apps.radioastronomy.reference import ReferenceBeamformer
 from repro.ccglib.perfmodel import model_gemm

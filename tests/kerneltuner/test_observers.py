@@ -56,13 +56,3 @@ class TestCache:
         cache = TuningCache()
         cache.put("A100", "float16", "p1", {"block_m": 128}, {"tops": 1.0})
         assert cache.get("A100", "float16", "p2", {"block_m": 128}) is None
-
-    def test_persistence(self, tmp_path):
-        path = tmp_path / "sub" / "cache.json"
-        cache = TuningCache(path=path)
-        cache.put("GH200", "int1", "p", {"x": 1}, {"tops": 9.0})
-        cache.flush()
-        assert TuningCache(path=path).get("GH200", "int1", "p", {"x": 1}) == {"tops": 9.0}
-
-    def test_flush_without_path_is_noop(self):
-        TuningCache().flush()

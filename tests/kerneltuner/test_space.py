@@ -27,7 +27,9 @@ class TestSearchSpace:
 
     def test_cardinality_unrestricted(self):
         space = SearchSpace(parameters={"a": [1, 2], "b": [1, 2, 3]})
-        assert space.cardinality_unrestricted() == 6
+        configs = space.enumerate_valid()
+        assert len(configs) == 6
+        assert len({tuple(c.items()) for c in configs}) == 6
 
     def test_sample_deterministic_and_valid(self):
         space = gemm_search_space(get_spec("A100"), Precision.FLOAT16)

@@ -21,11 +21,11 @@ def _cost(t: float, power: float) -> KernelCost:
 class TestSensorFactory:
     def test_nvidia_gets_nvml(self):
         assert isinstance(create_sensor(Device("A100")), NVMLSensor)
-        assert create_sensor(Device("GH200")).backend_name == "nvml"
+        assert isinstance(create_sensor(Device("GH200")), NVMLSensor)
 
     def test_amd_gets_rocm_smi(self):
         assert isinstance(create_sensor(Device("MI300X")), ROCmSMISensor)
-        assert create_sensor(Device("W7700")).backend_name == "rocm-smi"
+        assert isinstance(create_sensor(Device("W7700")), ROCmSMISensor)
 
 
 class TestSensor:
@@ -101,7 +101,8 @@ class TestMeter:
         dev = Device("MI300X")
         meter = PowerMeter(dev)
         begin = meter.read()
-        for t, p in [(1e-3, 600.0), (2e-3, 300.0), (5e-4, 150.0)]:
+        kernels = [(1e-3, 600.0), (2e-3, 300.0), (5e-4, 150.0)]
+        for t, p in kernels:
             dev.record_kernel(_cost(t, p))
         end = meter.read()
-        assert PowerMeter.joules(begin, end) == pytest.approx(dev.total_energy_j())
+        assert PowerMeter.joules(begin, end) == pytest.approx(sum(t * p for t, p in kernels))

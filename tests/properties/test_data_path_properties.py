@@ -8,7 +8,6 @@ every shape including awkward padding cases.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 

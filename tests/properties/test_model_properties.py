@@ -52,14 +52,16 @@ class TestUniversalInvariants:
         gpu, problem = case
         spec = get_spec(gpu)
         cost = model_gemm(spec, Precision.FLOAT16, problem, default_params(spec, Precision.FLOAT16))
-        assert cost.ops_per_second <= spec.sustained_peak_ops("float16") * 1.001
+        sustained_peak = spec.theoretical_peak_ops("float16") * spec.sustained_clock_fraction
+        assert cost.ops_per_second <= sustained_peak * 1.001
 
     @given(gemm_case(precision=Precision.INT1))
     def test_int1_invariants(self, case):
         gpu, problem = case
         spec = get_spec(gpu)
         cost = model_gemm(spec, Precision.INT1, problem, default_params(spec, Precision.INT1))
-        assert cost.ops_per_second <= spec.sustained_peak_ops("int1") * 1.001
+        sustained_peak = spec.theoretical_peak_ops("int1") * spec.sustained_clock_fraction
+        assert cost.ops_per_second <= sustained_peak * 1.001
         assert cost.time_s > 0
 
     @given(gemm_case())

@@ -160,8 +160,11 @@ class TestErrorBudgetWindows:
         budget = ErrorBudget("svc")
         for t_s, good in events:  # recorded in arbitrary time order
             budget.record(t_s, good)
-        assert budget.n_events == len(events)
-        assert budget.n_bad == sum(not good for _, good in events)
+        # Every event time lies in [0, 10], inside (-1, 10].
+        assert budget.window_counts(11.0, now=10.0) == (
+            len(events),
+            sum(not good for _, good in events),
+        )
         for window_s, now in queries:
             start = now - window_s
             inside = [good for t_s, good in events if start < t_s <= now]

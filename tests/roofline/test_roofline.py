@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ccglib.perfmodel import GemmProblem, model_gemm
+from repro.ccglib.perfmodel import model_gemm
 from repro.ccglib.precision import Precision
 from repro.ccglib.tuning import published_tuning
 from repro.gpusim.specs import get_spec

@@ -77,8 +77,6 @@ class TestErrorBudget:
         budget.record(3.0, good=False)
         budget.record(1.0, good=True)
         budget.record(2.0, good=False)
-        assert budget.n_events == 3
-        assert budget.n_bad == 2
         assert budget.window_counts(10.0, now=3.0) == (3, 2)
         assert budget.window_counts(1.0, now=3.0) == (1, 1)  # (2, 3] only
 

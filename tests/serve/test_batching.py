@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ShapeError
+from repro.gpusim.device import Device, ExecutionMode
 from repro.serve import BatchingPolicy, MicroBatcher, Request, Workload
 
 
@@ -28,21 +31,21 @@ class TestSizeTrigger:
         assert batch is not None
         assert [r.rid for r in batch.requests] == [0, 1, 2]
         assert batch.formed_s == 0.2
-        assert batch.merged_batch == 3
         assert batcher.depth() == 0
 
     def test_max_batch_one_is_naive(self):
         batcher = MicroBatcher(BatchingPolicy(max_batch=1, max_wait_s=1.0))
         batch = batcher.offer(request(0, workload(), 0.5), 0.5)
         assert batch is not None and batch.n_requests == 1
-        assert batch.batching_delay_s == 0.0
+        assert batch.formed_s == 0.5  # no wait
 
     def test_merged_batch_scales_with_per_request_extent(self):
         wl = workload(batch_per_request=4)
         batcher = MicroBatcher(BatchingPolicy(max_batch=2, max_wait_s=1.0))
         batcher.offer(request(0, wl, 0.0), 0.0)
         batch = batcher.offer(request(1, wl, 0.0), 0.0)
-        assert batch.merged_batch == 8
+        plan = batch.workload.make_plan(Device("A100", ExecutionMode.DRY_RUN), batch.n_requests)
+        assert plan.batch == 8
 
 
 class TestLatencyTrigger:
@@ -54,7 +57,6 @@ class TestLatencyTrigger:
         batches = batcher.due(0.5)  # observed late: timer fired at 0.1
         assert len(batches) == 1
         assert batches[0].formed_s == pytest.approx(0.1)
-        assert batches[0].batching_delay_s == pytest.approx(0.1)
 
     def test_deadline_set_by_first_member(self):
         batcher = MicroBatcher(BatchingPolicy(max_batch=8, max_wait_s=0.1))
@@ -63,12 +65,12 @@ class TestLatencyTrigger:
         batcher.offer(request(1, wl, 0.09), 0.09)
         assert batcher.next_deadline() == pytest.approx(0.1)
 
-    def test_flush_all_drains_everything_in_deadline_order(self):
+    def test_end_of_trace_due_drains_everything_in_deadline_order(self):
         batcher = MicroBatcher(BatchingPolicy(max_batch=8, max_wait_s=0.1))
         late, early = workload("late"), workload("early")
         batcher.offer(request(0, late, 0.05), 0.05)
         batcher.offer(request(1, early, 0.01), 0.01)
-        batches = batcher.flush_all()
+        batches = batcher.due(math.inf)
         assert [b.workload.name for b in batches] == ["early", "late"]
         assert batcher.depth() == 0
 
@@ -122,7 +124,7 @@ class TestPolicyValidation:
         batcher.offer(request(0, wl, 0.0), 0.0)
         batcher.offer(request(1, wl, 0.0), 0.0)  # size flush
         batcher.offer(request(2, wl, 0.2), 0.2)
-        batcher.flush_all()  # timer flush
+        batcher.due(math.inf)  # timer flush
         assert batcher.n_offered == 3
         assert batcher.n_flushed_full == 1
         assert batcher.n_flushed_timer == 1

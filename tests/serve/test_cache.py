@@ -135,8 +135,8 @@ class TestPerDeviceSegments:
         cache.get(quiet, hot_a, 1)
         cache.get(quiet, hot_b, 1)
         assert cache.misses == misses_before
-        assert cache.entries_for(quiet) == 2
-        assert cache.entries_for(churny) == 2  # its own segment stayed bounded
+        assert cache.release(quiet) == 2
+        assert cache.release(churny) == 2  # its own segment stayed bounded
 
     def test_eviction_order_is_lru_within_a_segment(self):
         cache = PlanCache(capacity=2)
@@ -155,17 +155,17 @@ class TestPerDeviceSegments:
         cache.get(device, b, 1)  # b was the one evicted
         assert cache.misses == misses_before + 1
 
-    def test_contains_does_not_refresh_lru_order(self):
-        cache = PlanCache(capacity=2)
-        device = dry()
-        a, b, c = workload("a"), workload("b"), workload("c")
-        cache.get(device, a, 1)
-        cache.get(device, b, 1)
-        assert cache.contains(device, a, 1)  # a peek, not a touch
-        cache.get(device, c, 1)  # evicts a (still LRU despite contains)
-        assert not cache.contains(device, a, 1)
-        assert cache.contains(device, b, 1)
-        assert cache.contains(device, c, 1)
+    def test_segment_stats_count_each_devices_hits_and_misses(self):
+        cache = PlanCache(capacity=4)
+        d1, d2 = dry(), dry()
+        cache.get(d1, workload("x"), 1)
+        cache.get(d1, workload("x"), 1)
+        cache.get(d1, workload("x"), 2)
+        cache.get(d2, workload("x"), 1)
+        assert cache.segment_stats(d1) == (1, 2)
+        assert cache.segment_stats(d2) == (0, 1)
+        assert cache.segment_stats(dry()) == (0, 0)
+        assert (cache.hits, cache.misses) == (1, 3)
 
     def test_total_len_spans_segments(self):
         cache = PlanCache(capacity=4)
@@ -174,5 +174,6 @@ class TestPerDeviceSegments:
         cache.get(d2, workload("x"), 1)
         cache.get(d2, workload("y"), 1)
         assert len(cache) == 3
-        assert cache.entries_for(d1) == 1
-        assert cache.entries_for(d2) == 2
+        assert cache.release(d1) == 1
+        assert cache.release(d2) == 2
+        assert len(cache) == 0

@@ -96,7 +96,6 @@ class TestEngineOverlap:
         [e] = submit_and_drain(fleet, make_batch(0, workload(), 1, 5.0))
         assert e.ready_s == 5.0
         assert e.start_s == 5.0
-        assert e.queue_delay_s == 0.0
 
     def test_utilization_accounting(self):
         fleet = dry_fleet(2)

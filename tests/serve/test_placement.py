@@ -24,7 +24,6 @@ from repro.serve import (
     FleetDispatcher,
     PlacementDecision,
     PlacementKind,
-    Placer,
     Request,
     Workload,
     merge_arrivals,

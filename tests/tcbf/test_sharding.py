@@ -120,14 +120,12 @@ class TestAggregateThroughput:
             Device("A100", ExecutionMode.DRY_RUN), **LOFAR,
             include_transpose=False,
         ).predict_gemm_cost()
-        sharded = ShardedBeamformer(
+        result = ShardedBeamformer(
             dry_devices(2), **LOFAR,
             include_transpose=False,
-        )
-        result = sharded.execute()
+        ).execute()
         assert result.ops_per_second >= 1.8 * single.ops_per_second
         assert result.useful_ops == pytest.approx(single.useful_ops)
-        assert sharded.predicted_throughput() == pytest.approx(result.ops_per_second)
 
     def test_four_devices_scale_further(self):
         single = BeamformerPlan(
@@ -143,7 +141,8 @@ class TestAggregateThroughput:
     def test_even_split_balances_load(self):
         result = ShardedBeamformer(dry_devices(2), **LOFAR).execute()
         assert result.shard_sizes == [128, 128]
-        assert result.load_balance == pytest.approx(1.0)
+        times = [s.total.time_s for s in result.shards]
+        assert times[0] == pytest.approx(times[1])
 
     def test_wall_time_is_slowest_shard(self):
         # Heterogeneous fleet: the big GPU waits for the small one.
@@ -156,7 +155,7 @@ class TestAggregateThroughput:
         ).execute()
         times = [s.total.time_s for s in result.shards]
         assert result.wall_time_s == max(times)
-        assert result.load_balance < 1.0
+        assert min(times) < max(times)
 
     def test_per_device_timelines_populated(self):
         devices = dry_devices(3)
@@ -228,12 +227,10 @@ class TestFunctionalSharding:
         # GEMM's FLOPs only — consistent with BeamformResult.tflops.
         kwargs = dict(n_beams=256, n_receivers=512, n_samples=256,
                       precision=Precision.INT1)
-        sharded = ShardedBeamformer(dry_devices(2), batch=2, shard_dim="batch", **kwargs)
-        result = sharded.execute()
+        result = ShardedBeamformer(dry_devices(2), batch=2, shard_dim="batch", **kwargs).execute()
         gemm_ops = sum(s.gemm_cost.useful_ops for s in result.shards)
         assert result.useful_ops == pytest.approx(gemm_ops)
         assert result.useful_ops < sum(s.total.useful_ops for s in result.shards)
-        assert sharded.predicted_throughput() == pytest.approx(result.ops_per_second)
 
     def test_beam_shard_restores_scale_like_single(self, rng):
         # Beams mode pre-normalizes the shared data once (shards see unit
@@ -372,9 +369,9 @@ class TestDegenerateCases:
         with pytest.raises(ShapeError, match="empty extent list"):
             split_batched_output(random_complex(rng, (2, 4, 6)), [])
 
-    def test_load_balance_on_unequal_shards(self):
+    def test_unequal_shards_set_the_wall_time(self):
         # 3 batch units over 2 devices -> [2, 1]: the 2-unit shard takes
-        # longer, so balance = mean/max sits strictly inside (0.5, 1).
+        # longer and is the block's wall time.
         sharded = ShardedBeamformer(
             dry_devices(2),
             n_beams=2048,
@@ -387,11 +384,9 @@ class TestDegenerateCases:
         assert sharded.shard_sizes == [2, 1]
         times = [s.total.time_s for s in result.shards]
         assert times[0] > times[1]
-        expected = (sum(times) / 2.0) / max(times)
-        assert result.load_balance == pytest.approx(expected)
-        assert 0.5 < result.load_balance < 1.0
+        assert result.wall_time_s == times[0]
 
-    def test_load_balance_even_split_is_unity(self):
+    def test_even_batch_split_takes_equal_time(self):
         sharded = ShardedBeamformer(
             dry_devices(2),
             n_beams=256,
@@ -400,7 +395,8 @@ class TestDegenerateCases:
             batch=4,
             include_transpose=False,
         )
-        assert sharded.execute().load_balance == pytest.approx(1.0)
+        times = [s.total.time_s for s in sharded.execute().shards]
+        assert times[0] == pytest.approx(times[1])
 
 
 class TestWeightedSplit:

@@ -87,10 +87,9 @@ class TestProtocolViolations:
         with pytest.raises(KernelConfigError):
             BlockExecutor(dry_plan(), num_buffers=0)
 
-    def test_rejected_block_stays_staged_until_discarded(self, rng):
+    def test_rejected_block_stays_staged(self, rng):
         # A block that fails shape validation must not be silently dropped:
-        # the caller sees the error, then explicitly discards the block and
-        # the stream continues.
+        # the caller sees the error and the block keeps its stage.
         from repro.errors import ShapeError
 
         plan = BeamformerPlan(
@@ -103,25 +102,24 @@ class TestProtocolViolations:
         )
         with pytest.raises(ShapeError):
             executor.collect()
-        assert executor.blocks_in_flight == 1
         assert executor.consumed == []
         assert executor.stats().num_blocks == 0
-        # Recovery: discard the bad block, stream a good one.
-        assert executor.discard() == 0
-        assert executor.blocks_in_flight == 0
+        # Still the oldest block, and still holding one of the two stages.
+        with pytest.raises(ShapeError):
+            executor.collect()
         executor.submit(random_complex(rng, (4, 32)), random_complex(rng, (32, 8)))
-        result = executor.collect()
-        assert result.output is not None
-        assert executor.consumed == [1]
+        with pytest.raises(KernelConfigError):
+            executor.submit()
 
-    def test_in_flight_accounting(self):
+    def test_collect_frees_one_stage(self):
         executor = BlockExecutor(dry_plan(), num_buffers=3)
-        assert executor.blocks_in_flight == 0
         executor.submit()
         executor.submit()
-        assert executor.blocks_in_flight == 2
         executor.collect()
-        assert executor.blocks_in_flight == 1
+        executor.submit()
+        executor.submit()
+        with pytest.raises(KernelConfigError):
+            executor.submit()
 
 
 class TestOverlapModel:
@@ -168,16 +166,6 @@ class TestOverlapModel:
         _, stats = executor.run_stream([None] * 2)
         assert stats.num_blocks == 2
 
-    def test_reset_stats_bounds_history(self):
-        executor = BlockExecutor(dry_plan(), num_buffers=2)
-        executor.run_stream([None] * 4)
-        executor.reset_stats()
-        assert executor.consumed == []
-        assert executor.stats().num_blocks == 0
-        # Pipeline state survives: streaming continues with fresh stats.
-        _, stats = executor.run_stream([None] * 2)
-        assert stats.num_blocks == 2
-
     def test_reused_executor_reports_per_stream_stats(self):
         # A second run_stream on the same executor must report that
         # stream's blocks only (lifetime stats stay available via stats()).
@@ -203,7 +191,8 @@ class TestEmptyAndDegenerateStreams:
         results, stats = executor.run_stream([])
         assert results == []
         assert executor.consumed == []
-        assert executor.blocks_in_flight == 0
+        with pytest.raises(KernelConfigError):
+            executor.collect()  # nothing left staged
         assert stats.num_blocks == 0
         assert stats.serial_time_s == 0.0
         assert stats.pipelined_time_s == 0.0

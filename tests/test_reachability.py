@@ -1,0 +1,264 @@
+"""Every ``src/`` definition has a caller outside ``tests/``, pinned.
+
+Code that only tests reach is code a pipeline cannot use but every change
+must keep working, so the set is fixed here, the way
+``tests/test_option_surface.py`` fixes the options. A definition is a
+top-level function or class of a ``src/`` module, or a non-dunder method of
+a top-level class. It is *reached* when its name appears as a name, an
+attribute, an import alias or an identifier-like string constant in
+``src/``, ``examples/``, ``scripts/``, ``perf/`` (but not ``perf/tests/``)
+or a ``python`` block of ``README.md``. A name exported from a package
+``__init__`` is therefore reached: it is public API.
+
+A definition nothing reaches is deleted, or its test is pointed at the
+production path that does the job. The few that stay are on
+:data:`ALLOWED`, each with a reason of one of three kinds.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import importlib.util
+import re
+import textwrap
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: the only reasons a definition may stay without a non-test caller.
+ORACLE = "a reference or oracle that a test compares against"
+PAPER = "reproduces a statement of the paper"
+PROTOCOL = "a protocol member an implementation must provide"
+
+ALLOWED: dict[str, tuple[str, str]] = {
+    "repro.ccglib.complex_mma.complex_mma_f16_naive": (
+        ORACLE,
+        "the four-accumulator decomposition the fused 5-step schedule is checked against",
+    ),
+    "repro.ccglib.complex_mma.complex_mma_tf32": (
+        ORACLE,
+        "the per-tile TF32 schedule the batched TF32 path must equal bit for bit",
+    ),
+    "repro.tcbf.plan.BeamformerPlan.cache_key": (
+        ORACLE,
+        "the built plan's identity that Workload.compat_key is cross-checked against",
+    ),
+    "repro.apps.radioastronomy.station.StationBeamformer.form_station_beam": (
+        PAPER,
+        "§V-B: the FPGA station beamformer that feeds the central TCBF",
+    ),
+    "repro.apps.radioastronomy.station.StationBeamformer.simulate_antenna_source": (
+        PAPER,
+        "§V-B: the per-antenna input of the station beamformer",
+    ),
+    "repro.apps.radioastronomy.station.StationBeamformer.beam_gain": (
+        PAPER,
+        "§V-B: the station beam response the station-to-central chain is checked with",
+    ),
+}
+
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_PYTHON_BLOCK = re.compile(r"^[ \t]*```python\n(.*?)^[ \t]*```", re.S | re.M)
+
+
+def readme_blocks(root: Path = ROOT) -> list[str]:
+    """Every ``python`` block of ``README.md``, dedented."""
+    text = (root / "README.md").read_text()
+    return [textwrap.dedent(block) for block in _PYTHON_BLOCK.findall(text)]
+
+
+def _non_test_trees(root: Path):
+    for top in ("src", "examples", "scripts", "perf"):
+        for path in sorted((root / top).rglob("*.py")):
+            if not path.is_relative_to(root / "perf" / "tests"):
+                yield ast.parse(path.read_text(), filename=str(path))
+    for block in readme_blocks(root):
+        yield ast.parse(block)
+
+
+def reached_names(root: Path = ROOT) -> set[str]:
+    names: set[str] = set()
+    for tree in _non_test_trees(root):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if _IDENTIFIER.match(node.value):
+                    names.add(node.value)
+    return names
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def definitions(root: Path = ROOT) -> dict[str, str]:
+    """Qualified name -> bare name of every definition under the rule."""
+    found: dict[str, str] = {}
+    for path in sorted((root / "src").rglob("*.py")):
+        module = ".".join(path.relative_to(root / "src").with_suffix("").parts)
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+                continue
+            found[f"{module}.{node.name}"] = node.name
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for member in members:
+                if isinstance(member, _FUNCTIONS) and not re.fullmatch(r"__\w+__", member.name):
+                    found[f"{module}.{node.name}.{member.name}"] = member.name
+    return found
+
+
+def unreached_in(root: Path) -> set[str]:
+    reached = reached_names(root)
+    return {qualified for qualified, name in definitions(root).items() if name not in reached}
+
+
+@pytest.fixture(scope="module")
+def unreached() -> set[str]:
+    return unreached_in(ROOT)
+
+
+def test_no_definition_only_tests_reach(unreached):
+    extra = sorted(unreached - ALLOWED.keys())
+    assert not extra, (
+        "definitions with no caller outside tests/ (delete them, point their tests at the "
+        "production path, or allow-list them with a reason):\n  " + "\n  ".join(extra)
+    )
+
+
+def test_allow_list_is_not_stale(unreached):
+    defined = definitions()
+    gone = sorted(name for name in ALLOWED if name not in defined)
+    assert not gone, f"allow-listed definitions that no longer exist: {gone}"
+    now_reached = sorted(name for name in ALLOWED if name not in unreached)
+    assert not now_reached, f"allow-listed definitions that now have a caller: {now_reached}"
+
+
+def test_allow_list_reasons():
+    for kind, reason in ALLOWED.values():
+        assert kind in (ORACLE, PAPER, PROTOCOL) and reason
+
+
+def test_readme_snippets_parse_and_import():
+    blocks = readme_blocks()
+    assert blocks
+    for block in blocks:
+        tree = ast.parse(block)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    name = f"{node.module}.{alias.name}"
+                    exists = hasattr(module, alias.name) or importlib.util.find_spec(name)
+                    assert exists, f"a README snippet imports {name}, which does not exist"
+
+
+# The rule itself, on small synthetic trees: each case is one clause of the
+# module docstring, so a scanner change that loosens a clause fails here.
+
+
+def _tree(root: Path, files: dict[str, str], readme: str = "") -> Path:
+    for relative, text in files.items():
+        path = root / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text))
+    (root / "README.md").write_text(textwrap.dedent(readme))
+    return root
+
+
+def test_rule_flags_a_definition_only_tests_call(tmp_path):
+    root = _tree(tmp_path, {
+        "src/pkg/mod.py": """
+            def used():
+                return 1
+
+            def lonely():
+                return used()
+        """,
+        "tests/test_mod.py": "from pkg.mod import lonely\n",
+        "examples/run.py": "from pkg import mod\n",
+    })
+    assert unreached_in(root) == {"pkg.mod.lonely"}
+
+
+def test_rule_counts_a_package_export_as_reached(tmp_path):
+    root = _tree(tmp_path, {
+        "src/pkg/__init__.py": "from pkg.mod import api\n",
+        "src/pkg/mod.py": "def api():\n    return 1\n",
+    })
+    assert unreached_in(root) == set()
+
+
+def test_rule_counts_an_identifier_string_as_reached(tmp_path):
+    # getattr(obj, "name") and registry tables reach by string; a string
+    # that is not an identifier (prose, a format) reaches nothing.
+    root = _tree(tmp_path, {
+        "src/pkg/mod.py": """
+            class Sink:
+                def on_event(self):
+                    return 1
+
+                def on_close(self):
+                    return 2
+
+            HOOK = "on_event"
+            NOTE = "on_close is called last"
+        """,
+        "scripts/go.py": "from pkg.mod import Sink\n",
+    })
+    assert unreached_in(root) == {"pkg.mod.Sink.on_close"}
+
+
+def test_rule_ignores_perf_tests_but_reads_perf(tmp_path):
+    root = _tree(tmp_path, {
+        "src/pkg/mod.py": "def timed():\n    return 1\n\ndef checked():\n    return 2\n",
+        "perf/bench.py": "from pkg.mod import timed\n",
+        "perf/tests/test_bench.py": "from pkg.mod import checked\n",
+    })
+    assert unreached_in(root) == {"pkg.mod.checked"}
+
+
+def test_rule_reads_indented_readme_blocks(tmp_path):
+    readme = """
+        Usage:
+
+        1. Build it:
+
+           ```python
+           from pkg.mod import shown
+           ```
+    """
+    root = _tree(tmp_path, {"src/pkg/mod.py": "def shown():\n    return 1\n"}, readme)
+    assert readme_blocks(root) == ["from pkg.mod import shown\n"]
+    assert unreached_in(root) == set()
+
+
+def test_rule_skips_dunders_and_nested_definitions(tmp_path):
+    root = _tree(tmp_path, {
+        "src/pkg/mod.py": """
+            class Box:
+                def __len__(self):
+                    return 0
+
+                def size(self):
+                    def inner():
+                        return 0
+                    return inner()
+
+            def outer():
+                class Local:
+                    def hidden(self):
+                        return 0
+                return Local
+        """,
+        "examples/run.py": "from pkg.mod import Box, outer\n",
+    })
+    assert definitions(root) == {"pkg.mod.Box": "Box", "pkg.mod.Box.size": "size",
+                                 "pkg.mod.outer": "outer"}
+    assert unreached_in(root) == {"pkg.mod.Box.size"}
