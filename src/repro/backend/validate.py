@@ -6,6 +6,7 @@ the real entry points (:meth:`repro.ccglib.gemm.Gemm.run` with a prepared A
 operand, :meth:`repro.tcbf.plan.BeamformerPlan.execute` with its block scale,
 :func:`repro.ccglib.packing.pack_sign_planar`, ...) on each backend over a
 deterministic set of seeded shapes and compares against the NumPy backend
+(the 1-bit GEMM also against the unpacked ±1 oracle ``bit_gemm_reference``)
 with the per-precision tolerances of
 :data:`repro.ccglib.precision.PARITY_TOLERANCES` — exact (bit-for-bit) for
 the integer 1-bit path, small float tolerances for float16/TF32 where
@@ -30,13 +31,14 @@ import numpy as np
 
 from repro.backend import ArrayBackend, available_backends, get_backend, numpy_backend
 from repro.backend.conformance import check_backend
-from repro.ccglib.bit_gemm import complex_bit_gemm
+from repro.ccglib.bit_gemm import bit_gemm_reference, complex_bit_gemm
 from repro.ccglib.complex_mma import complex_mma_f16_batched, complex_mma_tf32_batched
 from repro.ccglib.gemm import Gemm
 from repro.ccglib.layouts import to_planar
 from repro.ccglib.packing import pack_sign_planar, unpack_sign_planar
 from repro.ccglib.precision import Precision, parity_tolerance
 from repro.ccglib.transpose import planar_to_kmajor
+from repro.gpusim.arch import BitOp
 from repro.gpusim.device import Device
 from repro.tcbf.plan import BeamformerPlan
 from repro.tcbf.scaling import rms
@@ -146,15 +148,23 @@ def validate_backend(
             _compare(f"transpose/{tag}", km, np.asarray(planar_to_kmajor(b_planar)), 0.0, 0.0)
         )
 
-        # -- 1-bit GEMM: exact integer arithmetic -----------------------------
+        # -- 1-bit GEMM: exact integer arithmetic, XOR (Eq. 5) and AND (Eq. 6)
+        # Checked against NumPy's packed kernel and against the unpacked ±1
+        # oracle, so a fault the packed kernels share cannot pass.
         aw = pack_sign_planar(a_planar, k_pad_to=_pad32(k), backend=be)
         bw = pack_sign_planar(planar_to_kmajor(b_planar, backend=be), k_pad_to=_pad32(k), backend=be)
-        got = be.to_numpy(complex_bit_gemm(aw, bw, k_valid=k, backend=be))
         aw_ref = pack_sign_planar(a_planar, k_pad_to=_pad32(k))
         bw_ref = pack_sign_planar(planar_to_kmajor(b_planar), k_pad_to=_pad32(k))
-        want = np.asarray(complex_bit_gemm(aw_ref, bw_ref, k_valid=k))
+        a_bits = np.asarray(sign_to_bits(a_planar))
+        b_bits = np.asarray(sign_to_bits(planar_to_kmajor(b_planar)))
+        oracle = np.stack([bit_gemm_reference(x, y) for x, y in zip(a_bits, b_bits)])
         tol = parity_tolerance(Precision.INT1)
-        report.cases.append(_compare(f"int1-gemm/{tag}", got, want, tol.rtol, tol.atol))
+        for op in BitOp:
+            got = be.to_numpy(complex_bit_gemm(aw, bw, k_valid=k, bit_op=op, backend=be))
+            want = np.asarray(complex_bit_gemm(aw_ref, bw_ref, k_valid=k, bit_op=op))
+            for family, ref_out in (("int1-gemm", want), ("int1-oracle", oracle)):
+                case = f"{family}/{op.value}-{tag}"
+                report.cases.append(_compare(case, got, ref_out, tol.rtol, tol.atol))
 
         # -- float16 5-step schedule ------------------------------------------
         got = be.to_numpy(complex_mma_f16_batched(a_planar, b_planar, backend=be))

@@ -22,12 +22,19 @@ axis, with identical (possibly empty) leading batch dims. Note B rows are
 indexed by N here (both operands are "K-major"): the transpose kernel
 produces this layout from a (2, K, N) host matrix.
 
-Each popcount sum is :func:`repro.util.bits.popcount_gemm`, the tensor
-core's k-loop on the host: it walks the packed K words, combining one word
-of every A row with one word of every B row into an (M, n_block) tile and
-adding its popcounts into an int32 accumulator. All arithmetic is exact
-integer work, so it runs unchanged — and bit-identically — on every
-:class:`~repro.backend.ArrayBackend`.
+The four XOR-popcount sums of Eq. 5 run as one k-loop: the planes are
+concatenated along the packed K axis into ``A'' = [A_re | A_im]``
+(..., M, 2W) and ``B''``, whose rows are ``[B_re | ~B_im]`` stacked on
+``[B_im | B_re]`` (..., 2N, 2W). A single ``popc(A'' ^ B'')`` sum then
+returns an (..., M, 2N) block whose halves are ``p_rr + p_ii`` and
+``p_ri + p_ir``, and Eq. 5 reads straight off them; the AND form of Eq. 6
+needs two sums instead of eight. That sum is
+:func:`repro.util.bits.popcount_gemm`, the tensor core's k-loop on the
+host: it walks the packed K words, combining one word of every A'' row with
+one word of every B'' row and adding the tile's popcounts into an
+accumulator; on NumPy it walks blocks of rows sized to stay in cache. All
+arithmetic is exact integer work, so it runs unchanged — and
+bit-identically — on every :class:`~repro.backend.ArrayBackend`.
 """
 
 from __future__ import annotations
@@ -39,10 +46,6 @@ from repro.ccglib.layouts import IMAG, REAL
 from repro.errors import ShapeError
 from repro.gpusim.arch import BitOp
 from repro.util.bits import PACK_WORD_BITS, bits_to_sign, popcount, popcount_gemm
-
-#: default N-block of the popcount accumulation; bounds each step's
-#: (M, n_block) combine/count tile and its int32 accumulator.
-DEFAULT_N_BLOCK = 128
 
 
 def _validate_packed(a_words, b_words) -> tuple[int, int, int]:
@@ -69,7 +72,6 @@ def complex_bit_gemm(
     b_words,
     k_valid: int,
     bit_op: BitOp = BitOp.XOR,
-    n_block: int = DEFAULT_N_BLOCK,
     backend: ArrayBackend | None = None,
 ):
     """Complex 1-bit GEMM on packed operands.
@@ -86,9 +88,6 @@ def complex_bit_gemm(
     bit_op:
         ``BitOp.XOR`` uses Eq. 5 directly; ``BitOp.AND`` uses the Hopper
         formulation of Eq. 6 (two AND-popc passes emulating each XOR-popc).
-    n_block:
-        N extent of each k-loop step's (M, n_block) tile; any value gives
-        the same result.
     backend:
         Optional :class:`~repro.backend.ArrayBackend`; default NumPy.
 
@@ -100,40 +99,35 @@ def complex_bit_gemm(
     xp = be.xp
     a_words = be.asarray(a_words)
     b_words = be.asarray(b_words)
-    _validate_packed(a_words, b_words)
-    w = a_words.shape[-1]
+    _, n, w = _validate_packed(a_words, b_words)
     k_full = w * PACK_WORD_BITS
     if not 0 < k_valid <= k_full:
         raise ShapeError(f"k_valid {k_valid} outside (0, {k_full}]")
     k_pad = k_full - k_valid
-
-    a_re, a_im = a_words[..., REAL, :, :], a_words[..., IMAG, :, :]
-    b_re, b_im = b_words[..., REAL, :, :], b_words[..., IMAG, :, :]
-    # Register-level negation of Im(B): bitwise NOT flips every ±1 sign,
-    # including the padded region (pad bit 0 = -1 becomes +1 there, which is
-    # exactly what makes the real-part padding self-cancel).
-    b_im_neg = ~b_im
-
     if bit_op not in (BitOp.XOR, BitOp.AND):  # pragma: no cover - enum is exhaustive
         raise ShapeError(f"unknown bit op {bit_op}")
 
-    def popc_xor(x, y):
-        """popc(x ^ y) summed over K; on AND hardware via Eq. 6,
-        popc(A^B) == K - (popc(A&B) + popc(~A&~B)), two AND-MMAs per term."""
-        if bit_op is BitOp.XOR:
-            return popcount_gemm(x, y, "xor", n_block, be)
-        same = popcount_gemm(x, y, "and", n_block, be) + popcount_gemm(~x, ~y, "and", n_block, be)
-        return k_full - same
+    b_re, b_im = b_words[..., REAL, :, :], b_words[..., IMAG, :, :]
+    # The four planes of Eq. 5 concatenated along packed K: row m of A'' is
+    # [A_re | A_im]; row n of B'' is [B_re | ~B_im] (-> p_rr + p_ii) and row
+    # N + n is [B_im | B_re] (-> p_ri + p_ir). ~B_im is the register-level
+    # negation of Im(B): it flips every ±1 sign, including the padded region
+    # (pad bit 0 = -1 becomes +1 there, which is exactly what makes the
+    # real-part padding self-cancel).
+    a2 = xp.concatenate([a_words[..., REAL, :, :], a_words[..., IMAG, :, :]], axis=-1)
+    b_rows = [xp.concatenate(pair, axis=-1) for pair in ((b_re, ~b_im), (b_im, b_re))]
+    b2 = xp.concatenate(b_rows, axis=-2)
+    if bit_op is BitOp.XOR:
+        p = popcount_gemm(a2, b2, "xor", be)
+    else:
+        # Eq. 6: popc(A^B) == K - (popc(A&B) + popc(~A&~B)), over both halves.
+        p = 2 * k_full - (popcount_gemm(a2, b2, "and", be) + popcount_gemm(~a2, ~b2, "and", be))
 
-    p_rr = popc_xor(a_re, b_re)
-    p_ii = popc_xor(a_im, b_im_neg)
-    p_ri = popc_xor(a_re, b_im)
-    p_ir = popc_xor(a_im, b_re)
-
-    # Eq. 5 of the paper (with p_ii computed against the negated Im(B)):
-    real = 2 * (k_full - (p_rr + p_ii))
-    imag = 2 * (k_full - k_pad - (p_ri + p_ir))
-    return xp.stack([real, imag], axis=-3).astype(xp.int32)
+    # Eq. 5 of the paper (p_ii computed against the negated Im(B)): the
+    # (..., M, 2N) halves become the (..., 2, M, N) planes by a view.
+    planes = xp.moveaxis(xp.reshape(p, p.shape[:-1] + (2, n)), -2, -3)
+    offset = xp.asarray([k_full, k_full - k_pad], dtype=xp.int32)[:, None, None]
+    return be.astype(2 * (offset - planes), xp.int32)
 
 
 def real_bit_dot(a_words: np.ndarray, b_words: np.ndarray, k: int) -> int:

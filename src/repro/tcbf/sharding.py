@@ -32,7 +32,6 @@ from repro.ccglib.precision import Precision
 from repro.ccglib.tuning import TuneParams
 from repro.errors import DeviceError, ShapeError
 from repro.gpusim.device import Device
-from repro.gpusim.timing import KernelCost
 from repro.tcbf.plan import BeamformerPlan
 from repro.tcbf.result import BeamformResult
 from repro.tcbf.scaling import rms
@@ -338,12 +337,6 @@ class ShardedBeamformer:
             )
             for device, size in zip(self.devices, self.shard_sizes)
         ]
-
-    # -- prediction ----------------------------------------------------------
-
-    def predict_block_cost(self) -> list[KernelCost]:
-        """Per-shard end-to-end block cost (nothing recorded)."""
-        return [plan.predict_block_cost() for plan in self.plans]
 
     # -- execution -----------------------------------------------------------
 

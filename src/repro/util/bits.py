@@ -58,49 +58,91 @@ def popcount(words: np.ndarray) -> np.ndarray:
     return counts.sum(axis=-1, dtype=np.int64)
 
 
-def popcount_gemm(a, b, op: str, n_block: int | None = None, backend: ArrayBackend | None = None):
+def popcount_gemm(a, b, op: str, backend: ArrayBackend | None = None):
     """``sum_w popc(a[..., m, w] OP b[..., n, w])`` for every (m, n).
 
     ``a``: (..., M, W) and ``b``: (..., N, W) packed words, same leading
-    dims; ``op`` is ``"xor"`` or ``"and"`` (paper §III-D/E). Like the tensor
-    core's k-loop, each step combines one K word of every row into an
-    (..., M, n_block) tile (``n_block`` default: N) and adds its popcounts
-    into an int32 accumulator, exact for K < 2**31. NumPy reads an even W as
-    uint64 words (popcount is additive across words) and keeps the counts
-    uint8; other backends run uint32 words through ``be.popcount`` and
-    accumulate functionally, so immutable arrays work too.
+    dims; ``op`` is ``"xor"`` or ``"and"`` (paper §III-D/E). Returns the
+    (..., M, N) int32 counts, exact for K < 2**31.
+
+    Like the tensor core's k-loop, each step combines one K word of every
+    A row with one K word of every B row and adds the popcounts of that
+    tile into an accumulator. On NumPy:
+
+    * an even W is read as uint64 words (popcount is additive across
+      words), halving the steps;
+    * the operand with more rows runs along the tile rows, the contiguous
+      inner loop; the other one is walked in blocks of rows, each block's
+      tile kept within :data:`TILE_BYTES` so that tile, counts and
+      accumulator stay in cache for the whole k-loop;
+    * one tile, count and accumulator buffer serve every block of the
+      call; the counts of up to ``255 // bits per word`` words are summed
+      in uint8, then added into an accumulator that is uint16 while
+      ``bits per word * W`` fits it (else int32) and is widened into the
+      int32 result once per block;
+    * the loop runs under a ufunc buffer of :data:`_UFUNC_BUFFER` elements:
+      with NumPy's default buffer, a tile row shorter than the buffer
+      makes every combine copy both broadcast operands into buffers.
+
+    Other backends run uint32 words through ``be.popcount`` over the whole
+    (..., M, N) tile and accumulate functionally, so immutable arrays work
+    too.
     """
     be = get_backend(backend)
     xp = be.xp
     combine = {"xor": xp.bitwise_xor, "and": xp.bitwise_and}[op]
-    native = xp is np and _HAS_BITWISE_COUNT
-    if native and a.shape[-1] % 2 == 0:
-        a = np.ascontiguousarray(a).view(np.uint64)
-        b = np.ascontiguousarray(b).view(np.uint64)
-    # Word-major copies: step w reads one contiguous (..., M) and (..., N) row.
-    a_t = xp.moveaxis(a, -1, 0)
-    b_t = xp.moveaxis(b, -1, 0)
-    if xp is np:
-        a_t, b_t = np.ascontiguousarray(a_t), np.ascontiguousarray(b_t)
-    n = b.shape[-2]
-    n_block = max(n_block or n, 1)
-    blocks = []
-    for n0 in range(0, max(n, 1), n_block):
-        b_blk = b_t[..., n0 : n0 + n_block]
-        shape = a_t.shape[1:] + b_blk.shape[-1:]
-        acc = xp.zeros(shape, dtype=xp.int32)
-        if native:
-            # Tiles reused across steps: a fresh tile per step would cost
-            # page faults on every allocation at MB sizes.
-            tile, counts = np.empty(shape, a_t.dtype), np.empty(shape, np.uint8)
-            for w in range(a_t.shape[0]):
-                combine(a_t[w][..., :, None], b_blk[w][..., None, :], out=tile)
-                np.add(acc, np.bitwise_count(tile, out=counts), out=acc)
-        else:
-            for w in range(a_t.shape[0]):
-                acc = acc + be.popcount(combine(a_t[w][..., :, None], b_blk[w][..., None, :]))
-        blocks.append(acc)
-    return xp.concatenate(blocks, axis=-1)
+    if xp is np and _HAS_BITWISE_COUNT:
+        return _popcount_gemm_blocked(np.asarray(a), np.asarray(b), combine)
+    a_t, b_t = xp.moveaxis(a, -1, 0), xp.moveaxis(b, -1, 0)
+    acc = xp.zeros(a_t.shape[1:] + b_t.shape[-1:], dtype=xp.int32)
+    for w in range(a_t.shape[0]):
+        acc = acc + be.popcount(combine(a_t[w][..., :, None], b_t[w][..., None, :]))
+    return be.astype(acc, xp.int32)
+
+
+#: byte budget of one NumPy k-loop tile (one block of rows against every
+#: row of the other operand, in packed words).
+TILE_BYTES = 512 * 1024
+
+#: NumPy ufunc buffer, in elements, while the popcount k-loop runs.
+_UFUNC_BUFFER = 512
+
+
+def _popcount_gemm_blocked(a: np.ndarray, b: np.ndarray, combine) -> np.ndarray:
+    """The NumPy k-loop of :func:`popcount_gemm`, blocked to :data:`TILE_BYTES`."""
+    if a.shape[-1] % 2 == 0:
+        a, b = np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64)
+    # popc(x OP y) is symmetric: the operand with more rows runs along the
+    # tile, the other one is blocked. Word-major copies: step w reads one
+    # contiguous (..., rows) slice of each.
+    swap = b.shape[-2] > a.shape[-2]
+    inner, outer = (b, a) if swap else (a, b)
+    in_t, out_t = (np.ascontiguousarray(np.moveaxis(x, -1, 0)) for x in (inner, outer))
+    words, n_out, bits = in_t.shape[0], out_t.shape[-1], 8 * in_t.itemsize
+    group = np.iinfo(np.uint8).max // bits  # words whose counts one uint8 holds
+    rows = max(1, min(n_out, TILE_BYTES // max(1, in_t[:1].nbytes)))
+    shape = in_t.shape[1:-1] + (rows, in_t.shape[-1])
+    acc_dtype = np.uint16 if bits * words <= np.iinfo(np.uint16).max else np.int32
+    tile, acc = np.empty(shape, in_t.dtype), np.empty(shape, acc_dtype)
+    counts, part = np.empty(shape, np.uint8), np.empty(shape, np.uint8)
+    result = np.empty(shape[:-2] + (n_out, shape[-1]), dtype=np.int32)
+    old_buffer = np.setbufsize(_UFUNC_BUFFER)
+    try:
+        for r0 in range(0, n_out, rows):
+            t, c, g, s = (x[..., : min(rows, n_out - r0), :] for x in (tile, counts, part, acc))
+            s[...] = 0
+            for w in range(words):
+                combine(out_t[w][..., r0 : r0 + rows, None], in_t[w][..., None, :], out=t)
+                if w % group:
+                    np.add(g, np.bitwise_count(t, out=c), out=g)
+                else:
+                    np.bitwise_count(t, out=g)
+                if w % group == group - 1 or w == words - 1:
+                    np.add(s, g, out=s)
+            result[..., r0 : r0 + rows, :] = s
+    finally:
+        np.setbufsize(old_buffer)
+    return result if swap else np.swapaxes(result, -1, -2)
 
 
 def sign_to_bits(values, backend: ArrayBackend | None = None):

@@ -26,9 +26,13 @@ class TestValidateNumpy:
         cases = {c.case.split("/")[0] for c in report.cases}
         assert {
             "conformance", "pack", "unpack", "transpose",
-            "int1-gemm", "f16-gemm", "tf32-gemm", "prepared-gemm", "plan-execute",
+            "int1-gemm", "int1-oracle", "f16-gemm", "tf32-gemm", "prepared-gemm", "plan-execute",
             "pack-bits", "unpack-bits", "rms",
         } <= cases
+        # the 1-bit GEMM runs both bit ops of the paper, XOR (Eq. 5) and AND (Eq. 6)
+        int1_ops = {c.case.split("/")[1].split("-")[0] for c in report.cases
+                    if c.case.startswith(("int1-gemm/", "int1-oracle/"))}
+        assert int1_ops == {"xor", "and"}
         # the plan cases cover both precisions the plan runs, restore on and off
         plan_cases = {c.case.split("/")[1].rsplit("-", 1)[0] for c in report.cases
                       if c.case.startswith("plan-execute/")}

@@ -17,7 +17,7 @@ from repro.ccglib.packing import unpack_sign_planar
 from repro.errors import ShapeError
 from repro.gpusim.arch import BitOp
 from repro.gpusim.tensorcore import bmma_and, bmma_xor
-from repro.util.bits import pack_bits, pad_to_words, unpack_bits
+from repro.util.bits import TILE_BYTES, pack_bits, pad_to_words, unpack_bits
 from tests.conftest import GenericNumpyBackend
 
 
@@ -118,14 +118,27 @@ class TestComplexBitGemm:
         with pytest.raises(ShapeError):
             complex_bit_gemm(good, rng.integers(0, 2, size=(2, 2, 3), dtype=np.uint32), 64)
 
-    def test_n_block_independence(self, rng):
-        a_bits = rng.integers(0, 2, size=(2, 3, 96)).astype(np.uint8)
-        b_bits = rng.integers(0, 2, size=(2, 7, 96)).astype(np.uint8)
-        a_w, b_w = _pack_planar_bits(a_bits), _pack_planar_bits(b_bits)
-        assert np.array_equal(
-            complex_bit_gemm(a_w, b_w, 96, n_block=2),
-            complex_bit_gemm(a_w, b_w, 96, n_block=128),
-        )
+    def test_row_blocks_with_ragged_tail(self, rng):
+        # M = 2048 runs along the tile rows; the 2N rows of B'' walk three
+        # full blocks and a ragged fourth.
+        m = 2048
+        n = _ragged_rows(1, m) // 2
+        a_bits = rng.integers(0, 2, size=(2, m, 96)).astype(np.uint8)
+        b_bits = rng.integers(0, 2, size=(2, n, 96)).astype(np.uint8)
+        got = complex_bit_gemm(_pack_planar_bits(a_bits), _pack_planar_bits(b_bits), 96)
+        assert np.array_equal(got, bit_gemm_reference(a_bits, b_bits))
+
+
+def _ragged_rows(lead: int, inner_rows: int) -> int:
+    """Rows of a blocked operand that span three full row blocks and a ragged tail.
+
+    ``lead`` batch items of ``inner_rows`` rows of 64-bit words run along
+    the k-loop tile; the blocked operand (the 2N rows of B'' or the M rows
+    of A'') is walked in blocks of ``TILE_BYTES`` of tile.
+    """
+    rows = TILE_BYTES // (lead * inner_rows * 8)
+    assert rows >= 4, "tile budget too small for a ragged block"
+    return 4 * rows - rows // 2
 
 
 BACKENDS = [NumpyBackend(), GenericNumpyBackend()]
@@ -145,22 +158,23 @@ class TestWordMajorEdges:
     @pytest.mark.parametrize("backend", BACKENDS, ids=lambda be: be.name)
     @pytest.mark.parametrize("op", [BitOp.XOR, BitOp.AND])
     @pytest.mark.parametrize(
-        "batch, m, n, k, n_block",
+        "batch, m, n, k",
         [
-            ((), 3, 5, 96, 128),  # odd W = 3: uint32 words
-            ((), 3, 5, 128, 128),  # even W = 4: read as uint64 on NumPy
-            ((), 4, 7, 100, 3),  # even W, padded K, n_block < N not dividing it
-            ((), 4, 7, 70, 3),  # odd W, padded K, n_block < N not dividing it
-            ((2,), 3, 4, 64, 128),  # one batch dim
-            ((2, 3), 2, 5, 90, 2),  # two batch dims, padded K, blocked N
+            ((), 3, 5, 96),  # odd W = 3
+            ((), 3, 5, 128),  # even W = 4
+            # odd W, padded K; the 2N rows of B'' span 3+ blocks, ragged tail
+            ((), 2048, _ragged_rows(1, 2048) // 2, 70),
+            # even W, padded K; 2N > M, so the M rows of A'' are blocked
+            ((), _ragged_rows(1, 4096), 2048, 100),
+            ((2,), 3, 4, 64),  # one batch dim
+            # two batch dims, padded K, blocked and ragged
+            ((2, 3), 256, _ragged_rows(6, 256) // 2, 90),
         ],
     )
-    def test_matches_reference(self, rng, backend, op, batch, m, n, k, n_block):
+    def test_matches_reference(self, rng, backend, op, batch, m, n, k):
         a_bits = rng.integers(0, 2, size=batch + (2, m, k)).astype(np.uint8)
         b_bits = rng.integers(0, 2, size=batch + (2, n, k)).astype(np.uint8)
-        got = complex_bit_gemm(
-            _pack_planar_bits(a_bits), _pack_planar_bits(b_bits), k, op, n_block, backend
-        )
+        got = complex_bit_gemm(_pack_planar_bits(a_bits), _pack_planar_bits(b_bits), k, op, backend)
         assert np.array_equal(got, _batched_reference(a_bits, b_bits))
 
     @pytest.mark.parametrize("backend", BACKENDS, ids=lambda be: be.name)
