@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Auto-tune the GEMM kernel for a device — the paper's §IV-A workflow.
 
-Runs the Kernel-Tuner-style search (time + PMT power observers) over the
+Runs the Kernel-Tuner-style search (time + modelled power observers) over the
 tuning space on a chosen GPU, prints the performance/energy Pareto front,
 and compares the tuned configuration against the shipped defaults and the
 paper's published optimum.

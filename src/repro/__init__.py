@@ -6,7 +6,6 @@ Top-level convenience exports; see the subpackages for the full API:
 * :mod:`repro.ccglib` — the complex tensor-core GEMM library;
 * :mod:`repro.cudapeak` — tensor-core micro-benchmarks (Table I);
 * :mod:`repro.kerneltuner` — auto-tuning framework (Fig 2, Table III);
-* :mod:`repro.pmt` — power measurement toolkit;
 * :mod:`repro.roofline` — roofline analysis (Fig 3);
 * :mod:`repro.tcbf` — the unified Tensor-Core Beamformer library (plans,
   streaming execution, multi-device sharding);

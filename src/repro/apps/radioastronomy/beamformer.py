@@ -313,7 +313,6 @@ def incoherent_beam(
         power_w=power.total_w,
         energy_j=power.total_w * time_s,
     )
-    device.record_kernel(cost)
     out = None
     if device.is_functional:
         if data is None:

@@ -90,7 +90,6 @@ class ReferenceBeamformer:
     ) -> tuple[np.ndarray | None, KernelCost]:
         """Run the reference beamformer (functional: exact complex64 GEMM)."""
         cost = self.predict_cost()
-        self.device.record_kernel(cost)
         if not self.device.is_functional:
             return None, cost
         if weights is None or data is None:

@@ -165,14 +165,14 @@ class UltrasoundBeamformer:
         """Beamform one frame batch.
 
         ``measurement`` is the (K, N) complex measurement matrix (already
-        clutter-filtered); required in functional mode. The recorded costs
+        clutter-filtered); required in functional mode. The returned costs
         follow the paper's Fig 5 accounting: transpose + (1-bit) packing of
         the measurement, then the GEMM. The image is scale-invariant, so
         the unit-RMS operand normalization is not undone on the output.
 
         A functional call without a prior :meth:`prepare_model` prepares
         the model once, lazily, through :meth:`prepare_model`, which also
-        records the one-time ``model_prep`` cost on the device timeline.
+        keeps the one-time ``model_prep`` cost in ``model_prep_cost``.
         """
         if not self.device.is_functional:
             return self._plan.execute()

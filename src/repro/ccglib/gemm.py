@@ -222,8 +222,7 @@ class Gemm:
         from :meth:`prepare_a` of a plan with the same shape, padded K,
         precision and backend — and the interleaved complex ``b`` of shape
         (batch, K, N). Dry-run devices ignore the operands and return the
-        predicted cost only. The launch is recorded on the device timeline
-        either way.
+        predicted cost only. The result carries the launch's cost either way.
 
         ``scale`` normalizes B: the product uses ``b / scale`` cast to
         complex64, and ``restore_scale`` multiplies the complex64 output by
@@ -234,7 +233,6 @@ class Gemm:
         applies them to the whole block, as do other backends.
         """
         cost = self.predict_cost()
-        self.device.record_kernel(cost)
         if not self.device.is_functional:
             return GemmResult(output=None, cost=cost)
         if a is None or b is None:

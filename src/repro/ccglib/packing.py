@@ -161,13 +161,11 @@ def run_pack_kernel(
 ):
     """Execute the packing kernel on a device (functional or dry-run).
 
-    Returns ``(packed_words_or_None, cost)`` and records the launch on the
-    device timeline. Passing ``values_planar=None`` records the cost only
-    (used when a higher-level functional path performs the quantization
-    itself).
+    Returns ``(packed_words_or_None, cost)``. Passing ``values_planar=None``
+    returns the cost only (used when a higher-level functional path
+    performs the quantization itself).
     """
     cost = packing_cost(device, n_values, input_bytes_per_value, PackDirection.PACK)
-    device.record_kernel(cost)
     if device.is_functional and values_planar is not None:
         return pack_sign_planar(values_planar, k_pad_to=k_pad_to, backend=backend), cost
     return None, cost

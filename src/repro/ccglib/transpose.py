@@ -142,15 +142,14 @@ def run_transpose_kernel(
     bytes_per_value: float,
     backend: ArrayBackend | None = None,
 ):
-    """Execute the B-operand transpose on a device; records the launch.
+    """Execute the B-operand transpose on a device; returns ``(out, cost)``.
 
-    Passing ``planar_kn=None`` records the launch cost without producing
+    Passing ``planar_kn=None`` returns the launch cost without producing
     output (cost-only accounting, used when a higher-level functional path
     performs the data movement itself); with values it also returns the
     transposed array on functional devices.
     """
     cost = transpose_cost(device, n_values, bytes_per_value)
-    device.record_kernel(cost)
     if device.is_functional and planar_kn is not None:
         return planar_to_kmajor(planar_kn, backend=backend), cost
     return None, cost

@@ -53,13 +53,9 @@ class BackendError(ReproError):
     """
 
 
-class MemoryError_(DeviceError):
-    """Simulated device memory exhausted (named to avoid shadowing builtin)."""
-
-
 class TunerError(ReproError):
     """The auto-tuner could not produce a valid result."""
 
 
 class PowerError(ReproError):
-    """Power measurement was requested from an unavailable sensor."""
+    """The power model has no coefficient for the requested precision."""

@@ -9,9 +9,9 @@ provides:
 * :mod:`~repro.gpusim.specs` — the seven-device catalog (AD4000, A100,
   GH200, W7700, MI210, MI300X, MI300A) with Table-I-calibrated clocks;
 * :mod:`~repro.gpusim.tensorcore` — bit-exact functional fragment MMA;
-* :mod:`~repro.gpusim.device` — device execution/accounting with
-  functional and dry-run modes;
-* clock, power, memory, and timing models consumed by the ccglib kernels.
+* :mod:`~repro.gpusim.device` — a device: its spec, functional or dry-run
+  execution mode, and power model;
+* the power and timing models consumed by the ccglib kernels.
 """
 
 from repro.gpusim.arch import (
@@ -38,9 +38,8 @@ from repro.gpusim.specs import (
     MI300X,
     MI300A,
 )
-from repro.gpusim.device import Device, ExecutionMode, Stream
+from repro.gpusim.device import Device, ExecutionMode
 from repro.gpusim.timing import KernelCost, Bound, combine_costs
-from repro.gpusim.memory import DeviceBuffer, MemoryPool
 
 __all__ = [
     "Architecture",
@@ -65,10 +64,7 @@ __all__ = [
     "MI300A",
     "Device",
     "ExecutionMode",
-    "Stream",
     "KernelCost",
     "Bound",
     "combine_costs",
-    "DeviceBuffer",
-    "MemoryPool",
 ]

@@ -3,8 +3,8 @@
 Every kernel launch on a simulated :class:`~repro.gpusim.device.Device`
 yields a :class:`KernelCost` describing how long it ran, why (which resource
 bound it), how much data it moved, and how much energy it consumed. The
-benchmark harness, PMT sensors, and roofline analysis all consume these
-records instead of wall-clock time.
+benchmark harness, the auto-tuner's energy metrics (TOPs/J) and the
+roofline analysis all consume these records instead of wall-clock time.
 """
 
 from __future__ import annotations

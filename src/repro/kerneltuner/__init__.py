@@ -3,8 +3,8 @@
 "To facilitate this, we use Kernel Tuner, a Python-based auto-tuning
 framework that can automatically optimize kernels written in both CUDA and
 HIP" (paper §IV-A). The reproduction keeps Kernel Tuner's structure:
-search spaces with restrictions, pluggable strategies, observers for time
-and (via PMT) power, and a persistent result cache.
+search spaces with restrictions, pluggable strategies, and observers for
+time, performance and modelled power.
 """
 
 from repro.kerneltuner.space import (
@@ -13,7 +13,7 @@ from repro.kerneltuner.space import (
     config_to_params,
     params_to_config,
 )
-from repro.kerneltuner.strategies import BruteForce, RandomSample, GreedyILS, StrategyResult
+from repro.kerneltuner.strategies import BruteForce, GreedyILS, StrategyResult
 from repro.kerneltuner.observers import (
     Observer,
     ObserverChain,
@@ -22,7 +22,6 @@ from repro.kerneltuner.observers import (
     PowerObserver,
     default_observers,
 )
-from repro.kerneltuner.cache import TuningCache
 from repro.kerneltuner.tuner import (
     tune_gemm,
     TuningResult,
@@ -36,7 +35,6 @@ __all__ = [
     "config_to_params",
     "params_to_config",
     "BruteForce",
-    "RandomSample",
     "GreedyILS",
     "StrategyResult",
     "Observer",
@@ -45,7 +43,6 @@ __all__ = [
     "PerformanceObserver",
     "PowerObserver",
     "default_observers",
-    "TuningCache",
     "tune_gemm",
     "TuningResult",
     "TuningRecord",

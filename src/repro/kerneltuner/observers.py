@@ -42,7 +42,11 @@ class PerformanceObserver(Observer):
 
 
 class PowerObserver(Observer):
-    """PMT-backed power/energy metrics (paper: PMT via NVML / rocm-smi)."""
+    """Power/energy metrics from the kernel's modelled average power.
+
+    The paper reads power through PMT (NVML / rocm-smi); here the
+    :class:`~repro.gpusim.power.PowerModel` prices it per kernel.
+    """
 
     def observe(self, cost: KernelCost) -> dict[str, float]:
         return {

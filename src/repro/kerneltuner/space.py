@@ -13,8 +13,6 @@ import itertools
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.ccglib.precision import Precision
 from repro.ccglib.tuning import (
     BLOCK_M_VALUES,
@@ -24,9 +22,7 @@ from repro.ccglib.tuning import (
     WARP_M_VALUES,
     WARP_N_VALUES,
 )
-from repro.errors import TunerError
 from repro.gpusim.specs import GPUSpec
-from repro.util.rng import make_rng
 
 Config = dict[str, int]
 Restriction = Callable[[Config], bool]
@@ -51,16 +47,6 @@ class SearchSpace:
 
     def enumerate_valid(self) -> list[Config]:
         return list(self)
-
-    def sample(self, n: int, seed: int = 0) -> list[Config]:
-        """Uniform sample of valid configs without replacement."""
-        valid = self.enumerate_valid()
-        if not valid:
-            raise TunerError("search space has no valid configurations")
-        rng = make_rng(seed)
-        n = min(n, len(valid))
-        idx = rng.choice(len(valid), size=n, replace=False)
-        return [valid[i] for i in np.sort(idx)]
 
     def neighbours(self, config: Config) -> list[Config]:
         """Hamming-distance-1 valid neighbours (for local search)."""

@@ -3,12 +3,11 @@
 Kernel Tuner ships multiple optimization strategies; "to find the optimum of
 the tunable parameters, we need to explore a vast search space, and this
 process has to be repeated for each GPU architecture" (paper §IV-A). We
-implement three representative strategies over an abstract evaluate
+implement two representative strategies over an abstract evaluate
 function (higher objective = better):
 
-* :class:`BruteForce` — exhaustive; the reference the others are tested
+* :class:`BruteForce` — exhaustive; the reference the other is tested
   against (the GEMM space is small enough: a few hundred valid points);
-* :class:`RandomSample` — uniform sampling with a fixed budget;
 * :class:`GreedyILS` — greedy iterated local search: hill-climb over
   Hamming-1 neighbourhoods with random restarts, Kernel Tuner's default
   style of local optimizer.
@@ -67,24 +66,6 @@ class BruteForce(Strategy):
         history: list[tuple[Config, float]] = []
         evaluations = 0
         for config in space:
-            evaluations += 1
-            obj = evaluate(config)
-            if obj is not None:
-                history.append((config, obj))
-        return self._finalize(history, evaluations)
-
-
-@dataclass
-class RandomSample(Strategy):
-    """Evaluate a fixed-size uniform sample of the valid space."""
-
-    budget: int = 64
-    seed: int = 0
-
-    def run(self, space: SearchSpace, evaluate: EvaluateFn) -> StrategyResult:
-        history: list[tuple[Config, float]] = []
-        evaluations = 0
-        for config in space.sample(self.budget, seed=self.seed):
             evaluations += 1
             obj = evaluate(config)
             if obj is not None:

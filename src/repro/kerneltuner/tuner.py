@@ -3,8 +3,9 @@
 Mirrors the paper's tuning setup (§IV-A): the float16 kernel is tuned at
 M=N=K=8192 and the 1-bit kernel at M=32768, N=8192, K=524288; each
 configuration is benchmarked for run time (Kernel Tuner) and GPU energy
-(PMT), and the winner by performance is reported alongside its energy
-efficiency (Fig 2 scatter, Table III rows).
+(PMT in the paper, the power model here), and the winner by performance is
+reported alongside its energy efficiency (Fig 2 scatter, Table III rows);
+:meth:`TuningResult.pareto_front` shows the trade-off between the two.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ from dataclasses import dataclass, field
 from repro.ccglib.perfmodel import GemmProblem, model_gemm
 from repro.ccglib.precision import Precision
 from repro.ccglib.tuning import TuneParams
-from repro.errors import KernelConfigError, TunerError, UnsupportedPrecisionError
+from repro.errors import KernelConfigError, UnsupportedPrecisionError
 from repro.gpusim.specs import GPUSpec
 from repro.gpusim.timing import KernelCost
-from repro.kerneltuner.cache import TuningCache
-from repro.kerneltuner.observers import ObserverChain, default_observers
-from repro.kerneltuner.space import Config, SearchSpace, config_to_params, gemm_search_space
+from repro.kerneltuner.observers import default_observers
+from repro.kerneltuner.space import Config, config_to_params, gemm_search_space
 from repro.kerneltuner.strategies import BruteForce, Strategy
 
 #: tuning problems used by the paper as "a generic use case" (§IV-A).
@@ -27,10 +27,6 @@ PAPER_TUNING_PROBLEMS: dict[Precision, GemmProblem] = {
     Precision.FLOAT16: GemmProblem(batch=1, m=8192, n=8192, k=8192),
     Precision.INT1: GemmProblem(batch=1, m=32768, n=8192, k=524288),
 }
-
-#: objectives the tuner can maximize.
-OBJECTIVES = ("tops", "tops_per_joule")
-
 
 @dataclass(frozen=True)
 class TuningRecord:
@@ -47,7 +43,6 @@ class TuningResult:
     gpu: str
     precision: Precision
     problem: GemmProblem
-    objective: str
     best: TuningRecord
     records: list[TuningRecord] = field(default_factory=list)
     evaluations: int = 0
@@ -86,37 +81,26 @@ def tune_gemm(
     precision: Precision,
     problem: GemmProblem | None = None,
     strategy: Strategy | None = None,
-    objective: str = "tops",
-    observers: ObserverChain | None = None,
-    cache: TuningCache | None = None,
-    space: SearchSpace | None = None,
 ) -> TuningResult:
-    """Auto-tune the GEMM kernel for one device/precision.
+    """Auto-tune the GEMM kernel for one device/precision, by throughput.
 
-    Invalid configurations (shared memory, registers, AMD buffer
-    restriction...) surface as :class:`KernelConfigError` during evaluation
-    and are pruned, exactly how compile failures behave under Kernel Tuner.
+    Every configuration's time, throughput, power and energy are kept in
+    :attr:`TuningResult.records`. Invalid configurations (shared memory,
+    registers, AMD buffer restriction...) surface as
+    :class:`KernelConfigError` during evaluation and are pruned, exactly how
+    compile failures behave under Kernel Tuner.
     """
-    if objective not in OBJECTIVES:
-        raise TunerError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     if precision is Precision.INT1 and not spec.caps.supports_precision("int1"):
         raise UnsupportedPrecisionError(f"{spec.name} does not support int1")
     problem = problem or PAPER_TUNING_PROBLEMS[precision]
     strategy = strategy or BruteForce()
-    observers = observers or default_observers()
-    space = space or gemm_search_space(spec, precision)
-    problem_key = f"b{problem.batch}m{problem.m}n{problem.n}k{problem.k}"
+    observers = default_observers()
 
     records: list[TuningRecord] = []
     invalid = 0
 
     def evaluate(config: Config) -> float | None:
         nonlocal invalid
-        if cache is not None:
-            cached = cache.get(spec.name, precision.value, problem_key, config)
-            if cached is not None:
-                records.append(TuningRecord(config_to_params(config), cached))
-                return cached[objective]
         params = config_to_params(config)
         try:
             cost: KernelCost = model_gemm(spec, precision, problem, params)
@@ -125,18 +109,15 @@ def tune_gemm(
             return None
         metrics = observers.collect(cost)
         records.append(TuningRecord(params, metrics))
-        if cache is not None:
-            cache.put(spec.name, precision.value, problem_key, config, metrics)
-        return metrics[objective]
+        return metrics["tops"]
 
-    outcome = strategy.run(space, evaluate)
+    outcome = strategy.run(gemm_search_space(spec, precision), evaluate)
     best_params = config_to_params(outcome.best_config)
     best_record = next(r for r in records if r.params == best_params)
     return TuningResult(
         gpu=spec.name,
         precision=precision,
         problem=problem,
-        objective=objective,
         best=best_record,
         records=records,
         evaluations=outcome.evaluations,

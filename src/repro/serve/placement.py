@@ -38,10 +38,10 @@ Design decisions worth knowing:
   — exactly wrong for fleet growth. The build is still charged to the
   batch that faults it in (the plan cache's job), just not double-counted
   as a routing deterrent.
-* *Estimates are memoized, never recorded.* Pricing a candidate device
+* *Estimates are memoized, never executed.* Pricing a candidate device
   builds a plan and asks its pure ``predict_*``/``stage_in_cost`` methods;
-  nothing lands on any device timeline, so what-if costing cannot perturb
-  the simulation (see :meth:`BeamformerPlan.predict_weight_prep_cost
+  no kernel runs on any device, so what-if costing cannot perturb the
+  simulation (see :meth:`BeamformerPlan.predict_weight_prep_cost
   <repro.tcbf.plan.BeamformerPlan.predict_weight_prep_cost>`).
 """
 
@@ -195,8 +195,8 @@ class Placer:
         """Per-device cost prediction for the merged workload (memoized).
 
         Builds the candidate plan once per (device, workload compatibility,
-        merged extent) and caches its pure predictions; the device timeline
-        is never touched.
+        merged extent) and caches its pure predictions; nothing executes on
+        the device.
         """
         key = (id(worker.device), workload.compat_key(), n_requests)
         cost = self._costs.get(key)

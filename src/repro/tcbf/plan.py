@@ -189,8 +189,8 @@ class BeamformerPlan:
         """The per-block streaming stage costs, in execution order.
 
         Single source of the transpose/packing stage selection: both the
-        prediction path (:meth:`stage_in_cost`) and the recording path
-        (:meth:`execute`) consume this list.
+        prediction path (:meth:`stage_in_cost`) and :meth:`execute` consume
+        this list.
         """
         costs: list[KernelCost] = []
         tr = traits(self.precision)
@@ -234,34 +234,26 @@ class BeamformerPlan:
         """Real values in the A operand (weights / matched filter)."""
         return 2 * self.batch * self.n_beams * self.n_receivers
 
-    def _weight_prep_costs(self) -> list[KernelCost]:
-        """The one-time weight preparation stage costs, in execution order.
+    def predict_weight_prep_cost(self, name: str = "weight_prep") -> KernelCost:
+        """Pure prediction of :meth:`prepare_weights` — nothing is prepared.
 
-        Single source of the weight-side stages (tiling transpose, plus the
-        1-bit pack for int1), consumed by both :meth:`predict_weight_prep_cost`
-        and :meth:`prepare_weights` — the counterpart of
-        :meth:`_stage_in_costs` for the streaming operand.
+        The weight-side stages, in execution order: the tiling transpose,
+        plus the 1-bit pack for int1 (the counterpart of
+        :meth:`_stage_in_costs` for the streaming operand). Placement layers
+        price the cold-start (plan build + one-time weight preparation) of
+        candidate devices they may never dispatch to.
         """
         tr = traits(self.precision)
         costs = [transpose_cost(self.device, self._weight_values, tr.input_bytes)]
         if self.precision is Precision.INT1:
             costs.append(packing_cost(self.device, self._weight_values, _HOST_BYTES_PER_VALUE))
-        return costs
-
-    def predict_weight_prep_cost(self, name: str = "weight_prep") -> KernelCost:
-        """Pure prediction of :meth:`prepare_weights` — nothing recorded.
-
-        Placement layers price the cold-start (plan build + one-time weight
-        preparation) of candidate devices they may never dispatch to; this
-        keeps those what-if estimates off the device timeline.
-        """
-        return combine_costs(name, self._weight_prep_costs())
+        return combine_costs(name, costs)
 
     def prepare_weights(self, weights: Any | None = None, name: str = "weight_prep") -> KernelCost:
         """One-time preparation of the A operand (weights / matched filter).
 
-        Records the tiling transpose plus — for int1 — the sign packing at
-        the GEMM's padded K on the device timeline, kept out of the
+        Charges the tiling transpose plus — for int1 — the sign packing at
+        the GEMM's padded K to :attr:`weight_prep_cost`, kept out of the
         per-block budget: "this typically happens once before the
         experiment and does not need to be repeated" (paper §V-A).
 
@@ -272,16 +264,13 @@ class BeamformerPlan:
         planes already rounded to the precision's grid otherwise) and
         ``execute(None, data)`` reuses it on every block. The operand is
         a snapshot: call this again after the weights change. Without
-        ``weights`` (or on a dry-run device) only the costs are recorded.
+        ``weights`` (or on a dry-run device) only the cost is charged.
         Malformed weights raise :class:`~repro.errors.ShapeError` before
-        anything is recorded.
+        anything is charged.
         """
         if weights is not None and self.device.is_functional:
             self._prepared_a = self._gemm.prepare_a(self._validated_weights(weights))
-        costs = self._weight_prep_costs()
-        for stage in costs:
-            self.device.record_kernel(stage)
-        self.weight_prep_cost = combine_costs(name, costs)
+        self.weight_prep_cost = self.predict_weight_prep_cost(name)
         return self.weight_prep_cost
 
     # -- execution -----------------------------------------------------------
@@ -301,10 +290,10 @@ class BeamformerPlan:
         complex. Per-call weights are prepared again on every block, so
         in-place updates between blocks are honoured. In functional mode
         ``data`` and one of the two weight sources are required (a
-        :class:`~repro.errors.ShapeError` otherwise, raised before any cost
-        is recorded); dry-run ignores the operands. Records every charged
-        stage on the device timeline in execution order and returns the
-        end-to-end :class:`~repro.tcbf.result.BeamformResult`.
+        :class:`~repro.errors.ShapeError` otherwise, raised before any work
+        is done); dry-run ignores the operands. Returns the end-to-end
+        :class:`~repro.tcbf.result.BeamformResult`, whose ``costs`` list
+        every charged stage in execution order.
 
         ``scale`` overrides the automatic unit-RMS operand normalization —
         the sharding layer passes one global scale so every shard of a
@@ -328,8 +317,6 @@ class BeamformerPlan:
         # data movement happens inside the GEMM plan, which consumes the
         # interleaved host layout directly).
         costs = self._stage_in_costs()
-        for stage in costs:
-            self.device.record_kernel(stage)
         output = None
         if self.device.is_functional:
             be = self.backend
@@ -374,7 +361,7 @@ class BeamformerPlan:
         return be.astype(batched, be.xp.complex64)
 
     def _validated_data(self, data: Any | None) -> Any:
-        """Shape-check the streaming operand before any cost is recorded."""
+        """Shape-check the streaming operand before any work is done."""
         if data is None:
             raise ShapeError("functional beamforming requires weights and data")
         data, _ = ensure_batched(self.backend.asarray(data), 3, backend=self.backend)

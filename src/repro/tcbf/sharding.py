@@ -13,8 +13,7 @@ Two axes shard naturally:
 :class:`ShardedBeamformer` builds one :class:`~repro.tcbf.plan.BeamformerPlan`
 per device and runs them through :func:`execute_shards` — the one sharded
 execution path, which the serving tier's split placements share — and
-aggregates the per-device timelines:
-the modelled wall time of a block is the slowest shard (devices run
+aggregates the per-shard costs: the modelled wall time of a block is the slowest shard (devices run
 concurrently), so aggregate throughput is total useful ops over that
 maximum.
 """
@@ -212,7 +211,7 @@ def execute_shards(
     the block by one global RMS (per-shard RMS would scale each slice
     differently and corrupt relative amplitudes across the merged output);
     and concatenate the shard outputs back along the same axis. Dry-run
-    plans ignore the operands and record their shard's timeline only.
+    plans ignore the operands and return their shard's cost only.
     """
     if not plans:
         raise ShapeError("sharded execution requires at least one plan")

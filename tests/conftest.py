@@ -47,6 +47,35 @@ def mi300x_device():
     return Device("MI300X")
 
 
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """Spy on kernel execution: one ``(what, device)`` per call, in order.
+
+    Covers ``Gemm.run``, ``BeamformerPlan.execute`` and the transpose and
+    pack run functions; each still runs as before. A device keeps no log of
+    its launches, so this is how a test sees what ran where.
+    """
+    from repro.ccglib import gemm, packing, transpose
+    from repro.tcbf import plan
+
+    runs = []
+
+    def spy(owner, name, label):
+        original = getattr(owner, name)
+
+        def wrapper(first, *args, **kwargs):
+            runs.append((label, getattr(first, "device", first)))
+            return original(first, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(gemm.Gemm, "run", "Gemm.run")
+    spy(plan.BeamformerPlan, "execute", "BeamformerPlan.execute")
+    spy(transpose, "run_transpose_kernel", "run_transpose_kernel")
+    spy(packing, "run_pack_kernel", "run_pack_kernel")
+    return runs
+
+
 def random_complex(rng: np.random.Generator, shape: tuple[int, ...], scale: float = 1.0):
     """Unit-scale complex64 test data."""
     return ((rng.normal(size=shape) + 1j * rng.normal(size=shape)) * scale).astype(np.complex64)

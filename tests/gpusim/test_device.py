@@ -1,12 +1,24 @@
-"""Device execution accounting: timeline, streams, power sampling."""
+"""The simulated device: modes, keeping nothing per kernel, cost records."""
 
 from __future__ import annotations
+
+import gc
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
+from repro.apps.radioastronomy import ReferenceBeamformer, incoherent_beam
+from repro.ccglib.gemm import Gemm
+from repro.ccglib.packing import run_pack_kernel
+from repro.ccglib.precision import Precision
+from repro.ccglib.transpose import run_transpose_kernel
 from repro.gpusim.device import Device, ExecutionMode
 from repro.gpusim.timing import Bound, KernelCost, combine_costs
+from repro.tcbf import BeamformerPlan, ShardedBeamformer
+from tests.conftest import random_complex
 
 
 def _cost(t: float, power: float = 100.0, ops: float = 1e9) -> KernelCost:
@@ -23,57 +35,117 @@ def _cost(t: float, power: float = 100.0, ops: float = 1e9) -> KernelCost:
     )
 
 
-class TestTimeline:
-    def test_advances(self):
-        dev = Device("A100")
-        dev.record_kernel(_cost(1e-3))
-        dev.record_kernel(_cost(2e-3))
-        assert dev.now_s == pytest.approx(3e-3)
-        assert len(dev.timeline) == 2
-        assert dev.timeline[1].start_s == pytest.approx(1e-3)
-
-    def test_totals(self):
-        dev = Device("A100")
-        dev.record_kernel(_cost(1e-3, power=200.0))
-        dev.record_kernel(_cost(5e-4, power=100.0))
-        entries = dev.timeline
-        assert sum(e.end_s - e.start_s for e in entries) == pytest.approx(dev.now_s)
-        assert dev.now_s == pytest.approx(1.5e-3)
-        assert sum(e.cost.energy_j for e in entries) == pytest.approx(0.25)
-        assert sum(e.cost.useful_ops for e in entries) == pytest.approx(2e9)
-
-    def test_power_at(self):
-        dev = Device("A100")
-        dev.record_kernel(_cost(1e-3, power=250.0))
-        assert dev.power_at(0.5e-3) == 250.0
-        assert dev.power_at(2e-3) == dev.power.idle_w
-
-
 class TestModes:
-    def test_functional_materializes(self):
-        dev = Device("A100", ExecutionMode.FUNCTIONAL)
-        assert dev.allocate((4,), np.float32).data is not None
-
-    def test_dry_run_does_not(self):
-        dev = Device("A100", ExecutionMode.DRY_RUN)
-        assert dev.allocate((4,), np.float32).data is None
-
-    def test_upload_roundtrip(self, rng):
-        dev = Device("GH200")
-        host = rng.normal(size=6).astype(np.float32)
-        buf = dev.upload(host)
-        assert np.array_equal(buf.data, host)
+    def test_functional_by_default(self):
+        assert Device("A100").is_functional
+        assert not Device("A100", ExecutionMode.DRY_RUN).is_functional
 
     def test_spec_by_name(self):
         assert Device("mi210").spec.name == "MI210"
 
 
-class TestStream:
-    def test_launch_advances_the_device_clock(self):
-        dev = Device("A100")
-        dev.default_stream.launch(_cost(5e-3))
-        assert dev.now_s == pytest.approx(5e-3)
-        assert dev.timeline[0].end_s == pytest.approx(5e-3)
+# Every call that used to log its launch on the device, built once on tiny
+# shapes; each function returns the repeated call.
+
+
+def _gemm_run(rng):
+    plan = Gemm(Device("A100"), Precision.INT1, 1, 8, 8, 256)
+    a, b = random_complex(rng, (1, 8, 256)), random_complex(rng, (1, 256, 8))
+    return lambda: plan.run(a, b)
+
+
+def _run_pack_kernel(rng):
+    device, values = Device("A100"), rng.normal(size=(2, 3, 64)).astype(np.float32)
+    return lambda: run_pack_kernel(device, values, values.size, 4.0)
+
+
+def _run_transpose_kernel(rng):
+    device, values = Device("A100"), rng.normal(size=(2, 4, 3)).astype(np.float32)
+    return lambda: run_transpose_kernel(device, values, values.size, 4.0)
+
+
+def _int1_plan(device=None):
+    return BeamformerPlan(
+        device or Device("A100"), n_beams=8, n_receivers=64, n_samples=16,
+        precision=Precision.INT1,
+    )
+
+
+def _prepare_weights(rng):
+    plan, weights = _int1_plan(), random_complex(rng, (1, 8, 64))
+    return lambda: plan.prepare_weights(weights)
+
+
+def _execute_prepared_int1(rng):
+    plan = _int1_plan()
+    plan.prepare_weights(random_complex(rng, (1, 8, 64)))
+    data = random_complex(rng, (1, 64, 16))
+    return lambda: plan.execute(None, data)
+
+
+def _execute_float16(rng):
+    plan = BeamformerPlan(
+        Device("A100"), n_beams=8, n_receivers=64, n_samples=16, batch=2,
+        restore_output_scale=True,
+    )
+    weights, data = random_complex(rng, (2, 8, 64)), random_complex(rng, (2, 64, 16))
+    return lambda: plan.execute(weights, data)
+
+
+def _execute_dry_run(rng):
+    return _int1_plan(Device("A100", ExecutionMode.DRY_RUN)).execute
+
+
+def _execute_shards(rng):
+    devices = [Device("A100", ExecutionMode.DRY_RUN) for _ in range(2)]
+    return ShardedBeamformer(devices, n_beams=64, n_receivers=48, n_samples=64, batch=4).execute
+
+
+def _incoherent_beam(rng):
+    device, data = Device("A100"), random_complex(rng, (4, 16, 32))
+    return lambda: incoherent_beam(device, data, 4, 16, 32)
+
+
+def _reference_beamformer(rng):
+    bf = ReferenceBeamformer(Device("A100"), 8, 16, 32, 2)
+    weights, data = random_complex(rng, (2, 8, 16)), random_complex(rng, (2, 16, 32))
+    return lambda: bf.form_beams(weights, data)
+
+
+class TestKeepsNothingPerKernel:
+    """A device is its spec, mode and power model: it logs no launch.
+
+    Each kernel's cost goes back to the caller, so a long run keeps no more
+    live memory than a short one.
+    """
+
+    @staticmethod
+    def _live_repro_bytes() -> int:
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, str(Path(repro.__file__).parent / "*"))]
+        )
+        return sum(stat.size for stat in snapshot.statistics("filename"))
+
+    @pytest.mark.parametrize("build", [
+        _gemm_run, _run_pack_kernel, _run_transpose_kernel, _prepare_weights,
+        _execute_prepared_int1, _execute_float16, _execute_dry_run, _execute_shards,
+        _incoherent_beam, _reference_beamformer,
+    ], ids=lambda build: build.__name__.lstrip("_"))
+    def test_live_memory_does_not_grow_with_calls(self, rng, build):
+        call = build(rng)
+        call()
+        tracemalloc.start()
+        try:
+            for _ in range(20):
+                call()
+            after_short = self._live_repro_bytes()
+            for _ in range(200):
+                call()
+            after_long = self._live_repro_bytes()
+        finally:
+            tracemalloc.stop()
+        assert abs(after_long - after_short) < 4096
 
 
 class TestCombineCosts:

@@ -1,16 +1,17 @@
-"""Cross-module integration: GEMM + PMT + memory + applications together."""
+"""Cross-module integration: GEMM + energy + placement + applications together."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.apps.ultrasound.imaging import service_workload as ultrasound_workload
 from repro.ccglib.gemm import Gemm, gemm_once
 from repro.ccglib.precision import Precision
-from repro.errors import MemoryError_
 from repro.gpusim.device import Device, ExecutionMode
 from repro.gpusim.specs import GPU_CATALOG, INT1_GPUS
-from repro.pmt.meter import PowerMeter
+from repro.serve import FleetDispatcher
+from repro.tcbf import BeamformerPlan
 from tests.conftest import random_complex, random_pm1_complex
 
 
@@ -55,56 +56,34 @@ class TestInt1AcrossNvidia:
         assert np.array_equal(out_xor, out_and)
 
 
-class TestPmtIntegration:
-    def test_meter_covers_full_pipeline(self, rng):
-        """PMT energy over a multi-kernel run equals the kernel-cost sum."""
-        dev = Device("A100")
-        meter = PowerMeter(dev)
-        begin = meter.read()
-        a = random_complex(rng, (2, 32, 64))
-        b = random_complex(rng, (2, 64, 16))
-        plan = Gemm(dev, Precision.FLOAT16, 2, 32, 16, 64)
-        costs = [plan.run(a, b).cost, plan.run(a, b).cost]
-        end = meter.read()
-        assert PowerMeter.joules(begin, end) == pytest.approx(sum(c.energy_j for c in costs))
-        assert PowerMeter.seconds(begin, end) == pytest.approx(sum(c.time_s for c in costs))
+class TestEnergyIntegration:
+    def test_block_energy_is_the_sum_of_its_kernels(self, rng):
+        """A block's time and energy are the sums over the kernels it ran."""
+        plan = BeamformerPlan(
+            Device("A100"), n_beams=16, n_receivers=64, n_samples=32, batch=2,
+            precision=Precision.INT1,
+        )
+        result = plan.execute(random_complex(rng, (2, 16, 64)), random_complex(rng, (2, 64, 32)))
+        assert [c.name for c in result.costs][:2] == ["transpose", "pack_bits"]
+        assert result.total.energy_j == pytest.approx(sum(c.energy_j for c in result.costs))
+        assert result.total.time_s == pytest.approx(sum(c.time_s for c in result.costs))
 
-    def test_paper_energy_metric_via_pmt(self):
-        """Reproduce a Table III energy number through the PMT code path."""
+    def test_paper_energy_metric_from_kernel_cost(self):
+        """Reproduce a Table III energy number from the GEMM's cost record."""
         dev = Device("A100", ExecutionMode.DRY_RUN)
-        meter = PowerMeter(dev)
-        begin = meter.read()
-        plan = Gemm(dev, Precision.FLOAT16, 1, 8192, 8192, 8192)
-        result = plan.run()
-        end = meter.read()
-        tops_per_joule = PowerMeter.ops_per_joule(result.cost.useful_ops, begin, end) / 1e12
+        result = Gemm(dev, Precision.FLOAT16, 1, 8192, 8192, 8192).run()
+        tops_per_joule = result.cost.ops_per_joule / 1e12
         assert tops_per_joule == pytest.approx(0.8, rel=0.05)  # paper: 0.8
 
 
 class TestMemoryIntegration:
-    def test_upload_compute_free_cycle(self, rng):
-        dev = Device("AD4000")
-        a_host = random_complex(rng, (1, 16, 32))
-        buf = dev.upload(a_host, label="A")
-        pool = dev.memory
-        with pytest.raises(MemoryError_):
-            pool.allocate((pool.capacity_bytes - a_host.nbytes + 1,), np.uint8, materialize=False)
-        dev.free(buf)
-        pool.allocate((pool.capacity_bytes,), np.uint8, materialize=False)  # all free again
-
-    def test_dry_run_capacity_guard_at_paper_scale(self):
+    @pytest.mark.parametrize("gpu", list(GPU_CATALOG))
+    def test_dry_run_capacity_guard_at_paper_scale(self, gpu):
         # The full 128^3 1-bit model matrix (~137 GB packed) does not fit
         # any catalog GPU except MI300X (192 GB).
-        packed_shape = (2, 128**3, 262144 // 32)
-        fits = {}
-        for gpu in ("A100", "GH200", "MI300X"):
-            dev = Device(gpu, ExecutionMode.DRY_RUN)
-            try:
-                dev.allocate(packed_shape, np.uint32)
-                fits[gpu] = True
-            except Exception:
-                fits[gpu] = False
-        assert fits == {"A100": False, "GH200": False, "MI300X": True}
+        model = ultrasound_workload(n_voxels=128**3, k=262144, n_frames=1).kernel
+        fleet = FleetDispatcher([Device(gpu, ExecutionMode.DRY_RUN)])
+        assert fleet.placer.fits(fleet.workers[0], model) == (gpu == "MI300X")
 
 
 class TestCrossApplication:
@@ -115,9 +94,8 @@ class TestCrossApplication:
 
         dev = Device("A100", ExecutionMode.DRY_RUN)
         lofar = LOFARBeamformer(dev, 64, 16, 128, 4)
-        lofar.form_beams()
         us = UltrasoundBeamformer(dev, n_voxels=4096, k=8192, n_frames=128)
-        us.reconstruct()
-        names = [e.cost.name for e in dev.timeline]
+        costs = lofar.form_beams().costs + us.reconstruct().costs
+        names = [c.name for c in costs]
         assert sum(n.startswith("gemm_") for n in names) == 2
         assert "pack_bits" in names and "transpose" in names

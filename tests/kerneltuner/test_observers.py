@@ -1,9 +1,8 @@
-"""Observers and result cache."""
+"""Observers: the metrics the tuner records per configuration."""
 
 from __future__ import annotations
 
 from repro.gpusim.timing import Bound, KernelCost
-from repro.kerneltuner.cache import TuningCache
 from repro.kerneltuner.observers import (
     ObserverChain,
     PerformanceObserver,
@@ -41,18 +40,3 @@ class TestObservers:
         metrics = default_observers().collect(_cost())
         assert {"time_s", "tops", "power_w", "energy_j", "tops_per_joule"} <= set(metrics)
 
-
-class TestCache:
-    def test_put_get(self):
-        cache = TuningCache()
-        cache.put("A100", "float16", "p1", {"block_m": 128}, {"tops": 1.0})
-        assert cache.get("A100", "float16", "p1", {"block_m": 128}) == {"tops": 1.0}
-
-    def test_miss_returns_none(self):
-        cache = TuningCache()
-        assert cache.get("A100", "float16", "p1", {"block_m": 64}) is None
-
-    def test_key_includes_problem(self):
-        cache = TuningCache()
-        cache.put("A100", "float16", "p1", {"block_m": 128}, {"tops": 1.0})
-        assert cache.get("A100", "float16", "p2", {"block_m": 128}) is None

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.ccglib.precision import Precision
-from repro.errors import TunerError
 from repro.kerneltuner.space import (
     SearchSpace,
     config_to_params,
@@ -30,22 +27,6 @@ class TestSearchSpace:
         configs = space.enumerate_valid()
         assert len(configs) == 6
         assert len({tuple(c.items()) for c in configs}) == 6
-
-    def test_sample_deterministic_and_valid(self):
-        space = gemm_search_space(get_spec("A100"), Precision.FLOAT16)
-        s1 = space.sample(10, seed=3)
-        s2 = space.sample(10, seed=3)
-        assert s1 == s2
-        assert all(space.is_valid(c) for c in s1)
-
-    def test_sample_caps_at_space_size(self):
-        space = SearchSpace(parameters={"a": [1, 2]})
-        assert len(space.sample(100)) == 2
-
-    def test_sample_empty_space_raises(self):
-        space = SearchSpace(parameters={"a": [1]}, restrictions=[lambda c: False])
-        with pytest.raises(TunerError):
-            space.sample(1)
 
     def test_neighbours_are_valid_hamming_one(self):
         space = gemm_search_space(get_spec("A100"), Precision.FLOAT16)

@@ -1,4 +1,4 @@
-"""Tuning strategies: brute force reference, sampling, local search."""
+"""Tuning strategies: brute force reference and local search."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from repro.ccglib.precision import Precision
 from repro.errors import TunerError
 from repro.gpusim.specs import get_spec
 from repro.kerneltuner.space import SearchSpace, gemm_search_space
-from repro.kerneltuner.strategies import BruteForce, GreedyILS, RandomSample
+from repro.kerneltuner.strategies import BruteForce, GreedyILS
 
 
 def quadratic_objective(config):
@@ -39,17 +39,6 @@ class TestBruteForce:
             BruteForce().run(SPACE, lambda c: None)
 
 
-class TestRandomSample:
-    def test_budget_respected(self):
-        result = RandomSample(budget=20, seed=1).run(SPACE, quadratic_objective)
-        assert result.evaluations == 20
-
-    def test_deterministic(self):
-        r1 = RandomSample(budget=15, seed=4).run(SPACE, quadratic_objective)
-        r2 = RandomSample(budget=15, seed=4).run(SPACE, quadratic_objective)
-        assert r1.best_config == r2.best_config
-
-
 class TestGreedyILS:
     def test_reaches_optimum_on_smooth_landscape(self):
         result = GreedyILS(budget=120, seed=0).run(SPACE, quadratic_objective)
@@ -58,6 +47,13 @@ class TestGreedyILS:
     def test_budget_bound(self):
         result = GreedyILS(budget=30, seed=0).run(SPACE, quadratic_objective)
         assert result.evaluations <= 30
+
+    def test_deterministic(self):
+        # The apps and benches tune with a fixed seed; the same seed must
+        # walk the same configurations.
+        r1 = GreedyILS(budget=25, seed=4).run(SPACE, quadratic_objective)
+        r2 = GreedyILS(budget=25, seed=4).run(SPACE, quadratic_objective)
+        assert r1.history == r2.history
 
 
 class TestOnRealGemmSpace:
@@ -86,10 +82,3 @@ class TestOnRealGemmSpace:
         best = BruteForce().run(space, evaluate).best_objective
         ils = GreedyILS(budget=150, seed=2).run(space, evaluate).best_objective
         assert ils >= 0.95 * best
-
-    def test_random_sampling_reasonable(self):
-        space = gemm_search_space(get_spec("A100"), Precision.FLOAT16)
-        evaluate = self._evaluate_factory()
-        best = BruteForce().run(space, evaluate).best_objective
-        rnd = RandomSample(budget=80, seed=2).run(space, evaluate).best_objective
-        assert rnd >= 0.75 * best

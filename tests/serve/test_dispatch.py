@@ -216,9 +216,9 @@ class TestSharedCache:
         assert e2.build_s == 0.0
         assert cache.hits == 1
 
-    def test_functional_kernels_land_on_the_executing_device(self, rng):
+    def test_functional_kernels_land_on_the_executing_device(self, rng, kernel_runs):
         # The regression behind the per-device cache key: worker 1's
-        # batches must be recorded on worker 1's timeline.
+        # batches must run on worker 1's device.
         wl = workload(
             n_beams=8, n_receivers=16, n_samples=8, include_transpose=False,
             weights=random_complex(rng, (1, 8, 16)),
@@ -230,8 +230,8 @@ class TestSharedCache:
             *[make_batch(i, wl, 1, 0.0, data=random_complex(rng, (1, 16, 8))) for i in range(4)],
         )
         assert {e.worker_index for e in fleet.executions} == {0, 1}
-        assert len(devices[0].timeline) > 0
-        assert len(devices[1].timeline) > 0
+        executed = [id(device) for what, device in kernel_runs if what == "Gemm.run"]
+        assert executed == [id(devices[e.worker_index]) for e in fleet.executions]
 
 
 class TestDrainFallbackOnlyCapableWorker:

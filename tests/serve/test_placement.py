@@ -179,13 +179,13 @@ class TestDecisions:
         assert decision.kind is PlacementKind.SHED
         assert decision.reason == "capacity"
 
-    def test_estimates_never_touch_device_timelines(self):
+    def test_estimates_never_execute_a_kernel(self, kernel_runs):
         f = fleet("A100", "GH200")
         wl = workload()
         for worker in f.workers:
             f.placer.estimate(worker, wl, 8)
         f.placer.place(wl, BatchingPolicy(sample_buckets=(128,)))
-        assert all(len(w.device.timeline) == 0 for w in f.workers)
+        assert kernel_runs == []
 
     def test_estimate_is_memoized(self):
         f = fleet("A100")
@@ -258,11 +258,17 @@ class TestSplitDispatch:
         )
         return FleetDispatcher([Device("A100"), Device("A100")]), batch, weights, data
 
-    def test_functional_split_matches_reference(self, rng):
+    def test_functional_split_matches_reference(self, rng, kernel_runs):
         f, batch, weights, data = self._functional_split(rng, data_rows=6)
         [execution] = submit_and_drain(f, batch)
         assert execution.outputs is not None and len(execution.outputs) == 1
         assert np.allclose(execution.outputs[0], weights @ data, atol=0.05)
+        # Each shard's plan and GEMM ran on its own worker's device.
+        shard_devices = [id(w.device) for w in f.workers]
+        assert [(what, id(device)) for what, device in kernel_runs] == [
+            (what, device) for device in shard_devices
+            for what in ("BeamformerPlan.execute", "Gemm.run")
+        ]
 
     def test_functional_split_rejects_oversized_data(self, rng):
         # 8 data rows for a 6-row workload: the merged path rejects this,

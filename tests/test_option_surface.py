@@ -14,6 +14,7 @@ import inspect
 import pytest
 
 from repro.ccglib import Gemm
+from repro.kerneltuner import tune_gemm
 from repro.serve import (
     AdmissionController,
     Autoscaler,
@@ -74,6 +75,7 @@ SURFACE = {
         "experimental_ok",
         "backend",
     ),
+    tune_gemm: ("spec", "precision", "problem", "strategy"),
 }
 
 

@@ -10,6 +10,13 @@ attribute, an import alias or an identifier-like string constant in
 or a ``python`` block of ``README.md``. A name exported from a package
 ``__init__`` is therefore reached: it is public API.
 
+An export alone does not keep a whole module alive, though: every
+subpackage and every top-level module of a ``src/`` package must be
+imported by some file of those trees outside itself (``import a.b``,
+``from a.b import x`` or ``from a import b`` all import ``a.b``). A package
+whose names only its own ``__init__`` and the tests import is unreached as
+a whole.
+
 A definition nothing reaches is deleted, or its test is pointed at the
 production path that does the job. The few that stay are on
 :data:`ALLOWED`, each with a reason of one of three kinds.
@@ -18,9 +25,13 @@ production path that does the job. The few that stay are on
 from __future__ import annotations
 
 import ast
+import builtins
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -70,18 +81,24 @@ def readme_blocks(root: Path = ROOT) -> list[str]:
     return [textwrap.dedent(block) for block in _PYTHON_BLOCK.findall(text)]
 
 
+def _module_name(root: Path, path: Path) -> str:
+    return ".".join(path.relative_to(root / "src").with_suffix("").parts)
+
+
 def _non_test_trees(root: Path):
+    """``(dotted module name or None, AST)`` of every non-test source."""
     for top in ("src", "examples", "scripts", "perf"):
         for path in sorted((root / top).rglob("*.py")):
             if not path.is_relative_to(root / "perf" / "tests"):
-                yield ast.parse(path.read_text(), filename=str(path))
+                module = _module_name(root, path) if top == "src" else None
+                yield module, ast.parse(path.read_text(), filename=str(path))
     for block in readme_blocks(root):
-        yield ast.parse(block)
+        yield None, ast.parse(block)
 
 
 def reached_names(root: Path = ROOT) -> set[str]:
     names: set[str] = set()
-    for tree in _non_test_trees(root):
+    for _, tree in _non_test_trees(root):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
@@ -102,7 +119,7 @@ def definitions(root: Path = ROOT) -> dict[str, str]:
     """Qualified name -> bare name of every definition under the rule."""
     found: dict[str, str] = {}
     for path in sorted((root / "src").rglob("*.py")):
-        module = ".".join(path.relative_to(root / "src").with_suffix("").parts)
+        module = _module_name(root, path)
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
                 continue
@@ -119,9 +136,63 @@ def unreached_in(root: Path) -> set[str]:
     return {qualified for qualified, name in definitions(root).items() if name not in reached}
 
 
+def units(root: Path = ROOT) -> set[str]:
+    """Every subpackage and top-level module of each package under ``src/``."""
+    found: set[str] = set()
+    for package in (path for path in (root / "src").iterdir() if path.is_dir()):
+        for init in package.rglob("__init__.py"):
+            if init.parent != package:
+                found.add(".".join(init.parent.relative_to(root / "src").parts))
+        for path in package.glob("*.py"):
+            if path.name != "__init__.py":
+                found.add(_module_name(root, path))
+    return found
+
+
+def _imports(tree: ast.AST) -> set[str]:
+    """Every dotted module name an import statement may load."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def _within(name: str | None, unit: str) -> bool:
+    return name is not None and (name == unit or name.startswith(unit + "."))
+
+
+def unimported_in(root: Path) -> set[str]:
+    """Units that no non-test file outside themselves imports."""
+    imported: set[str] = set()
+    pending = units(root)
+    for module, tree in _non_test_trees(root):
+        names = _imports(tree)
+        for unit in pending:
+            if not _within(module, unit) and any(_within(name, unit) for name in names):
+                imported.add(unit)
+    return pending - imported
+
+
 @pytest.fixture(scope="module")
 def unreached() -> set[str]:
     return unreached_in(ROOT)
+
+
+@pytest.fixture(scope="module")
+def unimported() -> set[str]:
+    return unimported_in(ROOT)
+
+
+@pytest.mark.parametrize("unit", sorted(units()))
+def test_module_is_imported_outside_itself(unit, unimported):
+    assert unit not in unimported, (
+        f"no file outside tests/ imports {unit} from outside it: delete it, or import "
+        "it where a pipeline uses it"
+    )
 
 
 def test_no_definition_only_tests_reach(unreached):
@@ -157,6 +228,48 @@ def test_readme_snippets_parse_and_import():
                     name = f"{node.module}.{alias.name}"
                     exists = hasattr(module, alias.name) or importlib.util.find_spec(name)
                     assert exists, f"a README snippet imports {name}, which does not exist"
+
+
+def free_names(block: str) -> set[str]:
+    """Names a block loads that it neither binds nor gets from builtins."""
+    loaded: set[str] = set()
+    bound: set[str] = set(dir(builtins))
+    for node in ast.walk(ast.parse(block)):
+        if isinstance(node, ast.Name):
+            (loaded if isinstance(node.ctx, ast.Load) else bound).add(node.id)
+        elif isinstance(node, ast.alias):
+            bound.add(node.asname or node.name.partition(".")[0])
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            bound.add(node.name)
+    return loaded - bound
+
+
+#: README blocks that run as written; the others are fragments that use
+#: names (a fleet, a policy) an earlier block set up.
+RUNNABLE_BLOCKS = [
+    pytest.param(block, id=f"block{i}")
+    for i, block in enumerate(readme_blocks())
+    if not free_names(block)
+]
+
+
+def test_some_readme_blocks_run_as_written():
+    assert RUNNABLE_BLOCKS
+
+
+@pytest.mark.parametrize("block", RUNNABLE_BLOCKS)
+def test_readme_block_runs(block, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", block], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 # The rule itself, on small synthetic trees: each case is one clause of the
@@ -262,3 +375,43 @@ def test_rule_skips_dunders_and_nested_definitions(tmp_path):
     assert definitions(root) == {"pkg.mod.Box": "Box", "pkg.mod.Box.size": "size",
                                  "pkg.mod.outer": "outer"}
     assert unreached_in(root) == {"pkg.mod.Box.size"}
+
+
+def test_rule_flags_a_package_only_its_own_init_and_tests_import(tmp_path):
+    root = _tree(tmp_path, {
+        "src/pkg/__init__.py": "",
+        "src/pkg/core.py": "def run():\n    return 1\n",
+        "src/pkg/meter/__init__.py": "from pkg.meter.read import read\n",
+        "src/pkg/meter/read.py": "from pkg.core import run\n\ndef read():\n    return run()\n",
+        "tests/test_meter.py": "from pkg.meter import read\n",
+        "examples/go.py": "import pkg.core\n",
+    })
+    assert units(root) == {"pkg.core", "pkg.meter"}
+    assert unimported_in(root) == {"pkg.meter"}
+
+
+def test_rule_accepts_each_import_form(tmp_path):
+    root = _tree(tmp_path, {
+        "src/pkg/__init__.py": "",
+        "src/pkg/a.py": "",
+        "src/pkg/b.py": "",
+        "src/pkg/c/__init__.py": "",
+        "src/pkg/c/deep.py": "",
+        "src/pkg/d.py": "",
+        "src/pkg/use.py": "import pkg.a\nfrom pkg import b\nfrom pkg.c.deep import x\n",
+    }, readme="```python\nfrom pkg.d import y\n```\n")
+    assert unimported_in(root) == {"pkg.use"}
+
+
+def test_free_names_sees_loads_that_nothing_binds():
+    block = """
+        import numpy as np
+        from pkg import make
+
+        def helper(x, *rest, scale=1):
+            return [y for y in rest] + [x * scale]
+
+        out = helper(make(np.ones(3)), fleet)
+        print(len(out), policy)
+    """
+    assert free_names(textwrap.dedent(block)) == {"fleet", "policy"}
