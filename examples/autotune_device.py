@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Auto-tune the GEMM kernel for a device — the paper's §IV-A workflow.
 
-Runs the Kernel-Tuner-style search (time + modelled power observers) over the
-tuning space on a chosen GPU, prints the performance/energy Pareto front,
-and compares the tuned configuration against the shipped defaults and the
-paper's published optimum.
+Runs the Kernel-Tuner-style search over the tuning space on a chosen GPU,
+recording time, throughput and modelled power and energy per configuration,
+prints the performance/energy Pareto front, and compares the tuned
+configuration against the shipped defaults and the paper's published
+optimum.
 
 Run:  python examples/autotune_device.py [GPU] [float16|int1]
 """

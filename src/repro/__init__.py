@@ -8,7 +8,7 @@ Top-level convenience exports; see the subpackages for the full API:
 * :mod:`repro.kerneltuner` — auto-tuning framework (Fig 2, Table III);
 * :mod:`repro.roofline` — roofline analysis (Fig 3);
 * :mod:`repro.tcbf` — the unified Tensor-Core Beamformer library (plans,
-  streaming execution, multi-device sharding);
+  multi-device sharding);
 * :mod:`repro.apps.ultrasound` — computational ultrasound imaging (Figs 5-6);
 * :mod:`repro.apps.radioastronomy` — LOFAR beamforming (Fig 7);
 * :mod:`repro.bench` — the experiment harness regenerating every table/figure.
@@ -19,10 +19,8 @@ from repro.gpusim import Device, ExecutionMode, GPU_CATALOG, get_spec
 from repro.tcbf import (
     BeamformerPlan,
     BeamformResult,
-    BlockExecutor,
     ShardedBeamformer,
     ShardResult,
-    StreamStats,
 )
 
 __version__ = "1.2.0"
@@ -38,8 +36,6 @@ __all__ = [
     "get_spec",
     "BeamformerPlan",
     "BeamformResult",
-    "BlockExecutor",
-    "StreamStats",
     "ShardedBeamformer",
     "ShardResult",
     "__version__",

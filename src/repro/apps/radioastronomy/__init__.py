@@ -12,14 +12,9 @@ from repro.apps.radioastronomy.coordinates import (
     lofar_like_layout,
     station_antenna_layout,
     geometric_delay,
-    phase_rotation,
     SPEED_OF_LIGHT,
 )
-from repro.apps.radioastronomy.channelizer import (
-    PolyphaseFilterbank,
-    fft_filterbank,
-    leakage_db,
-)
+from repro.apps.radioastronomy.channelizer import PolyphaseFilterbank, fft_filterbank
 from repro.apps.radioastronomy.sky import (
     PointSource,
     Pulsar,
@@ -52,11 +47,9 @@ __all__ = [
     "lofar_like_layout",
     "station_antenna_layout",
     "geometric_delay",
-    "phase_rotation",
     "SPEED_OF_LIGHT",
     "PolyphaseFilterbank",
     "fft_filterbank",
-    "leakage_db",
     "PointSource",
     "Pulsar",
     "Observation",

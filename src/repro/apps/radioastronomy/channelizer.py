@@ -79,14 +79,3 @@ def fft_filterbank(x: np.ndarray, n_channels: int) -> np.ndarray:
     blocks = x.reshape(x.shape[:-1] + (t // n_channels, n_channels))
     return np.moveaxis(np.fft.fft(blocks, axis=-1), -1, -2).astype(np.complex64)
 
-
-def leakage_db(filterbank_output: np.ndarray, tone_channel: int) -> float:
-    """Power ratio (dB) between the strongest off-tone channel and the tone.
-
-    Used to verify PFB leakage suppression versus the plain FFT filterbank.
-    ``filterbank_output`` has shape (C, T').
-    """
-    power = (np.abs(filterbank_output) ** 2).mean(axis=-1)
-    tone = power[tone_channel]
-    rest = np.delete(power, tone_channel)
-    return 10.0 * np.log10(float(rest.max()) / float(tone))

@@ -86,8 +86,3 @@ def geometric_delay(positions: np.ndarray, l: float, m: float) -> np.ndarray:
         raise ShapeError(f"positions must be (n, 2), got {positions.shape}")
     return (positions[:, 0] * l + positions[:, 1] * m) / SPEED_OF_LIGHT
 
-
-def phase_rotation(f_hz: np.ndarray, delay_s: np.ndarray) -> np.ndarray:
-    """exp(-2*pi*i*f*tau) for every (frequency, element) pair -> (F, n)."""
-    f_hz = np.atleast_1d(np.asarray(f_hz, dtype=np.float64))
-    return np.exp(-2j * np.pi * f_hz[:, None] * np.asarray(delay_s)[None, :]).astype(np.complex64)

@@ -4,7 +4,7 @@ See :mod:`repro.bench.registry` for the experiment index and
 ``python -m repro.bench --help`` for the CLI.
 """
 
-from repro.bench.registry import EXPERIMENTS, run_experiment, run_all
+from repro.bench.registry import EXPERIMENTS, run_experiment
 from repro.bench.report import ExperimentResult
 
-__all__ = ["EXPERIMENTS", "run_experiment", "run_all", "ExperimentResult"]
+__all__ = ["EXPERIMENTS", "run_experiment", "ExperimentResult"]

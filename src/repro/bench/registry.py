@@ -141,7 +141,3 @@ def run_experiment(
         kwargs["backend"] = backend
     return runner(**kwargs)
 
-
-def run_all(quick: bool = False) -> list[ExperimentResult]:
-    """Run every registered experiment in paper order."""
-    return [run_experiment(name, quick=quick) for name in EXPERIMENTS]

@@ -13,7 +13,7 @@ lives here:
   memory-bound helper kernels (paper §III);
 * :mod:`~repro.ccglib.perfmodel` — the analytical kernel timing model;
 * :mod:`~repro.ccglib.tuning` — tuning parameters and Table III defaults;
-* :mod:`~repro.ccglib.pipeline` — the multi-stage async-copy buffer model;
+* :mod:`~repro.ccglib.pipeline` — the multi-stage async-copy overlap model;
 * :mod:`~repro.ccglib.benchmark` — built-in size-sweep benchmark tools.
 """
 
@@ -32,18 +32,12 @@ from repro.ccglib.tuning import (
     published_tuning,
     default_params,
     select_params,
-    raw_search_space,
 )
-from repro.ccglib.layouts import ComplexLayout, to_planar, to_interleaved, REAL, IMAG
+from repro.ccglib.layouts import to_planar, to_interleaved, REAL, IMAG
 from repro.ccglib.complex_mma import complex_mma_f16, reference_complex_gemm
 from repro.ccglib.bit_gemm import complex_bit_gemm, bit_gemm_reference, real_bit_dot
-from repro.ccglib.packing import pack_sign_planar, unpack_sign_planar, run_pack_kernel
-from repro.ccglib.transpose import (
-    tile_planar,
-    untile_planar,
-    planar_to_kmajor,
-    run_transpose_kernel,
-)
+from repro.ccglib.packing import pack_sign_planar, unpack_sign_planar
+from repro.ccglib.transpose import planar_to_kmajor
 
 __all__ = [
     "Precision",
@@ -64,8 +58,6 @@ __all__ = [
     "published_tuning",
     "default_params",
     "select_params",
-    "raw_search_space",
-    "ComplexLayout",
     "to_planar",
     "to_interleaved",
     "REAL",
@@ -77,9 +69,5 @@ __all__ = [
     "real_bit_dot",
     "pack_sign_planar",
     "unpack_sign_planar",
-    "run_pack_kernel",
-    "tile_planar",
-    "untile_planar",
     "planar_to_kmajor",
-    "run_transpose_kernel",
 ]

@@ -12,9 +12,8 @@ Host-side (user-facing) formats:
 * ``planar``: real arrays with a leading complex axis of length 2, shape
   ``(batch, 2, M, K)`` and ``(batch, 2, K, N)``.
 
-Device-side the GEMM consumes planar data, optionally tiled into
-block-tile-major order by the transpose kernel (see
-:mod:`repro.ccglib.transpose`).
+Device-side the GEMM consumes planar data, with the B operand reordered
+K-major by the transpose kernel (see :mod:`repro.ccglib.transpose`).
 
 Every conversion accepts an optional :class:`~repro.backend.ArrayBackend`
 and runs in that backend's namespace; the default is the NumPy reference,
@@ -25,8 +24,6 @@ one complex combine), never per-element loops.
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
 from repro.backend import ArrayBackend, get_backend
@@ -36,13 +33,6 @@ from repro.errors import ShapeError
 REAL = 0
 #: index of the imaginary plane along the complex axis.
 IMAG = 1
-
-
-class ComplexLayout(enum.Enum):
-    """How complex values are stored in a host array."""
-
-    INTERLEAVED = "interleaved"
-    PLANAR = "planar"
 
 
 def _is_complex(array, xp) -> bool:

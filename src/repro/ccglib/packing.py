@@ -150,22 +150,3 @@ def packing_cost(
         detail={"n_values": float(n_values)},
     )
 
-
-def run_pack_kernel(
-    device: Device,
-    values_planar,
-    n_values: int,
-    input_bytes_per_value: float,
-    k_pad_to: int | None = None,
-    backend: ArrayBackend | None = None,
-):
-    """Execute the packing kernel on a device (functional or dry-run).
-
-    Returns ``(packed_words_or_None, cost)``. Passing ``values_planar=None``
-    returns the cost only (used when a higher-level functional path
-    performs the quantization itself).
-    """
-    cost = packing_cost(device, n_values, input_bytes_per_value, PackDirection.PACK)
-    if device.is_functional and values_planar is not None:
-        return pack_sign_planar(values_planar, k_pad_to=k_pad_to, backend=backend), cost
-    return None, cost

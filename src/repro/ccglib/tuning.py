@@ -12,7 +12,6 @@ hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterator
 
 from repro.ccglib.precision import Precision
 from repro.gpusim.specs import GPUSpec
@@ -86,22 +85,6 @@ BLOCK_N_VALUES: tuple[int, ...] = (32, 64, 128, 256)
 WARP_M_VALUES: tuple[int, ...] = (16, 32, 64, 128)
 WARP_N_VALUES: tuple[int, ...] = (16, 32, 64, 128)
 NUM_BUFFER_VALUES: tuple[int, ...] = (1, 2, 4)
-
-
-def raw_search_space(spec: GPUSpec) -> Iterator[TuneParams]:
-    """Unfiltered cartesian tuning space (restrictions applied by caller).
-
-    AMD devices only see ``num_buffers == 1`` (no async copies, §III-C).
-    """
-    buffer_values = NUM_BUFFER_VALUES if spec.caps.async_copies else (1,)
-    for bm in BLOCK_M_VALUES:
-        for bn in BLOCK_N_VALUES:
-            for wm in WARP_M_VALUES:
-                for wn in WARP_N_VALUES:
-                    if bm % wm or bn % wn:
-                        continue
-                    for nb in buffer_values:
-                        yield TuneParams(bm, bn, wm, wn, nb)
 
 
 def default_params(spec: GPUSpec, precision: Precision) -> TuneParams:

@@ -4,12 +4,10 @@ from repro.cudapeak.microbench import (
     MicrobenchResult,
     run_microbenchmark,
     run_table1,
-    functional_fragment_check,
 )
 
 __all__ = [
     "MicrobenchResult",
     "run_microbenchmark",
     "run_table1",
-    "functional_fragment_check",
 ]

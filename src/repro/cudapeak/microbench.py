@@ -12,17 +12,11 @@ which reproduces every structural effect of Table I: workstation GPUs
 exceeding spec through boosted clocks, MI300X/A falling short through
 throttling, the GH200 reaching only ~65% via WMMA, the small 1-bit fragment
 running at half rate on Ampere, and software-emulated XOR on Hopper.
-
-The module also contains a *functional* fragment check that actually
-executes a fragment-sized MMA numerically, so tests can verify the
-arithmetic path the benchmark claims to measure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.errors import UnsupportedPrecisionError
 from repro.gpusim.arch import (
@@ -33,9 +27,6 @@ from repro.gpusim.arch import (
     FragmentShape,
 )
 from repro.gpusim.specs import GPUSpec, GPU_CATALOG
-from repro.gpusim.tensorcore import bmma_and, bmma_xor, mma_f16
-from repro.util.bits import PACK_WORD_BITS
-from repro.util.rng import make_rng
 from repro.util.units import tera
 
 
@@ -107,41 +98,3 @@ def run_table1(gpus: list[str] | None = None) -> list[MicrobenchResult]:
                 continue
     return results
 
-
-def functional_fragment_check(
-    precision: str,
-    fragment: FragmentShape,
-    bit_op: BitOp | None = None,
-    seed: int = 0,
-) -> bool:
-    """Numerically execute one fragment MMA and verify it against NumPy.
-
-    This is what keeps the micro-benchmark honest: the instruction being
-    rate-modelled is also executed functionally on random fragments.
-    """
-    rng = make_rng(seed)
-    if precision == "float16":
-        a = rng.normal(size=(fragment.m, fragment.k)).astype(np.float16)
-        b = rng.normal(size=(fragment.k, fragment.n)).astype(np.float16)
-        got = mma_f16(a, b)
-        want = a.astype(np.float32) @ b.astype(np.float32)
-        return np.allclose(got, want, rtol=1e-6)
-    if precision == "int1":
-        words = fragment.k // PACK_WORD_BITS
-        a = rng.integers(0, 2**32, size=(fragment.m, words), dtype=np.uint32)
-        b = rng.integers(0, 2**32, size=(fragment.n, words), dtype=np.uint32)
-        if bit_op is BitOp.XOR:
-            got = bmma_xor(a, b)
-        else:
-            # Emulate XOR popcount with two AND passes (Eq. 6 rearranged).
-            got = fragment.k - (bmma_and(a, b) + bmma_and(~a, ~b))
-        # Reference: popcount of XOR through Python ints.
-        want = np.array(
-            [
-                [sum(bin(int(aw) ^ int(bw)).count("1") for aw, bw in zip(ar, br)) for br in b]
-                for ar in a
-            ],
-            dtype=np.int64,
-        )
-        return bool(np.array_equal(got, want))
-    raise UnsupportedPrecisionError(precision)

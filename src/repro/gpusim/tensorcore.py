@@ -6,12 +6,11 @@ Reproduces the *numerics* of the WMMA instructions ccglib issues:
   accumulation. Inputs are quantized to float16 exactly as the hardware
   sees them; products and the accumulation chain are kept in float32
   (tensor cores accumulate in full precision within a fragment).
-* ``bmma_xor`` / ``bmma_and``: the 1-bit binary MMA. Per CUDA semantics
-  the hardware computes ``D += popc(A op B)`` element-wise over the K
-  dimension of packed 32-bit words; the arithmetic interpretation
-  (``K - 2*popc`` for XOR, Eq. 4 of the paper) is applied by the kernel
-  epilogue, not by the instruction. We mirror that split: these functions
-  accumulate raw population counts.
+* ``mma_tf32``: the same with TensorFloat-32 multiplicands (paper §VI).
+
+The 1-bit binary MMA's ``popc(A op B)`` k-loop is
+:func:`repro.util.bits.popcount_gemm`, which
+:mod:`repro.ccglib.bit_gemm` calls directly.
 
 Only the fragment shapes are architecture-dependent
 (:meth:`~repro.gpusim.arch.ArchCapabilities.require_fragment`); the
@@ -24,8 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.gpusim.arch import BitOp
-from repro.util.bits import popcount_gemm
 
 
 def quantize_f16(values: np.ndarray) -> np.ndarray:
@@ -78,30 +75,4 @@ def mma_f16(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None) -> np.nda
     if c.shape != prod.shape:
         raise ShapeError(f"accumulator shape {c.shape} != product shape {prod.shape}")
     return c.astype(np.float32) + prod
-
-
-def _bmma(a_words: np.ndarray, b_words: np.ndarray, op: BitOp) -> np.ndarray:
-    """Popcount-accumulate over packed K words: out[i, j] = sum_w popc(a[i,w] OP b[j,w])."""
-    a_words = np.asarray(a_words)
-    b_words = np.asarray(b_words)
-    if a_words.dtype != np.uint32 or b_words.dtype != np.uint32:
-        raise ShapeError("binary MMA operates on packed uint32 words")
-    if a_words.ndim != 2 or b_words.ndim != 2 or a_words.shape[1] != b_words.shape[1]:
-        raise ShapeError(
-            f"binary MMA shape mismatch: {a_words.shape} vs {b_words.shape} "
-            "(expected (m, w) and (n, w))"
-        )
-    return popcount_gemm(a_words, b_words, op.value)
-
-
-def bmma_xor(a_words: np.ndarray, b_words: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
-    """1-bit MMA with XOR multiply: accumulates ``popc(A ^ B)`` (paper §III-D)."""
-    out = _bmma(a_words, b_words, BitOp.XOR)
-    return out if c is None else c + out
-
-
-def bmma_and(a_words: np.ndarray, b_words: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
-    """1-bit MMA with AND multiply: accumulates ``popc(A & B)`` (paper §III-E)."""
-    out = _bmma(a_words, b_words, BitOp.AND)
-    return out if c is None else c + out
 

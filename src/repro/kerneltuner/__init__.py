@@ -3,25 +3,17 @@
 "To facilitate this, we use Kernel Tuner, a Python-based auto-tuning
 framework that can automatically optimize kernels written in both CUDA and
 HIP" (paper §IV-A). The reproduction keeps Kernel Tuner's structure:
-search spaces with restrictions, pluggable strategies, and observers for
-time, performance and modelled power.
+search spaces with restrictions and pluggable strategies; every
+configuration records its time, performance, modelled power and energy
+(:func:`~repro.kerneltuner.tuner.tuning_metrics`).
 """
 
 from repro.kerneltuner.space import (
     SearchSpace,
     gemm_search_space,
     config_to_params,
-    params_to_config,
 )
 from repro.kerneltuner.strategies import BruteForce, GreedyILS, StrategyResult
-from repro.kerneltuner.observers import (
-    Observer,
-    ObserverChain,
-    TimeObserver,
-    PerformanceObserver,
-    PowerObserver,
-    default_observers,
-)
 from repro.kerneltuner.tuner import (
     tune_gemm,
     TuningResult,
@@ -33,16 +25,9 @@ __all__ = [
     "SearchSpace",
     "gemm_search_space",
     "config_to_params",
-    "params_to_config",
     "BruteForce",
     "GreedyILS",
     "StrategyResult",
-    "Observer",
-    "ObserverChain",
-    "TimeObserver",
-    "PerformanceObserver",
-    "PowerObserver",
-    "default_observers",
     "tune_gemm",
     "TuningResult",
     "TuningRecord",

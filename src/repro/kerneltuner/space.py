@@ -73,17 +73,6 @@ def config_to_params(config: Config) -> TuneParams:
     )
 
 
-def params_to_config(params: TuneParams) -> Config:
-    """Inverse of :func:`config_to_params`."""
-    return {
-        "block_m": params.block_m,
-        "block_n": params.block_n,
-        "warp_m": params.warp_m,
-        "warp_n": params.warp_n,
-        "num_buffers": params.num_buffers,
-    }
-
-
 def gemm_search_space(spec: GPUSpec, precision: Precision) -> SearchSpace:
     """The ccglib GEMM tuning space for one device/precision.
 

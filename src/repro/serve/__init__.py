@@ -96,7 +96,6 @@ from repro.serve.obs import (
     TraceRecorder,
     render_dashboard,
     render_trace,
-    write_dashboard,
     write_trace,
 )
 from repro.serve.placement import (
@@ -184,5 +183,4 @@ __all__ = [
     "BurnRateRule",
     "ErrorBudget",
     "render_dashboard",
-    "write_dashboard",
 ]

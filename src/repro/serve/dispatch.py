@@ -1,12 +1,12 @@
 """Fleet dispatch: route merged batches across per-device queues.
 
-Each device gets a :class:`DeviceWorker` modelling the two engines the
-streaming tier already distinguishes (:mod:`repro.tcbf.streaming`): a copy
-engine running the stage-in kernels (transpose + packing) and a compute
-engine running the GEMM. Consecutive batches on one worker overlap exactly
-like consecutive blocks in a :class:`~repro.tcbf.streaming.BlockExecutor` —
-the stage-in of batch *i+1* hides behind the GEMM of batch *i* — so the
-service inherits the library's copy/compute overlap for free.
+Each device gets a :class:`DeviceWorker` modelling two engines: a copy
+engine running the stage-in kernels (transpose + packing, the plan's
+:meth:`~repro.tcbf.BeamformerPlan.stage_in_cost`) and a compute engine
+running the GEMM. Consecutive batches on one worker overlap — the stage-in
+of batch *i+1* hides behind the GEMM of batch *i* — the way ccglib's
+multi-stage buffer overlaps copies with tensor-core math inside one kernel
+(paper §III-C), one level up.
 
 Routing is delegated to the :class:`~repro.serve.placement.Placer`: each
 batch is placed on the *eligible* worker (capability + memory fit) with the
@@ -161,8 +161,9 @@ class DeviceWorker:
         ``now`` is the dispatch instant. The one-time plan build serializes
         ahead of the batch's stage-in on the copy engine (a cold plan cannot
         stage data); the GEMM starts once its stage-in and the previous GEMM
-        are both done — the same event model as
-        :func:`repro.tcbf.streaming.pipelined_makespan`.
+        are both done. On a warm plan cache with equal batches this ends a
+        copy-bound run at the sum of the stage-ins plus the last GEMM, and a
+        compute-bound run at the first stage-in plus the sum of the GEMMs.
         ``n_requests`` overrides the request count attributed to this
         worker (a split batch touches several workers at once).
         ``stage_in_override`` replaces the plan's stage-in time for

@@ -34,7 +34,7 @@ from repro.serve.obs.critical_path import (
     attribute,
     blame,
 )
-from repro.serve.obs.dashboard import render_dashboard, write_dashboard
+from repro.serve.obs.dashboard import render_dashboard
 from repro.serve.obs.events import (
     EVENT_TYPES,
     AdmissionDecided,
@@ -76,7 +76,6 @@ __all__ = [
     "BurnRateRule",
     "ErrorBudget",
     "render_dashboard",
-    "write_dashboard",
     "EVENT_TYPES",
     "AdmissionDecided",
     "AlertStateChanged",

@@ -26,7 +26,6 @@ be checked in and gated by ``scripts/check_golden.py``.
 from __future__ import annotations
 
 import html
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.errors import ShapeError
@@ -344,11 +343,3 @@ def render_dashboard(report: ServiceReport, title: str = "Service dashboard") ->
     ]
     return "\n".join(parts) + "\n"
 
-
-def write_dashboard(
-    report: ServiceReport, path: str | Path, title: str = "Service dashboard"
-) -> Path:
-    """Write :func:`render_dashboard` output to ``path``."""
-    path = Path(path)
-    path.write_text(render_dashboard(report, title=title))
-    return path

@@ -8,9 +8,6 @@ complexities of tensor-core programming ... for multidisciplinary use"):
   RMS scaling, and the complex GEMM with end-to-end cost accounting;
 * :class:`~repro.tcbf.result.BeamformResult` — the shared result record
   (``beams``/``frames`` aliases, ``tflops``/``fps`` throughput accessors);
-* :class:`~repro.tcbf.streaming.BlockExecutor` — continuous block streaming
-  with cross-block copy/compute overlap on the kernel pipeline's
-  commit/wait protocol;
 * :class:`~repro.tcbf.sharding.ShardedBeamformer` — batch- or beam-dimension
   sharding across multiple devices with aggregate-throughput accounting;
   its :func:`~repro.tcbf.sharding.execute_shards` is the one sharded
@@ -27,7 +24,7 @@ The domain applications (:mod:`repro.apps.radioastronomy`,
 
 from repro.tcbf.plan import BeamformerPlan
 from repro.tcbf.result import BeamformResult
-from repro.tcbf.scaling import normalize_rms, rms
+from repro.tcbf.scaling import rms
 from repro.tcbf.sharding import (
     ShardedBeamformer,
     ShardResult,
@@ -37,13 +34,10 @@ from repro.tcbf.sharding import (
     split_extent,
     split_extent_weighted,
 )
-from repro.tcbf.streaming import BlockExecutor, StreamStats, pipelined_makespan
 
 __all__ = [
     "BeamformerPlan",
     "BeamformResult",
-    "BlockExecutor",
-    "StreamStats",
     "ShardedBeamformer",
     "ShardResult",
     "split_extent",
@@ -51,7 +45,5 @@ __all__ = [
     "execute_shards",
     "merge_batch_operands",
     "split_batched_output",
-    "pipelined_makespan",
     "rms",
-    "normalize_rms",
 ]

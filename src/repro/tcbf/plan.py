@@ -204,8 +204,9 @@ class BeamformerPlan:
         """Combined cost of the per-block streaming stages (transpose+pack).
 
         ``None`` when the plan charges no streaming stage (GPU-resident
-        data); this is also the copy-side time the streaming executor
-        overlaps with the previous block's GEMM.
+        data); this is also the copy-side time a serving worker
+        (:class:`~repro.serve.dispatch.DeviceWorker`) overlaps with the
+        previous batch's GEMM.
         """
         costs = self._stage_in_costs()
         if not costs:

@@ -35,10 +35,3 @@ def rms(values, backend: ArrayBackend | None = None) -> float:
         return 1.0
     return float(np.asarray(be.to_numpy(xp.sqrt(xp.mean(xp.abs(values) ** 2))))) or 1.0
 
-
-def normalize_rms(values, backend: ArrayBackend | None = None):
-    """Scale an array to unit RMS; returns ``(values / scale, scale)``."""
-    be = get_backend(backend)
-    values = be.asarray(values)
-    scale = rms(values, backend=be)
-    return values / scale, scale

@@ -176,7 +176,7 @@ class ShardResult:
         """Application-level GEMM operations across all shards.
 
         Helper-kernel element moves are excluded, matching the GEMM-only
-        numerators of ``BeamformResult.tflops`` and ``StreamStats``.
+        numerator of ``BeamformResult.tflops``.
         """
         return sum(s.gemm_cost.useful_ops for s in self.shards)
 

@@ -14,17 +14,10 @@ from repro.util.units import (
     mega,
     kilo,
     format_ops_rate,
-    format_bytes,
     format_seconds,
-    format_si,
 )
 from repro.util.rng import make_rng, derive_seed
-from repro.util.validation import (
-    require,
-    require_positive_int,
-    require_multiple,
-    require_power_of_two,
-)
+from repro.util.validation import require_positive_int
 
 __all__ = [
     "pack_bits",
@@ -38,13 +31,8 @@ __all__ = [
     "mega",
     "kilo",
     "format_ops_rate",
-    "format_bytes",
     "format_seconds",
-    "format_si",
     "make_rng",
     "derive_seed",
-    "require",
     "require_positive_int",
-    "require_multiple",
-    "require_power_of_two",
 ]

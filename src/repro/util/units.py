@@ -1,4 +1,4 @@
-"""Unit constants and human-readable formatting for rates, bytes and times.
+"""Unit constants and human-readable formatting for rates, energy and times.
 
 The paper reports performance in TeraOps/s (TOPs/s) and energy efficiency in
 TeraOps/J (equivalently Ops/s/W); these helpers keep that vocabulary in one
@@ -14,26 +14,6 @@ tera = 1e12
 peta = 1e15
 
 
-def format_si(value: float, unit: str, precision: int = 3) -> str:
-    """Format ``value`` with an SI prefix, e.g. ``format_si(3.08e15, 'Ops/s')``
-    -> ``'3.08 POps/s'``."""
-    prefixes = [
-        (1e15, "P"),
-        (1e12, "T"),
-        (1e9, "G"),
-        (1e6, "M"),
-        (1e3, "k"),
-        (1.0, ""),
-    ]
-    if value == 0:
-        return f"0 {unit}"
-    magnitude = abs(value)
-    for factor, prefix in prefixes:
-        if magnitude >= factor:
-            return f"{value / factor:.{precision}g} {prefix}{unit}"
-    return f"{value:.{precision}g} {unit}"
-
-
 def format_ops_rate(ops_per_second: float) -> str:
     """Render an operation rate the way the paper does (TOPs/s)."""
     return f"{ops_per_second / tera:.1f} TOPs/s"
@@ -42,14 +22,6 @@ def format_ops_rate(ops_per_second: float) -> str:
 def format_ops_per_joule(ops_per_joule: float) -> str:
     """Render energy efficiency the way the paper does (TOPs/J)."""
     return f"{ops_per_joule / tera:.2f} TOPs/J"
-
-
-def format_bytes(n: float) -> str:
-    """Binary-prefix byte formatting (KiB/MiB/GiB)."""
-    for factor, prefix in [(2**40, "Ti"), (2**30, "Gi"), (2**20, "Mi"), (2**10, "Ki")]:
-        if abs(n) >= factor:
-            return f"{n / factor:.2f} {prefix}B"
-    return f"{n:.0f} B"
 
 
 def format_seconds(t: float) -> str:

@@ -2,35 +2,13 @@
 
 from __future__ import annotations
 
-from repro.errors import ReproError, ShapeError
-
-
-def require(condition: bool, message: str, exc: type[ReproError] = ShapeError) -> None:
-    """Raise ``exc(message)`` unless ``condition`` holds."""
-    if not condition:
-        raise exc(message)
+from repro.errors import ShapeError
 
 
 def require_positive_int(value: int, name: str) -> int:
     """Validate that ``value`` is a positive integer and return it."""
     if not isinstance(value, (int,)) or isinstance(value, bool) or value <= 0:
         raise ShapeError(f"{name} must be a positive integer, got {value!r}")
-    return value
-
-
-def require_multiple(value: int, factor: int, name: str) -> int:
-    """Validate that ``value`` is a positive multiple of ``factor``."""
-    require_positive_int(value, name)
-    if value % factor != 0:
-        raise ShapeError(f"{name} must be a multiple of {factor}, got {value}")
-    return value
-
-
-def require_power_of_two(value: int, name: str) -> int:
-    """Validate that ``value`` is a positive power of two."""
-    require_positive_int(value, name)
-    if value & (value - 1) != 0:
-        raise ShapeError(f"{name} must be a power of two, got {value}")
     return value
 
 

@@ -20,12 +20,22 @@ from repro.apps.radioastronomy import (
     fold,
     generate_station_data,
     geometric_delay,
-    leakage_db,
     lofar_like_layout,
     profile_snr,
     steering_weights,
 )
 from repro.errors import ShapeError
+
+
+def leakage_db(filterbank_output: np.ndarray, tone_channel: int) -> float:
+    """Power ratio (dB) between the strongest off-tone channel and the tone.
+
+    ``filterbank_output`` has shape (C, T').
+    """
+    power = (np.abs(filterbank_output) ** 2).mean(axis=-1)
+    tone = power[tone_channel]
+    rest = np.delete(power, tone_channel)
+    return 10.0 * np.log10(float(rest.max()) / float(tone))
 
 
 class TestLayout:

@@ -16,8 +16,7 @@ from repro.ccglib.bit_gemm import (
 from repro.ccglib.packing import unpack_sign_planar
 from repro.errors import ShapeError
 from repro.gpusim.arch import BitOp
-from repro.gpusim.tensorcore import bmma_and, bmma_xor
-from repro.util.bits import TILE_BYTES, pack_bits, pad_to_words, unpack_bits
+from repro.util.bits import TILE_BYTES, pack_bits, pad_to_words, popcount_gemm, unpack_bits
 from tests.conftest import GenericNumpyBackend
 
 
@@ -196,15 +195,15 @@ class TestWordMajorEdges:
 class TestRealBitDot:
     @given(st.integers(0, 2**31), st.integers(1, 4))
     def test_xor_and_agree(self, seed, words):
-        # Eq. 4 on the XOR fragment op and Eq. 6 (two AND passes, the Hopper
-        # form) on the AND op give the same dot as real_bit_dot.
+        # Eq. 4 on the XOR k-loop and Eq. 6 (two AND passes, the Hopper
+        # form) on the AND k-loop give the same dot as real_bit_dot.
         rng = np.random.default_rng(seed)
         a = rng.integers(0, 2**32, size=(1, words), dtype=np.uint32)
         b = rng.integers(0, 2**32, size=(1, words), dtype=np.uint32)
         k = 32 * words
         dot = real_bit_dot(a[0], b[0], k)
-        assert dot == k - 2 * int(bmma_xor(a, b)[0, 0])
-        same = int(bmma_and(a, b)[0, 0]) + int(bmma_and(~a, ~b)[0, 0])
+        assert dot == k - 2 * int(popcount_gemm(a, b, "xor")[0, 0])
+        same = int(popcount_gemm(a, b, "and")[0, 0]) + int(popcount_gemm(~a, ~b, "and")[0, 0])
         assert dot == 2 * same - k
 
     @given(st.integers(0, 2**31), st.integers(1, 3))

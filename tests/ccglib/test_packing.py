@@ -11,11 +11,9 @@ from repro.ccglib.packing import (
     PackDirection,
     pack_sign_planar,
     packing_cost,
-    run_pack_kernel,
     unpack_sign_planar,
 )
 from repro.errors import ShapeError
-from repro.gpusim.device import Device, ExecutionMode
 from repro.gpusim.timing import Bound
 
 
@@ -68,25 +66,6 @@ class TestPackingCost:
 
     def test_direction_label(self, a100_device):
         assert packing_cost(a100_device, 10, 2.0, PackDirection.UNPACK).name == "unpack_bits"
-
-
-class TestRunPackKernel:
-    def test_functional_returns_words(self, a100_device):
-        values = np.ones((2, 3, 32), dtype=np.float32)
-        words, cost = run_pack_kernel(a100_device, values, values.size, 4.0)
-        assert words.shape == (2, 3, 1)
-        assert cost == packing_cost(a100_device, values.size, 4.0)
-
-    def test_cost_only_when_values_none(self, a100_device):
-        words, cost = run_pack_kernel(a100_device, None, 1000, 4.0)
-        assert words is None
-        assert cost.time_s > 0
-
-    def test_dry_run(self):
-        dev = Device("A100", ExecutionMode.DRY_RUN)
-        words, cost = run_pack_kernel(dev, None, 10**6, 2.0)
-        assert words is None
-        assert cost == packing_cost(dev, 10**6, 2.0)
 
 
 class TestScalarReference:

@@ -11,10 +11,10 @@ from repro.ccglib.tuning import (
     TuneParams,
     default_params,
     published_tuning,
-    raw_search_space,
     select_params,
 )
 from repro.gpusim.specs import GPU_CATALOG, get_spec
+from repro.kerneltuner.space import config_to_params, gemm_search_space
 
 
 class TestTableIII:
@@ -79,19 +79,12 @@ class TestSelectParams:
         assert p.block_m == 32 and p.block_n == 32
 
 
-class TestRawSearchSpace:
-    def test_divisibility_prefiltered(self):
-        for params in raw_search_space(get_spec("A100")):
-            assert params.block_m % params.warp_m == 0
-            assert params.block_n % params.warp_n == 0
-
-    def test_amd_single_buffer_only(self):
-        assert {p.num_buffers for p in raw_search_space(get_spec("MI300X"))} == {1}
-
+class TestSearchSpace:
     def test_nvidia_has_buffer_choices(self):
-        assert {p.num_buffers for p in raw_search_space(get_spec("A100"))} == {1, 2, 4}
+        space = gemm_search_space(get_spec("A100"), Precision.FLOAT16)
+        assert {c["num_buffers"] for c in space} == {1, 2, 4}
 
     def test_table3_configs_in_space(self):
         for row in TABLE_III:
-            space = set(raw_search_space(get_spec(row.gpu)))
-            assert row.params in space
+            space = gemm_search_space(get_spec(row.gpu), row.precision)
+            assert row.params in {config_to_params(c) for c in space}

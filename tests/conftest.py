@@ -51,11 +51,11 @@ def mi300x_device():
 def kernel_runs(monkeypatch):
     """Spy on kernel execution: one ``(what, device)`` per call, in order.
 
-    Covers ``Gemm.run``, ``BeamformerPlan.execute`` and the transpose and
-    pack run functions; each still runs as before. A device keeps no log of
-    its launches, so this is how a test sees what ran where.
+    Covers ``Gemm.run`` and ``BeamformerPlan.execute``; each still runs as
+    before. A device keeps no log of its launches, so this is how a test
+    sees what ran where.
     """
-    from repro.ccglib import gemm, packing, transpose
+    from repro.ccglib import gemm
     from repro.tcbf import plan
 
     runs = []
@@ -71,8 +71,6 @@ def kernel_runs(monkeypatch):
 
     spy(gemm.Gemm, "run", "Gemm.run")
     spy(plan.BeamformerPlan, "execute", "BeamformerPlan.execute")
-    spy(transpose, "run_transpose_kernel", "run_transpose_kernel")
-    spy(packing, "run_pack_kernel", "run_pack_kernel")
     return runs
 
 

@@ -6,8 +6,6 @@ import pytest
 
 from repro.bench.table1 import PAPER_TABLE1
 from repro.cudapeak.microbench import (
-    TABLE1_BENCHMARKS,
-    functional_fragment_check,
     run_microbenchmark,
     run_table1,
 )
@@ -51,16 +49,3 @@ class TestAgainstPaper:
         r = run_microbenchmark(get_spec("GH200"), "float16", FRAG_FLOAT16_16x16x16)
         assert 0.60 < r.ratio < 0.70  # paper: ~65%
 
-
-class TestFunctionalChecks:
-    @pytest.mark.parametrize(
-        "precision,frag,op",
-        TABLE1_BENCHMARKS,
-        ids=lambda v: str(v),
-    )
-    def test_fragment_numerics(self, precision, frag, op):
-        assert functional_fragment_check(precision, frag, op, seed=7)
-
-    def test_unknown_precision(self):
-        with pytest.raises(UnsupportedPrecisionError):
-            functional_fragment_check("int4", FRAG_INT1_8x8x128, BitOp.XOR)

@@ -6,15 +6,12 @@ import gc
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import repro
 from repro.apps.radioastronomy import ReferenceBeamformer, incoherent_beam
 from repro.ccglib.gemm import Gemm
-from repro.ccglib.packing import run_pack_kernel
 from repro.ccglib.precision import Precision
-from repro.ccglib.transpose import run_transpose_kernel
 from repro.gpusim.device import Device, ExecutionMode
 from repro.gpusim.timing import Bound, KernelCost, combine_costs
 from repro.tcbf import BeamformerPlan, ShardedBeamformer
@@ -52,16 +49,6 @@ def _gemm_run(rng):
     plan = Gemm(Device("A100"), Precision.INT1, 1, 8, 8, 256)
     a, b = random_complex(rng, (1, 8, 256)), random_complex(rng, (1, 256, 8))
     return lambda: plan.run(a, b)
-
-
-def _run_pack_kernel(rng):
-    device, values = Device("A100"), rng.normal(size=(2, 3, 64)).astype(np.float32)
-    return lambda: run_pack_kernel(device, values, values.size, 4.0)
-
-
-def _run_transpose_kernel(rng):
-    device, values = Device("A100"), rng.normal(size=(2, 4, 3)).astype(np.float32)
-    return lambda: run_transpose_kernel(device, values, values.size, 4.0)
 
 
 def _int1_plan(device=None):
@@ -128,9 +115,8 @@ class TestKeepsNothingPerKernel:
         return sum(stat.size for stat in snapshot.statistics("filename"))
 
     @pytest.mark.parametrize("build", [
-        _gemm_run, _run_pack_kernel, _run_transpose_kernel, _prepare_weights,
-        _execute_prepared_int1, _execute_float16, _execute_dry_run, _execute_shards,
-        _incoherent_beam, _reference_beamformer,
+        _gemm_run, _prepare_weights, _execute_prepared_int1, _execute_float16,
+        _execute_dry_run, _execute_shards, _incoherent_beam, _reference_beamformer,
     ], ids=lambda build: build.__name__.lstrip("_"))
     def test_live_memory_does_not_grow_with_calls(self, rng, build):
         call = build(rng)

@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.errors import ShapeError
-from repro.gpusim.tensorcore import bmma_and, bmma_xor, mma_f16
+from repro.gpusim.tensorcore import mma_f16
 
 
 class TestMmaF16:
@@ -47,43 +45,4 @@ class TestMmaF16:
     def test_accumulator_shape_mismatch(self):
         with pytest.raises(ShapeError):
             mma_f16(np.zeros((2, 3)), np.zeros((3, 2)), np.zeros((3, 3), dtype=np.float32))
-
-
-def _popc_xor_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0], b.shape[0]), dtype=np.int64)
-    for i in range(a.shape[0]):
-        for j in range(b.shape[0]):
-            out[i, j] = sum(bin(int(x) ^ int(y)).count("1") for x, y in zip(a[i], b[j]))
-    return out
-
-
-class TestBinaryMma:
-    @given(st.integers(0, 2**31), st.integers(1, 3), st.integers(1, 4))
-    def test_xor_matches_reference(self, seed, m, words):
-        rng = np.random.default_rng(seed)
-        a = rng.integers(0, 2**32, size=(m, words), dtype=np.uint32)
-        b = rng.integers(0, 2**32, size=(2, words), dtype=np.uint32)
-        assert np.array_equal(bmma_xor(a, b), _popc_xor_reference(a, b))
-
-    def test_and_or_complement_identity(self, rng):
-        # popc(A&B) + popc(~A&~B) == K - popc(A^B): the §III-E equivalence.
-        a = rng.integers(0, 2**32, size=(3, 4), dtype=np.uint32)
-        b = rng.integers(0, 2**32, size=(5, 4), dtype=np.uint32)
-        k = 4 * 32
-        same = bmma_and(a, b) + bmma_and(~a, ~b)
-        assert np.array_equal(same, k - bmma_xor(a, b))
-
-    def test_accumulation(self, rng):
-        a = rng.integers(0, 2**32, size=(2, 2), dtype=np.uint32)
-        b = rng.integers(0, 2**32, size=(2, 2), dtype=np.uint32)
-        base = bmma_xor(a, b)
-        assert np.array_equal(bmma_xor(a, b, base), 2 * base)
-
-    def test_requires_uint32(self):
-        with pytest.raises(ShapeError):
-            bmma_xor(np.zeros((1, 1), dtype=np.int32), np.zeros((1, 1), dtype=np.uint32))
-
-    def test_word_count_mismatch(self):
-        with pytest.raises(ShapeError):
-            bmma_xor(np.zeros((1, 2), dtype=np.uint32), np.zeros((1, 3), dtype=np.uint32))
 

@@ -1,8 +1,8 @@
 """Failure injection: the library must fail loudly and precisely.
 
 A downstream user integrating the TCBF into a real pipeline relies on the
-error surface as much as on the happy path: capability violations, protocol
-misuse, and degenerate data must all raise the documented exception types
+error surface as much as on the happy path: capability violations, bad
+shapes and degenerate data must all raise the documented exception types
 rather than corrupt results, and a dry-run device must never pretend to
 compute.
 """
@@ -14,7 +14,6 @@ import pytest
 
 from repro.ccglib.gemm import Gemm, gemm_once
 from repro.ccglib.packing import pack_sign_planar
-from repro.ccglib.pipeline import MultiStageBuffer
 from repro.ccglib.precision import Precision
 from repro.ccglib.tuning import TuneParams
 from repro.errors import (
@@ -57,17 +56,6 @@ class TestCapacityFailures:
         result = Gemm(dev, Precision.FLOAT16, 1, 16, 8, 32).run(a, np.ones((1, 32, 8), np.complex64))
         assert result.output is None
         assert result.cost.time_s > 0
-
-
-class TestProtocolMisuse:
-    def test_pipeline_double_release(self):
-        pipe = MultiStageBuffer(2)
-        idx = pipe.producer_acquire(0)
-        pipe.producer_commit(idx)
-        pipe.consumer_wait()
-        pipe.consumer_release()
-        with pytest.raises(KernelConfigError):
-            pipe.consumer_release()
 
 
 class TestDegenerateData:

@@ -18,7 +18,7 @@ import pytest
 
 from repro.bench.serve import golden_dashboard, golden_dashboard_digest
 from repro.errors import ShapeError
-from repro.serve import ServiceMonitor, render_dashboard, write_dashboard
+from repro.serve import ServiceMonitor, render_dashboard
 from tests.serve.test_monitor import INTERVAL_S, _run
 
 SCRIPTS_DIR = Path(__file__).parent.parent.parent / "scripts"
@@ -63,7 +63,7 @@ class TestStructure:
 
     def test_validator_script_accepts_the_page(self, tmp_path):
         path = tmp_path / "dash.html"
-        write_dashboard(_monitored_report(), path, title="t")
+        path.write_text(render_dashboard(_monitored_report(), title="t"))
         validator = _load_validator()
         assert validator.check(str(path)) == []
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.ccglib import Precision
 from repro.errors import DeviceError, ShapeError
 from repro.gpusim.device import Device, ExecutionMode
 from repro.serve import Batch, FleetDispatcher, PlanCache, Request, Workload
@@ -31,6 +32,19 @@ def make_batch(bid: int, wl: Workload, n: int, formed_s: float, data=None) -> Ba
 
 def dry_fleet(n: int) -> FleetDispatcher:
     return FleetDispatcher([Device("A100", ExecutionMode.DRY_RUN) for _ in range(n)])
+
+
+#: A workload whose stage-in outlasts its GEMM (the default one's is shorter).
+COPY_BOUND = workload(
+    name="copy", n_beams=8, n_receivers=4096, n_samples=1024, precision=Precision.INT1,
+)
+
+#: One workload per bound engine, with the closed-form end of ``n`` equal
+#: batches whose stage-in takes ``s`` and whose GEMM takes ``g``.
+ENGINE_BOUNDS = [
+    pytest.param(workload(), False, lambda n, s, g: s + n * g, id="compute-bound"),
+    pytest.param(COPY_BOUND, True, lambda n, s, g: n * s + g, id="copy-bound"),
+]
 
 
 class TestRouting:
@@ -68,15 +82,36 @@ class TestRouting:
 
 
 class TestEngineOverlap:
-    def test_stage_in_overlaps_previous_compute(self):
-        # Consecutive batches on one worker: batch 1's transpose must hide
-        # behind batch 0's GEMM, exactly like the BlockExecutor pipeline.
+    @pytest.mark.parametrize("wl", [workload(), COPY_BOUND], ids=["compute-bound", "copy-bound"])
+    def test_stage_in_overlaps_previous_compute(self, wl):
+        # Consecutive batches on one worker: batch 1's stage-in runs on the
+        # copy engine while batch 0's GEMM runs on the compute engine.
         fleet = dry_fleet(1)
-        wl = workload()
         e0, e1 = submit_and_drain(fleet, make_batch(0, wl, 4, 0.0), make_batch(1, wl, 4, 0.0))
         assert e1.start_s == pytest.approx(e0.start_s + e0.build_s + e0.stage_in_s)
         assert e1.start_s < e0.completion_s  # copy ran under compute
         assert e1.compute_start_s >= e0.completion_s  # GEMMs serialize
+
+    @pytest.mark.parametrize("wl, copy_bound, makespan", ENGINE_BOUNDS)
+    def test_equal_batches_end_at_the_bound_engine(self, wl, copy_bound, makespan):
+        # Equal batches on one worker with a warm plan cache: when copying
+        # dominates the run ends at the sum of the stage-ins plus the last
+        # GEMM; when compute dominates, at the first stage-in plus the sum
+        # of the GEMMs. Both when the engines get every batch at once and
+        # when the dispatcher hands them over as the worker accepts.
+        n = 5
+        device = Device("A100", ExecutionMode.DRY_RUN)
+        cache = PlanCache()
+        entry, _ = cache.get(device, wl, 4)
+        assert (entry.stage_in_s > entry.gemm_s) is copy_bound
+        want = makespan(n, entry.stage_in_s, entry.gemm_s)
+        worker = FleetDispatcher([device], cache=cache).workers[0]
+        at_once = [worker.schedule(make_batch(i, wl, 4, 0.0), entry, 0.0, 0.0) for i in range(n)]
+        assert at_once[-1].completion_s == pytest.approx(want)
+        fleet = FleetDispatcher([device], cache=cache)
+        drained = submit_and_drain(fleet, *[make_batch(i, wl, 4, 0.0) for i in range(n)])
+        assert [e.build_s for e in drained] == [0.0] * n
+        assert drained[-1].completion_s == pytest.approx(want)
 
     def test_build_serializes_before_stage_in(self):
         fleet = dry_fleet(1)

@@ -16,7 +16,7 @@ from repro.ccglib.precision import Precision
 from repro.ccglib.transpose import transpose_cost
 from repro.errors import ShapeError
 from repro.gpusim.device import Device, ExecutionMode
-from repro.tcbf import BeamformerPlan, BeamformResult, normalize_rms, rms
+from repro.tcbf import BeamformerPlan, BeamformResult, rms
 
 from tests.conftest import random_complex
 
@@ -38,12 +38,6 @@ class TestRmsScaling:
     def test_zero_input_falls_back_to_one(self):
         assert rms(np.zeros(16, dtype=np.complex64)) == 1.0
         assert rms(np.array([])) == 1.0
-
-    def test_normalize_rms_round_trip(self, rng):
-        x = random_complex(rng, (4, 4), scale=37.0)
-        scaled, scale = normalize_rms(x)
-        assert rms(scaled) == pytest.approx(1.0)
-        assert np.allclose(scaled * scale, x)
 
 
 class TestCostAccounting:
@@ -196,6 +190,21 @@ class TestFunctionalExecution:
         result = plan.execute()
         assert result.output is None
         assert result.total.time_s > 0
+
+    def test_in_place_weight_updates_honored(self, rng):
+        # A calibration update applied in place between blocks must take
+        # effect: the plan re-reads the weights array on every execution.
+        plan = BeamformerPlan(
+            Device("A100"), n_beams=4, n_receivers=32, n_samples=8,
+            include_transpose=False,
+        )
+        weights = random_complex(rng, (4, 32))
+        block = random_complex(rng, (32, 8))
+        first = plan.execute(weights, block)
+        assert np.abs(first.output).max() > 0
+        weights *= 0.0
+        second = plan.execute(weights, block)
+        assert np.abs(second.output).max() == 0.0
 
 
 class TestPreparedWeights:

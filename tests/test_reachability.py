@@ -7,8 +7,13 @@ top-level function or class of a ``src/`` module, or a non-dunder method of
 a top-level class. It is *reached* when its name appears as a name, an
 attribute, an import alias or an identifier-like string constant in
 ``src/``, ``examples/``, ``scripts/``, ``perf/`` (but not ``perf/tests/``)
-or a ``python`` block of ``README.md``. A name exported from a package
-``__init__`` is therefore reached: it is public API.
+or a ``python`` block of ``README.md``.
+
+A package export is not a caller: inside a package ``__init__.py`` under
+``src/`` an import alias or an identifier-like string (an ``__all__``
+entry) reaches nothing. Names and attributes the ``__init__``'s own code
+loads still count, and an exported name that an example, a script, a
+``perf/`` file or a README block imports is reached through that import.
 
 An export alone does not keep a whole module alive, though: every
 subpackage and every top-level module of a ``src/`` package must be
@@ -57,6 +62,44 @@ ALLOWED: dict[str, tuple[str, str]] = {
         ORACLE,
         "the built plan's identity that Workload.compat_key is cross-checked against",
     ),
+    "repro.ccglib.complex_mma.complex_mma_f16": (
+        ORACLE,
+        "the single-tile 5-step schedule test_complex_mma compares with reference_complex_gemm "
+        "and that the batched float16 path must equal bit for bit",
+    ),
+    "repro.ccglib.complex_mma.reference_complex_gemm": (
+        ORACLE,
+        "the complex128 product test_complex_mma's float16 tolerance checks compare against",
+    ),
+    "repro.ccglib.bit_gemm.real_bit_dot": (
+        ORACLE,
+        "the Eq. 4 dot product test_bit_gemm's Table II example and XOR/AND k-loops check against",
+    ),
+    "repro.ccglib.layouts.to_interleaved": (
+        ORACLE,
+        "the inverse of to_planar that test_gemm and the layout property tests read "
+        "the planar MMA outputs back through",
+    ),
+    "repro.apps.radioastronomy.channelizer.fft_filterbank": (
+        ORACLE,
+        "the plain FFT filterbank test_radioastronomy measures the PFB's leakage against",
+    ),
+    "repro.apps.radioastronomy.sky.expected_beam_power": (
+        ORACLE,
+        "the analytic beam power test_radioastronomy checks the sky model's beam against",
+    ),
+    "repro.apps.ultrasound.model_matrix.paper_scale_config": (
+        PAPER,
+        "§V-A: the full-scale real-time setup, K = 262144 (128 frequencies x 64 x 32)",
+    ),
+    "repro.apps.ultrasound.model_matrix.recorded_dataset_config": (
+        PAPER,
+        "§V-A: the recorded mouse-brain dataset of Fig 6, K = 524288 and M = 38880",
+    ),
+    "repro.apps.radioastronomy.station.StationBeamformer": (
+        PAPER,
+        "§V-B: the FPGA station beamformer that feeds the central TCBF",
+    ),
     "repro.apps.radioastronomy.station.StationBeamformer.form_station_beam": (
         PAPER,
         "§V-B: the FPGA station beamformer that feeds the central TCBF",
@@ -98,12 +141,15 @@ def _non_test_trees(root: Path):
 
 def reached_names(root: Path = ROOT) -> set[str]:
     names: set[str] = set()
-    for _, tree in _non_test_trees(root):
+    for module, tree in _non_test_trees(root):
+        package_init = module is not None and module.endswith(".__init__")
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
+            elif package_init:  # an export is not a caller
+                continue
             elif isinstance(node, ast.alias):
                 names.add(node.name.rpartition(".")[2])
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -300,12 +346,23 @@ def test_rule_flags_a_definition_only_tests_call(tmp_path):
     assert unreached_in(root) == {"pkg.mod.lonely"}
 
 
-def test_rule_counts_a_package_export_as_reached(tmp_path):
+def test_rule_does_not_count_a_package_export_as_reached(tmp_path):
+    init = 'from pkg.mod import api\n\n__all__ = ["api"]\n'
     root = _tree(tmp_path, {
-        "src/pkg/__init__.py": "from pkg.mod import api\n",
+        "src/pkg/__init__.py": init,
         "src/pkg/mod.py": "def api():\n    return 1\n",
     })
+    assert unreached_in(root) == {"pkg.mod.api"}
+    root = _tree(tmp_path, {"examples/run.py": "from pkg import api\n"})
     assert unreached_in(root) == set()
+
+
+def test_rule_counts_what_a_package_init_runs(tmp_path):
+    root = _tree(tmp_path, {
+        "src/pkg/__init__.py": "from pkg import mod\n\nDEFAULT = mod.build()\n",
+        "src/pkg/mod.py": "def build():\n    return 1\n\ndef spare():\n    return 2\n",
+    })
+    assert unreached_in(root) == {"pkg.mod.spare"}
 
 
 def test_rule_counts_an_identifier_string_as_reached(tmp_path):

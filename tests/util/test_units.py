@@ -3,30 +3,11 @@
 from __future__ import annotations
 
 from repro.util.units import (
-    format_bytes,
     format_ops_per_joule,
     format_ops_rate,
     format_seconds,
-    format_si,
     tera,
 )
-
-
-class TestFormatSi:
-    def test_peta(self):
-        assert format_si(3.08e15, "Ops/s") == "3.08 POps/s"
-
-    def test_tera(self):
-        assert format_si(1.5e12, "Ops/s") == "1.5 TOps/s"
-
-    def test_unit_range(self):
-        assert format_si(5.0, "B") == "5 B"
-
-    def test_zero(self):
-        assert format_si(0, "X") == "0 X"
-
-    def test_sub_unit(self):
-        assert "0.5" in format_si(0.5, "J")
 
 
 class TestPaperStyle:
@@ -37,12 +18,7 @@ class TestPaperStyle:
         assert format_ops_per_joule(0.8 * tera) == "0.80 TOPs/J"
 
 
-class TestBytesAndSeconds:
-    def test_bytes_prefixes(self):
-        assert format_bytes(2048) == "2.00 KiB"
-        assert format_bytes(3 * 2**30) == "3.00 GiB"
-        assert format_bytes(10) == "10 B"
-
+class TestSeconds:
     def test_seconds_scales(self):
         assert format_seconds(90) == "1.50 min"
         assert format_seconds(1.5) == "1.500 s"

@@ -6,28 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import DeviceError, ShapeError
-from repro.util.validation import (
-    ceil_div,
-    require,
-    require_multiple,
-    require_positive_int,
-    require_power_of_two,
-    round_up,
-)
-
-
-class TestRequire:
-    def test_passes(self):
-        require(True, "never raised")
-
-    def test_raises_default(self):
-        with pytest.raises(ShapeError, match="broken"):
-            require(False, "broken")
-
-    def test_raises_custom_exception(self):
-        with pytest.raises(DeviceError):
-            require(False, "nope", exc=DeviceError)
+from repro.errors import ShapeError
+from repro.util.validation import ceil_div, require_positive_int, round_up
 
 
 class TestPositiveInt:
@@ -38,26 +18,6 @@ class TestPositiveInt:
     def test_rejects(self, bad):
         with pytest.raises(ShapeError):
             require_positive_int(bad, "x")
-
-
-class TestMultiple:
-    def test_accepts(self):
-        assert require_multiple(64, 16, "x") == 64
-
-    def test_rejects_nonmultiple(self):
-        with pytest.raises(ShapeError):
-            require_multiple(65, 16, "x")
-
-
-class TestPowerOfTwo:
-    @pytest.mark.parametrize("good", [1, 2, 4, 1024])
-    def test_accepts(self, good):
-        assert require_power_of_two(good, "x") == good
-
-    @pytest.mark.parametrize("bad", [3, 6, 0, -4])
-    def test_rejects(self, bad):
-        with pytest.raises(ShapeError):
-            require_power_of_two(bad, "x")
 
 
 class TestIntegerRounding:
