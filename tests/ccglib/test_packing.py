@@ -14,6 +14,8 @@ from repro.ccglib.packing import (
     unpack_sign_planar,
 )
 from repro.errors import ShapeError
+from repro.gpusim.device import Device, ExecutionMode
+from repro.gpusim.specs import GPU_CATALOG
 from repro.gpusim.timing import Bound
 
 
@@ -35,6 +37,12 @@ class TestPackSign:
     def test_k_pad_too_small(self):
         with pytest.raises(ShapeError):
             pack_sign_planar(np.ones((1, 10)), k_pad_to=5)
+
+    @pytest.mark.parametrize("k, words", [(1, 1), (32, 1), (33, 2), (64, 2), (100, 4)])
+    def test_one_word_per_32_samples(self, k, words):
+        packed = pack_sign_planar(np.ones((2, 3, k), dtype=np.float32))
+        assert packed.shape == (2, 3, words)
+        assert packed.dtype == np.uint32
 
     def test_padding_bits_are_zero(self):
         packed = pack_sign_planar(np.ones((1, 1), dtype=np.float32), k_pad_to=64)
@@ -66,6 +74,22 @@ class TestPackingCost:
 
     def test_direction_label(self, a100_device):
         assert packing_cost(a100_device, 10, 2.0, PackDirection.UNPACK).name == "unpack_bits"
+
+
+class TestPackingCostPerDevice:
+    @pytest.mark.parametrize("gpu", list(GPU_CATALOG))
+    def test_cost_independent_of_execution_mode(self, gpu):
+        # A dry-run device prices a pack exactly like a functional one.
+        functional = packing_cost(Device(gpu), 10**6, 2.0)
+        assert packing_cost(Device(gpu, ExecutionMode.DRY_RUN), 10**6, 2.0) == functional
+
+    @pytest.mark.parametrize("gpu", list(GPU_CATALOG))
+    def test_large_pack_approaches_bandwidth(self, gpu):
+        device = Device(gpu, ExecutionMode.DRY_RUN)
+        cost = packing_cost(device, 10**9, 2.0)
+        achievable = device.spec.mem_bandwidth_bytes() * device.spec.mem_efficiency
+        assert 0.9 * achievable < cost.dram_bytes / cost.time_s <= achievable
+        assert cost.energy_j == pytest.approx(cost.power_w * cost.time_s)
 
 
 class TestScalarReference:

@@ -8,6 +8,7 @@ import pytest
 from repro.ccglib import Precision
 from repro.errors import DeviceError, ShapeError
 from repro.gpusim.device import Device, ExecutionMode
+from repro.gpusim.specs import GPU_CATALOG
 from repro.serve import Batch, FleetDispatcher, PlanCache, Request, Workload
 from repro.serve.dispatch import least_loaded
 from tests.conftest import random_complex, submit_and_drain
@@ -112,6 +113,64 @@ class TestEngineOverlap:
         drained = submit_and_drain(fleet, *[make_batch(i, wl, 4, 0.0) for i in range(n)])
         assert [e.build_s for e in drained] == [0.0] * n
         assert drained[-1].completion_s == pytest.approx(want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("wl, copy_bound, makespan", ENGINE_BOUNDS)
+    def test_closed_form_holds_for_every_batch_count(self, wl, copy_bound, makespan, n):
+        # Batch i ends at its own closed form, not only the last one: the
+        # bound engine never idles once it has started.
+        device = Device("A100", ExecutionMode.DRY_RUN)
+        cache = PlanCache()
+        entry, _ = cache.get(device, wl, 4)
+        worker = FleetDispatcher([device], cache=cache).workers[0]
+        ends = [
+            worker.schedule(make_batch(i, wl, 4, 0.0), entry, 0.0, 0.0).completion_s
+            for i in range(n)
+        ]
+        want = [makespan(i + 1, entry.stage_in_s, entry.gemm_s) for i in range(n)]
+        assert ends == pytest.approx(want)
+
+    @pytest.mark.parametrize("gpu", list(GPU_CATALOG))
+    def test_run_ends_at_the_slower_engine(self, gpu):
+        # On every device, equal batches end at max(s + n*g, n*s + g):
+        # never before either engine has done all its work, and earlier
+        # than running each stage-in and GEMM back to back.
+        n, wl = 6, workload()
+        device = Device(gpu, ExecutionMode.DRY_RUN)
+        cache = PlanCache()
+        entry, _ = cache.get(device, wl, 4)
+        s, g = entry.stage_in_s, entry.gemm_s
+        worker = FleetDispatcher([device], cache=cache).workers[0]
+        last = [worker.schedule(make_batch(i, wl, 4, 0.0), entry, 0.0, 0.0) for i in range(n)][-1]
+        assert last.completion_s == pytest.approx(max(s + n * g, n * s + g))
+        assert last.completion_s < n * (s + g)
+        assert worker.busy_s == pytest.approx(n * g)
+
+    def test_no_stage_in_runs_gemms_back_to_back(self):
+        # Without a transpose a float16 workload stages nothing: the copy
+        # engine has no work to hide, and the GEMMs run back to back.
+        n, wl = 4, workload(include_transpose=False)
+        device = Device("A100", ExecutionMode.DRY_RUN)
+        cache = PlanCache()
+        entry, _ = cache.get(device, wl, 4)
+        assert entry.stage_in_s == 0.0
+        worker = FleetDispatcher([device], cache=cache).workers[0]
+        ends = [
+            worker.schedule(make_batch(i, wl, 4, 0.0), entry, 0.0, 0.0).completion_s
+            for i in range(n)
+        ]
+        assert ends == pytest.approx([(i + 1) * entry.gemm_s for i in range(n)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_batches_complete_in_submission_order(self, n):
+        wl = workload()
+        drained = submit_and_drain(dry_fleet(1), *[make_batch(i, wl, 2, 0.0) for i in range(n)])
+        assert [e.batch.bid for e in drained] == list(range(n))
+        ends = [e.completion_s for e in drained]
+        assert ends == sorted(ends)
+        assert len(set(ends)) == n
+        for prev, nxt in zip(drained, drained[1:]):
+            assert nxt.compute_start_s >= prev.completion_s
 
     def test_build_serializes_before_stage_in(self):
         fleet = dry_fleet(1)

@@ -206,6 +206,19 @@ class TestFunctionalExecution:
         second = plan.execute(weights, block)
         assert np.abs(second.output).max() == 0.0
 
+    def test_consecutive_blocks_keep_their_data(self, rng):
+        # One plan serves a sequence of blocks; each comes back beamformed
+        # with its own data, nothing carried over from the block before.
+        plan = BeamformerPlan(
+            Device("A100"), n_beams=4, n_receivers=32, n_samples=8,
+            include_transpose=False, restore_output_scale=True,
+        )
+        weights = random_complex(rng, (4, 32))
+        blocks = [random_complex(rng, (32, 8)) for _ in range(5)]
+        results = [plan.execute(weights, block) for block in blocks]
+        for block, result in zip(blocks, results):
+            assert np.allclose(result.output[0], weights @ block, atol=0.05)
+
 
 class TestPreparedWeights:
     """``prepare_weights(weights)`` once, then ``execute(None, data)``."""

@@ -15,6 +15,7 @@ from repro.util.bits import (
     packed_length,
     pad_to_words,
     popcount,
+    popcount_gemm,
     sign_to_bits,
     unpack_bits,
 )
@@ -141,3 +142,47 @@ class TestPadding:
     def test_pad_custom_bit(self):
         padded = pad_to_words(np.zeros(1, dtype=np.uint8), pad_bit=1)
         assert padded[1:].sum() == PACK_WORD_BITS - 1
+
+
+def _popc_reference(a: np.ndarray, b: np.ndarray, op: str) -> np.ndarray:
+    """One Python ``bin().count`` per word pair: independent of NumPy popcount."""
+    combine = {"xor": lambda x, y: x ^ y, "and": lambda x, y: x & y}[op]
+    out = np.zeros((a.shape[0], b.shape[0]), dtype=np.int64)
+    for i in range(a.shape[0]):
+        for j in range(b.shape[0]):
+            out[i, j] = sum(bin(combine(int(x), int(y))).count("1") for x, y in zip(a[i], b[j]))
+    return out
+
+
+class TestPopcountGemm:
+    """The k-loop sums uint8 counts of 7 uint32 (odd W) or 3 uint64 (even W)
+    words at a time and walks the operand with fewer rows in blocks; the
+    shapes sit on and across those group edges, with either operand taller."""
+
+    @pytest.mark.parametrize("op", ["xor", "and"])
+    @pytest.mark.parametrize(
+        "m, n, words",
+        [(1, 1, 1), (3, 2, 1), (2, 3, 2), (4, 4, 6), (2, 5, 8), (3, 3, 7), (5, 2, 9), (1, 6, 15)],
+        ids=lambda v: str(v),
+    )
+    def test_matches_python_count(self, rng, m, n, words, op):
+        a = rng.integers(0, 2**32, size=(m, words), dtype=np.uint32)
+        b = rng.integers(0, 2**32, size=(n, words), dtype=np.uint32)
+        got = popcount_gemm(a, b, op)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, _popc_reference(a, b, op))
+
+    @pytest.mark.parametrize("words", [7, 8, 9])
+    def test_every_bit_set_in_every_word(self, words):
+        # The largest per-group sums: every combined word has all 32 bits set.
+        a = np.full((2, words), 0xFFFFFFFF, dtype=np.uint32)
+        b = np.array([[0] * words, [0xFFFFFFFF] * words], dtype=np.uint32)
+        assert np.array_equal(popcount_gemm(a, b, "xor"), [[32 * words, 0]] * 2)
+        assert np.array_equal(popcount_gemm(a, b, "and"), [[0, 32 * words]] * 2)
+
+    def test_and_of_complements_is_the_xor_complement(self, rng):
+        # popc(A&B) + popc(~A&~B) == K - popc(A^B): the §III-E equivalence.
+        a = rng.integers(0, 2**32, size=(3, 4), dtype=np.uint32)
+        b = rng.integers(0, 2**32, size=(5, 4), dtype=np.uint32)
+        same = popcount_gemm(a, b, "and") + popcount_gemm(~a, ~b, "and")
+        assert np.array_equal(same, 4 * 32 - popcount_gemm(a, b, "xor"))
