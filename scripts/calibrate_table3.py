@@ -4,7 +4,6 @@ Run after any perf-model change; paste the printed constants into
 src/repro/gpusim/specs.py. This script is the provenance of those
 calibration numbers.
 """
-import numpy as np
 from repro.ccglib import model_gemm, GemmProblem, TABLE_III, Precision
 from repro.gpusim import get_spec
 import dataclasses

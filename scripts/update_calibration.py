@@ -1,5 +1,6 @@
 """Re-fit gemm_efficiency + tensor_w after a perf-model change and patch specs.py in place."""
-import dataclasses, re
+import dataclasses
+import re
 from repro.ccglib import model_gemm, GemmProblem, TABLE_III, Precision
 from repro.gpusim import get_spec
 

@@ -38,6 +38,11 @@ Design decisions worth knowing:
   — exactly wrong for fleet growth. The build is still charged to the
   batch that faults it in (the plan cache's job), just not double-counted
   as a routing deterrent.
+* *One placement pass per arrival.* :meth:`Placer.place` returns the
+  eligible workers it found with the decision, and admission prices the
+  request over them instead of checking capability and fit again. The
+  per-workload facts the pass reads (compatibility key, footprint) are
+  computed once per :class:`Workload` instance.
 * *Estimates are memoized, never executed.* Pricing a candidate device
   builds a plan and asks its pure ``predict_*``/``stage_in_cost`` methods;
   no kernel runs on any device, so what-if costing cannot perturb the
@@ -271,36 +276,56 @@ class Placer:
 
     # -- ingress decisions ---------------------------------------------------
 
-    def place(self, workload: Workload, policy: "BatchingPolicy") -> PlacementDecision:
-        """Decide one arriving request: route, merge, split, or shed."""
-        decision = self._place(workload, policy)
+    def place(
+        self, workload: Workload, policy: "BatchingPolicy"
+    ) -> tuple[PlacementDecision, list[DeviceWorker]]:
+        """Decide one arriving request: route, merge, split, or shed.
+
+        Returns the decision and the workers admission prices it over: the
+        capable workers that fit the decision's workload, or every capable
+        worker when none fits (split, capacity shed) — what
+        ``eligible_workers(decision.workload) or
+        capable_workers(decision.workload)`` returns, worked out once
+        here. The list is for the caller's admission step only; it is not
+        part of the decision, so no batch keeps it.
+        """
+        decision, workers = self._place(workload, policy)
         kind = decision.kind.value
         self.decisions[kind] = self.decisions.get(kind, 0) + 1
         if self.metrics is not None:
             self.metrics.inc(f"placement.{kind}")
-        return decision
+        return decision, workers
 
-    def _place(self, workload: Workload, policy: "BatchingPolicy") -> PlacementDecision:
+    def _place(
+        self, workload: Workload, policy: "BatchingPolicy"
+    ) -> tuple[PlacementDecision, list[DeviceWorker]]:
         capable = self.capable_workers(workload)
         if not capable:
-            return PlacementDecision(
+            shed = PlacementDecision(
                 kind=PlacementKind.SHED, workload=workload, reason="capability"
             )
-        if any(self.fits(w, workload) for w in capable):
+            return shed, capable
+        fitting = [w for w in capable if self.fits(w, workload)]
+        if fitting:
             padded = workload.padded_to(policy.bucket_samples(workload.n_samples))
-            if padded is not workload and any(self.fits(w, padded) for w in capable):
-                return PlacementDecision(kind=PlacementKind.MERGE, workload=padded)
-            return PlacementDecision(kind=PlacementKind.ROUTE, workload=workload)
+            if padded is not workload:
+                padded_fitting = [w for w in capable if self.fits(w, padded)]
+                if padded_fitting:
+                    merge = PlacementDecision(kind=PlacementKind.MERGE, workload=padded)
+                    return merge, padded_fitting
+            return PlacementDecision(kind=PlacementKind.ROUTE, workload=workload), fitting
         split = self._plan_split(workload, capable)
         if split is None:
-            return PlacementDecision(kind=PlacementKind.SHED, workload=workload, reason="capacity")
+            shed = PlacementDecision(kind=PlacementKind.SHED, workload=workload, reason="capacity")
+            return shed, capable
         extents, indices = split
-        return PlacementDecision(
+        decision = PlacementDecision(
             kind=PlacementKind.SPLIT,
             workload=workload,
             shard_extents=extents,
             shard_worker_indices=indices,
         )
+        return decision, capable
 
     def _plan_split(
         self, workload: Workload, capable: list["DeviceWorker"]

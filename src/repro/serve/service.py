@@ -892,10 +892,10 @@ class BeamformingService:
                 )
             )
         placer = self.fleet.placer
-        decision = placer.place(req.workload, self._batcher.policy_for(priority))
+        decision, workers = placer.place(req.workload, self._batcher.policy_for(priority))
         if self.recorder.enabled:
             self.recorder.emit(self._placement_event(now, req, decision))
-        projected = self._estimate_latency(now, decision)
+        projected = self._estimate_latency(now, decision, workers)
         # End-to-end admission: every downstream stage adds at least its own
         # best-device launch. Queueing and transfer along the chain show up
         # in the SLO, not the projection; a downstream stage with no capable
@@ -1114,7 +1114,7 @@ class BeamformingService:
             if id(req.root_request) not in self._runs:
                 continue  # the root failed while this release was pending
             self._stage_started(req, now)
-            decision = self.fleet.placer.place(
+            decision, _ = self.fleet.placer.place(
                 req.workload, self._batcher.policy_for(req.workload.priority)
             )
             if decision.is_shed:
@@ -1558,13 +1558,13 @@ class BeamformingService:
         if attempts >= budget:
             self._fail(req, now, "retries_exhausted")
             return
-        decision = self.fleet.placer.place(
+        decision, workers = self.fleet.placer.place(
             req.workload, self._batcher.policy_for(priority)
         )
         if decision.is_shed:
             self._fail(req, now, "no_capable_worker")
             return
-        projected = self._estimate_latency(now, decision)
+        projected = self._estimate_latency(now, decision, workers)
         elapsed = now - req.root_request.arrival_s
         if elapsed + projected > self.slo.admission_deadline_s:
             self._fail(req, now, "deadline")
@@ -1623,7 +1623,9 @@ class BeamformingService:
         """Admitted requests waiting or in flight (admission's queue view)."""
         return self.queued_requests() + self._in_flight_requests
 
-    def _estimate_latency(self, now: float, decision: PlacementDecision) -> float:
+    def _estimate_latency(
+        self, now: float, decision: PlacementDecision, workers: list[DeviceWorker]
+    ) -> float:
         """Class-aware latency projection of one placed launch.
 
         Built entirely from the placer's per-device cost model — no
@@ -1639,6 +1641,11 @@ class BeamformingService:
         decisions (no capable device / cannot fit even sharded) project an
         infinite latency, so the admission controller rejects them at the
         door with the shed accounted to the request's class.
+
+        ``workers`` are the eligible workers :meth:`Placer.place
+        <repro.serve.placement.Placer.place>` returned with the decision;
+        a route or merge is priced over them without a second capability
+        and fit pass.
         """
         if decision.is_shed:
             return float("inf")
@@ -1654,16 +1661,11 @@ class BeamformingService:
             batching_wait = 0.0
             n_usable = len(decision.shard_worker_indices)
         else:
-            candidates = placer.eligible_workers(
-                decision.workload
-            ) or placer.capable_workers(decision.workload)
-            backlog = min(w.backlog_s(now) for w in candidates)
-            # Placer.predicted_service_s, over the candidates already in hand.
-            own_service = min(
-                placer.estimate(w, decision.workload, 1).service_s for w in candidates
-            )
+            backlog = min(w.backlog_s(now) for w in workers)
+            # Placer.predicted_service_s, over the workers already in hand.
+            own_service = min(placer.estimate(w, decision.workload, 1).service_s for w in workers)
             batching_wait = self._batcher.policy_for(priority).max_wait_s
-            n_usable = len(candidates)
+            n_usable = len(workers)
         # Undispatched work lives in two places: the scheduler's queues and
         # the dispatcher's held list — both count, or held capability-bound
         # work would be invisible to admission exactly when its one device

@@ -95,6 +95,27 @@ class Workload:
             raise ShapeError(f"priority must be >= 0, got {self.priority}")
         if not self.tenant:
             raise ShapeError("tenant must be a non-empty string")
+        # Static facts every arrival asks for, worked out once per instance;
+        # they pay off because the arrivals of one stream share an instance.
+        object.__setattr__(
+            self,
+            "_compat_key",
+            (
+                self.name,
+                self.n_beams,
+                self.n_receivers,
+                self.n_samples,
+                self.batch_per_request,
+                self.precision.value,
+                self.include_transpose,
+                self.restore_output_scale,
+                self.weights_version,
+                self.priority,
+                self.tenant,
+                self.params,
+            ),
+        )
+        object.__setattr__(self, "_footprints", {})
 
     def compat_key(self) -> tuple:
         """Hashable batching identity.
@@ -106,20 +127,7 @@ class Workload:
         classes or callers — each launch has one priority and one
         accountable tenant.
         """
-        return (
-            self.name,
-            self.n_beams,
-            self.n_receivers,
-            self.n_samples,
-            self.batch_per_request,
-            self.precision.value,
-            self.include_transpose,
-            self.restore_output_scale,
-            self.weights_version,
-            self.priority,
-            self.tenant,
-            self.params,
-        )
+        return self._compat_key  # type: ignore[attr-defined]
 
     def make_plan(self, device: Device, n_requests: int = 1) -> BeamformerPlan:
         """Build the merged-batch plan for ``n_requests`` coalesced requests."""
@@ -173,15 +181,20 @@ class Workload:
         float32 accumulator output, complex throughout. This is what the
         placer compares against a device's memory to decide whether a
         request fits one device, must shard across several, or cannot be
-        served at all.
+        served at all. Memoized per merged extent.
         """
-        batch = n_requests * self.batch_per_request
-        tr = traits(self.precision)
-        operand_values = batch * (
-            self.n_beams * self.n_receivers + self.n_receivers * self.n_samples
-        )
-        output_values = batch * self.n_beams * self.n_samples
-        return 2.0 * (operand_values * tr.input_bytes + output_values * tr.output_bytes)
+        footprints = self._footprints  # type: ignore[attr-defined]
+        footprint = footprints.get(n_requests)
+        if footprint is None:
+            batch = n_requests * self.batch_per_request
+            tr = traits(self.precision)
+            operand_values = batch * (
+                self.n_beams * self.n_receivers + self.n_receivers * self.n_samples
+            )
+            output_values = batch * self.n_beams * self.n_samples
+            footprint = 2.0 * (operand_values * tr.input_bytes + output_values * tr.output_bytes)
+            footprints[n_requests] = footprint
+        return footprint
 
     @property
     def splittable(self) -> bool:

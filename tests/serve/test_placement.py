@@ -92,7 +92,7 @@ class TestCapability:
         from repro.ccglib.precision import Precision
 
         amd = fleet("MI300X")
-        decision = amd.placer.place(workload(precision=Precision.INT1), BatchingPolicy())
+        decision, _ = amd.placer.place(workload(precision=Precision.INT1), BatchingPolicy())
         assert decision.kind is PlacementKind.SHED
         assert decision.reason == "capability"
         assert amd.placer.decisions == {"shed": 1}
@@ -123,18 +123,18 @@ class TestFootprint:
 class TestDecisions:
     def test_route_is_the_default(self):
         f = fleet("A100")
-        decision = f.placer.place(workload(), BatchingPolicy())
+        decision, _ = f.placer.place(workload(), BatchingPolicy())
         assert decision.kind is PlacementKind.ROUTE
         assert decision.workload == workload()
 
     def test_merge_pads_to_bucket_edge(self):
         f = fleet("A100")
         policy = BatchingPolicy(sample_buckets=(128,))
-        decision = f.placer.place(workload(n_samples=110), policy)
+        decision, _ = f.placer.place(workload(n_samples=110), policy)
         assert decision.kind is PlacementKind.MERGE
         assert decision.workload.n_samples == 128
         # Beyond the largest edge: exact shape, plain route.
-        decision = f.placer.place(workload(n_samples=200), policy)
+        decision, _ = f.placer.place(workload(n_samples=200), policy)
         assert decision.kind is PlacementKind.ROUTE
 
     def test_pad_budget_bounds_bucket_overhead(self):
@@ -142,7 +142,7 @@ class TestDecisions:
         # edge exists: beyond MAX_PAD_FRACTION the exact shape wins.
         f = fleet("A100")
         policy = BatchingPolicy(sample_buckets=(2048,))
-        decision = f.placer.place(workload(n_samples=64), policy)
+        decision, _ = f.placer.place(workload(n_samples=64), policy)
         assert decision.kind is PlacementKind.ROUTE
         assert policy.bucket_samples(64) == 64
         assert policy.bucket_samples(1792) == 2048  # 14% < the 25% budget
@@ -156,13 +156,13 @@ class TestDecisions:
     def test_exact_edge_shape_routes_unpadded(self):
         f = fleet("A100")
         policy = BatchingPolicy(sample_buckets=(64,))
-        decision = f.placer.place(workload(n_samples=64), policy)
+        decision, _ = f.placer.place(workload(n_samples=64), policy)
         assert decision.kind is PlacementKind.ROUTE
 
     def test_split_across_memory_proportional_shards(self):
         mixed = fleet("GH200", "MI300X")  # 96 vs 192 GB
         giant = lofar_workload(n_samples=256, n_channels=350_000)
-        decision = mixed.placer.place(giant, BatchingPolicy())
+        decision, _ = mixed.placer.place(giant, BatchingPolicy())
         assert decision.kind is PlacementKind.SPLIT
         assert sum(decision.shard_extents) == 350_000
         # The MI300X (2x the memory) takes ~2x the channels and, being the
@@ -175,7 +175,7 @@ class TestDecisions:
         f = fleet("A100", "A100")
         giant = lofar_workload(n_samples=30_000_000, n_channels=1)  # batch axis of 1
         assert not giant.splittable
-        decision = f.placer.place(giant, BatchingPolicy())
+        decision, _ = f.placer.place(giant, BatchingPolicy())
         assert decision.kind is PlacementKind.SHED
         assert decision.reason == "capacity"
 
@@ -223,7 +223,7 @@ class TestSplitDispatch:
     def test_split_execution_spans_workers_and_takes_slowest(self):
         mixed = fleet("GH200", "MI300X")
         giant = lofar_workload(n_samples=256, n_channels=350_000)
-        decision = mixed.placer.place(giant, BatchingPolicy())
+        decision, _ = mixed.placer.place(giant, BatchingPolicy())
         batch = make_batch(0, giant, 1, decision=decision)
         [execution] = submit_and_drain(mixed, batch)
         assert execution.is_split
