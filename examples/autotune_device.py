@@ -54,7 +54,7 @@ if published is not None:
     at_pub = model_gemm(spec, precision, problem, published.params)
     rows.append(["paper Table III", str(published.params), round(at_pub.ops_per_second / 1e12, 1)])
 ils = tune_gemm(spec, precision, strategy=GreedyILS(budget=80, seed=0))
-rows.append([f"greedy ILS (80 evals)", str(ils.best_params), round(ils.best.metrics["tops"], 1)])
+rows.append(["greedy ILS (80 evals)", str(ils.best_params), round(ils.best.metrics["tops"], 1)])
 print(render_table(["method", "parameters", "TOPs/s"], rows, title="Comparison"))
 print("\nthe published configuration sits on the same optimum plateau; "
       "'while a default set of parameters is shipped with ccglib, a "

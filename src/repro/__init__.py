@@ -7,8 +7,10 @@ Top-level convenience exports; see the subpackages for the full API:
 * :mod:`repro.cudapeak` — tensor-core micro-benchmarks (Table I);
 * :mod:`repro.kerneltuner` — auto-tuning framework (Fig 2, Table III);
 * :mod:`repro.roofline` — roofline analysis (Fig 3);
-* :mod:`repro.tcbf` — the unified Tensor-Core Beamformer library (plans,
-  multi-device sharding);
+* :mod:`repro.tcbf` — the unified Tensor-Core Beamformer library
+  (single-device plans, scaling, results);
+* :mod:`repro.serve` — the serving tier (batching, placement, multi-device
+  splits);
 * :mod:`repro.apps.ultrasound` — computational ultrasound imaging (Figs 5-6);
 * :mod:`repro.apps.radioastronomy` — LOFAR beamforming (Fig 7);
 * :mod:`repro.bench` — the experiment harness regenerating every table/figure.
@@ -16,12 +18,7 @@ Top-level convenience exports; see the subpackages for the full API:
 
 from repro.ccglib import Gemm, GemmResult, Precision, gemm_once
 from repro.gpusim import Device, ExecutionMode, GPU_CATALOG, get_spec
-from repro.tcbf import (
-    BeamformerPlan,
-    BeamformResult,
-    ShardedBeamformer,
-    ShardResult,
-)
+from repro.tcbf import BeamformerPlan, BeamformResult
 
 __version__ = "1.2.0"
 
@@ -36,7 +33,5 @@ __all__ = [
     "get_spec",
     "BeamformerPlan",
     "BeamformResult",
-    "ShardedBeamformer",
-    "ShardResult",
     "__version__",
 ]

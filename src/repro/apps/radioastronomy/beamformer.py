@@ -84,7 +84,7 @@ class LOFARBeamformer:
 
     @property
     def plan(self) -> BeamformerPlan:
-        """The underlying TCBF plan (streaming/sharding entry point)."""
+        """The underlying TCBF plan (its shape, padding and cost predictions)."""
         return self._plan
 
     def predict_cost(self) -> KernelCost:

@@ -75,7 +75,7 @@ def station_antenna_layout(
     return np.column_stack([r * np.cos(phi), r * np.sin(phi)])
 
 
-def geometric_delay(positions: np.ndarray, l: float, m: float) -> np.ndarray:
+def geometric_delay(positions: np.ndarray, dir_l: float, dir_m: float) -> np.ndarray:
     """Plane-wave arrival delay per element for direction cosines (l, m).
 
     ``positions`` is (n, 2) in metres; the result is seconds, one per
@@ -84,5 +84,5 @@ def geometric_delay(positions: np.ndarray, l: float, m: float) -> np.ndarray:
     positions = np.asarray(positions)
     if positions.ndim != 2 or positions.shape[1] != 2:
         raise ShapeError(f"positions must be (n, 2), got {positions.shape}")
-    return (positions[:, 0] * l + positions[:, 1] * m) / SPEED_OF_LIGHT
+    return (positions[:, 0] * dir_l + positions[:, 1] * dir_m) / SPEED_OF_LIGHT
 

@@ -35,7 +35,7 @@ def steering_weights(
         raise ShapeError(f"beam_directions must be (n_beams, 2), got {beam_directions.shape}")
     freqs = np.atleast_1d(np.asarray(channel_frequencies_hz, dtype=np.float64))
     delays = np.stack(
-        [geometric_delay(layout.positions, l, m) for l, m in beam_directions]
+        [geometric_delay(layout.positions, dir_l, dir_m) for dir_l, dir_m in beam_directions]
     )  # (B, S)
     phase = 2.0 * np.pi * freqs[:, None, None] * delays[None, :, :]
     weights = np.exp(1j * phase)

@@ -139,7 +139,7 @@ class UltrasoundBeamformer:
 
     @property
     def plan(self) -> BeamformerPlan:
-        """The underlying TCBF plan (streaming/sharding entry point)."""
+        """The underlying TCBF plan (its shape, padding and cost predictions)."""
         return self._plan
 
     @property

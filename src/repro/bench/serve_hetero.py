@@ -18,7 +18,7 @@ checks the three placement decisions end to end, deterministically:
   plans are built at the bucket shape);
 * **in-service sharding** — a survey request whose operands exceed *any*
   single device's memory is split across the fleet (memory-proportional
-  extents via :func:`~repro.tcbf.sharding.split_extent_weighted`) and
+  extents via :func:`~repro.serve.placement.split_extent_weighted`) and
   served, with per-shard utilization reported, instead of being shed;
 * **determinism** — a fixed-seed replay of the headline run reproduces
   every number bit-for-bit.

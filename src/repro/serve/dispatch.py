@@ -13,10 +13,11 @@ batch is placed on the *eligible* worker (capability + memory fit) with the
 earliest predicted finish under that device's own cost model. On a
 homogeneous fleet every device predicts identical costs, so the decision
 collapses to the classic least-loaded rule. Split placements (requests
-larger than any single device) shard across several workers at once and
-complete at the slowest shard; functional fleets execute them through
-:func:`repro.tcbf.execute_shards`, the same path as
-:class:`~repro.tcbf.ShardedBeamformer`.
+larger than any single device) shard across several workers at once along
+the batch axis and complete at the slowest shard; functional fleets
+execute each shard's plan on its slice of the block
+(:meth:`FleetDispatcher._execute_split`). This is the one multi-device
+path: :mod:`repro.tcbf` plans one device.
 
 Batches reach workers one way: :meth:`FleetDispatcher.submit` queues them
 in a :class:`~repro.serve.scheduler.PriorityScheduler`, and
@@ -36,11 +37,12 @@ hedge duplicate, a recovered shard — goes through
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.ccglib.layouts import ensure_batched
 from repro.errors import DeviceError, ShapeError
 from repro.gpusim.device import Device
 from repro.serve.batching import Batch
@@ -50,7 +52,7 @@ from repro.serve.obs.trace import NULL_RECORDER, NullRecorder
 from repro.serve.placement import PlacementKind, Placer
 from repro.serve.scheduler import PriorityScheduler, QueuePressure
 from repro.serve.workload import Workload
-from repro.tcbf import execute_shards, merge_batch_operands, split_batched_output
+from repro.tcbf import rms
 
 
 @dataclass
@@ -240,6 +242,54 @@ def least_loaded(workers: Iterable[DeviceWorker], now: float) -> DeviceWorker | 
     never depends on the order the worker list happens to be in.
     """
     return min(workers, key=lambda w: (w.backlog_s(now), w.index), default=None)
+
+
+def merge_batch_operands(
+    weights: np.ndarray, data_blocks: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stack compatible per-request operands into one batched GEMM block.
+
+    Several small requests that share one weight set (same calibration /
+    matched filter) coalesce into a single plan execution with
+    ``batch = n_requests * per_request_batch``. ``weights`` is the shared
+    per-request A operand ``(b, M, K)`` (2-D allowed when ``b == 1``) and is
+    repeated once per request; ``data_blocks`` holds each request's B operand
+    ``(b, K, N)``. The merged output splits back per request with
+    :func:`split_batched_output`.
+    """
+    if not data_blocks:
+        raise ShapeError("cannot merge an empty request list")
+    weights, _ = ensure_batched(weights, 3)
+    blocks = []
+    for block in data_blocks:
+        block, _ = ensure_batched(block, 3)
+        if block.shape[0] != weights.shape[0] or block.shape[1] != weights.shape[2]:
+            raise ShapeError(
+                f"request block {block.shape} incompatible with weights "
+                f"{weights.shape}: per-request batch and K must match"
+            )
+        blocks.append(block)
+    if len({b.shape for b in blocks}) > 1:
+        raise ShapeError(f"cannot merge blocks of differing shapes: {[b.shape for b in blocks]}")
+    return np.concatenate([weights] * len(blocks), axis=0), np.concatenate(blocks, axis=0)
+
+
+def split_batched_output(output: np.ndarray, extents: Sequence[int]) -> list[np.ndarray]:
+    """Scatter a merged batch output back into per-request slices.
+
+    ``extents`` are the batch extents of the coalesced requests in merge
+    order; they must exactly cover ``output`` along the batch axis. Returns
+    one view per request (no copies), so each caller gets its own result
+    without duplicating the block.
+    """
+    if not extents:
+        raise ShapeError("cannot split over an empty extent list")
+    if any(e < 1 for e in extents):
+        raise ShapeError(f"extents must be positive, got {list(extents)}")
+    total = sum(extents)
+    if output.shape[0] != total:
+        raise ShapeError(f"extents sum to {total} but output has {output.shape[0]} batch items")
+    return np.split(output, np.cumsum(extents)[:-1])
 
 
 class FleetDispatcher:
@@ -775,7 +825,7 @@ class FleetDispatcher:
         The merged block runs for real: the shared weight set repeats per
         request, the request data blocks concatenate along the batch axis,
         and the output scatters back one slice per request
-        (:func:`repro.tcbf.split_batched_output`).
+        (:func:`split_batched_output`).
         """
         stage_in = None
         if batch.stage_input_bytes > 0:
@@ -927,34 +977,57 @@ class FleetDispatcher:
 
         ``shard_entries`` are the cache entries the placement step already
         fetched (one per shard, in decision order) — re-fetching here would
-        double-count cache hits. The block runs through
-        :func:`repro.tcbf.execute_shards`, the path
-        :class:`~repro.tcbf.ShardedBeamformer` uses too: full-shape
-        validation, one global RMS scale, disjoint batch ranges, outputs
-        concatenated back along the batch axis. A missing weight set or
-        data block, or a data block of the wrong shape, raises
-        :class:`~repro.errors.ShapeError` as the merged path does.
+        double-count cache hits. The full operands are checked against the
+        whole problem first, so an oversized block raises
+        :class:`~repro.errors.ShapeError` as the merged path does instead
+        of being truncated. One RMS scale is taken over the whole block
+        (a per-shard RMS would scale each slice differently and corrupt
+        relative amplitudes across the merged output), each shard's plan
+        beamforms its disjoint batch range with that scale, and the outputs
+        concatenate back along the batch axis: the bytes of the one-plan
+        output.
         """
+        self._require_operands(batch)
         plans = [entry.plan for entry in shard_entries]
-        return [execute_shards(plans, batch.workload.weights, batch.requests[0].data).output]
+        first = plans[0]
+        total = sum(plan.batch for plan in plans)
+        weights, _ = ensure_batched(batch.workload.weights, 3)
+        data, _ = ensure_batched(batch.requests[0].data, 3)
+        for name, operand, expect in (
+            ("weights", weights, (total, first.n_beams, first.n_receivers)),
+            ("data", data, (total, first.n_receivers, first.n_samples)),
+        ):
+            if operand.shape != expect:
+                raise ShapeError(f"{name} must be {expect}, got {operand.shape}")
+        scale = rms(data) if first.needs_scale else None
+        outputs, lo = [], 0
+        for plan in plans:
+            hi = lo + plan.batch
+            outputs.append(plan.execute(weights[lo:hi], data[lo:hi], scale=scale).output)
+            lo = hi
+        return [np.concatenate(outputs, axis=0)]
 
     # -- merged (and bucket-padded) execution --------------------------------
 
-    def _execute(self, batch: Batch, entry: CachedPlan) -> list[np.ndarray]:
+    @staticmethod
+    def _require_operands(batch: Batch) -> None:
+        """Raise :class:`ShapeError` unless the batch carries its operands."""
         workload = batch.workload
         if workload.weights is None:
             raise ShapeError(
                 f"functional dispatch of {workload.name!r} requires the "
                 "workload to carry its weight set"
             )
-        blocks = []
-        for req in batch.requests:
-            if req.data is None:
-                raise ShapeError(
-                    f"functional dispatch of {workload.name!r} requires every "
-                    "request to carry a data block"
-                )
-            blocks.append(self._padded_block(req.data, workload.n_samples))
+        if any(req.data is None for req in batch.requests):
+            raise ShapeError(
+                f"functional dispatch of {workload.name!r} requires every "
+                "request to carry a data block"
+            )
+
+    def _execute(self, batch: Batch, entry: CachedPlan) -> list[np.ndarray]:
+        self._require_operands(batch)
+        workload = batch.workload
+        blocks = [self._padded_block(req.data, workload.n_samples) for req in batch.requests]
         weights, data = merge_batch_operands(workload.weights, blocks)
         result = entry.plan.execute(weights, data)
         outputs = split_batched_output(

@@ -23,8 +23,8 @@ explicit :class:`PlacementDecision` for each request:
 * **split** — the request exceeds every single device's memory; it is
   sharded across the capable workers along the batch axis, with extents
   proportional to each device's memory
-  (:func:`~repro.tcbf.sharding.split_extent_weighted`), executed
-  concurrently, and completed at the slowest shard. Each shard's plan is
+  (:func:`split_extent_weighted`), executed concurrently, and completed
+  at the slowest shard. Each shard's plan is
   ``workload.shard(extent).make_plan``, built by the plan cache.
 * **shed** — no capable device exists (e.g. int1 on an AMD-only fleet) or
   the request cannot be made to fit even sharded; admission turns this into
@@ -56,9 +56,8 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.errors import DeviceError
+from repro.errors import DeviceError, ShapeError
 from repro.serve.workload import Workload
-from repro.tcbf import split_extent_weighted
 
 if TYPE_CHECKING:
     from repro.serve.batching import Batch, BatchingPolicy
@@ -74,6 +73,39 @@ MEMORY_FRACTION = 0.9
 #: fabric between *workers* (a worker is one device), so a successor stage
 #: placed off the producer's device pays an explicit host-mediated transfer.
 INTERCONNECT_BANDWIDTH = 25e9
+
+
+def split_extent_weighted(total: int, weights: Sequence[float]) -> list[int]:
+    """Capacity-proportional split of ``total`` units over weighted shards.
+
+    Largest-remainder rounding, deterministic (remainder ties go to the
+    lowest index), every shard non-empty. A device with twice the memory
+    weight takes twice the extent, which is what lets a GH200 + MI300X pair
+    host a problem an equal split would overflow on the smaller device;
+    equal weights give the near-equal split with the remainder on the first
+    ``total % len(weights)`` shards.
+    """
+    if not weights:
+        raise ShapeError("need at least one shard weight")
+    if any(w <= 0 for w in weights):
+        raise ShapeError(f"shard weights must be positive, got {list(weights)}")
+    parts = len(weights)
+    if total < parts:
+        raise ShapeError(f"cannot split {total} units over {parts} devices")
+    wsum = float(sum(weights))
+    raw = [total * w / wsum for w in weights]
+    extents = [int(r) for r in raw]
+    order = sorted(range(parts), key=lambda i: (-(raw[i] - extents[i]), i))
+    for i in order[: total - sum(extents)]:
+        extents[i] += 1
+    # A vanishing weight share can round to zero; steal a unit from the
+    # largest shard (ties: lowest index) so every device gets real work.
+    for i in range(parts):
+        while extents[i] < 1:
+            donor = max(range(parts), key=lambda k: (extents[k], -k))
+            extents[donor] -= 1
+            extents[i] += 1
+    return extents
 
 
 class PlacementKind(enum.Enum):
@@ -334,9 +366,9 @@ class Placer:
 
         Prefers the widest split (all capable workers) with extents
         proportional to each device's memory
-        (:func:`~repro.tcbf.sharding.split_extent_weighted` — an equal
-        split would overflow the smaller device of a GH200 + MI300X pair
-        long before the pair's combined memory is exhausted); falls back to
+        (:func:`split_extent_weighted` — an equal split would overflow the
+        smaller device of a GH200 + MI300X pair long before the pair's
+        combined memory is exhausted); falls back to
         narrower splits when the batch axis offers fewer units than
         workers. Returns ``None`` when no arrangement fits — the
         capacity-shed case.

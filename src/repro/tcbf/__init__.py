@@ -8,10 +8,11 @@ complexities of tensor-core programming ... for multidisciplinary use"):
   RMS scaling, and the complex GEMM with end-to-end cost accounting;
 * :class:`~repro.tcbf.result.BeamformResult` — the shared result record
   (``beams``/``frames`` aliases, ``tflops``/``fps`` throughput accessors);
-* :class:`~repro.tcbf.sharding.ShardedBeamformer` — batch- or beam-dimension
-  sharding across multiple devices with aggregate-throughput accounting;
-  its :func:`~repro.tcbf.sharding.execute_shards` is the one sharded
-  execution path, shared with the serving tier's split placements.
+* :func:`~repro.tcbf.scaling.rms` — the block's unit-RMS operand scale.
+
+A plan beamforms on one device, as the paper's library does. Splitting a
+problem over several devices is the serving tier's job
+(:mod:`repro.serve`'s split placement), which runs one plan per shard.
 
 A plan takes only what callers vary: the problem shape, precision, tuning
 parameters, and the transpose and output-scale flags. The 1-bit packing
@@ -25,25 +26,9 @@ The domain applications (:mod:`repro.apps.radioastronomy`,
 from repro.tcbf.plan import BeamformerPlan
 from repro.tcbf.result import BeamformResult
 from repro.tcbf.scaling import rms
-from repro.tcbf.sharding import (
-    ShardedBeamformer,
-    ShardResult,
-    execute_shards,
-    merge_batch_operands,
-    split_batched_output,
-    split_extent,
-    split_extent_weighted,
-)
 
 __all__ = [
     "BeamformerPlan",
     "BeamformResult",
-    "ShardedBeamformer",
-    "ShardResult",
-    "split_extent",
-    "split_extent_weighted",
-    "execute_shards",
-    "merge_batch_operands",
-    "split_batched_output",
     "rms",
 ]

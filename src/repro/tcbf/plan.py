@@ -181,7 +181,8 @@ class BeamformerPlan:
 
         Sign quantization is invariant under positive scaling, so a
         non-restoring int1 plan skips the normalization entirely; the
-        sharding layer reads this to stay in lockstep.
+        serving tier's split placement reads this to skip the block RMS
+        too.
         """
         return self.restore_output_scale or self.precision is not Precision.INT1
 
@@ -297,8 +298,8 @@ class BeamformerPlan:
         every charged stage in execution order.
 
         ``scale`` overrides the automatic unit-RMS operand normalization —
-        the sharding layer passes one global scale so every shard of a
-        block normalizes identically. The RMS is computed here, once per
+        the serving tier's split placement passes one global scale so every
+        shard of a block normalizes identically. The RMS is computed here, once per
         block; the divide of ``data`` by the scale (and, for
         ``restore_output_scale``, the multiply of the output by it) happen
         in :meth:`Gemm.run <repro.ccglib.gemm.Gemm.run>`, which on NumPy

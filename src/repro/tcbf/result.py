@@ -68,11 +68,6 @@ class BeamformResult:
         return self.total.time_s
 
     @property
-    def gemm_cost(self) -> KernelCost:
-        """The GEMM stage's cost (always the last kernel of a block)."""
-        return self.costs[-1]
-
-    @property
     def tflops(self) -> float:
         """Sustained GEMM throughput over the end-to-end block time,
         TFLOPs/s (TOPs/s for int1).

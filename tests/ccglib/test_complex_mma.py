@@ -108,8 +108,6 @@ class TestFiveStepSchedule:
         ref = reference_complex_gemm(a, b)[0, 0]
         got = complex_mma_f16(_planar(a), _planar(b))
         got_c = got[0, 0, 0] + 1j * got[1, 0, 0]
-        all_fp16 = (a.astype(np.complex64).real.astype(np.float16).astype(np.float16) @
-                    b.real.astype(np.float16)).astype(np.float32)
         # sanity: our error is small relative to the magnitude of the sum
         assert abs(got_c - ref) / max(abs(ref), 1.0) < 0.05
 

@@ -14,7 +14,7 @@ from repro.ccglib.gemm import Gemm
 from repro.ccglib.precision import Precision
 from repro.gpusim.device import Device, ExecutionMode
 from repro.gpusim.timing import Bound, KernelCost, combine_costs
-from repro.tcbf import BeamformerPlan, ShardedBeamformer
+from repro.tcbf import BeamformerPlan
 from tests.conftest import random_complex
 
 
@@ -83,11 +83,6 @@ def _execute_dry_run(rng):
     return _int1_plan(Device("A100", ExecutionMode.DRY_RUN)).execute
 
 
-def _execute_shards(rng):
-    devices = [Device("A100", ExecutionMode.DRY_RUN) for _ in range(2)]
-    return ShardedBeamformer(devices, n_beams=64, n_receivers=48, n_samples=64, batch=4).execute
-
-
 def _incoherent_beam(rng):
     device, data = Device("A100"), random_complex(rng, (4, 16, 32))
     return lambda: incoherent_beam(device, data, 4, 16, 32)
@@ -116,7 +111,7 @@ class TestKeepsNothingPerKernel:
 
     @pytest.mark.parametrize("build", [
         _gemm_run, _prepare_weights, _execute_prepared_int1, _execute_float16,
-        _execute_dry_run, _execute_shards, _incoherent_beam, _reference_beamformer,
+        _execute_dry_run, _incoherent_beam, _reference_beamformer,
     ], ids=lambda build: build.__name__.lstrip("_"))
     def test_live_memory_does_not_grow_with_calls(self, rng, build):
         call = build(rng)

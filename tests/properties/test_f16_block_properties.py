@@ -6,8 +6,8 @@ restores the scale on its output slice. The reference here is the order the
 plan used to run over the whole block: ``rms`` -> ``data / scale`` ->
 ``to_planar`` -> planar ``complex_mma_*_batched`` -> interleave ->
 ``*= scale``. Outputs must agree byte for byte, at any chunk size, for
-prepared and per-call weights, and through both sharded modes; the int1
-plan must give the same bytes sharded as on one device.
+prepared and per-call weights. The serving tier's batch split must give
+the bytes of the one-plan output, for float16 and int1 alike.
 """
 
 from __future__ import annotations
@@ -23,9 +23,12 @@ from repro.ccglib import complex_mma
 from repro.ccglib.complex_mma import complex_mma_f16_batched, complex_mma_tf32_batched
 from repro.ccglib.gemm import Gemm
 from repro.ccglib.layouts import to_planar
-from repro.ccglib.precision import PARITY_TOLERANCES, Precision
+from repro.ccglib.precision import Precision
 from repro.gpusim.device import Device
-from repro.tcbf import BeamformerPlan, ShardedBeamformer, rms
+from repro.serve import Batch, FleetDispatcher, PlacementDecision, PlacementKind, Request, Workload
+from repro.serve.placement import split_extent_weighted
+from repro.tcbf import BeamformerPlan, rms
+from tests.conftest import submit_and_drain
 
 #: values the float16 path must carry exactly as the old order did: signed
 #: zeros, float16 subnormals, values beyond the float16 range, inf and NaN.
@@ -118,29 +121,36 @@ def test_gemm_run_scale_equals_the_whole_array_order(block, precision):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("precision", [Precision.FLOAT16, Precision.INT1])
-@given(blocks(), st.sampled_from(["batch", "beams"]), st.integers(1, 3))
-def test_sharded_equals_the_single_device_plan(precision, block, shard_dim, parts):
+def _served_split(block, precision, parts):
+    """The block as one request split over ``parts`` A100s by the serving tier."""
     batch, m, k = block["weights"].shape
-    parts = min(parts, batch if shard_dim == "batch" else m)
-    single = _plan(block, precision=precision)
-    sharded = ShardedBeamformer(
-        [Device("A100") for _ in range(parts)], n_beams=m, n_receivers=k,
-        n_samples=block["data"].shape[-1], batch=batch, shard_dim=shard_dim,
-        precision=precision, include_transpose=False, restore_output_scale=block["restore"],
+    wl = Workload(
+        name="split", n_beams=m, n_receivers=k, n_samples=block["data"].shape[-1],
+        batch_per_request=batch, precision=precision, include_transpose=False,
+        restore_output_scale=block["restore"], weights=block["weights"],
     )
+    decision = PlacementDecision(
+        kind=PlacementKind.SPLIT,
+        workload=wl,
+        shard_extents=tuple(split_extent_weighted(batch, [1.0] * parts)),
+        shard_worker_indices=tuple(range(parts)),
+    )
+    request = Request(rid=0, workload=wl, arrival_s=0.0, data=block["data"])
+    served = Batch(bid=0, workload=wl, requests=[request], formed_s=0.0, decision=decision)
+    fleet = FleetDispatcher([Device("A100") for _ in range(parts)])
+    [execution] = submit_and_drain(fleet, served)
+    return execution.outputs[0]
+
+
+@pytest.mark.parametrize("precision", [Precision.FLOAT16, Precision.INT1])
+@given(blocks(), st.integers(1, 3))
+def test_sharded_equals_the_single_device_plan(precision, block, parts):
+    # One global RMS scale over the whole block and disjoint batch ranges:
+    # the merged shards are the one-plan output byte for byte, N = 1
+    # included.
+    parts = min(parts, block["weights"].shape[0])
+    single = _plan(block, precision=precision)
     with np.errstate(all="ignore"), mock.patch.object(complex_mma, "_CHUNK_BYTES", block["budget"]):
         want = single.execute(block["weights"], block["data"]).output
-        got = sharded.execute(block["weights"], block["data"]).output
-    n_one_beams = shard_dim == "beams" and block["data"].shape[-1] == 1
-    if precision is Precision.FLOAT16 and n_one_beams:
-        # One sample: NumPy's matmul of a beam range can differ from the
-        # same rows of the full product in the last bit (an open defect,
-        # CHANGES.md), so only closeness holds there. The int1 popcount
-        # GEMM is exact integer work and must match byte for byte.
-        tol = PARITY_TOLERANCES[Precision.FLOAT16]
-        with np.errstate(all="ignore"):
-            assert np.allclose(got, want, rtol=tol.rtol, atol=tol.atol, equal_nan=True)
-    else:
-        assert got.tobytes() == want.tobytes()
-
+        got = _served_split(block, precision, parts)
+    assert got.tobytes() == want.tobytes()

@@ -10,7 +10,7 @@ from repro.errors import DeviceError, ShapeError
 from repro.gpusim.device import Device, ExecutionMode
 from repro.gpusim.specs import GPU_CATALOG
 from repro.serve import Batch, FleetDispatcher, PlanCache, Request, Workload
-from repro.serve.dispatch import least_loaded
+from repro.serve.dispatch import least_loaded, merge_batch_operands, split_batched_output
 from tests.conftest import random_complex, submit_and_drain
 
 
@@ -236,6 +236,70 @@ class TestFunctionalMerge:
         )
         with pytest.raises(ShapeError, match="data block"):
             submit_and_drain(fleet, make_batch(1, armed, 1, 0.0))
+
+
+class TestBatchMergeHelpers:
+    def test_merge_then_split_round_trip(self, rng):
+        # merge_batch_operands stacks requests; split_batched_output hands
+        # each request back exactly its slice.
+        w = random_complex(rng, (2, 4, 8))
+        blocks = [random_complex(rng, (2, 8, 6)) for _ in range(3)]
+        mw, md = merge_batch_operands(w, blocks)
+        assert mw.shape == (6, 4, 8)
+        assert md.shape == (6, 8, 6)
+        out = np.einsum("bmk,bkn->bmn", mw, md)
+        parts = split_batched_output(out, [2, 2, 2])
+        for block, part in zip(blocks, parts):
+            assert np.allclose(part, np.einsum("bmk,bkn->bmn", w, block))
+
+    def test_merge_accepts_2d_weights(self, rng):
+        w = random_complex(rng, (4, 8))
+        blocks = [random_complex(rng, (8, 6)) for _ in range(2)]
+        mw, md = merge_batch_operands(w, blocks)
+        assert mw.shape == (2, 4, 8)
+        assert md.shape == (2, 8, 6)
+
+    def test_merge_rejects_incompatible_blocks(self, rng):
+        w = random_complex(rng, (2, 4, 8))
+        with pytest.raises(ShapeError):
+            merge_batch_operands(w, [])
+        with pytest.raises(ShapeError):
+            merge_batch_operands(w, [random_complex(rng, (2, 7, 6))])  # bad K
+        with pytest.raises(ShapeError):
+            merge_batch_operands(
+                w, [random_complex(rng, (2, 8, 6)), random_complex(rng, (2, 8, 5))]
+            )
+
+    def test_split_validates_extents(self, rng):
+        out = random_complex(rng, (6, 4, 5))
+        with pytest.raises(ShapeError):
+            split_batched_output(out, [])
+        with pytest.raises(ShapeError):
+            split_batched_output(out, [4, 0, 2])
+        with pytest.raises(ShapeError):
+            split_batched_output(out, [4, 4])
+        parts = split_batched_output(out, [4, 2])
+        assert [p.shape[0] for p in parts] == [4, 2]
+        # Views, not copies: the serving layer returns slices of the block.
+        assert parts[0].base is not None
+
+    def test_merge_single_element_batch(self, rng):
+        # One request is a legal merge: weights repeat once, data pass through.
+        weights = random_complex(rng, (1, 4, 8))
+        block = random_complex(rng, (1, 8, 6))
+        merged_w, merged_d = merge_batch_operands(weights, [block])
+        assert merged_w.shape == (1, 4, 8)
+        assert np.array_equal(merged_d, block)
+        [back] = split_batched_output(merged_d, [1])
+        assert np.array_equal(back, block)
+
+    def test_merge_empty_request_list_rejected(self, rng):
+        with pytest.raises(ShapeError, match="empty request list"):
+            merge_batch_operands(random_complex(rng, (1, 4, 8)), [])
+
+    def test_split_output_empty_extents_rejected(self, rng):
+        with pytest.raises(ShapeError, match="empty extent list"):
+            split_batched_output(random_complex(rng, (2, 4, 6)), [])
 
 
 class TestTieBreaking:

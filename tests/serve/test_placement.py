@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.apps.radioastronomy.beamformer import service_workload as _lofar_pipeline
 from repro.apps.ultrasound.imaging import service_workload as _ultrasound_pipeline
@@ -30,6 +32,7 @@ from repro.serve import (
     poisson_arrivals,
 )
 from repro.serve.batching import MAX_PAD_FRACTION
+from repro.serve.placement import split_extent_weighted
 from tests.conftest import random_complex, submit_and_drain
 
 def lofar_workload(**kwargs):
@@ -277,6 +280,73 @@ class TestSplitDispatch:
         f, batch, _, _ = self._functional_split(rng, data_rows=8)
         with pytest.raises(ShapeError, match="data must be"):
             submit_and_drain(f, batch)
+
+    def test_functional_split_uses_one_global_scale(self, rng):
+        # The second shard's rows are 100x louder. A per-shard RMS would
+        # normalize the two shards differently; one RMS over the whole block
+        # gives the one-plan output byte for byte.
+        f, batch, weights, data = self._functional_split(rng, data_rows=6)
+        data[4:] *= 100.0
+        [execution] = submit_and_drain(f, batch)
+        single = batch.workload.make_plan(Device("A100")).execute(weights, data)
+        assert execution.outputs[0].tobytes() == single.output.tobytes()
+
+
+class TestWeightedSplit:
+    def test_proportional_to_weights(self):
+        assert split_extent_weighted(300, [1.0, 2.0]) == [100, 200]
+        assert split_extent_weighted(10, [1.0, 1.0]) == [5, 5]
+
+    def test_largest_remainder_is_deterministic(self):
+        # 10 over 1:1:1 -> remainder goes to the lowest indices.
+        assert split_extent_weighted(10, [1.0, 1.0, 1.0]) == [4, 3, 3]
+
+    def test_covers_total_and_no_empty_shards(self):
+        extents = split_extent_weighted(7, [1000.0, 1.0, 1.0])
+        assert sum(extents) == 7
+        assert all(e >= 1 for e in extents)
+        assert extents[0] == max(extents)
+
+    def test_errors(self):
+        with pytest.raises(ShapeError):
+            split_extent_weighted(5, [])
+        with pytest.raises(ShapeError):
+            split_extent_weighted(5, [1.0, -1.0])
+        with pytest.raises(ShapeError):
+            split_extent_weighted(1, [1.0, 1.0])
+        with pytest.raises(ShapeError, match="cannot split"):
+            split_extent_weighted(3, [1.0] * 4)
+
+    def test_equal_weights_even(self):
+        assert split_extent_weighted(256, [1.0] * 2) == [128, 128]
+        assert split_extent_weighted(256, [1.0] * 4) == [64, 64, 64, 64]
+        assert split_extent_weighted(1, [1.0]) == [1]
+
+    def test_equal_weights_front_load_the_remainder(self):
+        assert split_extent_weighted(5, [1.0] * 2) == [3, 2]
+        assert split_extent_weighted(10, [1.0] * 3) == [4, 3, 3]
+
+    @given(
+        total=st.integers(min_value=1, max_value=10_000),
+        parts=st.integers(min_value=1, max_value=64),
+        weight=st.sampled_from([1.0, 3.0, 2**40]),
+    )
+    def test_equal_weights_remainder_invariants(self, total, parts, weight):
+        # Equal weights give exact coverage, near-equality, a front-loaded
+        # remainder and no empty shard.
+        if total < parts:
+            with pytest.raises(ShapeError):
+                split_extent_weighted(total, [weight] * parts)
+            return
+        sizes = split_extent_weighted(total, [weight] * parts)
+        assert len(sizes) == parts
+        assert sum(sizes) == total
+        assert all(s >= 1 for s in sizes)
+        assert max(sizes) - min(sizes) <= 1
+        # The first total % parts shards carry the remainder, in order.
+        extra = total % parts
+        assert sizes == sorted(sizes, reverse=True)
+        assert sizes.count(max(sizes)) == (extra if extra else parts)
 
 
 class TestBucketedBatching:

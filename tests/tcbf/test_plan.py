@@ -415,7 +415,6 @@ class TestBeamformResult:
         )
         r = plan.execute()
         gemm = r.costs[-1]
-        assert r.gemm_cost is gemm
         assert r.tflops == pytest.approx(gemm.useful_ops / r.total.time_s / 1e12)
         assert r.total.useful_ops > gemm.useful_ops  # the mix-up this guards
 

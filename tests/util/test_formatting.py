@@ -14,7 +14,7 @@ class TestRenderTable:
         assert lines[0].startswith("a")
         assert set(lines[1]) <= {"-", "+"}
         # all rows equal width
-        assert len({len(l) for l in lines if l}) <= 2
+        assert len({len(line) for line in lines if line}) <= 2
 
     def test_title(self):
         out = render_table(["x"], [[1]], title="T")
