@@ -14,8 +14,9 @@ from repro.ccglib.gemm import Gemm
 from repro.ccglib.precision import Precision
 from repro.gpusim.device import Device, ExecutionMode
 from repro.gpusim.timing import Bound, KernelCost, combine_costs
+from repro.serve import Batch, FleetDispatcher, PlacementDecision, PlacementKind, Request, Workload
 from repro.tcbf import BeamformerPlan
-from tests.conftest import random_complex
+from tests.conftest import random_complex, submit_and_drain
 
 
 def _cost(t: float, power: float = 100.0, ops: float = 1e9) -> KernelCost:
@@ -83,6 +84,23 @@ def _execute_dry_run(rng):
     return _int1_plan(Device("A100", ExecutionMode.DRY_RUN)).execute
 
 
+def _serve_split(rng):
+    # A fresh dispatcher per call over the same two devices: the split
+    # leaves nothing behind on them or in the library.
+    devices = [Device("A100", ExecutionMode.DRY_RUN) for _ in range(2)]
+    wl = Workload(name="split", n_beams=64, n_receivers=48, n_samples=64, batch_per_request=4)
+    decision = PlacementDecision(
+        kind=PlacementKind.SPLIT, workload=wl, shard_extents=(2, 2), shard_worker_indices=(0, 1)
+    )
+
+    def call():
+        request = Request(rid=0, workload=wl, arrival_s=0.0)
+        batch = Batch(bid=0, workload=wl, requests=[request], formed_s=0.0, decision=decision)
+        return submit_and_drain(FleetDispatcher(devices), batch)
+
+    return call
+
+
 def _incoherent_beam(rng):
     device, data = Device("A100"), random_complex(rng, (4, 16, 32))
     return lambda: incoherent_beam(device, data, 4, 16, 32)
@@ -111,7 +129,7 @@ class TestKeepsNothingPerKernel:
 
     @pytest.mark.parametrize("build", [
         _gemm_run, _prepare_weights, _execute_prepared_int1, _execute_float16,
-        _execute_dry_run, _incoherent_beam, _reference_beamformer,
+        _execute_dry_run, _serve_split, _incoherent_beam, _reference_beamformer,
     ], ids=lambda build: build.__name__.lstrip("_"))
     def test_live_memory_does_not_grow_with_calls(self, rng, build):
         call = build(rng)

@@ -301,6 +301,29 @@ class TestBatchMergeHelpers:
         with pytest.raises(ShapeError, match="empty extent list"):
             split_batched_output(random_complex(rng, (2, 4, 6)), [])
 
+    def test_merge_repeats_the_weights_once_per_request(self, rng):
+        w = random_complex(rng, (2, 4, 8))
+        mw, _ = merge_batch_operands(w, [random_complex(rng, (2, 8, 6)) for _ in range(3)])
+        for i in range(3):
+            assert np.array_equal(mw[2 * i : 2 * i + 2], w)
+
+    def test_merge_rejects_a_per_request_batch_mismatch(self, rng):
+        w = random_complex(rng, (2, 4, 8))
+        with pytest.raises(ShapeError, match="per-request batch and K must match"):
+            merge_batch_operands(w, [random_complex(rng, (3, 8, 6))])
+
+    def test_merge_keeps_the_request_order_of_2d_blocks(self, rng):
+        blocks = [random_complex(rng, (8, 6)) for _ in range(3)]
+        _, md = merge_batch_operands(random_complex(rng, (4, 8)), blocks)
+        for block, row in zip(blocks, md):
+            assert np.array_equal(row, block)
+
+    def test_split_keeps_the_trailing_axes(self, rng):
+        out = random_complex(rng, (5, 3, 7))
+        parts = split_batched_output(out, [1, 3, 1])
+        assert [p.shape for p in parts] == [(1, 3, 7), (3, 3, 7), (1, 3, 7)]
+        assert np.array_equal(np.concatenate(parts), out)
+
 
 class TestTieBreaking:
     """least_loaded(workers, now) must be index-stable, not list-order-lucky.
