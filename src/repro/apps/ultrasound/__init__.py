@@ -27,7 +27,6 @@ from repro.apps.ultrasound.measurement import EnsembleConfig, simulate_frames, d
 from repro.apps.ultrasound.doppler import (
     ClutterFilter,
     apply_clutter_filter,
-    remove_mean,
     svd_filter,
     power_doppler,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "doppler_rate",
     "ClutterFilter",
     "apply_clutter_filter",
-    "remove_mean",
     "svd_filter",
     "power_doppler",
     "UltrasoundBeamformer",

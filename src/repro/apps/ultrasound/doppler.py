@@ -2,16 +2,11 @@
 
 The paper is explicit about ordering: "the Doppler processing is done before
 extracting the sign. Otherwise, the Doppler signal will be lost in the
-dominant stationary signals" (§V-A). We provide the two standard clutter
-filters used in functional ultrasound:
-
-* mean removal — subtract the temporal mean of each channel (kills DC
-  clutter exactly, cheapest, good for strictly stationary tissue);
-* SVD filter — zero the strongest temporal singular components (the field
-  standard for in-vivo data where tissue moves slightly).
-
-Both operate on the measurement matrix Y (K channels x N frames) along the
-frame axis, before quantization and beamforming.
+dominant stationary signals" (§V-A). The clutter filter is the SVD
+filter, the field standard of functional ultrasound for in-vivo data where
+tissue moves slightly: it zeroes the strongest temporal singular components
+of the measurement matrix Y (K channels x N frames) along the frame axis,
+before quantization and beamforming.
 """
 
 from __future__ import annotations
@@ -27,15 +22,7 @@ class ClutterFilter(enum.Enum):
     """Available clutter-rejection methods."""
 
     NONE = "none"
-    MEAN = "mean"
     SVD = "svd"
-
-
-def remove_mean(y: np.ndarray) -> np.ndarray:
-    """Subtract each channel's temporal mean (frames on the last axis)."""
-    if y.ndim != 2:
-        raise ShapeError(f"expected (K, N) measurement matrix, got {y.shape}")
-    return y - y.mean(axis=1, keepdims=True)
 
 
 def svd_filter(y: np.ndarray, n_components: int = 2) -> np.ndarray:
@@ -59,8 +46,6 @@ def apply_clutter_filter(y: np.ndarray, method: ClutterFilter, n_components: int
     """Dispatch on the configured filter method."""
     if method is ClutterFilter.NONE:
         return y.copy()
-    if method is ClutterFilter.MEAN:
-        return remove_mean(y)
     if method is ClutterFilter.SVD:
         return svd_filter(y, n_components=n_components)
     raise ShapeError(f"unknown clutter filter {method}")  # pragma: no cover

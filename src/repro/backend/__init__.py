@@ -24,9 +24,8 @@ Usage::
     be = get_backend("jax")       # BackendError with the available list
                                   # when jax is not importable
 
-Third-party backends register a factory with :func:`register_backend` and
-can self-check against the protocol with
-:func:`repro.backend.conformance.check_backend`.
+A new backend adds its factory to ``_FACTORIES`` and is checked against
+the protocol by :func:`repro.backend.conformance.check_backend`.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ __all__ = [
     "backend_versions",
     "get_backend",
     "numpy_backend",
-    "register_backend",
 ]
 
 
@@ -226,26 +224,6 @@ _INSTANCES: dict[str, ArrayBackend] = {"numpy": _NUMPY}
 def numpy_backend() -> NumpyBackend:
     """The process-wide NumPy reference backend instance."""
     return _NUMPY
-
-
-def register_backend(
-    name: str, factory: Callable[[], ArrayBackend], *, overwrite: bool = False
-) -> None:
-    """Register a third-party backend factory under ``name``.
-
-    ``factory`` is called lazily (on first :func:`get_backend` /
-    :func:`available_backends`) and must return an :class:`ArrayBackend`
-    or raise :class:`~repro.errors.BackendError`. Registering over an
-    existing name requires ``overwrite=True``; the ``numpy`` reference can
-    never be replaced.
-    """
-    if name == "numpy" and name in _FACTORIES:
-        raise BackendError("the 'numpy' reference backend cannot be replaced")
-    if name in _FACTORIES and not overwrite:
-        raise BackendError(f"backend {name!r} is already registered (pass overwrite=True)")
-    _FACTORIES[name] = factory
-    _INSTANCES.pop(name, None)
-    _PROBE_FAILURES.pop(name, None)
 
 
 def _probe(name: str) -> ArrayBackend | None:

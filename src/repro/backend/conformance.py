@@ -3,10 +3,9 @@
 A third-party backend (or a new optional backend added here) can self-check
 with :func:`check_backend` before being trusted with the functional data
 path. Each check exercises one protocol obligation with a small known-answer
-problem and reports a human-readable problem string on violation;
-:func:`require_conformant` raises :class:`~repro.errors.BackendError` with
-the full list instead. The suite intentionally runs in well under a second
-so it can gate backend registration in tests and CI.
+problem and reports a human-readable problem string on violation. The
+suite runs in well under a second; :mod:`repro.backend.validate` runs it
+first on every backend it checks.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import ArrayBackend
-from repro.errors import BackendError
 
 #: uint32 words with known popcounts (0, 32, 1, 31, 16, 13 bits set).
 _POPCOUNT_WORDS = np.array(
@@ -34,16 +32,6 @@ def check_backend(backend: ArrayBackend) -> list[str]:
     problems += _check_bitcast(backend)
     problems += _check_namespace(backend)
     return problems
-
-
-def require_conformant(backend: ArrayBackend) -> None:
-    """Raise :class:`BackendError` listing every conformance violation."""
-    problems = check_backend(backend)
-    if problems:
-        raise BackendError(
-            f"backend {backend.name!r} violates the ArrayBackend protocol: "
-            + "; ".join(problems)
-        )
 
 
 def _check_identity(backend: ArrayBackend) -> list[str]:

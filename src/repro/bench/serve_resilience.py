@@ -18,6 +18,13 @@ regimes:
   deadline-aware re-placement, hedged dispatch against the stragglers,
   shard recovery, and plan re-warm on the replacement.
 
+A fourth arm, **split-crash**, is the crash the storm cannot produce:
+three oversized survey requests, each split across a four-GH200 fleet,
+and one crash halfway through the first split under the default policy.
+The dead worker's shards of the two running splits re-execute on the
+survivors (shard recovery), and the third split, queued with its shards
+committed to the dead worker, is removed from the queue and retried.
+
 Checked claims, all deterministic:
 
 * without recovery the crash costs admitted requests — availability lands
@@ -30,7 +37,9 @@ Checked claims, all deterministic:
 * a service handed an empty fault plan replays the fault-free arm
   byte-identically (the zero-overhead-when-disabled contract);
 * a fixed-seed replay of the resilient arm reproduces every latency and
-  recovery counter bit-for-bit.
+  recovery counter bit-for-bit;
+* in the split-crash arm every survey completes: the crash costs shard
+  recoveries and a retry of the stranded split, not a request.
 """
 
 from __future__ import annotations
@@ -53,6 +62,8 @@ from repro.serve import (
     SLO,
     BatchingPolicy,
     BeamformingService,
+    FaultEvent,
+    FaultKind,
     FaultPlan,
     ResiliencePolicy,
     ServiceReport,
@@ -61,6 +72,7 @@ from repro.serve import (
 )
 from repro.serve.faults import SLOW_FACTOR
 from repro.serve.obs.trace import NullRecorder
+from repro.serve.workload import Request
 
 GPU = "A100"
 #: independent child streams: the trace and the storm must not be coupled.
@@ -82,6 +94,14 @@ POLICY = BatchingPolicy(max_batch=32, max_wait_s=0.5e-3)
 N_CRASHES = 1
 N_SLOW_WINDOWS = 2
 REPLACE_STARTUP_S = 400e-6
+
+#: the split-crash arm: surveys too large for one device's memory, all
+#: arriving at once, so each one splits across the whole fleet.
+SPLIT_GPU = "GH200"
+N_SPLIT_WORKERS = 4
+N_SURVEYS = 3
+SURVEY_CHANNELS = 350_000
+SURVEY_SLO_P99_S = 0.2
 
 #: monitor sampling cadence of the headline (resilient) run.
 MONITOR_INTERVAL_S = 100e-6
@@ -159,6 +179,28 @@ def _serve(horizon_s: float, faults: FaultPlan | None = None, **options) -> Serv
     ).run(poisson_arrivals(lofar_workload(n_samples=2048), rate, horizon_s, seed=TRACE_SEED))
 
 
+def _survey(faults: FaultPlan | None = None) -> ServiceReport:
+    """The surveys on the split fleet, under ``faults`` (default policy)."""
+    survey = lofar_workload(n_samples=256, n_channels=SURVEY_CHANNELS)
+    return BeamformingService(
+        fleet(*[SPLIT_GPU] * N_SPLIT_WORKERS),
+        policy=POLICY,
+        slo=SLO(p99_latency_s=SURVEY_SLO_P99_S),
+        faults=faults,
+    ).run([Request(rid=i, workload=survey, arrival_s=0.0) for i in range(N_SURVEYS)])
+
+
+@cache
+def split_crash() -> FaultPlan:
+    """One crash, of the first split's first shard worker, halfway through
+    that split (timed on a fault-free run)."""
+    first = _survey().executions[0]
+    mid = (first.start_s + first.completion_s) / 2.0
+    return FaultPlan(
+        (FaultEvent(t_s=mid, kind=FaultKind.CRASH, worker_index=first.shards[0].worker_index),)
+    )
+
+
 def _arms(horizon_s: float) -> dict[str, Arm]:
     return {
         "fault-free": partial(_serve, horizon_s),
@@ -167,6 +209,7 @@ def _arms(horizon_s: float) -> dict[str, Arm]:
         ),
         # The default recovery policy under the storm — the headline arm.
         "resilient": partial(_serve, horizon_s, storm(horizon_s), resilience=ResiliencePolicy()),
+        "split-crash": lambda: _survey(split_crash()),
     }
 
 
@@ -187,6 +230,7 @@ def run(quick: bool = False, recorder: NullRecorder | None = None) -> Experiment
     # straggler windows the hedging claim needs).
     served = SCENARIO.serve(_arms(HORIZON_S), recorder)
     fault_free, no_recovery = served.reports["fault-free"], served.reports["no-recovery"]
+    split = served.reports["split-crash"]
     resilient = served.headline
     # A service handed an empty fault plan must replay the fault-free arm.
     empty_plan = _serve(HORIZON_S, FaultPlan())
@@ -195,7 +239,8 @@ def run(quick: bool = False, recorder: NullRecorder | None = None) -> Experiment
             "arms",
             f"One crash (+cold replacement) and {N_SLOW_WINDOWS} transient "
             f"{SLOW_FACTOR:.0f}x straggler windows on {N_WORKERS} {GPU}s at "
-            f"{LOAD:.0%} fleet load: recovery on vs off",
+            f"{LOAD:.0%} fleet load: recovery on vs off; then one crash mid-split "
+            f"of {N_SURVEYS} surveys on {N_SPLIT_WORKERS} {SPLIT_GPU}s",
             COLUMNS.table(served.reports.items()),
         ),
         (
@@ -211,6 +256,11 @@ def run(quick: bool = False, recorder: NullRecorder | None = None) -> Experiment
     )
     slo_ok = resilient.p99_latency_s <= SLO_P99_S and resilient.shed_rate == 0.0
     parity = resilient.device_seconds / no_recovery.device_seconds
+    split_ok = (
+        split.n_completed == split.n_offered == N_SURVEYS
+        and split.n_shard_recoveries > 0
+        and split.n_retries > 0
+    )
     identical = (
         empty_plan.latencies_s == fault_free.latencies_s
         and empty_plan.summary() == fault_free.summary()
@@ -221,8 +271,7 @@ def run(quick: bool = False, recorder: NullRecorder | None = None) -> Experiment
         f"requests ({no_recovery.availability:.3%} available, below the "
         f"{AVAILABILITY_BAR:.1%} bar); the default policy recovers to "
         f"{resilient.availability:.3%} with {resilient.n_retries} retries, "
-        f"{resilient.n_hedges} hedges ({resilient.n_hedge_wins} won), and "
-        f"{resilient.n_shard_recoveries} shard recoveries "
+        f"{resilient.n_hedges} hedges ({resilient.n_hedge_wins} won) "
         f"({verdict(availability_ok)})",
         f"the resilient arm holds p99 {resilient.p99_latency_s * 1e3:.3f} ms "
         f"<= {SLO_P99_S * 1e3:.0f} ms through the storm with "
@@ -236,6 +285,13 @@ def run(quick: bool = False, recorder: NullRecorder | None = None) -> Experiment
         f"byte-identically ({verdict(identical)})",
         f"fixed-seed replay reproduces every latency and recovery counter "
         f"bit-identically ({verdict(served.replay_identical)})",
+        f"a crash halfway through the first of {N_SURVEYS} survey splits on "
+        f"{N_SPLIT_WORKERS} {SPLIT_GPU}s costs no request: "
+        f"{split.n_shard_recoveries} lost shards re-run on survivors and "
+        f"{split.n_retries} stranded queued split is retried, so "
+        f"{split.n_completed} of {split.n_offered} complete, with "
+        f"{split.wasted_device_seconds * 1e3:.1f} wasted device-ms "
+        f"({verdict(split_ok)})",
     ]
     return experiment_result(
         "serve-resilience",

@@ -112,10 +112,6 @@ class ParityTolerance:
     rtol: float
     atol: float
 
-    @property
-    def exact(self) -> bool:
-        return self.rtol == 0.0 and self.atol == 0.0
-
 
 #: Cross-backend parity tolerances per precision, used by
 #: :mod:`repro.backend.validate` and the parity test-suite.

@@ -41,10 +41,6 @@ class MicrobenchResult:
     measured_tops: float
     theoretical_tops: float
 
-    @property
-    def ratio(self) -> float:
-        return self.measured_tops / self.theoretical_tops
-
 
 def run_microbenchmark(
     spec: GPUSpec,
@@ -97,4 +93,3 @@ def run_table1(gpus: list[str] | None = None) -> list[MicrobenchResult]:
             except UnsupportedPrecisionError:
                 continue
     return results
-

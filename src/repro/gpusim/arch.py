@@ -67,11 +67,6 @@ class FragmentShape:
     def __str__(self) -> str:  # e.g. "16x16x16"
         return f"{self.m}x{self.n}x{self.k}"
 
-    @property
-    def ops(self) -> int:
-        """Real-valued operations per MMA instruction (2 per FMA)."""
-        return 2 * self.m * self.n * self.k
-
 
 #: float16 multiply / float32 accumulate fragment (all seven GPUs).
 FRAG_FLOAT16_16x16x16 = FragmentShape(16, 16, 16)

@@ -42,10 +42,6 @@ class PowerModel:
     def __init__(self, spec: GPUSpec):
         self._spec = spec
 
-    @property
-    def idle_w(self) -> float:
-        return self._spec.power.idle_w
-
     def tensor_coefficient(self, precision: str) -> float:
         try:
             return self._spec.power.tensor_w[precision]

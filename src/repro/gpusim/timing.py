@@ -73,11 +73,6 @@ class KernelCost:
         """Energy efficiency (the paper's TOPs/J metric)."""
         return self.useful_ops / self.energy_j if self.energy_j > 0 else 0.0
 
-    @property
-    def arithmetic_intensity(self) -> float:
-        """Useful ops per DRAM byte — x-axis of the paper's Fig 3."""
-        return self.useful_ops / self.dram_bytes if self.dram_bytes > 0 else float("inf")
-
 
 def combine_costs(name: str, costs: list[KernelCost]) -> KernelCost:
     """Aggregate sequentially executed kernel costs into one record.

@@ -115,10 +115,6 @@ class FaultPlan:
     def __len__(self) -> int:
         return len(self.events)
 
-    @property
-    def n_crashes(self) -> int:
-        return sum(1 for e in self.events if e.kind is FaultKind.CRASH)
-
 
 def crash_storm(
     horizon_s: float,

@@ -232,10 +232,6 @@ class AlertEngine:
             budget = self._budgets[scope] = ErrorBudget(scope, self.objective)
         return budget
 
-    @property
-    def scopes(self) -> list[str]:
-        return sorted(self._budgets)
-
     def observe(self, t_s: float, scopes: tuple[str, ...], good: bool) -> None:
         """Record one request verdict into every scope it belongs to."""
         for scope in scopes:

@@ -96,18 +96,6 @@ class RequestPath:
             "compute": self.compute_s,
         }
 
-    @property
-    def total_s(self) -> float:
-        """Sum of the segments — equals ``latency_s`` exactly."""
-        return (
-            self.wait_for_batch_s
-            + self.queued_behind_s
-            + self.preempted_by_s
-            + self.cold_build_s
-            + self.stage_in_s
-            + self.compute_s
-        )
-
 
 @dataclass(frozen=True)
 class BlameReport:

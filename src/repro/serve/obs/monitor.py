@@ -60,14 +60,6 @@ class TimeSeries:
         return len(self.points)
 
     @property
-    def times(self) -> list[float]:
-        return [t for t, _ in self.points]
-
-    @property
-    def values(self) -> list[float]:
-        return [v for _, v in self.points]
-
-    @property
     def latest(self) -> float:
         if not self.points:
             raise ShapeError(f"series {self.name!r} has no points")
@@ -228,20 +220,6 @@ class MetricSampler:
         self._ticks += 1
         self._last_s = t_s
 
-    def render(self) -> str:
-        """Canonical text form of every series — the byte-determinism bar.
-
-        One line per series, sorted by name, fixed ``%.9e`` formatting:
-        two runs of the same seed must render the same bytes.
-        """
-        lines = []
-        for name in sorted(self.series):
-            points = " ".join(
-                f"{t:.9e}:{v:.9e}" for t, v in self.series[name].points
-            )
-            lines.append(f"{name} {points}".rstrip())
-        return "\n".join(lines) + "\n" if lines else ""
-
 
 class ServiceMonitor:
     """Sampler + alert engine, driven by the service event loop.
@@ -273,15 +251,8 @@ class ServiceMonitor:
         self._deadline_s = deadline_s
 
     @property
-    def interval_s(self) -> float:
-        return self.sampler.interval_s
-
-    @property
     def series(self) -> dict[str, TimeSeries]:
         return self.sampler.series
-
-    def next_sample_s(self) -> float:
-        return self.sampler.next_sample_s
 
     def advance(self, now: float, service: BeamformingService) -> None:
         """Catch up every pending tick ``<= now``, oldest first."""
@@ -313,12 +284,3 @@ class ServiceMonitor:
         storm drives the same burn-rate alerts an overload does.
         """
         self.engine.observe(t_s, self._scopes(priority, tenant), good=False)
-
-    @property
-    def alerts(self) -> list:
-        """Every alert the engine ever raised, creation order."""
-        return self.engine.history
-
-    def render_series(self) -> str:
-        """Canonical byte-deterministic text form of all series."""
-        return self.sampler.render()

@@ -19,8 +19,6 @@ Two recorders share one interface:
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 from repro.serve.obs.events import SpanEvent
 
 
@@ -66,13 +64,3 @@ class TraceRecorder(NullRecorder):
     def emit(self, event: SpanEvent) -> None:
         """Record one span event."""
         self.events.append(event)
-
-    def of_type(self, *types: type) -> Iterator[SpanEvent]:
-        """Iterate recorded events of the given types, emission order."""
-        for event in self.events:
-            if isinstance(event, types):
-                yield event
-
-    def count(self, *types: type) -> int:
-        """Number of recorded events of the given types."""
-        return sum(1 for _ in self.of_type(*types))

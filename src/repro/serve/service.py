@@ -1282,36 +1282,41 @@ class BeamformingService:
         """Finalize every pending launch whose completion the clock reached.
 
         Hedged launches resolve here: the earlier completion wins (ties go
-        to the primary), the loser is cancelled on its worker and its
-        burned compute billed to wasted-device-seconds.
+        to the primary) and the loser is cancelled on its worker.
         """
         due = [p for p in self._pending if p.completion_s <= now]
         due.sort(key=lambda p: (p.completion_s, p.seq))
         for pending in due:
             self._pending.remove(pending)
-            winner = pending.execution
-            self._in_flight_requests -= winner.batch.n_requests
-            if pending.hedge is not None:
-                hedge = pending.hedge
-                if hedge.completion_s < winner.completion_s:
-                    slot = self.fleet.executions.index(winner)
-                    self.fleet.executions[slot] = hedge
-                    winner, loser, who = hedge, winner, "hedge"
-                    self._n_hedge_wins += 1
-                else:
-                    loser, who = hedge, "primary"
-                wasted = self.fleet.worker_by_index(loser.worker_index).cancel_tail(
-                    loser, now
-                )
-                self._wasted_s += wasted
-                self.metrics.inc("service.hedge_resolved")
-                if self.recorder.enabled:
-                    self.recorder.emit(
-                        HedgeResolved(
-                            t_s=now, bid=winner.batch.bid, winner=who, wasted_s=wasted
-                        )
-                    )
-            self._complete(winner)
+            self._in_flight_requests -= pending.execution.batch.n_requests
+            hedge = pending.hedge
+            if hedge is not None:
+                hedge_won = hedge.completion_s < pending.execution.completion_s
+                loser = pending.execution if hedge_won else hedge
+                worker = self.fleet.worker_by_index(loser.worker_index)
+                self._settle_hedge(pending, loser, worker.cancel_tail(loser, now), now)
+            self._complete(pending.execution)
+
+    def _settle_hedge(
+        self, pending: _PendingExecution, loser: BatchExecution, wasted_s: float, now: float
+    ) -> None:
+        """End one hedge race: ``loser`` (cancelled, or revoked by a crash)
+        burned ``wasted_s`` of compute, which is billed; a winning hedge
+        takes the primary's slot."""
+        primary, hedge = pending.execution, pending.hedge
+        pending.hedge = None
+        who = "primary"
+        if loser is primary:
+            slot = self.fleet.executions.index(primary)
+            self.fleet.executions[slot] = pending.execution = hedge
+            who = "hedge"
+            self._n_hedge_wins += 1
+        self._wasted_s += wasted_s
+        self.metrics.inc("service.hedge_resolved")
+        if self.recorder.enabled:
+            self.recorder.emit(
+                HedgeResolved(t_s=now, bid=primary.batch.bid, winner=who, wasted_s=wasted_s)
+            )
 
     def _handle_fault(self, now: float) -> None:
         """Apply the fault plan's next event (exactly one per loop turn)."""
@@ -1378,9 +1383,8 @@ class BeamformingService:
         for pending in self._pending:
             execution = pending.execution
             if pending.hedge is not None and pending.hedge.worker_index == index:
-                # The duplicate died with the worker; the primary carries on.
-                self._wasted_s += dead.revoke(pending.hedge, now)
-                pending.hedge = None
+                # The duplicate died with the worker; the primary wins.
+                self._settle_hedge(pending, pending.hedge, dead.revoke(pending.hedge, now), now)
             if execution.is_split:
                 lost = [
                     i
@@ -1401,25 +1405,13 @@ class BeamformingService:
                     continue
                 keep.append(pending)
             elif execution.worker_index == index:
-                self._wasted_s += dead.revoke(execution, now)
+                wasted = dead.revoke(execution, now)
                 if pending.hedge is not None:
                     # The race resolves by force majeure: the hedge wins.
-                    slot = self.fleet.executions.index(execution)
-                    self.fleet.executions[slot] = pending.hedge
-                    pending.execution = pending.hedge
-                    pending.hedge = None
-                    self._n_hedge_wins += 1
-                    if self.recorder.enabled:
-                        self.recorder.emit(
-                            HedgeResolved(
-                                t_s=now,
-                                bid=execution.batch.bid,
-                                winner="hedge",
-                                wasted_s=0.0,
-                            )
-                        )
+                    self._settle_hedge(pending, execution, wasted, now)
                     keep.append(pending)
                 else:
+                    self._wasted_s += wasted
                     lost_batches += 1
                     lost_requests += execution.batch.n_requests
                     self._in_flight_requests -= execution.batch.n_requests

@@ -447,21 +447,6 @@ class PipelineWorkload:
         """Bytes one request's ``name`` stage reads from its dependencies."""
         return sum(self.stage(dep).output_bytes or 0 for dep in self.stage(name).depends_on)
 
-    def footprint_bytes(self, n_requests: int = 1) -> float:
-        """Device-memory estimate across all stages and inter-stage buffers.
-
-        The sum of every stage's merged-operand footprint plus every
-        inter-stage buffer, for ``n_requests`` coalesced requests — the
-        whole-pipeline number capacity planning compares against fleet
-        memory (each *stage* still places against its own workload
-        footprint, since stages run one at a time per request).
-        """
-        stage_bytes = sum(s.workload.footprint_bytes(n_requests) for s in self.stages)
-        buffer_bytes = float(
-            n_requests * sum((s.output_bytes or 0) for s in self.stages if self.successors(s.name))
-        )
-        return stage_bytes + buffer_bytes
-
 
 @dataclass
 class Request:

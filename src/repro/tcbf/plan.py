@@ -121,11 +121,6 @@ class BeamformerPlan:
     # -- introspection -------------------------------------------------------
 
     @property
-    def params(self) -> TuneParams:
-        """Tuning parameters the underlying GEMM resolved for this shape."""
-        return self._gemm.params
-
-    @property
     def include_packing(self) -> bool:
         """Whether the per-block 1-bit packing stage is charged (int1 only)."""
         return self.precision is Precision.INT1
@@ -151,7 +146,7 @@ class BeamformerPlan:
             self.n_receivers,
             self.n_samples,
             self.precision.value,
-            self.params,
+            self._gemm.params,
             self.include_transpose,
             self.restore_output_scale,
             self.backend.name,

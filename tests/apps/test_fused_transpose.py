@@ -55,7 +55,7 @@ class TestFusedTranspose:
         model = build_model_matrix(cfg)
         phantom = make_phantom(cfg.grid, n_generations=2)
         frames = simulate_frames(model, phantom, EnsembleConfig(n_frames=16))
-        filtered = apply_clutter_filter(frames, ClutterFilter.MEAN)
+        filtered = apply_clutter_filter(frames, ClutterFilter.SVD)
         dev = Device("A100")
         base = UltrasoundBeamformer(dev, model, n_frames=16).reconstruct(filtered)
         fused = UltrasoundBeamformer(

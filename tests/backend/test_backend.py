@@ -12,9 +12,8 @@ from repro.backend import (
     backend_versions,
     get_backend,
     numpy_backend,
-    register_backend,
 )
-from repro.backend.conformance import check_backend, require_conformant
+from repro.backend.conformance import check_backend
 from repro.errors import BackendError
 
 
@@ -48,46 +47,40 @@ class TestRegistry:
         assert set(versions) == set(available_backends())
         assert all(isinstance(v, str) and v for v in versions.values())
 
-    def test_register_backend_and_overwrite_rules(self):
+    def test_a_registered_factory_is_probed_once_and_served(self):
+        from repro import backend as _pkg
+
         class _Fake(NumpyBackend):
             name = "fake-be"
 
         try:
-            register_backend("fake-be", _Fake)
+            _pkg._FACTORIES["fake-be"] = _Fake
             assert "fake-be" in available_backends()
             assert isinstance(get_backend("fake-be"), _Fake)
-            with pytest.raises(BackendError, match="already registered"):
-                register_backend("fake-be", _Fake)
-            register_backend("fake-be", _Fake, overwrite=True)
+            assert get_backend("fake-be") is get_backend("fake-be")
         finally:
-            from repro import backend as _pkg
-
             _pkg._FACTORIES.pop("fake-be", None)
             _pkg._INSTANCES.pop("fake-be", None)
 
-    def test_numpy_reference_cannot_be_replaced(self):
-        with pytest.raises(BackendError, match="cannot be replaced"):
-            register_backend("numpy", NumpyBackend)
-
     def test_failing_factory_reported_not_raised(self):
+        from repro import backend as _pkg
+
         def _broken() -> ArrayBackend:
             raise BackendError("deliberately unusable")
 
         try:
-            register_backend("broken-be", _broken)
+            _pkg._FACTORIES["broken-be"] = _broken
             assert "broken-be" not in available_backends()
             with pytest.raises(BackendError, match="deliberately unusable"):
                 get_backend("broken-be")
         finally:
-            from repro import backend as _pkg
-
             _pkg._FACTORIES.pop("broken-be", None)
             _pkg._PROBE_FAILURES.pop("broken-be", None)
 
 
 class TestNumpyBackend:
     def test_conformant(self):
-        require_conformant(numpy_backend())
+        assert check_backend(numpy_backend()) == []
 
     def test_roundtrip_is_zero_copy_for_ndarrays(self):
         be = numpy_backend()
@@ -135,8 +128,6 @@ class TestConformance:
 
         problems = check_backend(_Broken())
         assert any("popcount" in p for p in problems)
-        with pytest.raises(BackendError, match="violates the ArrayBackend protocol"):
-            require_conformant(_Broken())
 
     def test_bad_identity_is_caught(self):
         class _NoVersion(NumpyBackend):

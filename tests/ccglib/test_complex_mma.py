@@ -108,8 +108,17 @@ class TestFiveStepSchedule:
         ref = reference_complex_gemm(a, b)[0, 0]
         got = complex_mma_f16(_planar(a), _planar(b))
         got_c = got[0, 0, 0] + 1j * got[1, 0, 0]
-        # sanity: our error is small relative to the magnitude of the sum
-        assert abs(got_c - ref) / max(abs(ref), 1.0) < 0.05
+        # The same float16 products summed one by one in a float16
+        # accumulator, every partial sum rounded to float16.
+        ar, ai = a.real[0].astype(np.float16), a.imag[0].astype(np.float16)
+        br, bi = b.real[:, 0].astype(np.float16), b.imag[:, 0].astype(np.float16)
+        re16 = np.add.accumulate(np.stack([ar * br, -(ai * bi)], axis=1).ravel())[-1]
+        im16 = np.add.accumulate(np.stack([ar * bi, ai * br], axis=1).ravel())[-1]
+        assert re16.dtype == im16.dtype == np.float16
+        fp32_err = abs(got_c - ref)
+        fp16_err = abs(complex(re16) + 1j * complex(im16) - ref)
+        assert fp32_err / abs(ref) < 0.05
+        assert 4.0 * fp32_err < fp16_err
 
 
 BACKENDS = [NumpyBackend(), GenericNumpyBackend()]

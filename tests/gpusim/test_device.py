@@ -167,4 +167,3 @@ class TestCombineCosts:
         c = _cost(2.0, power=100.0, ops=4e12)
         assert c.ops_per_second == pytest.approx(2e12)
         assert c.ops_per_joule == pytest.approx(4e12 / 200.0)
-        assert c.arithmetic_intensity == pytest.approx(4e12 / 1e6)

@@ -13,7 +13,7 @@ class TestPowerModel:
     def test_idle_floor(self):
         model = PowerModel(get_spec("A100"))
         sample = model.kernel_power("float16", 0.0, 0.0, 0.0)
-        assert sample.total_w == pytest.approx(model.idle_w)
+        assert sample.total_w == pytest.approx(get_spec("A100").power.idle_w)
 
     def test_monotone_in_tensor_utilization(self):
         model = PowerModel(get_spec("A100"))

@@ -113,7 +113,7 @@ class TestHandBuiltTwoRequestScenario:
         assert path_a.cold_build_s == 0.125
         assert path_a.stage_in_s == 0.25
         assert path_a.compute_s == 0.5
-        assert path_a.total_s == path_a.latency_s
+        assert sum(path_a.segments().values()) == path_a.latency_s
 
     def test_preemptor_itself_sees_no_preemption(self):
         outcomes, executions = self._scenario()
@@ -129,7 +129,7 @@ class TestHandBuiltTwoRequestScenario:
         assert path_b.cold_build_s == 0.0
         assert path_b.stage_in_s == 0.0
         assert path_b.compute_s == 0.25
-        assert path_b.total_s == path_b.latency_s
+        assert sum(path_b.segments().values()) == path_b.latency_s
 
     def test_blame_over_both_requests_is_the_segment_means(self):
         outcomes, executions = self._scenario()
@@ -162,7 +162,7 @@ class TestHandBuiltTwoRequestScenario:
         path_a = attribute(outcomes, executions)[0]
         assert path_a.preempted_by_s == 0.0
         assert path_a.queued_behind_s == 0.875
-        assert path_a.total_s == path_a.latency_s
+        assert sum(path_a.segments().values()) == path_a.latency_s
 
     def test_missing_execution_raises(self):
         outcomes, executions = self._scenario()
@@ -202,14 +202,14 @@ class TestSplitCriticalShard:
         assert path.queued_behind_s == 0.5
         assert path.stage_in_s == 0.25
         assert path.compute_s == 0.75
-        assert path.total_s == path.latency_s == 2.0
+        assert sum(path.segments().values()) == path.latency_s == 2.0
 
 
 def _assert_paths_exact(report):
     paths = report.request_paths()
     assert len(paths) == report.n_completed > 0
     for path in paths:
-        assert path.total_s == path.latency_s  # bit-exact, not approx
+        assert sum(path.segments().values()) == path.latency_s  # bit-exact, not approx
         assert all(value >= 0.0 for value in path.segments().values())
     return paths
 

@@ -33,7 +33,7 @@ from repro.serve import (
     crash_storm,
     poisson_arrivals,
 )
-from repro.serve.obs.events import HedgeLaunched, RequestFailed, WorkerSlowed
+from repro.serve.obs.events import HedgeLaunched, HedgeResolved, RequestFailed, WorkerSlowed
 from repro.serve.obs.trace import TraceRecorder
 from repro.serve.workload import Request
 
@@ -68,6 +68,11 @@ def _trace() -> tuple[Request, ...]:
 
 def _run(**kwargs):
     return _service(**kwargs).run(list(_trace()))
+
+
+def _events(recorder: TraceRecorder, kind: type) -> list:
+    """The recorded events of one type, in emission order."""
+    return [e for e in recorder.events if isinstance(e, kind)]
 
 
 _CRASH = FaultPlan((FaultEvent(t_s=CRASH_T_S, kind=FaultKind.CRASH, worker_index=0),))
@@ -110,7 +115,7 @@ class TestFaultPlanValidation:
 
     def test_empty_plan_counts_nothing(self):
         assert len(FaultPlan()) == 0
-        assert FaultPlan().n_crashes == 0
+        assert not FaultPlan().events
 
 
 class TestCrashStorm:
@@ -124,9 +129,9 @@ class TestCrashStorm:
         plan = crash_storm(
             1.0, [0, 1, 2, 3], n_crashes=2, n_slow_windows=3, replace_device="A100"
         )
-        assert plan.n_crashes == 2
         assert all(0.0 <= e.t_s <= 1.0 + 0.1 for e in plan.events)
         kinds = [e.kind for e in plan.events]
+        assert kinds.count(FaultKind.CRASH) == 2
         assert kinds.count(FaultKind.REPLACE) == 2
         assert kinds.count(FaultKind.SLOW_START) == 3
         assert kinds.count(FaultKind.SLOW_END) == 3
@@ -175,7 +180,7 @@ def _failure_reasons(**kwargs) -> list[str]:
     """Failure reason of every request the crash plan loses."""
     recorder = TraceRecorder()
     _run(faults=_CRASH, recorder=recorder, **kwargs)
-    return [e.reason for e in recorder.of_type(RequestFailed)]
+    return [e.reason for e in _events(recorder, RequestFailed)]
 
 
 @cache
@@ -245,7 +250,7 @@ class TestCrashRecovery:
             slo=SLO(p99_latency_s=3e-3, deadline_s=0.8e-3),
             recorder=recorder,
         )
-        reasons = [e.reason for e in recorder.of_type(RequestFailed)]
+        reasons = [e.reason for e in _events(recorder, RequestFailed)]
         assert reasons and set(reasons) == {"deadline"}
         assert report.n_failed == len(reasons)
         assert report.n_retries > 0
@@ -282,13 +287,13 @@ class TestStragglersAndHedging:
         )
         recorder = TraceRecorder()
         report = _run(faults=plan, recorder=recorder)
-        slowed = [(e.t_s, e.factor) for e in recorder.of_type(WorkerSlowed)]
+        slowed = [(e.t_s, e.factor) for e in _events(recorder, WorkerSlowed)]
         assert slowed == [(0.0, 4.0), (1e-3, 4.0), (2e-3, 4.0), (3e-3, 1.0)]
         # The worker is still a straggler after the first window closes,
         # so batches landing on it there are still hedged.
         assert any(
             2e-3 < e.t_s < 3e-3 and e.primary_index == 0
-            for e in recorder.of_type(HedgeLaunched)
+            for e in _events(recorder, HedgeLaunched)
         )
         assert report.availability == 1.0
 
@@ -317,7 +322,7 @@ def _hedge_targets(gpus: tuple[str, ...], slow: tuple[int, ...], precision=None)
         faults=plan,
     )
     service.run([Request(rid=i, workload=wl, arrival_s=t) for i, t in enumerate((0.0, 1e-6))])
-    return [(e.primary_index, e.hedge_index) for e in recorder.of_type(HedgeLaunched)]
+    return [(e.primary_index, e.hedge_index) for e in _events(recorder, HedgeLaunched)]
 
 
 class TestHedgeTarget:
@@ -341,6 +346,49 @@ class TestHedgeTarget:
 
     def test_no_healthy_worker_means_no_hedge(self):
         assert _hedge_targets(("A100",) * 3, slow=(0, 1, 2)) == []
+
+
+def _hedge_race(*extra: FaultEvent):
+    """One 1024-cube request on two A100s, worker 0 4x slow from t=0: the
+    primary lands on worker 0 and its hedge on worker 1."""
+    recorder = TraceRecorder()
+    slow = FaultEvent(t_s=0.0, kind=FaultKind.SLOW_START, worker_index=0, factor=4.0)
+    workload = Workload(name="wl", n_beams=1024, n_receivers=1024, n_samples=1024)
+    report = BeamformingService(
+        [Device("A100", ExecutionMode.DRY_RUN) for _ in range(2)],
+        policy=BatchingPolicy(max_batch=1),
+        slo=SLO(p99_latency_s=1.0),
+        recorder=recorder,
+        faults=FaultPlan((slow, *extra)),
+    ).run([Request(rid=0, workload=workload, arrival_s=0.0)])
+    return report, recorder
+
+
+class TestHedgeRaceSettledByACrash:
+    """A crash that kills one side of a hedge race settles it: the race
+    counts as resolved and the dead side's burned compute is its waste."""
+
+    @staticmethod
+    @cache
+    def _crash_on(victim: int):
+        uncrashed, _ = _hedge_race()
+        hedge = uncrashed.executions[0]  # the healthy duplicate wins unharmed
+        assert hedge.worker_index == 1
+        mid = (hedge.compute_start_s + hedge.completion_s) / 2.0
+        return _hedge_race(FaultEvent(t_s=mid, kind=FaultKind.CRASH, worker_index=victim))
+
+    @pytest.mark.parametrize("victim, winner, survivor", [(0, "hedge", 1), (1, "primary", 0)])
+    def test_the_survivor_wins_and_the_dead_side_is_billed(self, victim, winner, survivor):
+        report, recorder = self._crash_on(victim)
+        counters = report.metrics.snapshot()["counters"]
+        assert counters["service.hedges"] == counters["service.hedge_resolved"] == 1
+        (resolved,) = _events(recorder, HedgeResolved)
+        assert resolved.winner == winner
+        assert resolved.wasted_s > 0.0
+        assert resolved.wasted_s == report.wasted_device_seconds
+        assert report.n_hedge_wins == (winner == "hedge")
+        assert report.n_completed == 1
+        assert [e.worker_index for e in report.executions] == [survivor]
 
 
 class TestShardRecovery:

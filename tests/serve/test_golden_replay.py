@@ -123,6 +123,7 @@ class TestResilienceGoldenFile:
             "fault-free",
             "no-recovery",
             "resilient",
+            "split-crash",
         ]
 
     def test_golden_pins_the_recovery_story(self):

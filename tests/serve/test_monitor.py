@@ -47,8 +47,7 @@ class TestTimeSeries:
         for t, v in [(1.0, 5.0), (2.0, 3.0), (3.0, 7.0)]:
             series.append(t, v)
         assert len(series) == 3
-        assert series.times == [1.0, 2.0, 3.0]
-        assert series.values == [5.0, 3.0, 7.0]
+        assert series.points == [(1.0, 5.0), (2.0, 3.0), (3.0, 7.0)]
         assert series.latest == 7.0
         assert series.minimum == 3.0
         assert series.maximum == 7.0
@@ -87,11 +86,11 @@ class TestMonitorDeterminism:
         second = ServiceMonitor(interval_s=INTERVAL_S)
         _run(monitor=first)
         _run(monitor=second)
-        rendered = first.render_series()
-        assert rendered == second.render_series()
-        assert rendered  # sampled something
-        assert [a.to_dict() for a in first.alerts] == [
-            a.to_dict() for a in second.alerts
+        series = {name: s.points for name, s in first.series.items()}
+        assert series == {name: s.points for name, s in second.series.items()}
+        assert any(series.values())  # sampled something
+        assert [a.to_dict() for a in first.engine.history] == [
+            a.to_dict() for a in second.engine.history
         ]
 
     def test_monitored_run_reports_identically_to_unmonitored(self):
@@ -108,7 +107,9 @@ class TestMonitorDeterminism:
         untraced = _run(monitor=untraced_monitor)
         traced = _run(monitor=traced_monitor, recorder=TraceRecorder())
         assert traced.latencies_s == untraced.latencies_s
-        assert traced_monitor.render_series() == untraced_monitor.render_series()
+        assert {name: s.points for name, s in traced_monitor.series.items()} == {
+            name: s.points for name, s in untraced_monitor.series.items()
+        }
 
 
 class TestSampledSeries:
@@ -132,9 +133,7 @@ class TestSampledSeries:
         # Windowed rates integrate exactly: cumulative completions over
         # every tick equal the completions by the last tick instant (the
         # partial window after it is not a tick and is honestly absent).
-        completed = sum(
-            v * INTERVAL_S for v in monitor.series["rate.completed_hz"].values
-        )
+        completed = sum(v * INTERVAL_S for _, v in monitor.series["rate.completed_hz"].points)
         last_tick_s = monitor.sampler.n_ticks * INTERVAL_S
         expected = sum(
             1
@@ -147,9 +146,7 @@ class TestSampledSeries:
     def test_arrival_rate_integrates_to_offered_requests(self):
         monitor = ServiceMonitor(interval_s=INTERVAL_S)
         report = _run(monitor=monitor)
-        offered = sum(
-            v * INTERVAL_S for v in monitor.series["rate.arrival_hz"].values
-        )
+        offered = sum(v * INTERVAL_S for _, v in monitor.series["rate.arrival_hz"].points)
         # All arrivals land inside the sampled horizon (the drain tail
         # extends past the last arrival), so the integral is exact.
         assert round(offered) == report.n_offered
@@ -157,7 +154,7 @@ class TestSampledSeries:
     def test_busy_fraction_is_a_fraction(self):
         monitor = ServiceMonitor(interval_s=INTERVAL_S)
         _run(monitor=monitor)
-        values = monitor.series["util.worker0"].values
+        values = [v for _, v in monitor.series["util.worker0"].points]
         assert values and all(0.0 <= v <= 1.0 + 1e-9 for v in values)
         assert max(values) > 0.0  # an overloaded device is busy
 

@@ -92,11 +92,9 @@ class TestRecorder:
         recorder = TraceRecorder()
         _, report = _run(recorder=recorder)
         assert recorder.enabled and len(recorder) == len(recorder.events) > 0
-        assert recorder.count(RequestArrived) == report.n_offered
-        assert recorder.count(RequestCompleted) == report.n_completed
-        assert all(
-            isinstance(e, RequestArrived) for e in recorder.of_type(RequestArrived)
-        )
+        kinds = [type(e) for e in recorder.events]
+        assert kinds.count(RequestArrived) == report.n_offered
+        assert kinds.count(RequestCompleted) == report.n_completed
         assert all(isinstance(e, SpanEvent) for e in recorder.events)
 
     def test_nothing_is_reported_before_the_clock_reaches_it(self):
@@ -106,12 +104,12 @@ class TestRecorder:
         _run(recorder=recorder)
         latest_completion = float("-inf")
         early = 0
-        for event in recorder.of_type(RequestArrived, RequestCompleted):
+        for event in recorder.events:
             if isinstance(event, RequestCompleted):
                 latest_completion = max(latest_completion, event.t_s)
-            elif event.t_s < latest_completion:
+            elif isinstance(event, RequestArrived) and event.t_s < latest_completion:
                 early += 1
-        assert recorder.count(RequestCompleted) > 0
+        assert latest_completion > float("-inf")
         assert early == 0
 
     def test_every_event_type_is_registered_and_documented(self):

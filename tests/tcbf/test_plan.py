@@ -431,4 +431,4 @@ class TestPlanIntrospection:
     def test_params_resolved_from_gemm(self):
         plan = BeamformerPlan(Device("A100"), n_beams=16, n_receivers=64, n_samples=16)
         ref = Gemm(Device("A100"), Precision.FLOAT16, batch=1, m=16, n=16, k=64)
-        assert plan.params == ref.params
+        assert plan._gemm.params == ref.params
