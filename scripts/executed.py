@@ -107,7 +107,10 @@ NEVER_RUN: dict[str, tuple[str, str]] = {
         "the disabled recorder's emit; every emission site checks enabled first",
     ),
     "repro.backend.__init__._popcount_swar": (PLATFORM, "NumPy < 2, without bitwise_count"),
-    "repro.util.bits._pack_words_shift_or": (PLATFORM, _ANY_BACKEND),
+    "repro.util.bits._pack_words_shift_or": (
+        PLATFORM,
+        "the JAX/CuPy packing path; NumPy packs with packbits (optional-backends job)",
+    ),
     "repro.ccglib.complex_mma._as_planar": (PLATFORM, _ANY_BACKEND),
     "repro.ccglib.complex_mma._quantize_f16": (PLATFORM, _ANY_BACKEND),
     "repro.ccglib.complex_mma.quantize_tf32_backend": (PLATFORM, _ANY_BACKEND),
