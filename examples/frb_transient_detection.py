@@ -41,16 +41,16 @@ obs = Observation(layout=layout, n_channels=16, n_samples=1024, seed=42)
 # Model the burst as one "pulse" of a very-long-period pulsar: exactly one
 # pulse falls inside the observation window.
 burst = Pulsar(
-    l=0.15, m=-0.12,          # far outside the 0.02-radius tied-beam grid
+    dir_l=0.15, dir_m=-0.12,  # far outside the 0.02-radius tied-beam grid
     flux=25.0,
     period_s=obs.n_samples * obs.sample_time_s * 2,  # one pulse per window
     duty_cycle=0.004,
     dm_pc_cm3=60.0,
 )
-steady = PointSource(l=0.001, m=0.001, flux=1.0)
+steady = PointSource(dir_l=0.001, dir_m=0.001, flux=1.0)
 data = generate_station_data(obs, [burst, steady])
 print(f"simulated {obs.n_channels} channels x {layout.n_stations} stations x "
-      f"{obs.n_samples} samples; burst at (l,m)=({burst.l}, {burst.m}), "
+      f"{obs.n_samples} samples; burst at (l,m)=({burst.dir_l}, {burst.dir_m}), "
       f"DM={burst.dm_pc_cm3}")
 
 # --- coherent tied-array beams: narrow FoV misses the burst -------------------
@@ -82,7 +82,7 @@ print(f"\ncoherent tied beams (FoV radius 0.02): burst S/N "
       f"(max/median = {spread:.2f} — sidelobe pickup, no localization)")
 
 # Contrast: an in-field source is sharply localized by the same beam grid.
-infield = PointSource(l=float(dirs[5][0]), m=float(dirs[5][1]), flux=2.0)
+infield = PointSource(dir_l=float(dirs[5][0]), dir_m=float(dirs[5][1]), flux=2.0)
 data_in = generate_station_data(obs, [infield])
 beams_in = bf.form_beams(weights, data_in)
 p_in = (np.abs(beams_in.beams) ** 2).mean(axis=(0, 2))

@@ -30,10 +30,10 @@ from repro.util.units import tera
 directions = beam_grid(25, fov_radius=0.02)
 target = directions[7]
 pulsar = Pulsar(
-    l=float(target[0]), m=float(target[1]),
+    dir_l=float(target[0]), dir_m=float(target[1]),
     flux=4.0, period_s=6.4e-4, duty_cycle=0.15, dm_pc_cm3=5.0,
 )
-confusion = PointSource(l=float(directions[20][0]), m=float(directions[20][1]), flux=2.0)
+confusion = PointSource(dir_l=float(directions[20][0]), dir_m=float(directions[20][1]), flux=2.0)
 print(f"observing: pulsar P={pulsar.period_s * 1e3:.2f} ms, DM={pulsar.dm_pc_cm3} "
       f"pc/cm^3 at beam 7; steady confusion source at beam 20")
 

@@ -28,10 +28,14 @@ DISPERSION_MS = 4.149
 
 @dataclass(frozen=True)
 class PointSource:
-    """A steady source of band-limited Gaussian noise."""
+    """A steady source of band-limited Gaussian noise.
 
-    l: float
-    m: float
+    ``dir_l``/``dir_m`` are its direction cosines (l, m), the arguments of
+    :func:`~repro.apps.radioastronomy.coordinates.geometric_delay`.
+    """
+
+    dir_l: float
+    dir_m: float
     flux: float = 1.0
     label: str = "source"
 
@@ -101,7 +105,7 @@ def generate_station_data(obs: Observation, sources: list[PointSource]) -> np.nd
     t = np.arange(n_t) * obs.sample_time_s
     data = np.zeros((n_ch, n_st, n_t), dtype=np.complex64)
     for source in sources:
-        tau = geometric_delay(obs.layout.positions, source.l, source.m)
+        tau = geometric_delay(obs.layout.positions, source.dir_l, source.dir_m)
         for ch, f in enumerate(freqs):
             amp = rng.normal(size=n_t) + 1j * rng.normal(size=n_t)
             amp *= np.sqrt(source.flux / 2.0) * np.sqrt(source.envelope(t, f))
@@ -120,7 +124,7 @@ def expected_beam_power(
     Normalized array factor |sum_st exp(i phi_st)|^2 / n^2 evaluated at the
     centre frequency; tests compare measured beam powers against this.
     """
-    tau_src = geometric_delay(obs.layout.positions, source.l, source.m)
+    tau_src = geometric_delay(obs.layout.positions, source.dir_l, source.dir_m)
     tau_beam = geometric_delay(obs.layout.positions, beam_l, beam_m)
     phase = 2.0 * np.pi * obs.f_centre_hz * (tau_beam - tau_src)
     af = np.exp(1j * phase).mean()

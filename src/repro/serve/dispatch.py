@@ -404,6 +404,7 @@ class FleetDispatcher:
         )
         self._next_index += 1
         self.workers.append(worker)
+        self.placer.fleet_changed()
         self.refresh_candidates()
         return worker
 
@@ -422,6 +423,7 @@ class FleetDispatcher:
             raise DeviceError(f"worker {index} is already draining or retired")
         worker.draining = True
         worker._drain_s = now
+        self.placer.fleet_changed()
         self.refresh_candidates()
         return worker
 
@@ -443,6 +445,7 @@ class FleetDispatcher:
         self.workers.remove(worker)
         self._retired.append(worker)
         self.cache.release(worker.device)
+        self.placer.fleet_changed()
 
         def doomed(batch: Batch) -> bool:
             decision = batch.decision
@@ -565,6 +568,7 @@ class FleetDispatcher:
                 self.workers.remove(worker)
                 self._retired.append(worker)
                 self.cache.release(worker.device)
+                self.placer.fleet_changed()
                 retired.append(worker)
         return retired
 
@@ -623,37 +627,39 @@ class FleetDispatcher:
         worker can serve is the strongest possible scale-up signal.
         """
         service: dict[str, float] = {}
-        sample: dict[str, object] = {}
+        sample: dict[str, Workload] = {}
         for batch in self._held + list(self.scheduler.queued_batches()):
             cap = batch.workload.capability
             service[cap] = service.get(cap, 0.0) + batch.predicted_service_s
             sample.setdefault(cap, batch.workload)
         drains: dict[str, float] = {}
         for cap, total in service.items():
-            pool = [w for w in self.accepting_workers if sample[cap].supported_by(w.device.spec)]
+            pool = self.placer.capable_workers(sample[cap])
             drains[cap] = total / len(pool) if pool else float("inf")
         return drains
 
     def _candidates(self, batch: Batch) -> list[DeviceWorker]:
         """Workers this batch may run on (capability, then memory fit).
 
-        Eligibility is static per batch (device capability and memory fit
-        do not change over a run), so :meth:`submit` stamps the indices
-        once and every later event reads them back instead of re-running
-        the capability/footprint checks per worker.
+        Eligibility changes only with the fleet, so :meth:`submit` stamps
+        the indices once, every later event reads them back, and
+        :meth:`refresh_candidates` re-derives them on each fleet change.
+        The capable pool is the placer's fleet-generation answer for the
+        workload's precision; only the memory fit at the batch's extent is
+        checked here.
         """
         if batch.candidate_indices is not None:
             return [self.worker_by_index(i) for i in batch.candidate_indices]
         if batch.decision is not None and batch.decision.kind is PlacementKind.SPLIT:
             wanted = set(batch.decision.shard_worker_indices)
             return [w for w in self.workers if w.index in wanted]
-        capable = self.placer.capable_workers(batch.workload)
-        if not capable:
-            # Every capable worker is draining: the batch was admitted
-            # before the drain began, so it is committed work the drain
-            # must still serve (non-destructive scale-down) — fall back to
-            # the draining pool rather than strand it.
-            capable = self.placer.capable_workers(batch.workload, include_draining=True)
+        # When every capable worker is draining, fall back to the draining
+        # pool: the batch was admitted before the drain began, so it is
+        # committed work the drain must still serve (non-destructive
+        # scale-down), never stranded.
+        capable = self.placer.capable_workers(batch.workload) or (
+            self.placer.capable_workers(batch.workload, include_draining=True)
+        )
         fits = [w for w in capable if self.placer.fits(w, batch.workload, batch.n_requests)]
         return fits or capable
 

@@ -38,11 +38,15 @@ Design decisions worth knowing:
   — exactly wrong for fleet growth. The build is still charged to the
   batch that faults it in (the plan cache's job), just not double-counted
   as a routing deterrent.
-* *One placement pass per arrival.* :meth:`Placer.place` returns the
-  eligible workers it found with the decision, and admission prices the
-  request over them instead of checking capability and fit again. The
-  per-workload facts the pass reads (compatibility key, footprint) are
-  computed once per :class:`Workload` instance.
+* *One placement pass per fleet generation.* :meth:`Placer.place`
+  returns the eligible workers it found with the decision, and admission
+  prices the request over them instead of checking capability and fit
+  again. Which workers can take a workload, and how fast the best one is,
+  change only when the worker set does, so the placer keeps those answers
+  (capable workers per precision, best service time per compatibility
+  key, the decision per workload and bucket) until the fleet next changes
+  (:meth:`Placer.fleet_changed`). The arrivals of one stream then share one
+  decision and, when bucketed, one padded workload.
 * *Estimates are memoized, never executed.* Pricing a candidate device
   builds a plan and asks its pure ``predict_*``/``stage_in_cost`` methods;
   no kernel runs on any device, so what-if costing cannot perturb the
@@ -161,9 +165,12 @@ class Placer:
 
     Bound to a fleet's workers and plan cache by
     :meth:`~repro.serve.dispatch.FleetDispatcher` at construction
-    (:meth:`attach`); stateless apart from the memoized cost table and the
-    lifetime decision counters, so one placer serves a whole trace
-    deterministically.
+    (:meth:`attach`). It keeps two memos and the lifetime decision
+    counters: the cost table (per device, workload compatibility and merged
+    extent; valid for the placer's lifetime) and the fleet-generation table
+    of answers that depend on the worker set, valid until the next
+    :meth:`fleet_changed`. Both are pure functions of their keys and the
+    fleet, so one placer serves a whole trace deterministically.
     """
 
     def __init__(self, stage_locality: bool = True):
@@ -178,6 +185,12 @@ class Placer:
         self._workers: list[DeviceWorker] = []
         self._cache: PlanCache | None = None
         self._costs: dict[tuple, PlacementCost] = {}
+        #: the fleet-generation table, emptied by :meth:`fleet_changed`.
+        #: Keys are tagged by question: ``("capable", precision,
+        #: include_draining)``, ``("service", compat_key, n_requests)`` and
+        #: ``("place", id(workload), bucket_samples)``; a place entry holds
+        #: its workload, so the id cannot be reused while the entry lives.
+        self._answers: dict[tuple, object] = {}
         #: lifetime decision counters by kind value (the report's view).
         self.decisions: dict[str, int] = {}
         #: optional metrics registry ("placement.*" counters).
@@ -190,10 +203,23 @@ class Placer:
         mutate it (scale-up appends, retirement removes) and every placement
         decision must see the fleet as it is *now* — a worker that joined a
         microsecond ago is already a routing candidate, and one that
-        retired is not.
+        retired is not. Answers that depend on the worker set are kept until
+        :meth:`fleet_changed`: the dispatcher calls it from its four
+        mutation points (``add_worker``, ``begin_drain``, ``crash``,
+        ``reap``), and nothing else changes the list or a worker's
+        draining/retired state.
         """
         self._workers = workers
         self._cache = cache
+        self.fleet_changed()
+
+    def fleet_changed(self) -> None:
+        """Start a new fleet generation: forget every worker-set answer.
+
+        The cost table survives: a device's predicted costs do not depend
+        on which other devices are in the fleet.
+        """
+        self._answers.clear()
 
     # -- eligibility ---------------------------------------------------------
 
@@ -206,14 +232,19 @@ class Placer:
         down takes no *new* placements (it only finishes committed work).
         ``include_draining=True`` is the dispatcher's fallback for batches
         admitted before the drain began whose only capable workers are all
-        draining.
+        draining. The list is a fleet-generation answer, shared by every
+        caller until the fleet changes: read it, never mutate it.
         """
-        return [
-            w
-            for w in self._workers
-            if workload.supported_by(w.device.spec)
-            and (include_draining or w.accepting)
-        ]
+        key = ("capable", workload.precision, include_draining)
+        workers = self._answers.get(key)
+        if workers is None:
+            workers = self._answers[key] = [
+                w
+                for w in self._workers
+                if workload.supported_by(w.device.spec)
+                and (include_draining or w.accepting)
+            ]
+        return workers
 
     def fits(self, worker: DeviceWorker, workload: Workload, n_requests: int = 1) -> bool:
         """Whether the merged problem's operands fit one device's memory."""
@@ -281,12 +312,18 @@ class Placer:
 
         The admission controller's per-device replacement for the old
         global service-time EMA: the minimum predicted stage-in + GEMM over
-        the workers this workload may actually land on.
+        the workers this workload may actually land on (``inf`` when none
+        can). A fleet-generation answer per compatibility key and extent.
         """
-        candidates = self.eligible_workers(workload, n_requests) or (self.capable_workers(workload))
-        if not candidates:
-            return float("inf")
-        return min(self.estimate(w, workload, n_requests).service_s for w in candidates)
+        key = ("service", workload.compat_key(), n_requests)
+        service_s = self._answers.get(key)
+        if service_s is None:
+            pool = self.eligible_workers(workload, n_requests) or self.capable_workers(workload)
+            service_s = self._answers[key] = min(
+                (self.estimate(w, workload, n_requests).service_s for w in pool),
+                default=float("inf"),
+            )
+        return service_s
 
     def worker_by_index(self, index: int) -> "DeviceWorker":
         """The attached worker with a declared index (robust to list reordering)."""
@@ -320,8 +357,18 @@ class Placer:
         capable_workers(decision.workload)`` returns, worked out once
         here. The list is for the caller's admission step only; it is not
         part of the decision, so no batch keeps it.
+
+        The pair is a fleet-generation answer per workload instance and
+        bucket edge (the policy matters only through the edge): every
+        arrival of one stream shares one frozen decision, and the counters
+        still count each call.
         """
-        decision, workers = self._place(workload, policy)
+        bucket = policy.bucket_samples(workload.n_samples)
+        key = ("place", id(workload), bucket)
+        answer = self._answers.get(key)
+        if answer is None:
+            answer = self._answers[key] = (workload, *self._place(workload, bucket))
+        _, decision, workers = answer
         kind = decision.kind.value
         self.decisions[kind] = self.decisions.get(kind, 0) + 1
         if self.metrics is not None:
@@ -329,7 +376,7 @@ class Placer:
         return decision, workers
 
     def _place(
-        self, workload: Workload, policy: "BatchingPolicy"
+        self, workload: Workload, bucket: int
     ) -> tuple[PlacementDecision, list[DeviceWorker]]:
         capable = self.capable_workers(workload)
         if not capable:
@@ -339,7 +386,7 @@ class Placer:
             return shed, capable
         fitting = [w for w in capable if self.fits(w, workload)]
         if fitting:
-            padded = workload.padded_to(policy.bucket_samples(workload.n_samples))
+            padded = workload.padded_to(bucket)
             if padded is not workload:
                 padded_fitting = [w for w in capable if self.fits(w, padded)]
                 if padded_fitting:

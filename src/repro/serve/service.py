@@ -1462,8 +1462,7 @@ class BeamformingService:
             extent = batch.decision.shard_extents[shard_index]
             shard_workload = batch.workload.shard(extent)
             worker = least_loaded(
-                (w for w in self.fleet.workers if shard_workload.supported_by(w.device.spec)),
-                now,
+                self.fleet.placer.capable_workers(shard_workload, include_draining=True), now
             )
             if worker is None:
                 return False
@@ -1635,9 +1634,12 @@ class BeamformingService:
         door with the shed accounted to the request's class.
 
         ``workers`` are the eligible workers :meth:`Placer.place
-        <repro.serve.placement.Placer.place>` returned with the decision;
-        a route or merge is priced over them without a second capability
-        and fit pass.
+        <repro.serve.placement.Placer.place>` returned with the decision.
+        A route or merge waits out the least backlog among them, and its
+        own service is :meth:`Placer.predicted_service_s
+        <repro.serve.placement.Placer.predicted_service_s>`, the minimum
+        over those same workers, read from the placer's fleet-generation
+        table.
         """
         if decision.is_shed:
             return float("inf")
@@ -1654,8 +1656,7 @@ class BeamformingService:
             n_usable = len(decision.shard_worker_indices)
         else:
             backlog = min(w.backlog_s(now) for w in workers)
-            # Placer.predicted_service_s, over the workers already in hand.
-            own_service = min(placer.estimate(w, decision.workload, 1).service_s for w in workers)
+            own_service = placer.predicted_service_s(decision.workload, 1)
             batching_wait = self._batcher.policy_for(priority).max_wait_s
             n_usable = len(workers)
         # Undispatched work lives in two places: the scheduler's queues and

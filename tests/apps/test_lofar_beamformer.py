@@ -26,11 +26,11 @@ from repro.gpusim.device import Device, ExecutionMode
 def observation_setup():
     layout = lofar_like_layout(16)
     obs = Observation(layout=layout, n_channels=4, n_samples=128)
-    src = PointSource(l=0.004, m=-0.006, flux=4.0)
+    src = PointSource(dir_l=0.004, dir_m=-0.006, flux=4.0)
     data = generate_station_data(obs, [src])
     dirs = beam_grid(9, fov_radius=0.012)
     # snap beam 4 (centre) onto the source for a guaranteed main-lobe hit
-    dirs[4] = [src.l, src.m]
+    dirs[4] = [src.dir_l, src.dir_m]
     weights = steering_weights(layout, obs.channel_frequencies(), dirs)
     return layout, obs, src, data, dirs, weights
 
@@ -123,7 +123,7 @@ class TestEndToEndPipeline:
     def test_pulsar_detected_in_correct_beam(self):
         dirs = beam_grid(25, fov_radius=0.02)
         psr = Pulsar(
-            l=float(dirs[7][0]), m=float(dirs[7][1]), flux=4.0,
+            dir_l=float(dirs[7][0]), dir_m=float(dirs[7][1]), flux=4.0,
             period_s=6.4e-4, duty_cycle=0.15, dm_pc_cm3=5.0,
         )
         res = run_observation(Device("A100"), [psr], n_stations=24, n_beams=25,
@@ -133,7 +133,7 @@ class TestEndToEndPipeline:
         assert snrs[7] > 3 * np.delete(snrs, 7).max()
 
     def test_observation_metadata(self):
-        src = PointSource(l=0.0, m=0.0, flux=2.0)
+        src = PointSource(dir_l=0.0, dir_m=0.0, flux=2.0)
         res = run_observation(Device("A100"), [src], n_stations=8, n_beams=4,
                               n_channels=2, n_samples=64, search_pulsars=False)
         assert res.beams.shape == (2, 4, 64)

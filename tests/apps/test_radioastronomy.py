@@ -106,34 +106,34 @@ class TestChannelizer:
 class TestSky:
     def test_station_data_shape(self):
         obs = Observation(layout=lofar_like_layout(6), n_channels=4, n_samples=64)
-        data = generate_station_data(obs, [PointSource(l=0.01, m=0.0, flux=1.0)])
+        data = generate_station_data(obs, [PointSource(dir_l=0.01, dir_m=0.0, flux=1.0)])
         assert data.shape == (4, 6, 64)
         assert data.dtype == np.complex64
 
     def test_source_raises_power_over_noise(self):
         obs = Observation(layout=lofar_like_layout(6), n_channels=4, n_samples=256, noise_level=0.1)
         quiet = generate_station_data(obs, [])
-        loud = generate_station_data(obs, [PointSource(l=0.0, m=0.0, flux=5.0)])
+        loud = generate_station_data(obs, [PointSource(dir_l=0.0, dir_m=0.0, flux=5.0)])
         assert (np.abs(loud) ** 2).mean() > 5 * (np.abs(quiet) ** 2).mean()
 
     def test_dispersion_delay_formula(self):
-        psr = Pulsar(l=0, m=0, dm_pc_cm3=10.0, f_ref_hz=200e6)
+        psr = Pulsar(dir_l=0, dir_m=0, dm_pc_cm3=10.0, f_ref_hz=200e6)
         delay = psr.dispersion_delay_s(150e6)
         expected = DISPERSION_MS * 1e-3 * 10.0 * ((0.15) ** -2 - (0.2) ** -2)
         assert delay == pytest.approx(expected)
         assert delay > 0  # lower frequency arrives later
 
     def test_pulsar_envelope_duty_cycle(self):
-        psr = Pulsar(l=0, m=0, period_s=0.1, duty_cycle=0.2, dm_pc_cm3=0.0)
+        psr = Pulsar(dir_l=0, dir_m=0, period_s=0.1, duty_cycle=0.2, dm_pc_cm3=0.0)
         t = np.linspace(0, 1.0, 10000)
         env = psr.envelope(t, psr.f_ref_hz)
         assert env.mean() == pytest.approx(0.2, abs=0.02)
 
     def test_expected_beam_power_peaks_on_source(self):
         obs = Observation(layout=lofar_like_layout(16), n_channels=2, n_samples=16)
-        src = PointSource(l=0.003, m=-0.002, flux=2.0)
-        on = expected_beam_power(obs, src, src.l, src.m)
-        off = expected_beam_power(obs, src, src.l + 0.01, src.m)
+        src = PointSource(dir_l=0.003, dir_m=-0.002, flux=2.0)
+        on = expected_beam_power(obs, src, src.dir_l, src.dir_m)
+        off = expected_beam_power(obs, src, src.dir_l + 0.01, src.dir_m)
         assert on == pytest.approx(2.0)
         assert off < on / 5
 
@@ -192,7 +192,7 @@ class TestPulsarProcessing:
         n = 512
         spectrum = np.zeros((3, n))
         # place a pulse in each channel at its dispersed arrival time
-        psr = Pulsar(l=0, m=0, dm_pc_cm3=dm, f_ref_hz=160e6)
+        psr = Pulsar(dir_l=0, dir_m=0, dm_pc_cm3=dm, f_ref_hz=160e6)
         for ch, f in enumerate(freqs):
             shift = int(round(psr.dispersion_delay_s(f) / t_sample))
             spectrum[ch, (100 + shift) % n] = 1.0

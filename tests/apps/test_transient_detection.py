@@ -25,7 +25,7 @@ def burst_scene():
     layout = lofar_like_layout(24)
     obs = Observation(layout=layout, n_channels=16, n_samples=1024, seed=42)
     burst = Pulsar(
-        l=0.15, m=-0.12, flux=25.0,
+        dir_l=0.15, dir_m=-0.12, flux=25.0,
         period_s=obs.n_samples * obs.sample_time_s * 2,  # one pulse in window
         duty_cycle=0.004, dm_pc_cm3=60.0,
     )
@@ -64,7 +64,7 @@ class TestIncoherentTransientDetection:
     def test_in_field_source_is_localized(self, burst_scene):
         layout, obs, *_ = burst_scene
         dirs = beam_grid(16, fov_radius=0.02)
-        src = PointSource(l=float(dirs[5][0]), m=float(dirs[5][1]), flux=2.0)
+        src = PointSource(dir_l=float(dirs[5][0]), dir_m=float(dirs[5][1]), flux=2.0)
         data = generate_station_data(obs, [src])
         weights = steering_weights(layout, obs.channel_frequencies(), dirs)
         bf = LOFARBeamformer(Device("A100"), 16, layout.n_stations, obs.n_samples, obs.n_channels)

@@ -193,7 +193,7 @@ class TestLofarParity:
         n_beams, n_stations, n_samples, n_channels = self.DIMS
         layout = lofar_like_layout(n_stations)
         obs = Observation(layout=layout, n_channels=n_channels, n_samples=n_samples)
-        data = generate_station_data(obs, [PointSource(l=0.004, m=-0.006, flux=4.0)])
+        data = generate_station_data(obs, [PointSource(dir_l=0.004, dir_m=-0.006, flux=4.0)])
         dirs = beam_grid(n_beams, fov_radius=0.012)
         weights = steering_weights(layout, obs.channel_frequencies(), dirs)
         numpy_beams = LOFARBeamformer(Device("A100"), *self.DIMS).form_beams(weights, data).beams
