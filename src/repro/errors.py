@@ -29,6 +29,14 @@ class UnsupportedFragmentError(DeviceError):
     """The device does not support the requested WMMA fragment layout."""
 
 
+class UnknownWorkerError(DeviceError):
+    """No worker of the serving fleet has the requested index.
+
+    The worker crashed or retired (indices are never reused), or never
+    joined: a fault plan may name a worker that is already gone.
+    """
+
+
 class KernelConfigError(ReproError):
     """A kernel tuning configuration violates a hardware or shape restriction.
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -362,7 +363,11 @@ class FleetDispatcher:
         return self._functional
 
     def worker_by_index(self, index: int) -> DeviceWorker:
-        """The worker with a declared index (robust to list reordering)."""
+        """The live worker with a declared index.
+
+        Raises :class:`~repro.errors.UnknownWorkerError` when no live worker
+        has it (crashed, retired, or never joined).
+        """
         return self.placer.worker_by_index(index)
 
     # -- elastic fleets ------------------------------------------------------
@@ -516,7 +521,7 @@ class FleetDispatcher:
         capable of the workload — otherwise the flush would find an empty
         candidate set for a legitimately admitted request.
         """
-        for batch in self._held + list(self.scheduler.queued_batches()):
+        for batch in chain(self._held, self.scheduler.queued_batches()):
             if batch.candidate_indices and index in batch.candidate_indices:
                 return True
             decision = batch.decision
@@ -628,7 +633,7 @@ class FleetDispatcher:
         """
         service: dict[str, float] = {}
         sample: dict[str, Workload] = {}
-        for batch in self._held + list(self.scheduler.queued_batches()):
+        for batch in chain(self._held, self.scheduler.queued_batches()):
             cap = batch.workload.capability
             service[cap] = service.get(cap, 0.0) + batch.predicted_service_s
             sample.setdefault(cap, batch.workload)

@@ -5,8 +5,9 @@ the workload to the hardware: tensor-core peaks are precision-dependent
 (1-bit exists on NVIDIA only), transpose/pack overheads differ per device,
 and sustained clocks vary part to part (paper Tables I/III). A serving tier
 that routes purely by backlog ignores all of that. The :class:`Placer`
-instead consults the per-device cost model (every candidate device's
-:class:`~repro.tcbf.plan.BeamformerPlan` predictions) and produces an
+instead consults the cost model per device model (spec, mode): every
+candidate device's :class:`~repro.tcbf.plan.BeamformerPlan` predictions,
+priced once per model however many workers share it, and produces an
 explicit :class:`PlacementDecision` for each request:
 
 * **route** — the request fits one device; dispatch will pick the eligible
@@ -43,10 +44,16 @@ Design decisions worth knowing:
   prices the request over them instead of checking capability and fit
   again. Which workers can take a workload, and how fast the best one is,
   change only when the worker set does, so the placer keeps those answers
-  (capable workers per precision, best service time per compatibility
-  key, the decision per workload and bucket) until the fleet next changes
-  (:meth:`Placer.fleet_changed`). The arrivals of one stream then share one
-  decision and, when bucketed, one padded workload.
+  (the worker map by index, capable workers per precision, best service
+  time per compatibility key, the decision per workload and bucket) until
+  the fleet next changes (:meth:`Placer.fleet_changed`). The arrivals of
+  one stream then share one decision and, when bucketed, one padded
+  workload.
+* *Priced per device model, not per device.* A
+  :class:`~repro.gpusim.device.Device` is only its spec, its execution mode
+  and a power model of that spec, so every worker of one model predicts
+  the same costs: the cost table is keyed by (spec, mode), and an A100
+  that a scale-up or a replacement adds reuses the first A100's prices.
 * *Estimates are memoized, never executed.* Pricing a candidate device
   builds a plan and asks its pure ``predict_*``/``stage_in_cost`` methods;
   no kernel runs on any device, so what-if costing cannot perturb the
@@ -60,10 +67,11 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.errors import DeviceError, ShapeError
+from repro.errors import DeviceError, ShapeError, UnknownWorkerError
 from repro.serve.workload import Workload
 
 if TYPE_CHECKING:
+    from repro.gpusim.specs import GPUSpec
     from repro.serve.batching import Batch, BatchingPolicy
     from repro.serve.cache import PlanCache
     from repro.serve.dispatch import DeviceWorker
@@ -123,7 +131,7 @@ class PlacementKind(enum.Enum):
 
 @dataclass(frozen=True)
 class PlacementCost:
-    """Memoized per-device cost-model prediction for one merged workload."""
+    """Memoized per-device-model cost prediction for one merged workload."""
 
     #: per-block streaming stage time (transpose + packing), seconds.
     stage_in_s: float
@@ -166,9 +174,10 @@ class Placer:
     Bound to a fleet's workers and plan cache by
     :meth:`~repro.serve.dispatch.FleetDispatcher` at construction
     (:meth:`attach`). It keeps two memos and the lifetime decision
-    counters: the cost table (per device, workload compatibility and merged
-    extent; valid for the placer's lifetime) and the fleet-generation table
-    of answers that depend on the worker set, valid until the next
+    counters: the cost table (per device model (spec, mode), workload
+    compatibility and merged extent; valid for the placer's lifetime) and
+    the fleet-generation table of answers that depend on the worker set —
+    the worker map by index among them — valid until the next
     :meth:`fleet_changed`. Both are pure functions of their keys and the
     fleet, so one placer serves a whole trace deterministically.
     """
@@ -184,12 +193,17 @@ class Placer:
         self.stage_locality = stage_locality
         self._workers: list[DeviceWorker] = []
         self._cache: PlanCache | None = None
-        self._costs: dict[tuple, PlacementCost] = {}
+        #: the cost table: ``(id(spec), mode, compat_key, n_requests)`` ->
+        #: ``(spec, cost)``. ``GPUSpec`` is unhashable (it holds dicts), so
+        #: the key takes its id and the entry keeps the spec alive, so the
+        #: id cannot be reused while the entry lives.
+        self._costs: dict[tuple, tuple[GPUSpec, PlacementCost]] = {}
         #: the fleet-generation table, emptied by :meth:`fleet_changed`.
-        #: Keys are tagged by question: ``("capable", precision,
-        #: include_draining)``, ``("service", compat_key, n_requests)`` and
-        #: ``("place", id(workload), bucket_samples)``; a place entry holds
-        #: its workload, so the id cannot be reused while the entry lives.
+        #: Keys are tagged by question: ``("workers",)`` (index -> worker),
+        #: ``("capable", precision, include_draining)``, ``("service",
+        #: compat_key, n_requests)`` and ``("place", id(workload),
+        #: bucket_samples)``; a place entry holds its workload, so the id
+        #: cannot be reused while the entry lives.
         self._answers: dict[tuple, object] = {}
         #: lifetime decision counters by kind value (the report's view).
         self.decisions: dict[str, int] = {}
@@ -260,24 +274,30 @@ class Placer:
     def estimate(
         self, worker: DeviceWorker, workload: Workload, n_requests: int
     ) -> PlacementCost:
-        """Per-device cost prediction for the merged workload (memoized).
+        """Cost prediction for the merged workload on the worker's model.
 
-        Builds the candidate plan once per (device, workload compatibility,
-        merged extent) and caches its pure predictions; nothing executes on
-        the device.
+        Builds the candidate plan once per (device model, workload
+        compatibility, merged extent) and caches its pure predictions;
+        nothing executes on the device. The model is the device's spec and
+        execution mode, all a device prices with, so workers of one model
+        share every entry.
         """
-        key = (id(worker.device), workload.compat_key(), n_requests)
-        cost = self._costs.get(key)
-        if cost is None:
-            plan = workload.make_plan(worker.device, n_requests)
+        device = worker.device
+        key = (id(device.spec), device.mode, workload.compat_key(), n_requests)
+        entry = self._costs.get(key)
+        if entry is None:
+            plan = workload.make_plan(device, n_requests)
             stage_in = plan.stage_in_cost()
             overhead = self._cache.build_overhead_s if self._cache is not None else 0.0
-            cost = self._costs[key] = PlacementCost(
-                stage_in_s=stage_in.time_s if stage_in is not None else 0.0,
-                gemm_s=plan.predict_gemm_cost().time_s,
-                build_s=overhead + plan.predict_weight_prep_cost().time_s,
+            entry = self._costs[key] = (
+                device.spec,
+                PlacementCost(
+                    stage_in_s=stage_in.time_s if stage_in is not None else 0.0,
+                    gemm_s=plan.predict_gemm_cost().time_s,
+                    build_s=overhead + plan.predict_weight_prep_cost().time_s,
+                ),
             )
-        return cost
+        return entry[1]
 
     def stage_in_s(
         self, worker: "DeviceWorker", batch: "Batch", cost: PlacementCost
@@ -326,11 +346,19 @@ class Placer:
         return service_s
 
     def worker_by_index(self, index: int) -> "DeviceWorker":
-        """The attached worker with a declared index (robust to list reordering)."""
-        worker = self._workers[index] if index < len(self._workers) else None
-        if worker is not None and worker.index == index:
-            return worker
-        return next(w for w in self._workers if w.index == index)
+        """The attached worker with a declared index.
+
+        One lookup in the fleet generation's index -> worker map. Raises
+        :class:`~repro.errors.UnknownWorkerError` for an index no attached
+        worker has (it crashed, retired or never joined).
+        """
+        by_index = self._answers.get(("workers",))
+        if by_index is None:
+            by_index = self._answers[("workers",)] = {w.index: w for w in self._workers}
+        try:
+            return by_index[index]
+        except KeyError:
+            raise UnknownWorkerError(f"no worker with index {index} in the fleet") from None
 
     def predicted_split_service_s(self, decision: PlacementDecision) -> float:
         """Service time of a split placement: the slowest shard's launch."""

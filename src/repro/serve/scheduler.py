@@ -60,9 +60,10 @@ class QueuePressure:
     def plus(self, batch: Batch) -> "QueuePressure":
         """This pressure with one more queued batch folded in.
 
-        The one shared accumulation both the scheduler-side and the
-        dispatcher-side (held batches) pressure views use — one place to
-        extend when the pressure definition grows.
+        The dispatcher folds its held batches in with it; the scheduler
+        keeps the same fold per class (:attr:`_ClassQueue.service_s`), so
+        both views add in one order — extend both when the pressure
+        definition grows.
         """
         return QueuePressure(
             n_batches=self.n_batches + 1,
@@ -101,14 +102,17 @@ class _ClassQueue:
     def service_s(self) -> float:
         """Total placer-predicted service time queued in this class.
 
-        Summed with ``sum`` in tenant-queue order, never kept as a running
-        total: adding and subtracting batches one by one gives a different
-        float, and admission compares this one against deadlines.
+        Folded left to right in tenant-queue order, the fold
+        :meth:`QueuePressure.plus` makes, on every Python version (``sum``
+        of floats compensates from 3.12 on); never kept as a running total:
+        adding and subtracting batches one by one gives a different float,
+        and admission compares this one against deadlines.
         """
         if self._service_s is None:
-            self._service_s = sum(
-                b.predicted_service_s for q in self._queues.values() for b in q
-            )
+            total = 0.0
+            for batch in self.batches():
+                total += batch.predicted_service_s
+            self._service_s = total
         return self._service_s
 
     def _count(self, batch: Batch, sign: int) -> None:
@@ -248,15 +252,17 @@ class PriorityScheduler:
 
         The scheduler-side half of the autoscaling policies' input: batch
         and request counts plus the predicted drain seconds queued in each
-        class. Held batches live dispatcher-side — see
+        class, read from each class's kept counts and cached sum (the
+        sum folds the same batches in the same order as
+        :meth:`QueuePressure.plus`). Held batches live dispatcher-side — see
         :meth:`FleetDispatcher.queued_pressure_by_class
         <repro.serve.dispatch.FleetDispatcher.queued_pressure_by_class>`
         for the merged view policies should consume.
         """
-        pressure: dict[int, QueuePressure] = {}
-        for batch in self.queued_batches():
-            pressure[batch.priority] = pressure.get(batch.priority, QueuePressure()).plus(batch)
-        return dict(sorted(pressure.items()))
+        return {
+            priority: QueuePressure(c.n_batches, c.n_requests, c.service_s)
+            for priority, c in sorted(self._classes.items())
+        }
 
     def queued_batches(self):
         """Iterate every queued batch (class order, then tenant rings)."""

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.errors import ShapeError
+from repro.errors import ShapeError, UnknownWorkerError
 from repro.gpusim.device import Device
 from repro.serve.autoscale import Autoscaler, FleetSignals, ScaleEvent
 from repro.serve.batching import BatchingPolicy, MicroBatcher
@@ -1338,7 +1338,7 @@ class BeamformingService:
         """
         try:
             worker = self.fleet.worker_by_index(event.worker_index)
-        except StopIteration:
+        except UnknownWorkerError:
             return  # the target crashed or retired before this window
         windows = self._slow_windows.setdefault(worker.index, [])
         if event.kind is FaultKind.SLOW_START:
@@ -1371,7 +1371,7 @@ class BeamformingService:
         """
         try:
             self.fleet.worker_by_index(event.worker_index)
-        except StopIteration:
+        except UnknownWorkerError:
             return  # already gone (flapping plans may name a worker twice)
         dead, displaced = self.fleet.crash(event.worker_index, now)
         index = dead.index

@@ -4,21 +4,24 @@ The scheduler keeps its batch and request counts, a per-worker count of
 candidate references and a cached service-time sum per class, updated as
 batches move instead of recounted on every event; the error budget keeps
 sorted event times instead of sorting on every query. Random sequences of
-``submit`` / ``drain`` / ``remove`` / fleet changes (which run
-``refresh_candidates``) on a small mixed dry-run fleet must leave every
-kept value equal to a brute-force recount of the queues after every step —
-the float sums exactly, not approximately, since admission compares them
-against deadlines.
+``submit`` / ``drain`` / ``remove`` / fleet changes (``add``,
+``begin_drain``, ``crash`` and ``reap``, which run ``refresh_candidates``)
+on a small mixed dry-run fleet must leave every kept value equal to a
+brute-force recount of the queues after every step — the float sums
+exactly, not approximately, since admission compares them against
+deadlines — and the placer's worker map equal to the live workers.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.ccglib.precision import Precision
+from repro.errors import UnknownWorkerError
 from repro.gpusim.device import Device, ExecutionMode
 from repro.serve import Batch, FleetDispatcher, Request, Workload
 from repro.serve.obs.alerts import ErrorBudget
@@ -53,6 +56,8 @@ ops = st.lists(
         st.tuples(st.just("remove"), st.integers(0, 63)),
         st.tuples(st.just("add"), st.sampled_from(["A100", "MI300X", "GH200"])),
         st.tuples(st.just("begin_drain"), st.integers(0, 63)),
+        st.tuples(st.just("crash"), st.integers(0, 63)),
+        st.tuples(st.just("reap"), st.booleans()),
     ),
     min_size=8,
     max_size=40,
@@ -89,14 +94,16 @@ def assert_matches_recount(fleet: FleetDispatcher) -> None:
         pressure[batch.priority] = pressure.get(batch.priority, QueuePressure()).plus(batch)
     assert sched.pressure_by_class() == dict(sorted(pressure.items()))
     for priority in PRIORITIES:
-        # The generator sum the kept cache replaced, in the same order.
-        want = sum(
-            sum(b.predicted_service_s for b in class_queue.batches())
-            for p, class_queue in sched._classes.items()
-            if p <= priority
-        )
+        # The recounted class sums, added in the scheduler's class order.
+        want = sum(pressure[p].service_s for p in sched._classes if p <= priority)
         assert sched.queued_service_s(priority) == want
     assert fleet.next_accept_s() == brute_next_accept_s(fleet)
+    live = {w.index for w in fleet.workers}
+    for worker in fleet.workers:
+        assert fleet.worker_by_index(worker.index) is worker
+    for index in [w.index for w in fleet.all_workers if w.index not in live] + [-1]:
+        with pytest.raises(UnknownWorkerError):
+            fleet.worker_by_index(index)
 
 
 class TestKeptQueueAccounting:
@@ -118,6 +125,8 @@ class TestKeptQueueAccounting:
                     priority=priority,
                     tenant=tenant,
                 )
+                if not fleet.placer.capable_workers(workload, include_draining=True):
+                    continue  # admission sheds what no worker left can run
                 requests = [
                     Request(rid=bid * 100 + i, workload=workload, arrival_s=now)
                     for i in range(n_requests)
@@ -135,6 +144,14 @@ class TestKeptQueueAccounting:
                     assert fleet.scheduler.remove(queued[op[1] % len(queued)])
             elif kind == "add":
                 fleet.add_worker(dry(op[1]), now=now)
+            elif kind == "crash":
+                if len(fleet.workers) > 1:
+                    fleet.crash(fleet.workers[op[1] % len(fleet.workers)].index, now)
+            elif kind == "reap":
+                wake = fleet.next_retire_s()
+                if op[1] and wake is not None:
+                    now = max(now, wake)
+                fleet.reap(now)
             else:
                 accepting = fleet.accepting_workers
                 if len(accepting) > 1:
