@@ -24,7 +24,9 @@ override applies uniformly to every group of that class.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from repro.errors import ShapeError
@@ -195,7 +197,10 @@ class MicroBatcher:
 
     Purely event-driven and deterministic: the caller advances time through
     the ``now`` arguments, and ties between simultaneously-due groups break
-    on (deadline, insertion order).
+    on (deadline, insertion order). The two answers the service reads on
+    every event are kept where they change: the waiting-request count by
+    :meth:`offer` and :meth:`_flush`, the earliest deadline by :meth:`offer`
+    (recomputed on the first read after a flush).
     """
 
     def __init__(
@@ -207,6 +212,11 @@ class MicroBatcher:
         #: per-priority-class knob overrides; classes not listed use ``policy``.
         self.class_policies = dict(class_policies) if class_policies else {}
         self._groups: dict[tuple, _Group] = {}
+        #: requests in forming groups (:meth:`depth`).
+        self._n_waiting = 0
+        #: earliest group deadline; ``None`` while stale (after a flush),
+        #: until :meth:`next_deadline` recomputes it.
+        self._deadline_s: float | None = None
         self._next_bid = 0
         self._next_seq = 0
         #: lifetime counters for the service report.
@@ -223,8 +233,12 @@ class MicroBatcher:
         return self.class_policies.get(priority, self.policy)
 
     def depth(self) -> int:
-        """Requests currently waiting in forming batches."""
-        return sum(len(g.requests) for g in self._groups.values())
+        """Requests currently waiting in forming batches.
+
+        A kept count: :meth:`offer` adds each request, :meth:`_flush`
+        removes a flushed group's.
+        """
+        return self._n_waiting
 
     def forming_workloads(self):
         """Iterate the workload of every forming batch (flush order).
@@ -238,10 +252,21 @@ class MicroBatcher:
             yield (group.workload if group.workload is not None else group.requests[0].workload)
 
     def next_deadline(self) -> float | None:
-        """Earliest latency-trigger deadline among forming batches."""
+        """Earliest latency-trigger deadline among forming batches.
+
+        Kept: :meth:`offer` lowers it when it opens a group; after a flush
+        the first read takes the minimum over the groups left.
+        """
         if not self._groups:
             return None
-        return min(g.deadline_s for g in self._groups.values())
+        if self._deadline_s is None:
+            self._deadline_s = min(g.deadline_s for g in self._groups.values())
+        return self._deadline_s
+
+    @cached_property
+    def _offered(self):
+        """The ``batcher.offered`` counter, created on the first offer."""
+        return self.metrics.counter("batcher.offered")
 
     def offer(
         self,
@@ -273,10 +298,13 @@ class MicroBatcher:
                 decision=decision,
             )
             self._next_seq += 1
+            if self._deadline_s is not None and group.deadline_s < self._deadline_s:
+                self._deadline_s = group.deadline_s
         group.requests.append(request)
+        self._n_waiting += 1
         self.n_offered += 1
         if self.metrics is not None:
-            self.metrics.inc("batcher.offered")
+            self._offered.inc()
         if self.recorder.enabled:
             self.recorder.emit(
                 BatcherEnqueued(
@@ -308,8 +336,21 @@ class MicroBatcher:
             batches.append(self._flush(key, self._groups[key].deadline_s, cause="max_wait"))
         return batches
 
+    def flush_stranded(self, stranded: Callable[[Workload], bool], now: float) -> list[Batch]:
+        """Flush, at ``now``, every forming group whose workload ``stranded``
+        accepts (creation order).
+
+        The crash path: a group whose every capable worker just died can
+        never dispatch, so it leaves the batcher as a batch the service
+        retries or fails, the way a displaced queued batch does.
+        """
+        keys = [key for key, group in self._groups.items() if stranded(group.workload)]
+        return [self._flush(key, now, cause="stranded") for key in keys]
+
     def _flush(self, key: tuple, formed_s: float, cause: str = "max_wait") -> Batch:
         group = self._groups.pop(key)
+        self._n_waiting -= len(group.requests)
+        self._deadline_s = None
         workload = group.workload if group.workload is not None else group.requests[0].workload
         batch = Batch(
             bid=self._next_bid,
@@ -348,7 +389,7 @@ class MicroBatcher:
         """
         self.n_offered += 1
         if self.metrics is not None:
-            self.metrics.inc("batcher.offered")
+            self._offered.inc()
         batch = Batch(
             bid=self._next_bid,
             workload=request.workload,

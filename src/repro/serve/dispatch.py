@@ -328,6 +328,12 @@ class FleetDispatcher:
         #: batches popped from the scheduler whose eligible workers were all
         #: busy; retried (in pop order) at the start of every drain.
         self._held: list[Batch] = []
+        #: requests in :attr:`_held` (:attr:`held_requests`), kept by
+        #: :meth:`drain` and :meth:`crash`, the only two that change it.
+        self._held_requests = 0
+        #: live workers marked draining, kept by :meth:`begin_drain`,
+        #: :meth:`crash` and :meth:`reap` (:meth:`next_retire_s`'s gate).
+        self._n_draining = 0
         #: next worker index for scale-ups — indices are never reused, so
         #: every placement decision and report row stays unambiguous even
         #: after workers retire.
@@ -428,6 +434,7 @@ class FleetDispatcher:
             raise DeviceError(f"worker {index} is already draining or retired")
         worker.draining = True
         worker._drain_s = now
+        self._n_draining += 1
         self.placer.fleet_changed()
         self.refresh_candidates()
         return worker
@@ -445,6 +452,7 @@ class FleetDispatcher:
         same :meth:`refresh_candidates` path a drain takes.
         """
         worker = self.worker_by_index(index)
+        self._n_draining -= worker.draining
         worker.draining = False
         worker.retired_s = now
         self.workers.remove(worker)
@@ -469,7 +477,11 @@ class FleetDispatcher:
                 displaced.append(batch)
         kept: list[Batch] = []
         for batch in self._held:
-            (displaced if doomed(batch) else kept).append(batch)
+            if doomed(batch):
+                displaced.append(batch)
+                self._held_requests -= batch.n_requests
+            else:
+                kept.append(batch)
         self._held = kept
         self.refresh_candidates()
         return worker, displaced
@@ -545,8 +557,11 @@ class FleetDispatcher:
 
         Only unreferenced draining workers count: one still named by a
         queued batch's candidates (or a committed split decision) will
-        produce its own dispatch events, after which this advances.
+        produce its own dispatch events, after which this advances. With
+        no worker draining (the kept count) it answers at once.
         """
+        if not self._n_draining:
+            return None
         times = [
             max(w._compute_free_s, w._drain_s)
             for w in self.workers
@@ -570,6 +585,7 @@ class FleetDispatcher:
             ):
                 worker.retired_s = now
                 worker.draining = False
+                self._n_draining -= 1
                 self.workers.remove(worker)
                 self._retired.append(worker)
                 self.cache.release(worker.device)
@@ -701,8 +717,8 @@ class FleetDispatcher:
 
     @property
     def held_requests(self) -> int:
-        """Requests in batches held back by busy eligible workers."""
-        return sum(b.n_requests for b in self._held)
+        """Requests in batches held back by busy eligible workers (kept)."""
+        return self._held_requests
 
     def held_service_s(self, priority: int) -> float:
         """Predicted service queued dispatcher-side at ``priority`` or above.
@@ -710,9 +726,16 @@ class FleetDispatcher:
         Held batches left the scheduler, so admission's
         :meth:`PriorityScheduler.queued_service_s` no longer sees them;
         this is the matching term so the latency projection covers *all*
-        undispatched work an arrival must wait out.
+        undispatched work an arrival must wait out. Folded left to right in
+        held order on every call (0.0 at once when nothing is held), never
+        kept as a running total, so the float does not depend on the
+        Python version or on the order batches came and went.
         """
-        return sum(b.predicted_service_s for b in self._held if b.priority <= priority)
+        total = 0.0
+        for batch in self._held:
+            if batch.priority <= priority:
+                total += batch.predicted_service_s
+        return total
 
     def next_accept_s(self) -> float | None:
         """Earliest instant a worker can take one of the queued batches.
@@ -753,7 +776,16 @@ class FleetDispatcher:
         urgent arrival. A batch whose eligible workers cannot accept is
         (re)held without blocking work other devices could take. Returns
         the executions placed, in order.
+
+        With nothing held, a drain whose scheduler is empty or whose every
+        worker accepts only after ``now`` would pop nothing: it returns at
+        once, before any set-up. The event loop drains on every turn, and
+        that is the common case.
         """
+        if not self._held and (
+            self.scheduler.empty() or all(w.accept_s > now for w in self.workers)
+        ):
+            return []
         placed: list[BatchExecution] = []
         remaining: list[Batch] = []
         # Stable by class: FIFO within a class is preserved.
@@ -764,6 +796,7 @@ class FleetDispatcher:
             head_p = self.scheduler.head_priority()
             if held and (head_p is None or held[0].priority <= head_p):
                 batch = held.popleft()
+                self._held_requests -= batch.n_requests
             elif head_p is None or all(w.accept_s > now for w in self.workers):
                 break
             else:
@@ -782,6 +815,7 @@ class FleetDispatcher:
                         )
                     )
                 remaining.append(batch)
+                self._held_requests += batch.n_requests
             else:
                 placed.append(execution)
         for batch in held:

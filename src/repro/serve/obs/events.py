@@ -99,9 +99,10 @@ class BatchClosed(SpanEvent):
     """A forming group flushed into a dispatchable batch.
 
     ``cause`` states *why* the batch stopped waiting: ``"max_batch"``
-    (size trigger), ``"max_wait"`` (latency trigger), or ``"decision"``
-    (a split placement bypasses group formation entirely). ``rids`` are
-    the member requests in offer order.
+    (size trigger), ``"max_wait"`` (latency trigger), ``"decision"``
+    (a split placement bypasses group formation entirely), or
+    ``"stranded"`` (a crash left no worker that can run the group).
+    ``rids`` are the member requests in offer order.
     """
 
     bid: int

@@ -93,9 +93,11 @@ class MetricsRegistry:
     Names are dotted paths (``"cache.hits"``, ``"scheduler.preemptions"``);
     a name is permanently one kind — asking for an existing name as a
     different kind raises. The convenience mutators (:meth:`inc`,
-    :meth:`set_gauge`, :meth:`observe`) are what the serving stack calls
-    on its hot paths; :meth:`snapshot` and :meth:`render` are the report
-    faces.
+    :meth:`set_gauge`) look a metric up by name on every call; a hot path
+    that counts per request binds the metric once instead (the service's
+    completion counter and latency histogram, the batcher's and admission's
+    per-request counters). :meth:`snapshot` and :meth:`render` are the
+    report faces.
     """
 
     def __init__(self) -> None:
@@ -150,10 +152,6 @@ class MetricsRegistry:
     def set_gauge(self, name: str, value: float) -> None:
         """Set the named gauge (created on first use)."""
         self.gauge(name).set(value)
-
-    def observe(self, name: str, value: float) -> None:
-        """Record one observation into the named histogram."""
-        self.histogram(name).observe(value)
 
     # -- report faces --------------------------------------------------------
 

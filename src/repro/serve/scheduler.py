@@ -196,7 +196,8 @@ class PriorityScheduler:
         weight-1 tenant while both are backlogged at the same priority.
 
     The queue views are kept, not recounted per event: each class keeps its
-    batch and request counts, empty classes are deleted at once, and
+    batch and request counts, the scheduler keeps the request count over
+    every class, empty classes are deleted at once, and
     :attr:`candidate_refs` counts, per worker index, the queued batches
     that list the worker among their ``candidate_indices``. Those stamps
     and ``predicted_service_s`` change on a queued batch only through
@@ -210,6 +211,8 @@ class PriorityScheduler:
                 raise ShapeError(f"tenant weight must be positive, got {weight} for {tenant!r}")
         #: non-empty classes only (a class is deleted when it empties).
         self._classes: dict[int, _ClassQueue] = {}
+        #: requests queued over every class (:meth:`depth_requests`).
+        self._n_requests = 0
         #: worker index -> queued batches listing it as a candidate (> 0).
         self.candidate_refs: dict[int, int] = {}
         #: lifetime dispatch counters per (priority, tenant), in requests.
@@ -228,8 +231,11 @@ class PriorityScheduler:
         return not self._classes
 
     def depth_requests(self) -> int:
-        """Requests queued across every class (admission's backlog view)."""
-        return sum(c.n_requests for c in self._classes.values())
+        """Requests queued across every class (admission's backlog view).
+
+        Kept by :meth:`enqueue`, :meth:`next` and :meth:`remove`.
+        """
+        return self._n_requests
 
     def head_priority(self) -> int | None:
         """Priority of the batch :meth:`next` would pop (None when empty)."""
@@ -244,8 +250,18 @@ class PriorityScheduler:
         admission control: each queued batch is priced at its own best
         device's predicted cost, so a mixed fleet's estimate no longer
         assumes all batches cost the same.
+
+        Folded left to right over the classes in the order they were
+        created, from each class's cached :attr:`_ClassQueue.service_s`:
+        an explicit fold, so the float is the same on every Python version
+        (``sum`` of floats compensates from 3.12 on), and never a running
+        total (admission compares it against deadlines).
         """
-        return sum(c.service_s for p, c in self._classes.items() if p <= priority)
+        total = 0.0
+        for p, class_queue in self._classes.items():
+            if p <= priority:
+                total += class_queue.service_s
+        return total
 
     def pressure_by_class(self) -> dict[int, QueuePressure]:
         """Per-priority-class queue pressure (most urgent first).
@@ -283,6 +299,7 @@ class PriorityScheduler:
             return False
         removed = class_queue.remove(batch)
         if removed:
+            self._n_requests -= batch.n_requests
             self._unref(batch)
             if not class_queue.n_batches:
                 del self._classes[batch.priority]
@@ -333,6 +350,7 @@ class PriorityScheduler:
         if class_queue is None:
             class_queue = self._classes[batch.priority] = _ClassQueue(self.tenant_weights)
         class_queue.enqueue(batch)
+        self._n_requests += batch.n_requests
         self._ref(batch)
 
     def next(self, now: float | None = None) -> Batch:
@@ -347,6 +365,7 @@ class PriorityScheduler:
         priority = min(self._classes)
         class_queue = self._classes[priority]
         batch = class_queue.next()
+        self._n_requests -= batch.n_requests
         self._unref(batch)
         if not class_queue.n_batches:
             del self._classes[priority]

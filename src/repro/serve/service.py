@@ -37,6 +37,7 @@ from __future__ import annotations
 import heapq
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -728,6 +729,10 @@ class BeamformingService:
         self._fault_idx = 0
         #: dispatched-but-unconfirmed launches.
         self._pending: list[_PendingExecution] = []
+        #: earliest effective completion in ``_pending``; ``None`` while
+        #: stale (a confirm or crash changed the launches), until
+        #: :meth:`_next_confirm_s` recomputes it.
+        self._confirm_s: float | None = None
         self._pending_seq = 0
         #: retry attempts so far, keyed by request identity.
         self._attempts: dict[int, int] = {}
@@ -1003,12 +1008,17 @@ class BeamformingService:
         """Snapshot the pressure signals one autoscale tick consumes."""
         pressure = self.fleet.queued_pressure_by_class()
         accepting = self.fleet.accepting_workers
+        # Folded left to right in class order: ``sum`` of floats
+        # compensates from Python 3.12 on, and the autoscaler compares this.
+        queued_service_s = 0.0
+        for p in pressure.values():
+            queued_service_s += p.service_s
         return FleetSignals(
             t_s=now,
             n_accepting=len(accepting),
             n_draining=len(self.fleet.workers) - len(accepting),
             queued_requests=sum(p.n_requests for p in pressure.values()),
-            queued_service_s=sum(p.service_s for p in pressure.values()),
+            queued_service_s=queued_service_s,
             pressure_by_priority=pressure,
             drain_s_by_capability=self.fleet.queued_drain_by_capability(),
             busy_workers=sum(1 for w in accepting if w.backlog_s(now) > 0),
@@ -1148,8 +1158,8 @@ class BeamformingService:
         outcome.stage_chain = chain
         latency = completion_s - root.arrival_s
         workload = root.workload
-        self.metrics.inc("service.completed")
-        self.metrics.observe("service.latency_ms", latency * 1e3)
+        self._completed.inc()
+        self._latency_ms.observe(latency * 1e3)
         if self._monitor is not None:
             self._monitor.observe_completion(
                 completion_s, workload.priority, workload.tenant, latency
@@ -1199,6 +1209,16 @@ class BeamformingService:
             shed_reason=decision.reason,
         )
 
+    @cached_property
+    def _completed(self):
+        """The ``service.completed`` counter, created on the first completion."""
+        return self.metrics.counter("service.completed")
+
+    @cached_property
+    def _latency_ms(self):
+        """The ``service.latency_ms`` histogram, created on the first completion."""
+        return self.metrics.histogram("service.latency_ms")
+
     @property
     def in_flight(self) -> list[tuple[float, int]]:
         """Dispatched-but-unconfirmed ``(completion_s, n_requests)`` pairs."""
@@ -1207,20 +1227,37 @@ class BeamformingService:
     # -- fault injection and recovery ----------------------------------------
 
     def _next_confirm_s(self) -> float | None:
-        """Earliest effective completion among unconfirmed launches."""
-        return min((p.completion_s for p in self._pending), default=None)
+        """Earliest effective completion among unconfirmed launches.
+
+        Kept in ``_confirm_s``: :meth:`_register` lowers it for each new
+        launch (its hedge included); :meth:`_confirm` and :meth:`_crash`,
+        which remove launches, settle hedges and move a split's completion,
+        mark it stale, and the next read takes the minimum afresh.
+        """
+        if not self._pending:
+            return None
+        if self._confirm_s is None:
+            self._confirm_s = min(p.completion_s for p in self._pending)
+        return self._confirm_s
 
     def _next_fault_s(self) -> float | None:
         """The fault plan's next event instant, while the run is live.
 
-        Faults stop firing once arrivals, queued work, and in-flight work
-        are all exhausted — injecting into a finished run would only
-        produce phantom replacements and keep the loop from terminating.
+        Faults stop firing once arrivals, forming and queued work, and
+        in-flight work are all exhausted — injecting into a finished run
+        would only produce phantom replacements and keep the loop from
+        terminating. A forming group counts: were it ignored, a fault due
+        while only the batcher held work would fire after the flush, at an
+        instant the clock had already passed.
         """
         if self._fault_idx >= len(self._faults):
             return None
         if not (
-            self._arrivals or self._pending or self._stage_heap or self.fleet.has_queued()
+            self._arrivals
+            or self._pending
+            or self._stage_heap
+            or self._batcher.depth()
+            or self.fleet.has_queued()
         ):
             return None
         return self._faults[self._fault_idx].t_s
@@ -1259,6 +1296,8 @@ class BeamformingService:
                                 hedge_completion_s=pending.hedge.completion_s,
                             )
                         )
+        if self._confirm_s is not None and pending.completion_s < self._confirm_s:
+            self._confirm_s = pending.completion_s
 
     def _hedge_worker(self, batch, primary_index: int, now: float) -> DeviceWorker | None:
         """Least-loaded healthy candidate to duplicate one batch on, or ``None``.
@@ -1286,6 +1325,7 @@ class BeamformingService:
         """
         due = [p for p in self._pending if p.completion_s <= now]
         due.sort(key=lambda p: (p.completion_s, p.seq))
+        self._confirm_s = None
         for pending in due:
             self._pending.remove(pending)
             self._in_flight_requests -= pending.execution.batch.n_requests
@@ -1367,13 +1407,18 @@ class BeamformingService:
         stands), hedged batches promote their surviving duplicate, and
         everything else goes through the per-request retry/fail path.
         Queued batches the crash stranded (committed splits, workloads
-        with no capable worker left) are displaced and retried too.
+        with no capable worker left) are displaced and retried too, and so
+        are forming batcher groups no surviving worker can run.
         """
         try:
             self.fleet.worker_by_index(event.worker_index)
         except UnknownWorkerError:
             return  # already gone (flapping plans may name a worker twice)
         dead, displaced = self.fleet.crash(event.worker_index, now)
+        placer = self.fleet.placer
+        displaced += self._batcher.flush_stranded(
+            lambda workload: not placer.capable_workers(workload, include_draining=True), now
+        )
         index = dead.index
         self._n_crashes += 1
         self.metrics.inc("service.crashes")
@@ -1420,6 +1465,7 @@ class BeamformingService:
             else:
                 keep.append(pending)
         self._pending = keep
+        self._confirm_s = None
         for batch in displaced:
             lost_batches += 1
             lost_requests += batch.n_requests
@@ -1603,7 +1649,10 @@ class BeamformingService:
             )
 
     def queued_requests(self) -> int:
-        """Admitted requests waiting to dispatch (batcher + scheduler + held)."""
+        """Admitted requests waiting to dispatch (batcher + scheduler + held).
+
+        Three kept counts, read once per arrival: no queue is walked.
+        """
         return (
             self._batcher.depth()
             + self.fleet.scheduler.depth_requests()

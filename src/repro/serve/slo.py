@@ -21,6 +21,7 @@ landed (a healthy overloaded service sheds its lowest class, nothing else).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import ShapeError
 
@@ -292,8 +293,13 @@ class AdmissionController:
         self.n_admitted += 1
         self.last_reason = "ok"
         if self.metrics is not None:
-            self.metrics.inc("admission.admitted")
+            self._admitted.inc()
         return True
+
+    @cached_property
+    def _admitted(self):
+        """The ``admission.admitted`` counter, created on the first admit."""
+        return self.metrics.counter("admission.admitted")
 
     @property
     def shed_rate(self) -> float:

@@ -94,9 +94,15 @@ def assert_matches_recount(fleet: FleetDispatcher) -> None:
         pressure[batch.priority] = pressure.get(batch.priority, QueuePressure()).plus(batch)
     assert sched.pressure_by_class() == dict(sorted(pressure.items()))
     for priority in PRIORITIES:
-        # The recounted class sums, added in the scheduler's class order.
-        want = sum(pressure[p].service_s for p in sched._classes if p <= priority)
+        # The recounted class sums, folded left in the scheduler's class
+        # order (``sum`` would compensate from Python 3.12 on).
+        want = 0.0
+        for p in sched._classes:
+            if p <= priority:
+                want += pressure[p].service_s
         assert sched.queued_service_s(priority) == want
+    assert fleet.held_requests == sum(b.n_requests for b in fleet._held)
+    assert fleet._n_draining == sum(w.draining for w in fleet.workers)
     assert fleet.next_accept_s() == brute_next_accept_s(fleet)
     live = {w.index for w in fleet.workers}
     for worker in fleet.workers:

@@ -33,7 +33,13 @@ from repro.serve import (
     crash_storm,
     poisson_arrivals,
 )
-from repro.serve.obs.events import HedgeLaunched, HedgeResolved, RequestFailed, WorkerSlowed
+from repro.serve.obs.events import (
+    BatchClosed,
+    HedgeLaunched,
+    HedgeResolved,
+    RequestFailed,
+    WorkerSlowed,
+)
 from repro.serve.obs.trace import TraceRecorder
 from repro.serve.workload import Request
 
@@ -254,6 +260,37 @@ class TestCrashRecovery:
         assert reasons and set(reasons) == {"deadline"}
         assert report.n_failed == len(reasons)
         assert report.n_retries > 0
+
+
+class TestStrandedGroups:
+    """A crash that takes the last worker able to run a forming group."""
+
+    @staticmethod
+    def _run(resilience: ResiliencePolicy):
+        # Two requests form a group on the only A100; it crashes before
+        # the group's latency trigger fires, and nothing replaces it.
+        workload = lofar_workload()
+        trace = [Request(rid=i, workload=workload, arrival_s=i * 1e-6) for i in range(2)]
+        crash = FaultPlan((FaultEvent(t_s=10e-6, kind=FaultKind.CRASH, worker_index=0),))
+        recorder = TraceRecorder()
+        service = _service(n_workers=1, faults=crash, resilience=resilience, recorder=recorder)
+        return service.run(trace), recorder
+
+    @pytest.mark.parametrize(
+        "resilience, reason",
+        [
+            (ResiliencePolicy(), "no_capable_worker"),
+            (ResiliencePolicy.disabled(), "retries_exhausted"),
+        ],
+    )
+    def test_the_group_flushes_and_its_requests_fail(self, resilience, reason):
+        report, recorder = self._run(resilience)
+        assert [o.admitted for o in report.outcomes] == [True, True]
+        assert report.n_completed == 0 and report.n_failed == 2
+        closed = _events(recorder, BatchClosed)
+        assert [(e.cause, e.t_s, e.rids) for e in closed] == [("stranded", 10e-6, (0, 1))]
+        assert [e.reason for e in _events(recorder, RequestFailed)] == [reason] * 2
+        assert report.metrics.snapshot()["counters"]["batcher.flush.stranded"] == 1
 
 
 class TestStragglersAndHedging:

@@ -257,7 +257,7 @@ class TestMetricsPrimitives:
             registry.gauge("x")
         with pytest.raises(ShapeError, match="already registered as a counter"):
             registry.histogram("x")
-        registry.observe("h", 1.0)
+        registry.histogram("h").observe(1.0)
         with pytest.raises(ShapeError, match="already registered with edges"):
             registry.histogram("h", edges=(1.0, 2.0))
 
@@ -266,7 +266,7 @@ class TestMetricsPrimitives:
         registry.inc("b.second")
         registry.inc("a.first", 2)
         registry.set_gauge("depth", 4)
-        registry.observe("lat", 0.2)
+        registry.histogram("lat").observe(0.2)
         snapshot = registry.snapshot()
         assert list(snapshot["counters"]) == ["a.first", "b.second"]
         assert snapshot["gauges"]["depth"] == {"value": 4, "peak": 4, "samples": 1}
