@@ -24,9 +24,9 @@ JAX and CuPy backend modules are left out as a whole: the
 ``optional-backends`` job runs them.
 
 The entry points, in order: ``repro.bench --list``; every experiment with
-``--quick --output``, then ``bench_smoke.py`` on the report; each serve
-experiment's ``--trace``/``--dashboard`` export and its validators;
-``check_golden.py``; every ``examples/*.py``; set-up, one block, the check
+``--quick --output``, then ``bench_smoke.py`` on the report; the trace
+and dashboard validators on each serve experiment's artifacts of that
+pass; ``check_golden.py``; every ``examples/*.py``; set-up, one block, the check
 and the measures ``perf/measure.py`` reads of each ``perf/scenarios.py``
 workload; ``repro.backend.validate --quick``; and ``bench_history.py``,
 appending to one temporary copy of the history and checking another.
@@ -301,20 +301,19 @@ def entry_points(tmp: Path) -> list[EntryPoint]:
 
     from repro.backend import validate
     from repro.bench.__main__ import main as bench
-    from repro.bench.registry import EXPERIMENTS, supports_tracing
+    from repro.bench.registry import EXPERIMENTS
 
     report = str(tmp / "bench-report.json")
-    outdir = ["--outdir", str(tmp / "bench-results")]
+    outdir = tmp / "bench-results"
+    quick = ["--quick", "--outdir", str(outdir), "--output", report]
     points: list[EntryPoint] = [
         ("repro.bench --list", bench, ["--list"]),
-        ("repro.bench --quick --output", bench, ["--quick", *outdir, "--output", report]),
+        ("repro.bench --quick --output", bench, quick),
         ("bench_smoke.py", bench_smoke.main, [report]),
     ]
-    for exp in (name for name in EXPERIMENTS if supports_tracing(name)):
-        trace, dashboard = str(tmp / f"{exp}-trace.json"), str(tmp / f"{exp}-dashboard.html")
-        export = [exp, "--quick", *outdir, "--trace", trace, "--dashboard", dashboard]
+    for exp in (name for name in EXPERIMENTS if name.startswith("serve")):
+        trace, dashboard = str(outdir / f"{exp}-trace.json"), str(outdir / f"{exp}-dashboard.html")
         points += [
-            (f"repro.bench {exp} --trace --dashboard", bench, export),
             (f"validate_trace.py {exp}", validate_trace.main, [trace]),
             (f"validate_dashboard.py {exp}", validate_dashboard.main, [dashboard]),
         ]

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """CI gate: structural validation of a rendered monitoring dashboard.
 
-Parses the self-contained HTML page written by ``repro-bench --dashboard``
+Parses the self-contained HTML page that every serving experiment of
+``python -m repro.bench`` writes to ``<outdir>/<name>-dashboard.html``
 (:func:`repro.serve.obs.dashboard.render_dashboard`) with the standard
 library's :class:`html.parser.HTMLParser` and fails on
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """CI gate: validate an exported Perfetto ``trace_event`` JSON file.
 
-The bench-smoke CI job exports a span-event trace for one serving
-experiment (``python -m repro.bench serve --quick --trace trace.json``)
-and then runs this checker over the file. The job fails when
+Every serving experiment of ``python -m repro.bench`` writes its headline
+run's span-event trace to ``<outdir>/<name>-trace.json``; the CI ``bench``
+job runs this checker over each one its quick pass wrote. The job fails
+when
 
 * the file is not JSON or lacks the ``traceEvents`` array,
 * an event lacks the keys its phase requires (``ph``/``pid``/``tid``/

@@ -7,24 +7,22 @@ Usage::
     python -m repro.bench --quick         # coarser sweeps
     python -m repro.bench --list          # experiments + one-line summaries
     python -m repro.bench serve --output report.json
-    python -m repro.bench serve --trace serve.trace.json
 
-Exits non-zero on unknown experiment names. ``--output`` additionally
-writes one machine-readable JSON report covering every experiment run
-(name, title, findings, raw table series, and — for serving experiments —
-a ``metrics`` block with the registry snapshot of the headline run), plus
+Exits non-zero on unknown experiment names. Every experiment writes
+``<name>.txt`` and one ``<name>_<table>.csv`` per table to ``--outdir``;
+a serving experiment also writes its headline run's Chrome/Perfetto
+``trace_event`` JSON to ``<name>-trace.json`` (open it at
+``ui.perfetto.dev``) and its monitoring dashboard to
+``<name>-dashboard.html`` — a self-contained, byte-deterministic HTML
+page with per-series sparklines, the burn-rate alert timeline, p99
+blame, and the fleet timeline. ``--output`` additionally writes one
+machine-readable JSON report covering every experiment run (name, title,
+findings, raw table series, and — for serving experiments — a
+``metrics`` block with the registry snapshot of the headline run), plus
 a top-level ``backends`` block listing every detected array backend with
-its version string — the per-experiment ``.txt`` / ``.csv`` files still
-land in ``--outdir``. ``--backend NAME`` routes the functional runners
+its version string. ``--backend NAME`` routes the functional runners
 through a :mod:`repro.backend` array backend (default numpy); unknown or
 unimportable names exit non-zero listing what is available.
-``--trace PATH`` records the headline run's span events and writes
-Chrome/Perfetto ``trace_event`` JSON to PATH (open it at
-``ui.perfetto.dev``); it applies to exactly one experiment per invocation.
-``--dashboard PATH`` writes the headline run's monitoring dashboard — a
-self-contained, byte-deterministic HTML page with per-series sparklines,
-the burn-rate alert timeline, p99 blame, and the fleet timeline — and
-likewise applies to exactly one (serving) experiment.
 """
 
 from __future__ import annotations
@@ -35,13 +33,7 @@ import sys
 import time
 
 from repro.backend import available_backends, backend_versions
-from repro.bench.registry import (
-    EXPERIMENTS,
-    describe,
-    run_experiment,
-    supports_backend,
-    supports_tracing,
-)
+from repro.bench.registry import EXPERIMENTS, describe, run_experiment, supports_backend
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -75,22 +67,6 @@ def main(argv: list[str] | None = None) -> int:
             "importable here"
         ),
     )
-    parser.add_argument(
-        "--trace",
-        metavar="PATH",
-        help=(
-            "record the headline run's span events and write Perfetto "
-            "trace_event JSON to PATH (exactly one experiment)"
-        ),
-    )
-    parser.add_argument(
-        "--dashboard",
-        metavar="PATH",
-        help=(
-            "write the headline run's monitoring dashboard HTML to PATH "
-            "(exactly one serving experiment)"
-        ),
-    )
     args = parser.parse_args(argv)
 
     if args.list:
@@ -118,32 +94,10 @@ def main(argv: list[str] | None = None) -> int:
                 f"backend-aware: {', '.join(backend_aware)}"
             )
 
-    recorder = None
-    if args.trace:
-        if len(names) != 1:
-            parser.error("--trace applies to exactly one experiment, e.g. --trace out.json serve")
-        if not supports_tracing(names[0]):
-            traceable = [n for n in EXPERIMENTS if supports_tracing(n)]
-            parser.error(
-                f"experiment {names[0]!r} does not support tracing; "
-                f"traceable: {', '.join(traceable)}"
-            )
-        from repro.serve.obs import TraceRecorder
-
-        recorder = TraceRecorder()
-    if args.dashboard and len(names) != 1:
-        parser.error(
-            "--dashboard applies to exactly one experiment, "
-            "e.g. --dashboard dash.html serve"
-        )
-
     json_report: list[dict] = []
-    dashboard_html: str | None = None
     for name in names:
         t0 = time.perf_counter()
-        result = run_experiment(
-            name, quick=args.quick, recorder=recorder, backend=args.backend
-        )
+        result = run_experiment(name, quick=args.quick, backend=args.backend)
         elapsed = time.perf_counter() - t0
         print(result.full_text())
         written = result.write(args.outdir)
@@ -165,23 +119,7 @@ def main(argv: list[str] | None = None) -> int:
             entry["alerts"] = result.alerts
         if result.availability is not None:
             entry["availability"] = result.availability
-        if args.dashboard:
-            dashboard_html = result.dashboard_html
         json_report.append(entry)
-    if args.trace:
-        from repro.serve.obs import write_trace
-
-        write_trace(recorder, args.trace)
-        print(f"wrote Perfetto trace ({len(recorder.events)} events) to {args.trace}")
-    if args.dashboard:
-        if dashboard_html is None:
-            parser.error(
-                f"experiment {names[0]!r} does not produce a dashboard "
-                "(only the serving experiments monitor their headline run)"
-            )
-        with open(args.dashboard, "w") as fh:
-            fh.write(dashboard_html)
-        print(f"wrote monitoring dashboard to {args.dashboard}")
     if args.output:
         report = {
             "backends": backend_versions(),

@@ -97,24 +97,15 @@ def describe(name: str) -> str:
     return first.removeprefix("Experiment:").strip().rstrip(".")
 
 
-def supports_tracing(name: str) -> bool:
-    """Whether an experiment's runner accepts a span-event ``recorder``."""
-    return "recorder" in inspect.signature(EXPERIMENTS[name]).parameters
-
-
 def supports_backend(name: str) -> bool:
     """Whether an experiment's runner accepts an array ``backend`` name."""
     return "backend" in inspect.signature(EXPERIMENTS[name]).parameters
 
 
-def run_experiment(
-    name: str, quick: bool = False, recorder=None, backend: str | None = None
-) -> ExperimentResult:
-    """Run one experiment by name; passes ``quick``, ``recorder``, and
-    ``backend`` where supported (``recorder`` collects the headline run's
-    span events for Perfetto export — see :mod:`repro.serve.obs`;
-    ``backend`` selects the array-execution backend of functional runners
-    — see :mod:`repro.backend`)."""
+def run_experiment(name: str, quick: bool = False, backend: str | None = None) -> ExperimentResult:
+    """Run one experiment by name; passes ``quick`` and ``backend`` where
+    supported (``backend`` selects the array-execution backend of
+    functional runners — see :mod:`repro.backend`)."""
     try:
         runner = EXPERIMENTS[name]
     except KeyError as exc:
@@ -125,13 +116,6 @@ def run_experiment(
     kwargs: dict[str, object] = {}
     if "quick" in params:
         kwargs["quick"] = quick
-    if recorder is not None:
-        if "recorder" not in params:
-            raise ReproError(
-                f"experiment {name!r} does not support tracing; traceable: "
-                f"{', '.join(n for n in EXPERIMENTS if supports_tracing(n))}"
-            )
-        kwargs["recorder"] = recorder
     if backend is not None:
         if "backend" not in params:
             raise ReproError(

@@ -3,7 +3,9 @@
 Every experiment runner returns an :class:`ExperimentResult` holding the
 rendered text report (tables + ASCII figures) and the raw series. The CLI
 writes ``<name>.txt`` plus one ``<name>_<table>.csv`` per series to the
-output directory, so the figures can be re-plotted with any tool.
+output directory, so the figures can be re-plotted with any tool; a
+serving experiment adds its headline run's ``<name>-trace.json`` and
+``<name>-dashboard.html``.
 """
 
 from __future__ import annotations
@@ -39,9 +41,14 @@ class ExperimentResult:
     #: resilience axis every serving experiment reports (``None`` for
     #: experiments that serve no traffic).
     availability: float | None = None
-    #: rendered monitoring dashboard HTML of the headline run
-    #: (``repro-bench --dashboard PATH`` writes it; ``None`` when the
-    #: runner does not monitor).
+    #: rendered Perfetto ``trace_event`` JSON of the headline run, trailing
+    #: newline included (:meth:`write` writes it to ``<name>-trace.json``;
+    #: ``None`` when the runner does not trace). Kept as text: the
+    #: recorder's event list costs far more memory.
+    trace_json: str | None = None
+    #: rendered monitoring dashboard HTML of the headline run (:meth:`write`
+    #: writes it to ``<name>-dashboard.html``; ``None`` when the runner
+    #: does not monitor).
     dashboard_html: str | None = None
 
     def full_text(self) -> str:
@@ -52,7 +59,8 @@ class ExperimentResult:
         return "\n".join(parts) + "\n"
 
     def write(self, outdir: str | Path) -> list[Path]:
-        """Write the report and CSVs; returns the created paths."""
+        """Write the report, the CSVs, and the trace and dashboard when
+        present; returns the created paths."""
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         written = []
@@ -63,4 +71,10 @@ class ExperimentResult:
             csv_path = outdir / f"{self.name}_{table_name}.csv"
             csv_path.write_text(render_csv(headers, rows))
             written.append(csv_path)
+        artifacts = {"trace.json": self.trace_json, "dashboard.html": self.dashboard_html}
+        for suffix, text in artifacts.items():
+            if text is not None:
+                path = outdir / f"{self.name}-{suffix}"
+                path.write_text(text)
+                written.append(path)
         return written

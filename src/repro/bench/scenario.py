@@ -9,11 +9,13 @@ tabulated, and judged by findings. This module holds what they share:
   offered load against a device's GEMM-bound or whole-block capacity;
 * :class:`Columns` declares a table once as ``(header, item -> value)``
   pairs, so headers and rows cannot drift apart;
-* :class:`Scenario` serves an experiment's arms with the recorder and a
-  monitor on the headline arm only, replays that arm, and checks the
-  replay is identical; its unmonitored :meth:`Scenario.reports` feed the
-  ``golden_rows`` generators from the same arm list ``run()`` uses;
-* :func:`experiment_result` assembles the :class:`ExperimentResult`.
+* :class:`Scenario` serves an experiment's arms with a trace recorder and
+  a monitor on the headline arm only, replays that arm untraced, and
+  checks the replay is identical; its unmonitored :meth:`Scenario.reports`
+  feed the ``golden_rows`` generators from the same arm list ``run()``
+  uses;
+* :func:`experiment_result` assembles the :class:`ExperimentResult`,
+  rendered trace and dashboard included.
 """
 
 from __future__ import annotations
@@ -24,8 +26,13 @@ from typing import Any
 
 from repro.bench.report import ExperimentResult
 from repro.gpusim.device import Device, ExecutionMode
-from repro.serve import ServiceMonitor, ServiceReport, render_dashboard
-from repro.serve.obs.trace import NullRecorder
+from repro.serve import (
+    ServiceMonitor,
+    ServiceReport,
+    TraceRecorder,
+    render_dashboard,
+    render_trace,
+)
 from repro.util.formatting import render_table
 
 #: ``(headers, rows)`` of one table.
@@ -85,7 +92,11 @@ class Served:
     headline: ServiceReport
     #: the headline arm's monitor (its alerts feed the result).
     monitor: ServiceMonitor
-    #: whether a fixed-seed replay of the headline arm reproduced it.
+    #: the headline arm's rendered Perfetto trace (trailing newline
+    #: included).
+    trace_json: str
+    #: whether an untraced fixed-seed replay of the headline arm
+    #: reproduced the traced run.
     replay_identical: bool
 
 
@@ -93,7 +104,9 @@ class Served:
 class Scenario:
     """How an experiment serves its arms: which one is the headline, how
     often that arm is monitored, and the table rows its report renders to
-    (the replay check compares them)."""
+    (the replay check compares them). The headline arm is always traced
+    and monitored; its untraced replay checks that tracing changed
+    nothing."""
 
     headline: str
     monitor_interval_s: float
@@ -103,14 +116,22 @@ class Scenario:
         """Every arm served once, unmonitored and untraced."""
         return {label: arm() for label, arm in arms.items()}
 
-    def serve(self, arms: Mapping[str, Arm], recorder: NullRecorder | None = None) -> Served:
+    def serve(self, arms: Mapping[str, Arm]) -> Served:
         """Serve every arm, the headline traced and monitored, then replay
-        the headline under a fresh monitor of the same cadence."""
+        the headline untraced under a fresh monitor of the same cadence:
+        an identical replay shows the trace recorder changed nothing."""
         monitor = ServiceMonitor(interval_s=self.monitor_interval_s)
-        reports = {
-            label: arm(recorder=recorder, monitor=monitor) if label == self.headline else arm()
-            for label, arm in arms.items()
-        }
+        reports: dict[str, ServiceReport] = {}
+        for label, arm in arms.items():
+            if label == self.headline:
+                recorder = TraceRecorder()
+                reports[label] = arm(recorder=recorder, monitor=monitor)
+                # Rendered before the later arms run: the render's working
+                # set is the largest allocation of a traced experiment, and
+                # their reports need not sit beside it.
+                trace_json = render_trace(recorder) + "\n"
+            else:
+                reports[label] = arm()
         headline = reports[self.headline]
         replay = arms[self.headline](monitor=ServiceMonitor(interval_s=self.monitor_interval_s))
         identical = (
@@ -120,7 +141,7 @@ class Scenario:
             and replay.summary() == headline.summary()
             and self.headline_rows(replay) == self.headline_rows(headline)
         )
-        return Served(reports, headline, monitor, identical)
+        return Served(reports, headline, monitor, trace_json, identical)
 
 
 def experiment_result(
@@ -135,8 +156,8 @@ def experiment_result(
 
     ``sections`` are ``(table name, caption, table)`` triples, rendered in
     order into the text and the CSV tables; a plain string is appended to
-    the text as is. Metrics, alerts, availability, and the dashboard all
-    come from the headline arm.
+    the text as is. Metrics, alerts, availability, the Perfetto trace, and
+    the dashboard all come from the headline arm.
     """
     tables: dict[str, Table] = {}
     text: list[str] = []
@@ -157,5 +178,6 @@ def experiment_result(
         metrics=report.metrics.snapshot() if report.metrics is not None else None,
         alerts=served.monitor.engine.snapshot(),
         availability=report.availability,
+        trace_json=served.trace_json,
         dashboard_html=render_dashboard(report, title=dashboard_title),
     )

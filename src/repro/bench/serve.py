@@ -180,10 +180,10 @@ def golden_dashboard_digest(horizon_s: float = GOLDEN_HORIZON_S) -> str:
     return hashlib.sha256(golden_dashboard(horizon_s).encode("utf-8")).hexdigest() + "\n"
 
 
-def run(quick: bool = False, recorder: NullRecorder | None = None) -> ExperimentResult:
+def run(quick: bool = False) -> ExperimentResult:
     horizon_s = 0.012 if quick else 0.03
     sweep = (1, 4, 32) if quick else (1, 4, 16, 32)
-    served = SCENARIO.serve(_arms(horizon_s, sweep), recorder)
+    served = SCENARIO.serve(_arms(horizon_s, sweep))
     reports = served.reports
     naive, batched = reports["naive (max_batch=1)"], served.headline
 

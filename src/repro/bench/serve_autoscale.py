@@ -289,11 +289,11 @@ def golden_rows(horizon_s: float = GOLDEN_HORIZON_S) -> Table:
     return COLUMNS.table(reports.items())
 
 
-def run(quick: bool = False, recorder: NullRecorder | None = None) -> ExperimentResult:
+def run(quick: bool = False) -> ExperimentResult:
     # The two-day trace is the experiment: quick mode keeps the full
     # horizon (a single day would have no second peak for the reactive
     # policy to pay its cold-start bill on) — the run is already small.
-    served = SCENARIO.serve(_arms(HORIZON_S), recorder)
+    served = SCENARIO.serve(_arms(HORIZON_S))
     reactive, predictive = served.headline, served.reports["predictive"]
     fixed = SCENARIO.reports(_fixed_arms(reactive, HORIZON_S))
     n_budget = _budget(reactive)

@@ -220,9 +220,9 @@ def golden_rows(horizon_s: float = GOLDEN_HORIZON_S) -> Table:
     return COLUMNS.table(SCENARIO.reports(_arms(horizon_s)).items())
 
 
-def run(quick: bool = False, recorder: NullRecorder | None = None) -> ExperimentResult:
+def run(quick: bool = False) -> ExperimentResult:
     horizon_s = 0.004 if quick else 0.01
-    served = SCENARIO.serve(_arms(horizon_s), recorder)
+    served = SCENARIO.serve(_arms(horizon_s))
     mixed, amd_only, split = served.headline, served.reports["amd-only"], served.reports["split"]
     exact, bucketed = served.reports["exact-shape"], served.reports[BUCKETED]
 

@@ -192,9 +192,9 @@ def golden_rows(horizon_s: float = GOLDEN_HORIZON_S) -> Table:
     return SLICES.headers, _slice_rows(_arms(horizon_s)["overload"]())
 
 
-def run(quick: bool = False, recorder: NullRecorder | None = None) -> ExperimentResult:
+def run(quick: bool = False) -> ExperimentResult:
     horizon_s = 0.004 if quick else 0.01
-    served = SCENARIO.serve(_arms(horizon_s), recorder)
+    served = SCENARIO.serve(_arms(horizon_s))
     report = served.headline
     classes = report.by_priority()
     interactive = classes[0]

@@ -71,7 +71,6 @@ from repro.serve import (
     poisson_arrivals,
 )
 from repro.serve.faults import SLOW_FACTOR
-from repro.serve.obs.trace import NullRecorder
 from repro.serve.workload import Request
 
 GPU = "A100"
@@ -224,11 +223,11 @@ def golden_rows(horizon_s: float = GOLDEN_HORIZON_S) -> Table:
     return COLUMNS.table(SCENARIO.reports(_arms(horizon_s)).items())
 
 
-def run(quick: bool = False, recorder: NullRecorder | None = None) -> ExperimentResult:
+def run(quick: bool = False) -> ExperimentResult:
     # The storm is the experiment: quick mode keeps the full horizon (the
     # run is already small, and a shorter one would under-sample the
     # straggler windows the hedging claim needs).
-    served = SCENARIO.serve(_arms(HORIZON_S), recorder)
+    served = SCENARIO.serve(_arms(HORIZON_S))
     fault_free, no_recovery = served.reports["fault-free"], served.reports["no-recovery"]
     split = served.reports["split-crash"]
     resilient = served.headline

@@ -96,7 +96,6 @@ from repro.serve.obs import (
     TraceRecorder,
     render_dashboard,
     render_trace,
-    write_trace,
 )
 from repro.serve.placement import (
     PlacementCost,
@@ -175,7 +174,6 @@ __all__ = [
     "RequestPath",
     "BlameReport",
     "render_trace",
-    "write_trace",
     "ServiceMonitor",
     "TimeSeries",
     "Alert",

@@ -267,8 +267,13 @@ def fit_rate_forecast(
             base_rate_hz=len(used) / window_s, amplitude=0.0, period_s=period_s
         )
     omega = 2.0 * math.pi / period_s
-    re = sum(math.cos(omega * t) for t in used)
-    im = -sum(math.sin(omega * t) for t in used)
+    # Explicit left folds in arrival order: ``sum`` of floats compensates
+    # from Python 3.12 on, which would move the fitted forecast with it.
+    re = im = 0.0
+    for t in used:
+        re += math.cos(omega * t)
+        im += math.sin(omega * t)
+    im = -im
     amplitude = min(1.0, 2.0 * math.hypot(re, im) / len(used))
     phase_s = ((math.atan2(im, re) + 0.5 * math.pi) / omega) % period_s
     return RateForecast(

@@ -7,7 +7,8 @@ for:
   :class:`TraceRecorder` of typed span events at every request-lifecycle
   edge, zero-overhead when the default :data:`NULL_RECORDER` is bound;
 * :mod:`~repro.serve.obs.perfetto` — Chrome/Perfetto ``trace_event``
-  JSON export (open any bench run in https://ui.perfetto.dev);
+  JSON export (open any serving experiment's ``<name>-trace.json`` from
+  ``python -m repro.bench`` in https://ui.perfetto.dev);
 * :mod:`~repro.serve.obs.critical_path` — exact per-request latency
   decomposition and p99 blame rollup;
 * :mod:`~repro.serve.obs.metrics` — the :class:`MetricsRegistry` of
@@ -16,7 +17,9 @@ for:
   fixed-cadence :class:`TimeSeries` sampling of a live run plus SRE-style
   multi-window burn-rate alerting over per-scope SLO error budgets;
 * :mod:`~repro.serve.obs.dashboard` — a self-contained, byte-deterministic
-  HTML dashboard of a monitored run (``repro-bench --dashboard``).
+  HTML dashboard of a monitored run (every serving experiment of
+  ``python -m repro.bench`` writes its headline run's
+  ``<name>-dashboard.html``).
 """
 
 from repro.serve.obs.alerts import (
@@ -60,7 +63,7 @@ from repro.serve.obs.metrics import (
     MetricsRegistry,
 )
 from repro.serve.obs.monitor import MetricSampler, ServiceMonitor, TimeSeries
-from repro.serve.obs.perfetto import render_trace, trace_to_dict, write_trace
+from repro.serve.obs.perfetto import render_trace, trace_to_dict
 from repro.serve.obs.trace import NULL_RECORDER, NullRecorder, TraceRecorder
 
 __all__ = [
@@ -101,7 +104,6 @@ __all__ = [
     "TimeSeries",
     "render_trace",
     "trace_to_dict",
-    "write_trace",
     "NULL_RECORDER",
     "NullRecorder",
     "TraceRecorder",

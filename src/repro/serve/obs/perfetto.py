@@ -33,7 +33,6 @@ what lets a golden trace be checked in and diffed like a golden CSV.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 from repro.serve.obs.events import (
     AdmissionDecided,
@@ -368,9 +367,3 @@ def render_trace(recorder: TraceRecorder) -> str:
     """The byte-deterministic JSON text of :func:`trace_to_dict`."""
     return json.dumps(trace_to_dict(recorder), sort_keys=True, separators=(",", ":"))
 
-
-def write_trace(recorder: TraceRecorder, path: str | Path) -> Path:
-    """Write the Perfetto JSON to ``path`` (trailing newline included)."""
-    path = Path(path)
-    path.write_text(render_trace(recorder) + "\n")
-    return path

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.__main__ import main
+from tests.bench.test_validators import _load
 
 
 class TestCli:
@@ -21,6 +22,14 @@ class TestCli:
         assert main(["table1", "--outdir", str(tmp_path)]) == 0
         assert (tmp_path / "table1.txt").exists()
         assert "Table I" in capsys.readouterr().out
+        assert not list(tmp_path.glob("table1-*"))  # no trace, no dashboard
+
+    def test_serve_experiment_writes_valid_trace_and_dashboard(self, tmp_path, capsys):
+        assert main(["serve-pipeline", "--quick", "--outdir", str(tmp_path)]) == 0
+        trace = tmp_path / "serve-pipeline-trace.json"
+        dashboard = tmp_path / "serve-pipeline-dashboard.html"
+        assert _load("validate_trace").check(str(trace)) == []
+        assert _load("validate_dashboard").check(str(dashboard)) == []
 
 
 class TestCliPolish:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import count
 
 from repro.bench.scenario import Columns, Scenario, experiment_result, fleet
-from repro.serve import SLO, BatchingPolicy, BeamformingService, TraceRecorder
+from repro.serve import SLO, BatchingPolicy, BeamformingService, TraceRecorder, render_trace
 from tests.serve.test_service import overload_trace
 
 COLUMNS = Columns("config", ("offered", lambda r: r.n_offered), ("launches", lambda r: r.n_batches))
@@ -34,15 +34,35 @@ def test_columns_yield_matching_headers_and_rows():
 
 
 def test_only_the_headline_is_traced_and_monitored():
-    recorder = TraceRecorder()
-    served = _scenario().serve({"other": _arm, "headline": _arm}, recorder)
+    recorders = {}
+
+    def spy(label):
+        def arm(recorder=None, monitor=None):
+            recorders.setdefault(label, []).append(recorder)
+            return _arm(recorder=recorder, monitor=monitor)
+
+        return arm
+
+    served = _scenario().serve({"other": spy("other"), "headline": spy("headline")})
     assert list(served.reports) == ["other", "headline"]
     assert served.headline is served.reports["headline"]
     assert served.headline.monitor is served.monitor
     assert served.reports["other"].monitor is None
     assert served.monitor.sampler.n_ticks > 0
-    assert recorder.events
+    # the other arm and the headline's replay run untraced
+    assert recorders["other"] == [None]
+    traced, replayed = recorders["headline"]
+    assert isinstance(traced, TraceRecorder) and traced.events
+    assert replayed is None
+    assert served.trace_json == render_trace(traced) + "\n"
     assert served.replay_identical
+
+
+def test_replay_check_catches_an_arm_that_tracing_changes():
+    def headline(recorder=None, monitor=None):
+        return _arm(seed=12 if recorder is not None and recorder.enabled else 11, monitor=monitor)
+
+    assert not _scenario().serve({"headline": headline}).replay_identical
 
 
 def test_replay_check_catches_a_nondeterministic_headline():
@@ -66,3 +86,4 @@ def test_result_carries_the_headline_artifacts():
     assert result.availability == served.headline.availability
     assert result.alerts == served.monitor.engine.snapshot()
     assert "demo dashboard" in result.dashboard_html
+    assert result.trace_json == served.trace_json

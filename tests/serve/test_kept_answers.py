@@ -11,12 +11,14 @@ replaced at every turn, and must end within a bound on the number of turns
 (a livelock spins forever).
 
 Floats that admission or the autoscaler compare are explicit left folds in
-queue order: ``sum`` of floats compensates from Python 3.12 on, and
-``0.1 + 0.2 + 0.3`` folded left is not the correctly rounded 0.6.
+queue order, and the forecast fit folds in arrival order: ``sum`` of floats
+compensates from Python 3.12 on, and ``0.1 + 0.2 + 0.3`` folded left is not
+the correctly rounded 0.6.
 """
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 
 from hypothesis import HealthCheck, given, settings
@@ -39,6 +41,7 @@ from repro.serve import (
     ResiliencePolicy,
     Workload,
     crash_storm,
+    fit_rate_forecast,
     merge_arrivals,
     poisson_arrivals,
 )
@@ -125,6 +128,22 @@ class TestFloatFolds:
             batch.candidate_indices = (0,)
             service.fleet.scheduler.enqueue(batch)
         assert service._signals(0.0).queued_service_s == LEFT_FOLD
+
+    def test_forecast_fit_folds_its_fourier_sums_in_arrival_order(self):
+        # The sin terms of these arrivals fold left to a float one ulp
+        # away from the correctly rounded sum, which ``math.fsum`` (and
+        # ``sum`` from Python 3.12 on) returns: the amplitude would be 2/3.
+        arrivals = [0.15, 0.2, 0.65]
+        phases = [2.0 * math.pi * t for t in arrivals]
+
+        def amplitude(add) -> float:
+            cos, sin = add(map(math.cos, phases)), add(map(math.sin, phases))
+            return 2.0 * math.hypot(cos, sin) / len(arrivals)
+
+        assert amplitude(math.fsum) == 2.0 / 3.0
+        assert amplitude(fold) == 0.6666666666666669
+        forecast = fit_rate_forecast(arrivals, period_s=1.0, horizon_s=1.0)
+        assert forecast.amplitude == amplitude(fold)
 
 
 # -- the kept answers, turn by turn -------------------------------------------
